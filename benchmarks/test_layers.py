@@ -1,0 +1,66 @@
+"""Microbenchmarks of one on-the-fly expansion, layer by layer, on fixed
+desk states.  Run with
+
+    python -m pytest benchmarks --benchmark-only
+
+The states are the heaviest pair on the desk graphs (the lexicon start,
+86 arcs, against the root's backoff state, 49 arcs), one root state, one
+bridge state (a root state with a class out-arc) and one state inside a
+user's contact FST.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from lazyfst.cache import Session, expand
+from lazyfst.compose import FilterState, PairState, expand_pair_state
+from lazyfst.harness import binding_for, precompose_cache
+from lazyfst.replace import InsideState, ReplaceView
+
+USER = "u01"
+
+
+@pytest.fixture(scope="module")
+def view(desk):
+    _, build = desk
+    return ReplaceView(build.root, binding_for(build, USER))
+
+
+def backoff_state(root) -> int:
+    return max(root.states(), key=lambda q: len(root.arcs_of(q)))
+
+
+def test_expand_pair_state_heaviest(benchmark, desk, view):
+    _, build = desk
+    q2 = backoff_state(build.root)
+    assert (len(build.t1.arcs_of(build.t1.start)), len(view.arcs_of(q2))) \
+        == (86, 49)
+    key = PairState(build.t1.start, q2, FilterState.ANY)
+    benchmark(expand_pair_state, key, build.t1, view)
+
+
+def test_arcs_of_root_state(benchmark, desk, view):
+    _, build = desk
+    benchmark(view.arcs_of, backoff_state(build.root))
+
+
+def test_arcs_of_bridge_state(benchmark, view):
+    benchmark(view.arcs_of, min(view.bridges))
+
+
+def test_arcs_of_inside_state(benchmark, desk, view):
+    _, build = desk
+    (cls,) = build.class_ids
+    contacts = build.contact_fsts[USER]
+    benchmark(view.arcs_of, InsideState(cls, contacts.start, build.root.start))
+
+
+def test_cache_expand_public_hit(benchmark, desk):
+    cfg, build = desk
+    cache, _ = precompose_cache(build, cfg, "both")
+    session = Session(cache, binding_for(build, USER))
+    start = session.start_id()
+    assert start in cache.expanded
+    benchmark(expand, start, session)
+    assert session.metrics.otf_expansion == 0

@@ -9,7 +9,7 @@ shared public layer plus per-session private layers.
 from .cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
                     ComposedStateKey, PublicCache, Session,
                     dump_public_cache, end_session, is_precomposable,
-                    load_public_cache, materialize, new_session, seal_public)
+                    load_public_cache, materialize, seal_public)
 from .compose import (Expansion, FilterState, PairState, compose_static,
                       expand_pair_state)
 from .decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode, rtf,
@@ -25,9 +25,8 @@ from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                       parse_corpus, parse_lexicon, train_bigram_root)
 from .metrics import Metrics
 from .precompose import PrecomposeConfig, bfs_precompose, warmup_precompose
-from .replace import (ClassBinding, InsideState, ReplaceView, RootState,
-                      empty_binding, insert_epsilon_before_class,
-                      placeholder_binding, replace_view)
+from .replace import (ClassBinding, InsideState, ReplaceView, empty_binding,
+                      insert_epsilon_before_class, placeholder_binding)
 from .semiring import ONE, ZERO, approx_equal, plus, times
 
 __version__ = "0.1.0"
@@ -40,16 +39,16 @@ __all__ = [
     "FilterState", "Fst", "FstBuilder", "Hypothesis", "InsideState",
     "InvariantError", "LazyFstError", "Lexicon", "Metrics", "PairState",
     "ParseError", "PrecomposeConfig", "PublicCache", "ReplaceView",
-    "RootState", "ScoreMatrix", "Session", "SymbolTable",
+    "ScoreMatrix", "Session", "SymbolTable",
     "approx_equal", "bfs_precompose", "build_contact_fst",
     "build_lexicon_fst", "build_symbol_tables", "canonicalize",
     "compose_static", "connect", "decode", "determinize_acyclic",
     "dump_public_cache", "empty_binding", "end_session",
     "expand_pair_state", "insert_epsilon_before_class", "is_precomposable",
-    "load_public_cache", "materialize", "minimize_acyclic", "new_session",
+    "load_public_cache", "materialize", "minimize_acyclic",
     "parse_contacts_jsonl", "parse_corpus", "parse_lexicon",
     "placeholder_binding", "plus", "read_symbols", "read_text_fst",
-    "replace_view", "rtf", "seal_public", "shortest_path",
+    "rtf", "seal_public", "shortest_path",
     "simulate_scores", "times", "train_bigram_root", "warmup_precompose",
     "write_symbols", "write_text_fst",
 ]

@@ -29,8 +29,8 @@ from .compose import Expansion, FilterState, PairState, expand_pair_state
 from .errors import BuildError, CompositionSizeError, ConfigurationError, InvariantError
 from .fst import Arc, Fst, FstBuilder, write_text_fst
 from .metrics import Metrics
-from .replace import ClassBinding, ReplaceView, RootState
-from .semiring import ZERO
+from .replace import ClassBinding, ReplaceView
+from .semiring import ZERO, is_member
 
 ComposedStateKey = PairState
 
@@ -52,9 +52,9 @@ def is_precomposable(key: PairState, root: Fst, classes: frozenset[int]) -> bool
     """True when `key`'s expansion cannot depend on any class binding:
     the t2 side sits in the root (not inside a class FST) and its root
     state has no class-label out-arc."""
-    if not isinstance(key.q2, RootState):
+    if not isinstance(key.q2, int):
         return False
-    for arc in root.arcs_of(key.q2.qc):
+    for arc in root.arcs_of(key.q2):
         if arc.olabel in classes:
             return False
     return True
@@ -86,7 +86,7 @@ class PublicCache:
         return len(self.expanded)
 
     def start_key(self) -> PairState:
-        return PairState(self.t1.start, RootState(self.root.start), FilterState.ANY)
+        return PairState(self.t1.start, self.root.start, FilterState.ANY)
 
     def intern(self, key: PairState) -> int:
         if self.sealed:
@@ -216,10 +216,6 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
     return made
 
 
-def new_session(cache: PublicCache, binding: ClassBinding) -> Session:
-    return Session(cache, binding)
-
-
 def end_session(session: Session) -> Metrics:
     """Free the private layer; returns the session's final metrics."""
     if session.ended:
@@ -276,9 +272,9 @@ def dump_public_cache(cache: PublicCache) -> str:
         raise ConfigurationError("dump requires a sealed cache")
     lines = [f"table {len(cache.keys)}"]
     for key in cache.keys:
-        if not isinstance(key.q2, RootState):
+        if not isinstance(key.q2, int):
             raise InvariantError(f"public table holds non-root key {key}")
-        lines.append(f"k {key.q1} {key.q2.qc} {int(key.f)}")
+        lines.append(f"k {key.q1} {key.q2} {int(key.f)}")
     for state_id in sorted(cache.expanded):
         exp = cache.expanded[state_id]
         lines.append(f"s {state_id} {exp.final!r} {len(exp.arcs)}")
@@ -295,7 +291,9 @@ def dump_public_cache(cache: PublicCache) -> str:
 def load_public_cache(text: str, t1: Fst, root: Fst,
                       classes: frozenset[int]) -> PublicCache:
     """Parse a dump back into a sealed cache, verifying version, graph
-    fingerprint and checksum."""
+    fingerprint and checksum, then every row: ids within their table or
+    graph, weights in the semiring, no repeated key or state.  Anything
+    malformed is a BuildError."""
     lines = text.splitlines(keepends=True)
     if len(lines) < 3 or lines[0].strip() != CACHE_FORMAT:
         raise BuildError("not a public cache dump (bad or missing version line)")
@@ -313,29 +311,66 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
         raise BuildError("cache dump checksum mismatch")
 
     rows = body.splitlines()
-    if not rows or not rows[0].startswith("table "):
+    head = rows[0].split() if rows else []
+    if len(head) != 2 or head[0] != "table":
         raise BuildError("cache dump missing state table")
-    num_keys = int(rows[0].split()[1])
-    pos = 1
-    for _ in range(num_keys):
-        parts = rows[pos].split()
-        if parts[0] != "k" or len(parts) != 4:
-            raise BuildError(f"bad table row: {rows[pos]!r}")
-        cache.intern(PairState(int(parts[1]), RootState(int(parts[2])),
-                               FilterState(int(parts[3]))))
-        pos += 1
+    num_keys = _dump_int(head[1], rows[0], len(rows))
+    for row in rows[1:num_keys + 1]:
+        q1, q2, f = _dump_fields(row, "k", 3)
+        key = PairState(_dump_int(q1, row, t1.num_states),
+                        _dump_int(q2, row, root.num_states),
+                        FilterState(_dump_int(f, row, FilterState.BLOCKED)))
+        if key in cache.ids:
+            raise BuildError(f"duplicate table row: {row!r}")
+        cache.intern(key)
+    pos = num_keys + 1
     while pos < len(rows):
-        parts = rows[pos].split()
-        if parts[0] != "s" or len(parts) != 4:
-            raise BuildError(f"bad expansion row: {rows[pos]!r}")
-        state_id, final, n_arcs = int(parts[1]), float(parts[2]), int(parts[3])
-        pos += 1
+        row = rows[pos]
+        sid, final, count = _dump_fields(row, "s", 3)
+        state_id = _dump_int(sid, row, num_keys)
+        if state_id in cache.expanded:
+            raise BuildError(f"duplicate expansion row: {row!r}")
+        n_arcs = _dump_int(count, row, len(rows) - pos)
         arcs = []
-        for _ in range(n_arcs):
-            a = rows[pos].split()
-            if a[0] != "a" or len(a) != 5:
-                raise BuildError(f"bad arc row: {rows[pos]!r}")
-            arcs.append(Arc(int(a[1]), int(a[2]), float(a[3]), int(a[4])))
-            pos += 1
-        cache.store(state_id, CachedExpansion(tuple(arcs), final))
-    return seal_public(cache)
+        for arc_row in rows[pos + 1:pos + 1 + n_arcs]:
+            il, ol, w, dst = _dump_fields(arc_row, "a", 4)
+            arcs.append(Arc(_dump_int(il, arc_row), _dump_int(ol, arc_row),
+                            _dump_weight(w, arc_row),
+                            _dump_int(dst, arc_row, num_keys)))
+        cache.store(state_id, CachedExpansion(tuple(arcs),
+                                              _dump_weight(final, row)))
+        pos += 1 + n_arcs
+    try:
+        return seal_public(cache)
+    except InvariantError as err:
+        raise BuildError(f"cache dump fails the seal check: {err}") from None
+
+
+def _dump_fields(row: str, tag: str, count: int) -> list[str]:
+    parts = row.split()
+    if len(parts) != count + 1 or parts[0] != tag:
+        raise BuildError(f"bad {tag!r} row in cache dump: {row!r}")
+    return parts[1:]
+
+
+def _dump_int(text: str, row: str, bound: Optional[int] = None) -> int:
+    """A non-negative int field, below `bound` when one is given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise BuildError(f"non-integer field {text!r} in cache dump row "
+                         f"{row!r}") from None
+    if value < 0 or (bound is not None and value >= bound):
+        raise BuildError(f"field {value} out of range in cache dump row {row!r}")
+    return value
+
+
+def _dump_weight(text: str, row: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise BuildError(f"non-numeric weight {text!r} in cache dump row "
+                         f"{row!r}") from None
+    if not is_member(value):
+        raise BuildError(f"bad weight {value} in cache dump row {row!r}")
+    return value

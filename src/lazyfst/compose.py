@@ -16,9 +16,10 @@ representative because one-sided moves commute.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 from .errors import CompositionSizeError
@@ -61,9 +62,6 @@ class PairState:
     q2: Any
     f: FilterState
 
-    def sort_key(self) -> tuple:
-        return (self.q1, token_sort_key(self.q2), int(self.f))
-
 
 class Expansion(NamedTuple):
     """Arcs out of one composed state (destinations are PairStates) plus
@@ -72,43 +70,62 @@ class Expansion(NamedTuple):
     final: float
 
 
+def composed_arc_key(ilabel: int, olabel: int, weight: float,
+                     q1: int, q2: Any, f: int) -> tuple:
+    """The one order of composed arcs: labels, weight, then the destination
+    (t1 state, t2 token, filter state)."""
+    return (ilabel, olabel, weight, q1, token_sort_key(q2), f)
+
+
 def arc_sort_key(arc: Arc) -> tuple:
-    return (arc.ilabel, arc.olabel, arc.weight, arc.nextstate.sort_key())
+    dest = arc.nextstate
+    return composed_arc_key(arc.ilabel, arc.olabel, arc.weight,
+                            dest.q1, dest.q2, int(dest.f))
 
 
 def expand_pair_state(key: PairState, t1: Fst, t2) -> Expansion:
     """Pure single-state expansion of the filtered lazy composition.
 
     `t2` is anything with arcs_of/final_weight/start (an Fst or a replace
-    view).  The arc list is sorted by (ilabel, olabel, weight,
-    destination key), which fixes the interning order downstream.
+    view).  The arc list is sorted by composed_arc_key, which fixes the
+    interning order downstream; each arc's key is built beside it so the
+    sort compares flat tuples.
     """
     q1, q2, f = key.q1, key.q2, key.f
     t2_arcs = t2.arcs_of(q2)
     t2_ilabels = [a.ilabel for a in t2_arcs]
-    out: list[Arc] = []
+    n2 = len(t2_ilabels)
+    keyed: list[tuple[tuple, Arc]] = []
+    append = keyed.append
 
-    for e1 in t1.arcs_of(q1):
-        if e1.olabel == EPS:
-            nf = advance_eps1(f)
-            if nf != FilterState.BLOCKED:
-                out.append(Arc(e1.ilabel, EPS, e1.weight,
-                               PairState(e1.nextstate, q2, nf)))
-        else:
-            lo = bisect_left(t2_ilabels, e1.olabel)
-            hi = bisect_right(t2_ilabels, e1.olabel)
-            for e2 in t2_arcs[lo:hi]:
-                out.append(Arc(e1.ilabel, e2.olabel, e1.weight + e2.weight,
-                               PairState(e1.nextstate, e2.nextstate,
-                                         advance_match(f))))
-    for e2 in t2_arcs:
-        if e2.ilabel != EPS:
+    eps1_f = advance_eps1(f)
+    nf_eps1 = int(eps1_f)
+    match_f = advance_match(f)
+    nf_match = int(match_f)
+    for il1, ol1, w1, d1 in t1.arcs_of(q1):
+        if ol1 == EPS:
+            if eps1_f != FilterState.BLOCKED:
+                append((composed_arc_key(il1, EPS, w1, d1, q2, nf_eps1),
+                        Arc(il1, EPS, w1, PairState(d1, q2, eps1_f))))
+            continue
+        i = bisect_left(t2_ilabels, ol1)
+        while i < n2 and t2_ilabels[i] == ol1:
+            _, ol2, w2, d2 = t2_arcs[i]
+            w = w1 + w2
+            append((composed_arc_key(il1, ol2, w, d1, d2, nf_match),
+                    Arc(il1, ol2, w, PairState(d1, d2, match_f))))
+            i += 1
+    eps2_f = advance_eps2(f)
+    nf_eps2 = int(eps2_f)
+    for il2, ol2, w2, d2 in t2_arcs:
+        if il2 != EPS:
             break  # sorted by ilabel; epsilon arcs come first
-        out.append(Arc(EPS, e2.olabel, e2.weight,
-                       PairState(q1, e2.nextstate, advance_eps2(f))))
+        append((composed_arc_key(EPS, ol2, w2, q1, d2, nf_eps2),
+                Arc(EPS, ol2, w2, PairState(q1, d2, eps2_f))))
 
-    out.sort(key=arc_sort_key)
-    return Expansion(tuple(out), t1.final_weight(q1) + t2.final_weight(q2))
+    keyed.sort(key=itemgetter(0))
+    return Expansion(tuple([arc for _, arc in keyed]),
+                     t1.final_weight(q1) + t2.final_weight(q2))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cache import PublicCache, end_session, new_session, seal_public
+from .cache import PublicCache, Session, end_session, seal_public
 from .decoder import DecodeConfig, decode, rtf, simulate_scores
 from .errors import BuildError, ConfigurationError
 from .fst import Fst, SymbolTable, write_symbols, write_text_fst
@@ -88,11 +88,43 @@ def build_graphs(cfg: dict) -> Build:
                              f"{missing}")
         contact_fsts[user] = build_contact_fst([by_name[n] for n in names],
                                                word_syms)
-    utterances = [json.loads(line)
-                  for line in read("utterances").splitlines() if line.strip()]
+    utterances = parse_utterances(read("utterances"),
+                                  str(data / cfg["utterances"]), users)
     class_ids = frozenset(word_syms.id_of(c) for c in class_names)
     return Build(lexicon, phone_syms, word_syms, t1, root, class_ids,
                  contacts, users, contact_fsts, utterances)
+
+
+UTTERANCE_FIELDS = (("id", str), ("user", str), ("words", list),
+                    ("phones", list), ("seed", int))
+
+
+def parse_utterances(text: str, path: str,
+                     users: dict[str, list[str]]) -> list[dict]:
+    """One JSON object per non-blank line, each with every field in
+    UTTERANCE_FIELDS (word and phone lists of strings) and a known user."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise BuildError(f"{where}: bad utterance row: {err}") from None
+        if not isinstance(row, dict):
+            raise BuildError(f"{where}: utterance row is not a JSON object")
+        for name, kind in UTTERANCE_FIELDS:
+            value = row.get(name)
+            if not isinstance(value, kind) or (
+                    kind is list and not all(isinstance(v, str) for v in value)):
+                raise BuildError(f"{where}: utterance {row.get('id')!r} lacks "
+                                 f"a valid {name!r} field")
+        if row["user"] not in users:
+            raise BuildError(f"{where}: utterance {row['id']!r} names unknown "
+                             f"user {row['user']!r}")
+        rows.append(row)
+    return rows
 
 
 def write_build(build: Build, out_dir: str | Path) -> dict:
@@ -213,7 +245,7 @@ class SessionResult:
 def run_session(cache: PublicCache, build: Build, cfg: dict,
                 user: str, utts: list[dict],
                 dec_cfg: DecodeConfig) -> SessionResult:
-    session = new_session(cache, binding_for(build, user))
+    session = Session(cache, binding_for(build, user))
     turns = []
     for turn_index, utt in enumerate(utts, start=1):
         scores = scores_for(build, cfg, utt)

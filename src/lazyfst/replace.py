@@ -8,26 +8,22 @@ the class arc's weight) into the bound FST, and each final state of the
 bound FST gets an epsilon arc (carrying its final weight) back to the
 state the class arc pointed at.  Nesting is depth one by construction:
 bound FSTs must not contain class labels themselves.
+
+View states lying in the root are the root's own int state ids, and a
+root state without a class out-arc passes the root's sorted arc tuple
+through unchanged; only bridge states (those with a class out-arc) and
+InsideStates build and sort an arc list of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .compose import arc_sort_key
+from .compose import token_sort_key
 from .errors import BuildError, ExpansionError
 from .fst import EPS, Arc, Fst, FstBuilder, SymbolTable
 from .semiring import ZERO
-
-
-@dataclass(frozen=True, slots=True)
-class RootState:
-    """View state lying in the root graph."""
-    qc: int
-
-    def sort_key(self) -> tuple:
-        return (1, self.qc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +38,11 @@ class InsideState:
         return (2, self.cls, self.qp, self.ret)
 
 
-ReplaceState = Union[RootState, InsideState]
+ReplaceState = Union[int, InsideState]
+
+
+def _view_arc_key(arc: Arc) -> tuple:
+    return (arc.ilabel, arc.olabel, arc.weight, token_sort_key(arc.nextstate))
 
 
 class ClassBinding:
@@ -79,7 +79,8 @@ class ReplaceView:
         self.classes = binding.classes
         self.isyms = root.isyms
         self.osyms = root.osyms
-        self.start = RootState(root.start)
+        self.start = root.start
+        bridges = set()
         for state in root.states():
             for arc in root.arcs_of(state):
                 if (arc.olabel in self.classes) != (arc.ilabel in self.classes) \
@@ -87,37 +88,38 @@ class ReplaceView:
                     raise BuildError(
                         f"root arc {state}->{arc.nextstate} must carry its class "
                         "label on both tapes")
+                if arc.olabel in self.classes:
+                    bridges.add(state)
+        self.bridges = frozenset(bridges)
 
-    def arcs_of(self, state: ReplaceState) -> list[Arc]:
-        out: list[Arc] = []
-        if isinstance(state, RootState):
-            for arc in self.root.arcs_of(state.qc):
+    def arcs_of(self, state: ReplaceState) -> Sequence[Arc]:
+        if isinstance(state, int):
+            if state not in self.bridges:
+                return self.root.arcs_of(state)
+            out: list[Arc] = []
+            for arc in self.root.arcs_of(state):
                 if arc.olabel in self.classes:
                     inner = self.binding.fst_for(arc.olabel)
                     out.append(Arc(EPS, EPS, arc.weight,
                                    InsideState(arc.olabel, inner.start, arc.nextstate)))
                 else:
-                    out.append(Arc(arc.ilabel, arc.olabel, arc.weight,
-                                   RootState(arc.nextstate)))
+                    out.append(arc)
         else:
+            out = []
             inner = self.binding.fst_for(state.cls)
             for arc in inner.arcs_of(state.qp):
                 out.append(Arc(arc.ilabel, arc.olabel, arc.weight,
                                InsideState(state.cls, arc.nextstate, state.ret)))
             exit_w = inner.final_weight(state.qp)
             if exit_w != ZERO:
-                out.append(Arc(EPS, EPS, exit_w, RootState(state.ret)))
-        out.sort(key=arc_sort_key)
+                out.append(Arc(EPS, EPS, exit_w, state.ret))
+        out.sort(key=_view_arc_key)
         return out
 
     def final_weight(self, state: ReplaceState) -> float:
-        if isinstance(state, RootState):
-            return self.root.final_weight(state.qc)
+        if isinstance(state, int):
+            return self.root.final_weight(state)
         return ZERO
-
-
-def replace_view(root: Fst, binding: ClassBinding) -> ReplaceView:
-    return ReplaceView(root, binding)
 
 
 def insert_epsilon_before_class(root: Fst, classes: frozenset[int]) -> Fst:

@@ -16,8 +16,8 @@ import criteria
 from oracles import acceptor_language, oracle_decode
 from test_cache import build_machine
 
-from lazyfst.cache import (PublicCache, is_precomposable, materialize,
-                           new_session, seal_public)
+from lazyfst.cache import (PublicCache, Session, is_precomposable,
+                           materialize, seal_public)
 from lazyfst.compose import compose_static
 from lazyfst.decoder import DecodeConfig, decode
 from lazyfst.deskdata import SIL, stable_seed
@@ -25,8 +25,8 @@ from lazyfst.fst import shortest_path, write_text_fst
 from lazyfst.harness import (binding_for, decode_config, levenshtein,
                              precompose_cache, run_bench, scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import (ClassBinding, InsideState,
-                             insert_epsilon_before_class, replace_view)
+from lazyfst.replace import (ClassBinding, InsideState, ReplaceView,
+                             insert_epsilon_before_class)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def benches1(desk_build, desk_cfg, caches):
 def _dynamic_session(build, user):
     cache = PublicCache(build.t1, build.root, build.class_ids)
     seal_public(cache)
-    return new_session(cache, binding_for(build, user))
+    return Session(cache, binding_for(build, user))
 
 
 # -- criterion 1 -----------------------------------------------------------
@@ -107,9 +107,9 @@ def test_lazy_composition_matches_static_composition():
         started = time.perf_counter()
         for _ in range(200):
             t1, root, binding = _random_triple(rng)
-            static = compose_static(t1, replace_view(root, binding))
+            static = compose_static(t1, ReplaceView(root, binding))
             cache = seal_public(PublicCache(t1, root, binding.classes))
-            lazy = materialize(new_session(cache, binding))
+            lazy = materialize(Session(cache, binding))
             assert write_text_fst(lazy) == write_text_fst(static)
             got = shortest_path(lazy)
             want = shortest_path(static)
@@ -165,9 +165,9 @@ def test_epsilon_insertion_unlocks_start_state(desk_build, desk_cfg):
 
         binding = binding_for(desk_build, "u01")
         raw_best = shortest_path(
-            compose_static(desk_build.t1, replace_view(raw, binding)))
+            compose_static(desk_build.t1, ReplaceView(raw, binding)))
         new_best = shortest_path(
-            compose_static(desk_build.t1, replace_view(transformed, binding)))
+            compose_static(desk_build.t1, ReplaceView(transformed, binding)))
         assert raw_best is not None
         assert new_best.weight == raw_best.weight
 
@@ -337,8 +337,8 @@ def test_unpruned_decode_matches_exhaustive_search(desk_build, desk_cfg):
         for user in desk_build.users:
             binding = binding_for(desk_build, user)
             statics[user] = compose_static(desk_build.t1,
-                                           replace_view(desk_build.root,
-                                                        binding))
+                                           ReplaceView(desk_build.root,
+                                                       binding))
             sessions[user] = _dynamic_session(desk_build, user)
 
         wide = DecodeConfig(beam=1e9, max_active=10 ** 9,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -8,12 +9,13 @@ from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
                            PublicCache, Session, dump_public_cache, end_session,
                            expand, is_precomposable, load_public_cache,
-                           materialize, new_session, seal_public)
+                           materialize, seal_public)
 from lazyfst.compose import FilterState, PairState, compose_static
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
+from lazyfst.harness import precompose_cache
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ClassBinding, InsideState, ReplaceView, RootState
+from lazyfst.replace import ClassBinding, InsideState, ReplaceView
 
 CLS = 9
 TEMP = 99
@@ -78,12 +80,12 @@ def sealed_cache(t1, root, classes=frozenset({CLS}), depth=0):
 class TestIsPrecomposable:
     def test_root_state_without_class_arcs(self):
         _, root, _ = fixed_scenario()
-        key = PairState(0, RootState(0), FilterState.ANY)
+        key = PairState(0, 0, FilterState.ANY)
         assert is_precomposable(key, root, frozenset({CLS}))
 
     def test_root_state_with_class_arc(self):
         _, root, _ = fixed_scenario()
-        key = PairState(0, RootState(1), FilterState.ANY)
+        key = PairState(0, 1, FilterState.ANY)
         assert not is_precomposable(key, root, frozenset({CLS}))
 
     def test_inside_state_never(self):
@@ -97,7 +99,7 @@ class TestLifecycle:
         t1, root, _ = fixed_scenario()
         cache = sealed_cache(t1, root)
         with pytest.raises(ConfigurationError):
-            cache.intern(PairState(1, RootState(0), FilterState.ANY))
+            cache.intern(PairState(1, 0, FilterState.ANY))
         with pytest.raises(ConfigurationError):
             cache.store(0, CachedExpansion((), 0.0))
 
@@ -105,7 +107,7 @@ class TestLifecycle:
         t1, root, binding = fixed_scenario()
         cache = PublicCache(t1, root, frozenset({CLS}))
         with pytest.raises(ConfigurationError):
-            new_session(cache, binding)
+            Session(cache, binding)
         Session(cache, binding, _allow_unsealed=True)  # build-time path
 
     def test_binding_must_declare_same_classes(self):
@@ -113,11 +115,11 @@ class TestLifecycle:
         cache = sealed_cache(t1, root)
         other = ClassBinding(frozenset({8}), {})
         with pytest.raises(ConfigurationError):
-            new_session(cache, other)
+            Session(cache, other)
 
     def test_end_session_is_terminal(self):
         t1, root, binding = fixed_scenario()
-        session = new_session(sealed_cache(t1, root), binding)
+        session = Session(sealed_cache(t1, root), binding)
         sid = session.start_id()
         expand(sid, session)
         final = end_session(session)
@@ -137,8 +139,8 @@ class TestSealPurity:
     def test_rejects_binding_dependent_key(self):
         t1, root, _ = fixed_scenario()
         cache = PublicCache(t1, root, frozenset({CLS}))
-        # RootState(1) has a class out-arc, so caching it publicly is wrong
-        bad = cache.intern(PairState(0, RootState(1), FilterState.ANY))
+        # root state 1 has a class out-arc, so caching it publicly is wrong
+        bad = cache.intern(PairState(0, 1, FilterState.ANY))
         cache.store(bad, CachedExpansion((), 1.0))
         with pytest.raises(InvariantError):
             seal_public(cache)
@@ -157,7 +159,7 @@ class TestIdSpace:
         t1, root, binding = fixed_scenario()
         cache = sealed_cache(t1, root, depth=3)
         assert cache.num_public > 0
-        session = new_session(cache, binding)
+        session = Session(cache, binding)
         fresh = session.intern(PairState(3, InsideState(CLS, 0, 2),
                                          FilterState.ANY))
         assert fresh >= session.num_public
@@ -167,14 +169,14 @@ class TestIdSpace:
     def test_public_key_interns_to_public_id(self):
         t1, root, binding = fixed_scenario()
         cache = sealed_cache(t1, root, depth=3)
-        session = new_session(cache, binding)
+        session = Session(cache, binding)
         assert session.intern(cache.start_key()) == cache.ids[cache.start_key()]
         assert session.start_id() < session.num_public
 
     def test_expand_increments_exactly_one_counter(self):
         t1, root, binding = fixed_scenario()
         cache = sealed_cache(t1, root, depth=3)
-        session = new_session(cache, binding)
+        session = Session(cache, binding)
         sid = session.start_id()
         m = session.metrics
 
@@ -215,7 +217,7 @@ class TestMaterializeMatchesStatic:
     def check(self, t1, root, binding, depth):
         static = compose_static(t1, ReplaceView(root, binding))
         cache = sealed_cache(t1, root, depth=depth)
-        session = new_session(cache, binding)
+        session = Session(cache, binding)
         assert write_text_fst(materialize(session)) == write_text_fst(static)
 
     def test_fixed_graph_all_cache_depths(self):
@@ -242,7 +244,7 @@ class TestBytesModel:
     def test_private_bytes_track_private_layer_only(self):
         t1, root, binding = fixed_scenario()
         cache = sealed_cache(t1, root, depth=64)
-        session = new_session(cache, binding)
+        session = Session(cache, binding)
         assert session.bytes_private == 0
         materialize(session)
         arcs = sum(len(e.arcs) for e in session.private_exp.values())
@@ -264,7 +266,7 @@ class TestDumpLoad:
         assert dump_public_cache(loaded) == text
         # a loaded cache serves sessions identically
         static = write_text_fst(compose_static(t1, ReplaceView(root, binding)))
-        assert write_text_fst(materialize(new_session(loaded, binding))) == static
+        assert write_text_fst(materialize(Session(loaded, binding))) == static
 
     def test_roundtrip_shallow_and_deep(self):
         self.roundtrip(2)
@@ -316,3 +318,88 @@ class TestDumpLoad:
             assert got.final == exp.final or (
                 math.isinf(got.final) and math.isinf(exp.final))
             assert got.arcs == exp.arcs
+
+
+def rechecksum(text: str) -> str:
+    """Re-sign an edited dump so only the body's contents are under test."""
+    lines = text.splitlines(keepends=True)
+    body = "".join(lines[3:])
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return "".join(lines[:2]) + f"sha256 {digest}\n" + body
+
+
+@pytest.fixture(scope="module")
+def desk_dump(desk_build, desk_cfg):
+    cache, _ = precompose_cache(desk_build, desk_cfg, "bfs")
+    return dump_public_cache(cache).splitlines()
+
+
+class TestLoadRejectsBadDumps:
+    """Every malformed but correctly checksummed dump is a BuildError."""
+
+    def load(self, lines, build):
+        return load_public_cache(rechecksum("\n".join(lines) + "\n"),
+                                 build.t1, build.root, build.class_ids)
+
+    def edit(self, lines, tag, field, value):
+        """Copy of `lines` with `field` of the first `tag` row set."""
+        out = list(lines)
+        i = next(i for i, row in enumerate(out) if row.startswith(tag + " "))
+        parts = out[i].split()
+        parts[field] = value
+        out[i] = " ".join(parts)
+        return out
+
+    def test_unedited_dump_loads(self, desk_dump, desk_build):
+        assert self.load(desk_dump, desk_build).sealed
+
+    @pytest.mark.parametrize("tag, field, value", [
+        ("s", 2, "nan"),        # final weight
+        ("a", 3, "-inf"),       # arc weight
+        ("k", 1, "x"),          # non-integer field
+        ("k", 2, "ROOT"),       # root state beyond the root
+        ("k", 3, "7"),          # not a filter state
+    ], ids=["nan-final", "neg-inf-arc", "non-integer", "root-out-of-range",
+            "filter-7"])
+    def test_bad_field(self, desk_dump, desk_build, tag, field, value):
+        if value == "ROOT":
+            value = str(desk_build.root.num_states)
+        with pytest.raises(BuildError):
+            self.load(self.edit(desk_dump, tag, field, value), desk_build)
+
+    def test_state_id_beyond_table(self, desk_dump, desk_build):
+        table_size = desk_dump[3].split()[1]
+        with pytest.raises(BuildError):
+            self.load(self.edit(desk_dump, "s", 1, table_size), desk_build)
+
+    def test_duplicate_expansion_row(self, desk_dump, desk_build):
+        first = next(i for i, row in enumerate(desk_dump)
+                     if row.startswith("s "))
+        n_arcs = int(desk_dump[first].split()[3])
+        block = desk_dump[first:first + 1 + n_arcs]
+        with pytest.raises(BuildError):
+            self.load(desk_dump + block, desk_build)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_single_line_mutation(self, desk_dump, desk_build, data):
+        lines = list(desk_dump)
+        i = data.draw(st.integers(min_value=3, max_value=len(lines) - 1))
+        parts = lines[i].split()
+        how = data.draw(st.sampled_from(["field", "delete", "copy"]))
+        if how == "field":
+            j = data.draw(st.integers(min_value=0, max_value=len(parts) - 1))
+            parts[j] = data.draw(st.sampled_from(
+                ["nan", "-inf", "inf", "-1", "0", "1", "2", "3", "7", "0.5",
+                 "1e9", "x", "", "k", "s", "a", "table"]))
+            lines[i] = " ".join(parts)
+        elif how == "delete":
+            del lines[i]
+        else:
+            lines[i] = lines[data.draw(st.integers(min_value=3,
+                                                   max_value=len(lines) - 1))]
+        try:
+            cache = self.load(lines, desk_build)
+        except BuildError:
+            return
+        assert cache.sealed

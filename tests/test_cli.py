@@ -4,6 +4,7 @@ import pytest
 
 from lazyfst.cache import load_public_cache
 from lazyfst.cli import main
+from lazyfst.deskdata import write_desk_data
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,24 @@ class TestDataErrors:
     def test_unreadable_report_exits_2(self, mini_config, tmp_path, capsys):
         assert main(["score", "--config", str(mini_config),
                      "--report", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("row", [
+        {"id": "bad-1", "user": "u05", "words": ["hello"], "seed": 1},
+        {"id": "bad-2", "user": "u05", "words": "hello", "phones": ["hh"],
+         "seed": 1},
+        {"id": "bad-3", "user": "nobody", "words": ["hello"],
+         "phones": ["hh"], "seed": 1},
+        "not json {",
+    ], ids=["no-phones", "words-not-list", "unknown-user", "bad-json"])
+    def test_malformed_utterance_row_exits_2(self, row, tmp_path, capsys):
+        cfg = write_desk_data(tmp_path)
+        path = tmp_path / "data" / "desk" / cfg["utterances"]
+        line = row if isinstance(row, str) else json.dumps(row)
+        path.write_text(path.read_text() + line + "\n")
+        assert main(["decode", "--config", str(tmp_path / "desk.json")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{cfg['utterances']}:201" in err
 
 
 class TestCommands:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_decode
 from test_cache import build_machine, scenario
-from lazyfst.cache import PublicCache, new_session, seal_public
+from lazyfst.cache import PublicCache, Session, seal_public
 from lazyfst.compose import compose_static
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
@@ -21,7 +21,7 @@ from lazyfst.replace import ClassBinding, ReplaceView
 def session_over(t1, root, depth=0):
     cfg = PrecomposeConfig(classes=frozenset(), temp_label=5, bfs_depth=depth)
     cache = seal_public(bfs_precompose(t1, root, cfg))
-    return new_session(cache, ClassBinding(frozenset(), {}))
+    return Session(cache, ClassBinding(frozenset(), {}))
 
 
 def hmm_t1():
@@ -186,7 +186,7 @@ class TestAgainstOracle:
         cfg = PrecomposeConfig(classes=frozenset({9}), temp_label=99,
                                bfs_depth=0)
         cache = seal_public(bfs_precompose(t1, root, cfg))
-        hyp = decode(m, new_session(cache, binding),
+        hyp = decode(m, Session(cache, binding),
                      DecodeConfig(beam=1e9, max_active=1_000_000))
         want = oracle_decode(compose_static(t1, ReplaceView(root, binding)), m)
         if want is None:

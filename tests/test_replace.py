@@ -3,12 +3,12 @@ from hypothesis import given, settings
 
 from oracles import acceptor_language, enumerate_language, substitute_language
 from strategies import acyclic_fst
+from lazyfst.compose import FilterState, PairState, expand_pair_state
 from lazyfst.errors import BuildError, ExpansionError
 from lazyfst.fst import EPS, FstBuilder
-from lazyfst.replace import (ClassBinding, InsideState, ReplaceView, RootState,
+from lazyfst.replace import (ClassBinding, InsideState, ReplaceView,
                              empty_binding, insert_epsilon_before_class,
-                             make_placeholder_class_fst, placeholder_binding,
-                             replace_view)
+                             make_placeholder_class_fst, placeholder_binding)
 
 CLS = 9
 
@@ -49,7 +49,7 @@ class TestBindingValidation:
     def test_unbound_label_expands_to_error(self, simple_root):
         view = ReplaceView(simple_root, ClassBinding(frozenset({CLS}), {}))
         with pytest.raises(ExpansionError):
-            view.arcs_of(RootState(1))
+            view.arcs_of(1)
 
     def test_one_sided_class_label_rejected(self, simple_class):
         b = FstBuilder()
@@ -64,9 +64,9 @@ class TestBindingValidation:
 
 class TestViewStructure:
     def test_class_arc_becomes_epsilon_entry(self, simple_root, simple_class):
-        view = replace_view(simple_root,
-                            ClassBinding(frozenset({CLS}), {CLS: simple_class}))
-        arcs = view.arcs_of(RootState(1))
+        view = ReplaceView(simple_root,
+                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+        arcs = view.arcs_of(1)
         entries = [a for a in arcs if isinstance(a.nextstate, InsideState)]
         assert len(entries) == 1
         entry = entries[0]
@@ -74,27 +74,61 @@ class TestViewStructure:
         assert entry.nextstate == InsideState(CLS, simple_class.start, 2)
 
     def test_exit_carries_final_weight(self, simple_root, simple_class):
-        view = replace_view(simple_root,
-                            ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+        view = ReplaceView(simple_root,
+                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
         arcs = view.arcs_of(InsideState(CLS, 2, ret=2))
-        exits = [a for a in arcs if isinstance(a.nextstate, RootState)]
-        assert exits == [type(exits[0])(EPS, EPS, 1.0, RootState(2))]
+        exits = [a for a in arcs if isinstance(a.nextstate, int)]
+        assert exits == [type(exits[0])(EPS, EPS, 1.0, 2)]
 
     def test_inside_states_are_never_final(self, simple_root, simple_class):
-        view = replace_view(simple_root,
-                            ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+        view = ReplaceView(simple_root,
+                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
         assert view.final_weight(InsideState(CLS, 1, 2)) == float("inf")
-        assert view.final_weight(RootState(3)) == 0.75
+        assert view.final_weight(3) == 0.75
 
     def test_language_hand_computed(self, simple_root, simple_class):
-        view = replace_view(simple_root,
-                            ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+        view = ReplaceView(simple_root,
+                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
         lang = acceptor_language(view)
         assert lang == {
             (1, 1): 0.5 + 1.0 + 0.75,
             (1, 3, 2): 0.5 + 0.25 + 0.25 + 0.0 + 0.0 + 0.75,
             (1, 3, 4, 2): 0.5 + 0.25 + 0.25 + 0.5 + 1.0 + 0.0 + 0.75,
         }
+
+
+class TestArcOrder:
+    def test_root_arcs_pass_through_uncopied(self, simple_root, simple_class):
+        view = ReplaceView(simple_root,
+                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+        assert view.bridges == {1}
+        for state in (0, 2, 3):
+            assert view.arcs_of(state) is simple_root.arcs_of(state)
+
+    def test_exit_arc_sorts_before_tied_inside_arcs(self):
+        # state 0 of the class FST is final (weight 1.0) and has two
+        # epsilon arcs, one tying the exit arc on (ilabel, olabel, weight)
+        inner = acceptor([(0, EPS, 1.0, 1), (0, EPS, 0.5, 1), (0, 3, 0.25, 1)],
+                         {0: 1.0, 1: 0.0}, 2)
+        root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
+        view = ReplaceView(root, ClassBinding(frozenset({CLS}), {CLS: inner}))
+        deeper = InsideState(CLS, 1, 1)
+        assert [tuple(a) for a in view.arcs_of(InsideState(CLS, 0, 1))] == [
+            (EPS, EPS, 0.5, deeper),
+            (EPS, EPS, 1.0, 1),
+            (EPS, EPS, 1.0, deeper),
+            (3, 3, 0.25, deeper),
+        ]
+        t1 = acceptor([(0, 3, 0.0, 1)], {1: 0.0}, 2)
+        exp = expand_pair_state(
+            PairState(0, InsideState(CLS, 0, 1), FilterState.ANY), t1, view)
+        eps2 = FilterState.EPS2_ONLY
+        assert [tuple(a) for a in exp.arcs] == [
+            (EPS, EPS, 0.5, PairState(0, deeper, eps2)),
+            (EPS, EPS, 1.0, PairState(0, 1, eps2)),
+            (EPS, EPS, 1.0, PairState(0, deeper, eps2)),
+            (3, 3, 0.25, PairState(1, deeper, FilterState.ANY)),
+        ]
 
 
 class TestAgainstSubstitutionOracle:
