@@ -16,18 +16,22 @@ dense ids [0, N_pub) and each session appends its own keys at ids >=
 N_pub.  Public expansions may therefore be referenced directly by private
 arcs, and a public id that was interned but never expanded offline (a
 frontier destination) is simply expanded into the private layer on first
-use.  A lookup increments exactly one of public_hit / private_hit /
-otf_expansion.
+use.  Session.lookup holds the two-layer rule and counts a public_hit or
+private_hit when it finds the state; expand is lookup or else build, and
+counts an otf_expansion when it builds.  The decoder resolves each state
+its epsilon closure returns once per frame, so the hits count one per
+state a closure returns, per frame, and every such state increments
+exactly one of public_hit / private_hit / otf_expansion.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .compose import Expansion, FilterState, PairState, expand_pair_state
 from .errors import BuildError, CompositionSizeError, ConfigurationError, InvariantError
-from .fst import Arc, Fst, FstBuilder, write_text_fst
+from .fst import EPS, Arc, Fst, FstBuilder, write_text_fst
 from .metrics import Metrics
 from .replace import ClassBinding, ReplaceView
 from .semiring import ZERO, is_member
@@ -42,10 +46,32 @@ STATE_BYTES = 16
 KEY_BYTES = 24
 
 
-class CachedExpansion(NamedTuple):
-    """Arcs with destinations already interned to shared state ids."""
-    arcs: tuple[Arc, ...]
-    final: float
+class CachedExpansion:
+    """Arcs with destinations already interned to shared state ids.
+
+    Composed arcs are sorted by ilabel first (compose.composed_arc_key) and
+    EPS is 0, so the epsilon-input arcs are the first `n_eps` arcs and the
+    emitting arcs are the rest; the decoder's closure and emit step each
+    walk only their own slice."""
+    __slots__ = ("arcs", "final", "n_eps")
+
+    def __init__(self, arcs: tuple[Arc, ...], final: float):
+        self.arcs = arcs
+        self.final = final
+        n_eps = 0
+        for arc in arcs:
+            if arc.ilabel != EPS:
+                break
+            n_eps += 1
+        self.n_eps = n_eps
+
+    def __eq__(self, other):
+        if not isinstance(other, CachedExpansion):
+            return NotImplemented
+        return self.arcs == other.arcs and self.final == other.final
+
+    def __repr__(self):
+        return f"CachedExpansion(arcs={self.arcs!r}, final={self.final!r})"
 
 
 def is_precomposable(key: PairState, root: Fst, classes: frozenset[int]) -> bool:
@@ -124,10 +150,11 @@ class PublicCache:
 def seal_public(cache: PublicCache) -> PublicCache:
     """Freeze the public layer after verifying it only holds shareable states.
 
-    Every expanded key must pass is_precomposable and every cached arc
-    destination must be interned publicly; a violation means pre-composition
-    cached something binding-dependent, which would poison every session,
-    so sealing refuses with the offending key.  Sealing twice is a no-op.
+    Every expanded key must pass is_precomposable, every cached arc
+    destination must be interned publicly, and the epsilon-input arcs must
+    come first; a violation means pre-composition cached something
+    binding-dependent or misordered, which would poison every session, so
+    sealing refuses with the offending key.  Sealing twice is a no-op.
     """
     if cache.sealed:
         return cache
@@ -136,6 +163,10 @@ def seal_public(cache: PublicCache) -> PublicCache:
         if not is_precomposable(key, cache.root, cache.classes):
             raise InvariantError(
                 f"public cache holds non-shareable state {key} (id {state_id})")
+        if any(arc.ilabel == EPS for arc in expansion.arcs[expansion.n_eps:]):
+            raise InvariantError(
+                f"public expansion {state_id} has an epsilon arc after an "
+                f"emitting arc")
         for arc in expansion.arcs:
             if not 0 <= arc.nextstate < len(cache.keys):
                 raise InvariantError(
@@ -170,11 +201,14 @@ class Session:
         return self.private_keys[state_id - self.num_public]
 
     def intern(self, key: PairState) -> int:
-        got = self.cache.ids.get(key)
-        if got is not None and got < self.num_public:
-            return got
+        # Private first: a key is interned privately only when it had no
+        # public id below num_public, and those ids never change while the
+        # session is open, so the order of the two checks cannot change an id.
         got = self.private_ids.get(key)
         if got is not None:
+            return got
+        got = self.cache.ids.get(key)
+        if got is not None and got < self.num_public:
             return got
         new_id = self.num_public + len(self.private_keys)
         self.private_keys.append(key)
@@ -184,6 +218,24 @@ class Session:
     def start_id(self) -> int:
         return self.intern(self.cache.start_key())
 
+    def lookup(self, state_id: int) -> Optional[CachedExpansion]:
+        """The stored expansion of `state_id`, public layer first, counting
+        the hit; None when neither layer holds it yet."""
+        if self.ended:
+            raise ConfigurationError("session already ended")
+        if state_id < self.num_public:
+            # Bounded by the table size this session was opened with, so a
+            # build-time session never confuses its private ids with public
+            # ids interned after it started.
+            cached = self.cache.expanded.get(state_id)
+            if cached is not None:
+                self.metrics.public_hit += 1
+                return cached
+        cached = self.private_exp.get(state_id)
+        if cached is not None:
+            self.metrics.private_hit += 1
+        return cached
+
     @property
     def bytes_private(self) -> int:
         arcs = sum(len(e.arcs) for e in self.private_exp.values())
@@ -191,20 +243,10 @@ class Session:
 
 
 def expand(state_id: int, session: Session) -> CachedExpansion:
-    """Arcs and final weight of one composed state, public layer first."""
-    if session.ended:
-        raise ConfigurationError("session already ended")
-    if state_id < session.num_public:
-        # Bounded by the table size this session was opened with, so a
-        # build-time session never confuses its private ids with public
-        # ids interned after it started.
-        cached = session.cache.expanded.get(state_id)
-        if cached is not None:
-            session.metrics.public_hit += 1
-            return cached
-    cached = session.private_exp.get(state_id)
+    """Arcs and final weight of one composed state: Session.lookup, or else
+    an on-the-fly expansion stored in the private layer."""
+    cached = session.lookup(state_id)
     if cached is not None:
-        session.metrics.private_hit += 1
         return cached
     key = session.key_of(state_id)
     raw: Expansion = expand_pair_state(key, session.cache.t1, session.view)

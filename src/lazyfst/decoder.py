@@ -1,11 +1,14 @@
 """Frame-synchronous Viterbi beam decoding over the two-layer lazy graph.
 
-The decoder only ever sees composed states through cache.expand, so the
-same code serves fully dynamic, BFS-pre-composed and warmed-up graphs;
-which layer answered is visible purely in the counters.  Acoustic input
-is a cost matrix (frames x input labels); a tiny simulator fabricates
-such matrices from reference label sequences so the whole pipeline runs
-without any audio dependency.
+The decoder only ever sees composed states through Session.lookup and
+cache.expand, so the same code serves fully dynamic, BFS-pre-composed and
+warmed-up graphs; which layer answered is visible purely in the counters.
+Each frame is Kaldi's ProcessEmitting/ProcessNonemitting split: the emit
+step walks only emitting arcs, the epsilon closure only epsilon arcs, and
+the closure resolves each state it returns once, handing the expansions
+on to the next emit step.  Acoustic input is a cost matrix (frames x
+input labels); a tiny simulator fabricates such matrices from reference
+label sequences so the whole pipeline runs without any audio dependency.
 
 Determinism: tokens are processed in ascending state-id order, epsilon
 closure settles states in (cost, state id) order, and every equal-cost
@@ -15,14 +18,14 @@ of (scores, graph, binding, config).
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cache import Session, expand
+from .cache import CachedExpansion, Session, expand
 from .errors import CompositionSizeError, ConfigurationError
 from .fst import EPS
 from .metrics import Metrics
@@ -33,7 +36,9 @@ from .semiring import ZERO
 class DecodeConfig:
     beam: float = 10.0
     max_active: int = 2000
-    max_eps_pops: int = 200_000  # per closure; trips on pathological graphs
+    # Per closure: states settled from the heap, i.e. those with epsilon
+    # arcs or not yet expanded; trips on pathological graphs.
+    max_eps_pops: int = 200_000
 
     def __post_init__(self):
         if not self.beam > 0:
@@ -61,10 +66,10 @@ class ScoreMatrix:
     def num_labels(self) -> int:
         return int(self._m.shape[1])
 
-    def cost(self, frame: int, label: int) -> float:
-        if label >= self._m.shape[1]:
-            return ZERO
-        return float(self._m[frame, label])
+    def row(self, frame: int) -> list[float]:
+        """One frame's costs indexed by input label; a label at or past
+        num_labels has no entry and costs ZERO."""
+        return self._m[frame].tolist()
 
 
 def simulate_scores(ref_labels: Sequence[int], num_labels: int, *,
@@ -110,46 +115,101 @@ def rtf(h: Hypothesis) -> float:
 _Token = tuple  # (cost, trace); trace is None or (parent_trace, olabel)
 
 
-def _eps_closure(tokens: dict[int, _Token], session: Session,
-                 cfg: DecodeConfig) -> dict[int, _Token]:
+def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
+                 ) -> tuple[dict[int, _Token], dict[int, CachedExpansion], float]:
+    """Extend `tokens` along epsilon-input arcs, settling states in
+    (cost, state id) order.
+
+    Every state is resolved once: a seed or a newly reached state through
+    Session.lookup, and a state neither layer holds through expand when it
+    is settled.  A resolved state without epsilon arcs relaxes nothing, so
+    it never enters the heap.  Returns the tokens, the expansion of each
+    and the lowest token cost.
+    """
     best = dict(tokens)
-    heap: list[tuple[float, int]] = [(tok[0], sid) for sid, tok in sorted(tokens.items())]
-    heapq.heapify(heap)
+    exps: dict[int, CachedExpansion] = {}
+    lookup = session.lookup
+    floor = ZERO
+    heap: list[tuple[float, int]] = []
+    for sid, tok in tokens.items():
+        cost = tok[0]
+        if cost < floor:
+            floor = cost
+        exp = lookup(sid)
+        if exp is not None:
+            exps[sid] = exp
+            if not exp.n_eps:
+                continue
+        heap.append((cost, sid))
+    heapify(heap)
     settled: set[int] = set()
-    pops = 0
+    max_pops = cfg.max_eps_pops
     while heap:
-        cost, sid = heapq.heappop(heap)
-        if sid in settled or cost > best[sid][0]:
+        cost, sid = heappop(heap)
+        tok = best[sid]
+        if cost > tok[0] or sid in settled:
             continue
         settled.add(sid)
-        pops += 1
-        if pops > cfg.max_eps_pops:
+        if len(settled) > max_pops:
             raise CompositionSizeError(
-                f"epsilon closure exceeded {cfg.max_eps_pops} settlements")
-        exp = expand(sid, session)
-        trace = best[sid][1]
-        for arc in exp.arcs:
-            if arc.ilabel != EPS:
+                f"epsilon closure exceeded {max_pops} settlements")
+        exp = exps.get(sid)
+        if exp is None:
+            exp = exps[sid] = expand(sid, session)
+        trace = tok[1]
+        for _, olabel, weight, dst in exp.arcs[:exp.n_eps]:
+            new_cost = cost + weight
+            cur = best.get(dst)
+            if cur is None:
+                dst_exp = lookup(dst)
+                if dst_exp is not None:
+                    exps[dst] = dst_exp
+            elif new_cost < cur[0]:
+                dst_exp = exps.get(dst)
+            else:
                 continue
-            new_cost = cost + arc.weight
-            cur = best.get(arc.nextstate)
-            if cur is None or new_cost < cur[0]:
-                best[arc.nextstate] = (
-                    new_cost,
-                    trace if arc.olabel == EPS else (trace, arc.olabel))
-                heapq.heappush(heap, (new_cost, arc.nextstate))
-    return best
+            best[dst] = (new_cost,
+                         trace if olabel == EPS else (trace, olabel))
+            if new_cost < floor:
+                floor = new_cost
+            if dst_exp is None or dst_exp.n_eps:
+                heappush(heap, (new_cost, dst))
+    return best, exps, floor
 
 
-def _prune(tokens: dict[int, _Token], cfg: DecodeConfig) -> dict[int, _Token]:
-    if not tokens:
-        return tokens
-    floor = min(tok[0] for tok in tokens.values())
-    kept = {sid: tok for sid, tok in tokens.items() if tok[0] <= floor + cfg.beam}
+def _prune(tokens: dict[int, _Token], floor: float,
+           cfg: DecodeConfig) -> dict[int, _Token]:
+    """The tokens within cfg.beam of `floor`, the lowest token cost, cut
+    to the cfg.max_active cheapest."""
+    limit = floor + cfg.beam
+    kept = {sid: tok for sid, tok in tokens.items() if tok[0] <= limit}
     if len(kept) > cfg.max_active:
         ranked = sorted(kept.items(), key=lambda kv: (kv[1][0], kv[0]))
         kept = dict(ranked[:cfg.max_active])
     return kept
+
+
+def _emit(active: dict[int, _Token], exps: dict[int, CachedExpansion],
+          row: list[float]) -> dict[int, _Token]:
+    """Advance every active token over its emitting arcs, adding graph
+    and acoustic cost from one frame's `row` of costs."""
+    emitted: dict[int, _Token] = {}
+    num_labels = len(row)
+    for sid in sorted(active):
+        cost, trace = active[sid]
+        exp = exps[sid]
+        for ilabel, olabel, weight, dst in exp.arcs[exp.n_eps:]:
+            if ilabel >= num_labels:
+                continue
+            acoustic = row[ilabel]
+            if acoustic == ZERO:
+                continue
+            new_cost = cost + weight + acoustic
+            cur = emitted.get(dst)
+            if cur is None or new_cost < cur[0]:
+                emitted[dst] = (new_cost,
+                                trace if olabel == EPS else (trace, olabel))
+    return emitted
 
 
 def _unwind(trace) -> tuple[int, ...]:
@@ -165,7 +225,7 @@ def decode(scores: ScoreMatrix, session: Session,
            cfg: Optional[DecodeConfig] = None) -> Optional[Hypothesis]:
     """Beam-search the lazy graph against one utterance's score matrix.
 
-    Per frame: expand emitting arcs (adding graph plus acoustic cost),
+    Per frame: follow emitting arcs (adding graph plus acoustic cost),
     then run epsilon closure, then prune to the beam and max_active.
     After the last frame final weights are applied; the best surviving
     final token becomes the Hypothesis.  Returns None when no hypothesis
@@ -176,35 +236,22 @@ def decode(scores: ScoreMatrix, session: Session,
     before = session.metrics.snapshot()
     t0 = time.perf_counter()
 
-    active: dict[int, _Token] = {session.start_id(): (0.0, None)}
-    active = _prune(_eps_closure(active, session, cfg), cfg)
+    tokens, exps, floor = _eps_closure({session.start_id(): (0.0, None)},
+                                       session, cfg)
+    active = _prune(tokens, floor, cfg)
     for t in range(scores.num_frames):
-        emitted: dict[int, _Token] = {}
-        for sid in sorted(active):
-            cost, trace = active[sid]
-            exp = expand(sid, session)
-            for arc in exp.arcs:
-                if arc.ilabel == EPS:
-                    continue
-                acoustic = scores.cost(t, arc.ilabel)
-                if acoustic == ZERO:
-                    continue
-                new_cost = cost + arc.weight + acoustic
-                cur = emitted.get(arc.nextstate)
-                if cur is None or new_cost < cur[0]:
-                    emitted[arc.nextstate] = (
-                        new_cost,
-                        trace if arc.olabel == EPS else (trace, arc.olabel))
+        emitted = _emit(active, exps, scores.row(t))
         if not emitted:
             active = {}
             break
-        active = _prune(_eps_closure(emitted, session, cfg), cfg)
+        tokens, exps, floor = _eps_closure(emitted, session, cfg)
+        active = _prune(tokens, floor, cfg)
 
     best_cost = ZERO
     best_trace = None
     for sid in sorted(active):
         cost, trace = active[sid]
-        final = expand(sid, session).final
+        final = exps[sid].final
         if final == ZERO:
             continue
         total = cost + final

@@ -146,11 +146,12 @@ def oracle_decode(fst, scores):
             if rho != inf and cost + rho < goal_cost:
                 goal_cost = cost + rho
                 goal_node = node
+        row = scores.row(t) if t < T else []
         for arc in fst.arcs_of(state):
             if arc.ilabel == EPS:
                 nt, nc = t, cost + arc.weight
             elif t < T:
-                acoustic = scores.cost(t, arc.ilabel)
+                acoustic = row[arc.ilabel] if arc.ilabel < len(row) else inf
                 if acoustic == inf:
                     continue
                 nt, nc = t + 1, cost + arc.weight + acoustic

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,11 @@ from lazyfst.cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
 from lazyfst.compose import FilterState, PairState, compose_static
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
-from lazyfst.harness import precompose_cache
+from lazyfst.decoder import decode
+from lazyfst.harness import (binding_for, decode_config, precompose_cache,
+                             scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ClassBinding, InsideState, ReplaceView
+from lazyfst.replace import ClassBinding, InsideState, ReplaceView, empty_binding
 
 CLS = 9
 TEMP = 99
@@ -153,6 +156,43 @@ class TestSealPurity:
         with pytest.raises(InvariantError):
             seal_public(cache)
 
+    def test_rejects_epsilon_arc_after_emitting_arc(self):
+        t1, root, _ = fixed_scenario()
+        cache = PublicCache(t1, root, frozenset({CLS}))
+        ok = cache.intern(cache.start_key())
+        cache.store(ok, CachedExpansion((Arc(1, 8, 0.5, ok),
+                                         Arc(EPS, EPS, 0.5, ok)), 1.0))
+        with pytest.raises(InvariantError):
+            seal_public(cache)
+
+
+class PublicFirstIds:
+    """Session.intern as it read with the public table checked first."""
+
+    def __init__(self, session):
+        self.session = session
+        self.private = {}
+
+    def intern(self, key):
+        got = self.session.cache.ids.get(key)
+        if got is not None and got < self.session.num_public:
+            return got
+        return self.private.setdefault(
+            key, self.session.num_public + len(self.private))
+
+
+def desk_session_keys(build, cfg, session, user):
+    """Decode `user`'s desk turns in `session`; its interned keys, then a
+    deterministic shuffle of those keys, every seventh public key and
+    repeats."""
+    for utt in [u for u in build.utterances if u["user"] == user][:5]:
+        decode(scores_for(build, cfg, utt), session, decode_config(cfg))
+    keys = list(session.private_keys)
+    keys += session.cache.keys[:session.num_public:7]
+    keys += keys[::3]
+    random.Random(0).shuffle(keys)
+    return keys
+
 
 class TestIdSpace:
     def test_private_ids_start_at_num_public(self):
@@ -211,6 +251,40 @@ class TestIdSpace:
         expand(frontier, session)
         assert (m.public_hit, m.private_hit, m.otf_expansion) == \
             (after[0], after[1] + 1, after[2])
+
+    def test_sealed_session_interns_as_public_first(self, desk_build, desk_cfg):
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        user = desk_build.utterances[0]["user"]
+        keys = desk_session_keys(desk_build, desk_cfg,
+                                 Session(cache, binding_for(desk_build, user)),
+                                 user)
+        session = Session(cache, binding_for(desk_build, user))
+        oracle = PublicFirstIds(session)
+        assert len(keys) > 100
+        assert [session.intern(k) for k in keys] == \
+            [oracle.intern(k) for k in keys]
+
+    def test_warmup_session_interns_as_public_first(self, desk_build, desk_cfg):
+        pre_cfg = PrecomposeConfig(
+            classes=desk_build.class_ids,
+            temp_label=desk_build.word_syms.id_of("<temp>"), bfs_depth=3)
+        cache = bfs_precompose(desk_build.t1, desk_build.root, pre_cfg)
+        binding = empty_binding(desk_build.class_ids, desk_build.root.osyms)
+        user = desk_build.utterances[0]["user"]
+        keys = desk_session_keys(
+            desk_build, desk_cfg,
+            Session(cache, binding, _allow_unsealed=True), user)
+        session = Session(cache, binding, _allow_unsealed=True)
+        oracle = PublicFirstIds(session)
+        assert [session.intern(k) for k in keys] == \
+            [oracle.intern(k) for k in keys]
+        # Keys the open session holds privately are interned publicly
+        # behind its back, above the table size it was opened with, as
+        # warm-up promotion does between sessions.
+        for key in session.private_keys[::2]:
+            assert cache.intern(key) >= session.num_public
+        assert [session.intern(k) for k in keys] == \
+            [oracle.intern(k) for k in keys]
 
 
 class TestMaterializeMatchesStatic:
@@ -379,6 +453,22 @@ class TestLoadRejectsBadDumps:
         block = desk_dump[first:first + 1 + n_arcs]
         with pytest.raises(BuildError):
             self.load(desk_dump + block, desk_build)
+
+    def test_epsilon_arc_after_emitting_arc(self, desk_dump, desk_build):
+        # the last arc of the first state whose last two arcs both emit
+        for i, row in enumerate(desk_dump):
+            if row.startswith("s ") and int(row.split()[3]) >= 2:
+                last = i + int(row.split()[3])
+                if desk_dump[last - 1].split()[1] != "0":
+                    break
+        else:
+            pytest.fail("no desk state with two emitting arcs")
+        lines = list(desk_dump)
+        parts = lines[last].split()
+        parts[1] = "0"
+        lines[last] = " ".join(parts)
+        with pytest.raises(BuildError, match="epsilon arc after"):
+            self.load(lines, desk_build)
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)

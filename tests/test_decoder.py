@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from oracles import oracle_decode
 from test_cache import build_machine, scenario
-from lazyfst.cache import PublicCache, Session, seal_public
+from lazyfst import decoder
+from lazyfst.cache import CachedExpansion, PublicCache, Session, seal_public
 from lazyfst.compose import compose_static
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
-from lazyfst.errors import ConfigurationError
-from lazyfst.fst import EPS, FstBuilder
+from lazyfst.errors import CompositionSizeError, ConfigurationError
+from lazyfst.fst import EPS, Arc, FstBuilder
+from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import ClassBinding, ReplaceView
@@ -51,11 +53,16 @@ def two_word_root():
 class TestScoreMatrix:
     def test_epsilon_column_is_always_infinite(self):
         m = ScoreMatrix(np.zeros((4, 3)))
-        assert all(m.cost(t, EPS) == math.inf for t in range(4))
+        assert all(m.row(t)[EPS] == math.inf for t in range(4))
 
     def test_out_of_range_labels_cost_infinity(self):
         m = ScoreMatrix(np.zeros((1, 3)))
-        assert m.cost(0, 99) == math.inf
+        assert len(m.row(0)) == 3
+        # the emit step charges a label past the row ZERO: never taken
+        exps = {0: CachedExpansion((Arc(1, 7, 0.0, 1), Arc(99, 8, 0.0, 2)),
+                                   math.inf)}
+        assert decoder._emit({0: (0.0, None)}, exps, m.row(0)) == \
+            {1: (0.0, (None, 7))}
 
     def test_requires_two_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -68,8 +75,8 @@ class TestScoreMatrix:
         assert m.num_frames == 12
         for t in range(m.num_frames):
             want = ref[t // 3]
-            costs = [m.cost(t, l) for l in range(1, 4)]
-            assert m.cost(t, want) == 0.0
+            costs = m.row(t)[1:4]
+            assert m.row(t)[want] == 0.0
             assert sorted(costs)[1] == 4.0
 
     def test_simulate_is_seeded(self):
@@ -151,6 +158,52 @@ class TestPruning:
                        DecodeConfig(beam=100.0, max_active=2))
         assert wide.cost == 6.0
         assert tight.cost == 10.0
+
+
+class TestClosureContract:
+    def test_one_lookup_per_state_a_closure_returns(self, desk_build, desk_cfg,
+                                                    monkeypatch):
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        user = desk_build.utterances[0]["user"]
+        session = Session(cache, binding_for(desk_build, user))
+        handed = []
+        prune = decoder._prune
+
+        def counting_prune(tokens, floor, cfg):
+            assert floor == min(tok[0] for tok in tokens.values())
+            handed.append(len(tokens))
+            return prune(tokens, floor, cfg)
+
+        monkeypatch.setattr(decoder, "_prune", counting_prune)
+        for utt in [u for u in desk_build.utterances if u["user"] == user][:5]:
+            assert decode(scores_for(desk_build, desk_cfg, utt), session,
+                          decode_config(desk_cfg)) is not None
+        m = session.metrics
+        assert min(m.public_hit, m.private_hit, m.otf_expansion) > 0
+        assert m.public_hit + m.private_hit + m.otf_expansion == sum(handed)
+
+    def eps_chain(self, n):
+        """t1 is n epsilon arcs in a row, final at the end; root accepts
+        the empty string."""
+        t1 = build_machine([(q, EPS, EPS, 0.125, q + 1) for q in range(n)],
+                           {n: 0.0}, n + 1)
+        return session_over(t1, build_machine([], {0: 0.0}, 1))
+
+    def test_max_eps_pops_counts_heap_settlements(self):
+        n = 50
+        no_frames = ScoreMatrix(np.zeros((0, 2)))
+        # a fresh session settles the n states with an epsilon arc and the
+        # unexpanded last one
+        with pytest.raises(CompositionSizeError):
+            decode(no_frames, self.eps_chain(n), DecodeConfig(max_eps_pops=n))
+        session = self.eps_chain(n)
+        hyp = decode(no_frames, session, DecodeConfig(max_eps_pops=n + 1))
+        assert hyp.cost == n * 0.125
+        # once expanded, the last state has no epsilon arc and is not settled
+        again = decode(no_frames, session, DecodeConfig(max_eps_pops=n))
+        assert again.cost == hyp.cost
+        with pytest.raises(CompositionSizeError):
+            decode(no_frames, session, DecodeConfig(max_eps_pops=n - 1))
 
 
 class TestDeterminism:

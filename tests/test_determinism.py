@@ -1,13 +1,17 @@
 """Golden determinism: pre-composing the desk graphs gives the same public
-cache, byte for byte, on every run and across refactors of the expansion
-path.  The digests below are sha256 of dump_public_cache for each method."""
+cache, byte for byte, and decoding the desk sessions gives the same
+hypotheses, costs and expansion counts, on every run and across refactors
+of the expansion path and the decoder.  The cache digests are sha256 of
+dump_public_cache for each method; the decode digests are sha256 of every
+turn's (id, words, repr(cost), OTF expansions) in session order."""
 
 import hashlib
+import json
 
 import pytest
 
 from lazyfst.cache import dump_public_cache
-from lazyfst.harness import precompose_cache
+from lazyfst.harness import precompose_cache, run_bench
 
 GOLDEN = {
     "bfs": (434, 342, "814b112369f199ca090f9544f76116c2"
@@ -24,3 +28,21 @@ def test_precomposed_desk_cache_is_pinned(desk_build, desk_cfg, method):
     cache, _ = precompose_cache(desk_build, desk_cfg, method)
     digest = hashlib.sha256(dump_public_cache(cache).encode()).hexdigest()
     assert (cache.num_public, cache.num_expanded, digest) == GOLDEN[method]
+
+
+GOLDEN_DECODE = {
+    "none": (26_225, "90027f0ac4930294bd20db0a26a861d5"
+                     "39ac69d59b3d7c45fbb46436b461c4ec"),
+    "both": (10_247, "077e92e65f1d126806c2a8406199b8e0"
+                     "6e8a6acbdc57a1a95d9d6ea678975b8c"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_DECODE))
+def test_desk_decode_is_pinned(desk_build, desk_cfg, method):
+    report = run_bench(desk_cfg, method, session_length=5, build=desk_build)
+    turns = [(t["id"], list(t["hyp_words"]), repr(t["cost"]), t["otf"])
+             for s in report["sessions"] for t in s["turns"]]
+    digest = hashlib.sha256(json.dumps(turns).encode()).hexdigest()
+    assert report["totals"]["wer"] == 0.0
+    assert (report["totals"]["otf_expansions"], digest) == GOLDEN_DECODE[method]
