@@ -10,6 +10,16 @@ on to the next emit step.  Acoustic input is a cost matrix (frames x
 input labels); a tiny simulator fabricates such matrices from reference
 label sequences so the whole pipeline runs without any audio dependency.
 
+The beam is applied inside the epsilon closure, as the cutoff in Kaldi's
+lattice-faster-decoder, rather than after it.  This is exact because no
+graph weight is negative (semiring.is_member; Fst.freeze and
+load_public_cache enforce it): a closure never goes below its cheapest
+seed, so the cost floor pruning measures from is known before the
+closure starts, and a token above floor + beam has no descendant within
+the beam.  The closure therefore drops such tokens before it looks them
+up, relaxes from them or expands them, and hands pruning only tokens it
+would keep; pruning then only cuts to max_active.
+
 Determinism: tokens are processed in ascending state-id order, epsilon
 closure settles states in (cost, state id) order, and every equal-cost
 comparison keeps the earlier token, so a hypothesis is a pure function
@@ -21,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,15 +47,22 @@ from .semiring import ZERO
 class DecodeConfig:
     beam: float = 10.0
     max_active: int = 2000
-    # Per closure: states settled from the heap, i.e. those with epsilon
-    # arcs or not yet expanded; trips on pathological graphs.
+    # Per closure: states within the beam settled from the heap, i.e.
+    # those with epsilon arcs or not yet expanded; trips on pathological
+    # graphs.
     max_eps_pops: int = 200_000
 
     def __post_init__(self):
-        if not self.beam > 0:
-            raise ConfigurationError("beam must be positive")
-        if self.max_active < 1:
-            raise ConfigurationError("max_active must be >= 1")
+        if isinstance(self.beam, bool) or not isinstance(self.beam, Real) \
+                or not self.beam > 0:
+            raise ConfigurationError(
+                f"beam must be a positive number, not {self.beam!r}")
+        for name in ("max_active", "max_eps_pops"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) \
+                    or value < 1:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, not {value!r}")
 
 
 class ScoreMatrix:
@@ -118,23 +136,32 @@ _Token = tuple  # (cost, trace); trace is None or (parent_trace, olabel)
 def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                  ) -> tuple[dict[int, _Token], dict[int, CachedExpansion], float]:
     """Extend `tokens` along epsilon-input arcs, settling states in
-    (cost, state id) order.
+    (cost, state id) order, and keep only tokens within cfg.beam of the
+    cheapest seed.
 
-    Every state is resolved once: a seed or a newly reached state through
-    Session.lookup, and a state neither layer holds through expand when it
-    is settled.  A resolved state without epsilon arcs relaxes nothing, so
-    it never enters the heap.  Returns the tokens, the expansion of each
-    and the lowest token cost.
+    Graph weights are never negative, so the cheapest seed is the lowest
+    cost the closure can reach: the floor is known up front, and a seed
+    or relaxation above floor + cfg.beam is dropped before it is looked
+    up or pushed.  Every state kept is resolved once: a seed or a newly
+    reached state through Session.lookup, and a state neither layer
+    holds through expand when it is settled.  A resolved state without
+    epsilon arcs relaxes nothing, so it never enters the heap.  Returns
+    the tokens, the expansion of each and the floor.
     """
-    best = dict(tokens)
+    floor = ZERO
+    for tok in tokens.values():
+        if tok[0] < floor:
+            floor = tok[0]
+    limit = floor + cfg.beam
+    best: dict[int, _Token] = {}
     exps: dict[int, CachedExpansion] = {}
     lookup = session.lookup
-    floor = ZERO
     heap: list[tuple[float, int]] = []
     for sid, tok in tokens.items():
         cost = tok[0]
-        if cost < floor:
-            floor = cost
+        if not cost <= limit:
+            continue
+        best[sid] = tok
         exp = lookup(sid)
         if exp is not None:
             exps[sid] = exp
@@ -159,6 +186,8 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
         trace = tok[1]
         for _, olabel, weight, dst in exp.arcs[:exp.n_eps]:
             new_cost = cost + weight
+            if new_cost > limit:
+                continue
             cur = best.get(dst)
             if cur is None:
                 dst_exp = lookup(dst)
@@ -170,8 +199,6 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                 continue
             best[dst] = (new_cost,
                          trace if olabel == EPS else (trace, olabel))
-            if new_cost < floor:
-                floor = new_cost
             if dst_exp is None or dst_exp.n_eps:
                 heappush(heap, (new_cost, dst))
     return best, exps, floor
@@ -179,14 +206,12 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
 
 def _prune(tokens: dict[int, _Token], floor: float,
            cfg: DecodeConfig) -> dict[int, _Token]:
-    """The tokens within cfg.beam of `floor`, the lowest token cost, cut
-    to the cfg.max_active cheapest."""
-    limit = floor + cfg.beam
-    kept = {sid: tok for sid, tok in tokens.items() if tok[0] <= limit}
-    if len(kept) > cfg.max_active:
-        ranked = sorted(kept.items(), key=lambda kv: (kv[1][0], kv[0]))
-        kept = dict(ranked[:cfg.max_active])
-    return kept
+    """The cfg.max_active cheapest of a closure's tokens.  The closure
+    has already applied the beam from `floor`, its cost floor."""
+    if len(tokens) <= cfg.max_active:
+        return tokens
+    ranked = sorted(tokens.items(), key=lambda kv: (kv[1][0], kv[0]))
+    return dict(ranked[:cfg.max_active])
 
 
 def _emit(active: dict[int, _Token], exps: dict[int, CachedExpansion],
@@ -226,7 +251,8 @@ def decode(scores: ScoreMatrix, session: Session,
     """Beam-search the lazy graph against one utterance's score matrix.
 
     Per frame: follow emitting arcs (adding graph plus acoustic cost),
-    then run epsilon closure, then prune to the beam and max_active.
+    then run the epsilon closure, which keeps only tokens within the
+    beam, then cut to max_active.
     After the last frame final weights are applied; the best surviving
     final token becomes the Hypothesis.  Returns None when no hypothesis
     survives -- a result, not an error.

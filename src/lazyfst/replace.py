@@ -11,13 +11,16 @@ bound FSTs must not contain class labels themselves.
 
 View states lying in the root are the root's own int state ids, and a
 root state without a class out-arc passes the root's sorted arc tuple
-through unchanged; only bridge states (those with a class out-arc) and
-InsideStates build and sort an arc list of their own.
+through unchanged.  Bridge states (those with a class out-arc) build and
+sort an arc list of their own; an InsideState maps the bound FST's
+sorted arcs in order and places only its exit arc.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .compose import token_sort_key
@@ -43,6 +46,9 @@ ReplaceState = Union[int, InsideState]
 
 def _view_arc_key(arc: Arc) -> tuple:
     return (arc.ilabel, arc.olabel, arc.weight, token_sort_key(arc.nextstate))
+
+
+_arc_labels_weight = itemgetter(0, 1, 2)
 
 
 class ClassBinding:
@@ -104,16 +110,19 @@ class ReplaceView:
                                    InsideState(arc.olabel, inner.start, arc.nextstate)))
                 else:
                     out.append(arc)
-        else:
-            out = []
-            inner = self.binding.fst_for(state.cls)
-            for arc in inner.arcs_of(state.qp):
-                out.append(Arc(arc.ilabel, arc.olabel, arc.weight,
-                               InsideState(state.cls, arc.nextstate, state.ret)))
-            exit_w = inner.final_weight(state.qp)
-            if exit_w != ZERO:
-                out.append(Arc(EPS, EPS, exit_w, state.ret))
-        out.sort(key=_view_arc_key)
+            out.sort(key=_view_arc_key)
+            return out
+        # qp -> InsideState(cls, qp, ret) keeps the bound FST's sorted
+        # order, so only the exit arc needs placing: its int destination
+        # ranks before every InsideState, so it goes ahead of its ties.
+        cls, ret = state.cls, state.ret
+        inner = self.binding.fst_for(cls)
+        out = [Arc(il, ol, w, InsideState(cls, qp, ret))
+               for il, ol, w, qp in inner.arcs_of(state.qp)]
+        exit_w = inner.final_weight(state.qp)
+        if exit_w != ZERO:
+            at = bisect_left(out, (EPS, EPS, exit_w), key=_arc_labels_weight)
+            out.insert(at, Arc(EPS, EPS, exit_w, ret))
         return out
 
     def final_weight(self, state: ReplaceState) -> float:

@@ -174,6 +174,87 @@ def oracle_decode(fst, scores):
     return goal_cost, tuple(labels)
 
 
+def _relax(tokens: dict, state, cost: float, labels: frozenset) -> bool:
+    """Offer `state` a path of `cost` with output `labels`; an equal cost
+    adds its label sequences.  True when the token changed."""
+    cur = tokens.get(state)
+    if cur is None or cost < cur[0]:
+        tokens[state] = (cost, labels)
+        return True
+    if cost == cur[0] and not labels <= cur[1]:
+        tokens[state] = (cost, cur[1] | labels)
+        return True
+    return False
+
+
+def _extend(labels: frozenset, olabel: int) -> frozenset:
+    if olabel == EPS:
+        return labels
+    return frozenset(seq + (olabel,) for seq in labels)
+
+
+def oracle_beam_decode(fst, scores, beam: float):
+    """Frame-synchronous beam search with the beam applied only after a
+    full epsilon closure, and no cut on the number of tokens.
+
+    Each frame advances every surviving token over its emitting arcs,
+    closes over epsilon arcs by relaxing them until nothing changes, and
+    keeps the tokens within `beam` of the cheapest.  A token holds every
+    output label sequence of its cheapest paths, so ties need no
+    tie-break.  Returns (best, survivors): best is None or (cost, the
+    label sequences of every cheapest final path), and survivors counts
+    the tokens kept after the start closure and after each frame, up to
+    the frame that emits nothing.  The closure ends on any graph without
+    a zero-weight epsilon cycle that writes a label.
+    """
+    def close(tokens):
+        changed = True
+        while changed:
+            changed = False
+            for state, (cost, labels) in list(tokens.items()):
+                for arc in fst.arcs_of(state):
+                    if arc.ilabel == EPS:
+                        changed |= _relax(tokens, arc.nextstate,
+                                          cost + arc.weight,
+                                          _extend(labels, arc.olabel))
+        floor = min(cost for cost, _ in tokens.values())
+        return {state: tok for state, tok in tokens.items()
+                if tok[0] <= floor + beam}
+
+    active = close({fst.start: (0.0, frozenset({()}))})
+    survivors = [len(active)]
+    for t in range(scores.num_frames):
+        row = scores.row(t)
+        emitted: dict = {}
+        for state, (cost, labels) in active.items():
+            for arc in fst.arcs_of(state):
+                if arc.ilabel == EPS or arc.ilabel >= len(row):
+                    continue
+                acoustic = row[arc.ilabel]
+                if acoustic == inf:
+                    continue
+                _relax(emitted, arc.nextstate, cost + arc.weight + acoustic,
+                       _extend(labels, arc.olabel))
+        if not emitted:
+            return None, survivors
+        active = close(emitted)
+        survivors.append(len(active))
+    best_cost = inf
+    best_labels: frozenset = frozenset()
+    for state, (cost, labels) in active.items():
+        rho = fst.final_weight(state)
+        if rho == inf:
+            continue
+        total = cost + rho
+        if total < best_cost:
+            best_cost, best_labels = total, labels
+        elif total == best_cost:
+            best_labels |= labels
+    if best_cost == inf:
+        return None, survivors
+    return (best_cost, best_labels), survivors
+
+
 def edit_distance(ref, hyp) -> int:
     """Plain Levenshtein, for cross-checking the harness scorer."""
     rows = len(ref) + 1

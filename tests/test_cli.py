@@ -56,6 +56,19 @@ class TestDataErrors:
         assert main(["score", "--config", str(mini_config),
                      "--report", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("beam", "10"), ("beam", 0), ("max_active", 2.5)])
+    def test_bad_decode_setting_exits_2(self, field, value, tmp_path, capsys):
+        write_desk_data(tmp_path)
+        path = tmp_path / "desk.json"
+        cfg = json.loads(path.read_text())
+        cfg[field] = value
+        path.write_text(json.dumps(cfg))
+        assert main(["decode", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert field in err
+
     @pytest.mark.parametrize("row", [
         {"id": "bad-1", "user": "u05", "words": ["hello"], "seed": 1},
         {"id": "bad-2", "user": "u05", "words": "hello", "phones": ["hh"],

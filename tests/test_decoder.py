@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_decode
+from oracles import oracle_beam_decode, oracle_decode
 from test_cache import build_machine, scenario
 from lazyfst import decoder
 from lazyfst.cache import CachedExpansion, PublicCache, Session, seal_public
@@ -94,6 +95,20 @@ class TestDecodeConfig:
         with pytest.raises(ConfigurationError):
             DecodeConfig(max_active=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beam", "10"), ("beam", True), ("beam", None), ("beam", math.nan),
+        ("beam", -1.0), ("max_active", 2.5), ("max_active", "10"),
+        ("max_active", True), ("max_eps_pops", 0), ("max_eps_pops", 1.0),
+        ("max_eps_pops", None)])
+    def test_rejects_bad_types(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DecodeConfig(**{field: value})
+
+    def test_accepts_numpy_numbers(self):
+        cfg = DecodeConfig(beam=np.float32(2.5), max_active=np.int64(7),
+                           max_eps_pops=1)
+        assert (cfg.beam, cfg.max_active, cfg.max_eps_pops) == (2.5, 7, 1)
+
 
 class TestHandGraph:
     def test_exact_cost_and_labels(self):
@@ -149,6 +164,17 @@ class TestPruning:
         assert wide.cost == 6.0
         assert narrow.cost == 10.0
 
+    def test_token_at_the_beam_edge_survives(self):
+        # the expensive parse costs exactly the beam over the cheap one,
+        # as an emitted token and again after its epsilon arc
+        t1, root = self.setup_graph()
+        scores = simulate_scores([1], 2, frames_per_label=1)
+        edge = decode(scores, session_over(t1, root), DecodeConfig(beam=6.0))
+        inside = decode(scores, session_over(t1, root),
+                        DecodeConfig(beam=5.75))
+        assert edge.cost == 6.0
+        assert inside.cost == 10.0
+
     def test_max_active_keeps_cheapest_tokens(self):
         t1, root = self.setup_graph()
         scores = simulate_scores([1], 2, frames_per_label=1)
@@ -171,6 +197,7 @@ class TestClosureContract:
 
         def counting_prune(tokens, floor, cfg):
             assert floor == min(tok[0] for tok in tokens.values())
+            assert max(tok[0] for tok in tokens.values()) <= floor + cfg.beam
             handed.append(len(tokens))
             return prune(tokens, floor, cfg)
 
@@ -247,6 +274,42 @@ class TestAgainstOracle:
         else:
             assert hyp is not None
             assert hyp.cost == want[0]  # bit-exact: same accumulation order
+
+    @given(scenario(), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.integers(min_value=2, max_value=16))
+    @settings(max_examples=100, deadline=None)
+    def test_beam_decode_matches_beam_search_oracle(self, scn, frames, seed,
+                                                    quarters):
+        # dyadic costs and beams make ties at the beam edge common; with
+        # costs up to 5.75 the beam cuts tokens in about a third of cases
+        t1, root, binding = scn
+        rng = np.random.default_rng(seed)
+        m = ScoreMatrix(rng.integers(0, 24, size=(frames, 3)) * 0.25)
+        beam = quarters * 0.25
+        cfg = PrecomposeConfig(classes=frozenset({9}), temp_label=99,
+                               bfs_depth=0)
+        cache = seal_public(bfs_precompose(t1, root, cfg))
+        survivors = []
+        prune = decoder._prune
+
+        def counting_prune(tokens, floor, dec_cfg):
+            kept = prune(tokens, floor, dec_cfg)
+            survivors.append(len(kept))
+            return kept
+
+        with mock.patch.object(decoder, "_prune", counting_prune):
+            hyp = decode(m, Session(cache, binding),
+                         DecodeConfig(beam=beam, max_active=1_000_000))
+        want, want_survivors = oracle_beam_decode(
+            compose_static(t1, ReplaceView(root, binding)), m, beam)
+        assert survivors == want_survivors
+        if want is None:
+            assert hyp is None
+        else:
+            assert hyp is not None
+            assert hyp.cost == want[0]
+            assert hyp.labels in want[1]
 
 
 class TestTiming:

@@ -6,8 +6,10 @@ from strategies import acyclic_fst
 from lazyfst.compose import FilterState, PairState, expand_pair_state
 from lazyfst.errors import BuildError, ExpansionError
 from lazyfst.fst import EPS, FstBuilder
+from lazyfst.harness import binding_for
 from lazyfst.replace import (ClassBinding, InsideState, ReplaceView,
-                             empty_binding, insert_epsilon_before_class,
+                             _view_arc_key, empty_binding,
+                             insert_epsilon_before_class,
                              make_placeholder_class_fst, placeholder_binding)
 
 CLS = 9
@@ -129,6 +131,34 @@ class TestArcOrder:
             (EPS, EPS, 1.0, PairState(0, deeper, eps2)),
             (3, 3, 0.25, PairState(1, deeper, FilterState.ANY)),
         ]
+
+    def test_inside_arcs_are_in_view_order_on_desk(self, desk_build):
+        # every inside state of every desk user, resuming at every root
+        # state a class arc points to
+        rets = {arc.nextstate for q in desk_build.root.states()
+                for arc in desk_build.root.arcs_of(q)
+                if arc.olabel in desk_build.class_ids}
+        (cls,) = desk_build.class_ids
+        checked = 0
+        for user, contacts in sorted(desk_build.contact_fsts.items()):
+            view = ReplaceView(desk_build.root, binding_for(desk_build, user))
+            for qp in contacts.states():
+                for ret in sorted(rets):
+                    arcs = list(view.arcs_of(InsideState(cls, qp, ret)))
+                    assert arcs == sorted(arcs, key=_view_arc_key)
+                    checked += 1
+        assert checked > len(desk_build.contact_fsts)
+
+    @given(acyclic_fst(num_labels=2, acceptor=True, label_base=3))
+    @settings(max_examples=60, deadline=None)
+    def test_inside_arcs_are_in_view_order(self, inner):
+        # random final states with out-arcs, epsilon arcs and dyadic
+        # weights put the exit arc among ties, which desk contacts do not
+        root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
+        view = ReplaceView(root, ClassBinding(frozenset({CLS}), {CLS: inner}))
+        for qp in inner.states():
+            arcs = list(view.arcs_of(InsideState(CLS, qp, 1)))
+            assert arcs == sorted(arcs, key=_view_arc_key)
 
 
 class TestAgainstSubstitutionOracle:
