@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from lazyfst.cache import Session, expand
-from lazyfst.compose import FilterState, PairState, expand_pair_state
+from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.harness import binding_for, precompose_cache
-from lazyfst.replace import InsideState, ReplaceView
+from lazyfst.replace import ReplaceView
 
 USER = "u01"
 
@@ -36,7 +36,7 @@ def test_expand_pair_state_heaviest(benchmark, desk, view):
     q2 = backoff_state(build.root)
     assert (len(build.t1.arcs_of(build.t1.start)), len(view.arcs_of(q2))) \
         == (86, 49)
-    key = PairState(build.t1.start, q2, FilterState.ANY)
+    key = (build.t1.start, q2, int(FilterState.ANY))
     benchmark(expand_pair_state, key, build.t1, view)
 
 
@@ -53,7 +53,8 @@ def test_arcs_of_inside_state(benchmark, desk, view):
     _, build = desk
     (cls,) = build.class_ids
     contacts = build.contact_fsts[USER]
-    benchmark(view.arcs_of, InsideState(cls, contacts.start, build.root.start))
+    benchmark(view.arcs_of,
+              view.inside_id(cls, contacts.start, build.root.start))
 
 
 def test_cache_expand_public_hit(benchmark, desk):

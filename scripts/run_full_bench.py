@@ -22,7 +22,6 @@ def main() -> int:
                         default=["none", "bfs", "warmup", "both"])
     parser.add_argument("--session-lengths", nargs="+", type=int,
                         default=[1, 5])
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--bfs-depth", type=int, default=None)
     parser.add_argument("--reports", action="store_true",
                         help="write full reports next to the build artifacts")
@@ -34,7 +33,7 @@ def main() -> int:
     for method in args.methods:
         for length in args.session_lengths:
             report = run_bench(cfg, method=method, session_length=length,
-                               threads=args.threads, bfs_depth=args.bfs_depth,
+                               bfs_depth=args.bfs_depth,
                                build=build)
             if args.reports:
                 out_dir = Path(cfg.get("out_dir", "build"))

@@ -7,10 +7,10 @@ shared public layer plus per-session private layers.
 """
 
 from .cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
-                    ComposedStateKey, PublicCache, Session,
+                    PublicCache, Session,
                     dump_public_cache, end_session, is_precomposable,
                     load_public_cache, materialize, seal_public)
-from .compose import (Expansion, FilterState, PairState, compose_static,
+from .compose import (Expansion, FilterState, compose_static,
                       expand_pair_state)
 from .decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode, rtf,
                       simulate_scores)
@@ -25,7 +25,7 @@ from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                       parse_corpus, parse_lexicon, train_bigram_root)
 from .metrics import Metrics
 from .precompose import PrecomposeConfig, bfs_precompose, warmup_precompose
-from .replace import (ClassBinding, InsideState, ReplaceView, empty_binding,
+from .replace import (ClassBinding, ReplaceView, empty_binding,
                       insert_epsilon_before_class, placeholder_binding)
 from .semiring import ONE, ZERO, approx_equal, plus, times
 
@@ -34,10 +34,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ARC_BYTES", "KEY_BYTES", "STATE_BYTES", "EPS", "ONE", "ZERO",
     "Arc", "BuildError", "CachedExpansion", "ClassBinding",
-    "ComposedStateKey", "CompositionSizeError", "ConfigurationError",
+    "CompositionSizeError", "ConfigurationError",
     "ContactEntry", "DecodeConfig", "Expansion", "ExpansionError",
-    "FilterState", "Fst", "FstBuilder", "Hypothesis", "InsideState",
-    "InvariantError", "LazyFstError", "Lexicon", "Metrics", "PairState",
+    "FilterState", "Fst", "FstBuilder", "Hypothesis",
+    "InvariantError", "LazyFstError", "Lexicon", "Metrics",
     "ParseError", "PrecomposeConfig", "PublicCache", "ReplaceView",
     "ScoreMatrix", "Session", "SymbolTable",
     "approx_equal", "bfs_precompose", "build_contact_fst",

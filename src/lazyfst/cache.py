@@ -11,9 +11,9 @@ Expansions live in two layers:
 * Session: everything else is expanded on demand into a private cache
   that dies with the session.
 
-Both layers share one state-id space: the sealed public state table owns
-dense ids [0, N_pub) and each session appends its own keys at ids >=
-N_pub.  Public expansions may therefore be referenced directly by private
+Both layers share one state-id space over `(q1, q2, f)` pair keys (see
+compose): the sealed public state table owns dense ids [0, N_pub) and
+each session appends its own keys at ids >= N_pub.  Public expansions may therefore be referenced directly by private
 arcs, and a public id that was interned but never expanded offline (a
 frontier destination) is simply expanded into the private layer on first
 use.  Session.lookup holds the two-layer rule and counts a public_hit or
@@ -29,14 +29,12 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from .compose import Expansion, FilterState, PairState, expand_pair_state
+from .compose import FilterState, expand_pair_state
 from .errors import BuildError, CompositionSizeError, ConfigurationError, InvariantError
 from .fst import EPS, Arc, Fst, FstBuilder, write_text_fst
 from .metrics import Metrics
 from .replace import ClassBinding, ReplaceView
 from .semiring import ZERO, is_member
-
-ComposedStateKey = PairState
 
 # Deterministic memory model: what one arc / one expanded state / one
 # state-table entry is charged, in bytes.  Chosen once; every "memory"
@@ -49,7 +47,7 @@ KEY_BYTES = 24
 class CachedExpansion:
     """Arcs with destinations already interned to shared state ids.
 
-    Composed arcs are sorted by ilabel first (compose.composed_arc_key) and
+    Composed arcs are sorted by ilabel first (compose.expand_pair_state) and
     EPS is 0, so the epsilon-input arcs are the first `n_eps` arcs and the
     emitting arcs are the rest; the decoder's closure and emit step each
     walk only their own slice."""
@@ -74,13 +72,16 @@ class CachedExpansion:
         return f"CachedExpansion(arcs={self.arcs!r}, final={self.final!r})"
 
 
-def is_precomposable(key: PairState, root: Fst, classes: frozenset[int]) -> bool:
+def is_precomposable(key: tuple[int, int, int], root: Fst,
+                     classes: frozenset[int]) -> bool:
     """True when `key`'s expansion cannot depend on any class binding:
-    the t2 side sits in the root (not inside a class FST) and its root
-    state has no class-label out-arc."""
-    if not isinstance(key.q2, int):
+    the t2 side sits in the root (its view id is below the root's state
+    count, so not inside a class FST) and its root state has no
+    class-label out-arc."""
+    q2 = key[1]
+    if q2 >= root.num_states:
         return False
-    for arc in root.arcs_of(key.q2):
+    for arc in root.arcs_of(q2):
         if arc.olabel in classes:
             return False
     return True
@@ -97,8 +98,8 @@ class PublicCache:
         self.t1 = t1
         self.root = root
         self.classes = classes
-        self.keys: list[PairState] = []
-        self.ids: dict[PairState, int] = {}
+        self.keys: list[tuple[int, int, int]] = []
+        self.ids: dict[tuple[int, int, int], int] = {}
         self.expanded: dict[int, CachedExpansion] = {}
         self.sealed = False
         self._fingerprint: Optional[str] = None
@@ -111,10 +112,10 @@ class PublicCache:
     def num_expanded(self) -> int:
         return len(self.expanded)
 
-    def start_key(self) -> PairState:
-        return PairState(self.t1.start, self.root.start, FilterState.ANY)
+    def start_key(self) -> tuple[int, int, int]:
+        return (self.t1.start, self.root.start, int(FilterState.ANY))
 
-    def intern(self, key: PairState) -> int:
+    def intern(self, key: tuple[int, int, int]) -> int:
         if self.sealed:
             raise ConfigurationError("public state table is sealed")
         got = self.ids.get(key)
@@ -189,18 +190,18 @@ class Session:
         self.binding = binding
         self.view = ReplaceView(cache.root, binding)
         self.num_public = cache.num_public
-        self.private_keys: list[PairState] = []
-        self.private_ids: dict[PairState, int] = {}
+        self.private_keys: list[tuple[int, int, int]] = []
+        self.private_ids: dict[tuple[int, int, int], int] = {}
         self.private_exp: dict[int, CachedExpansion] = {}
         self.metrics = Metrics()
         self.ended = False
 
-    def key_of(self, state_id: int) -> PairState:
+    def key_of(self, state_id: int) -> tuple[int, int, int]:
         if state_id < self.num_public:
             return self.cache.keys[state_id]
         return self.private_keys[state_id - self.num_public]
 
-    def intern(self, key: PairState) -> int:
+    def intern(self, key: tuple[int, int, int]) -> int:
         # Private first: a key is interned privately only when it had no
         # public id below num_public, and those ids never change while the
         # session is open, so the order of the two checks cannot change an id.
@@ -248,10 +249,10 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
     cached = session.lookup(state_id)
     if cached is not None:
         return cached
-    key = session.key_of(state_id)
-    raw: Expansion = expand_pair_state(key, session.cache.t1, session.view)
-    arcs = tuple(Arc(a.ilabel, a.olabel, a.weight, session.intern(a.nextstate))
-                 for a in raw.arcs)
+    raw = expand_pair_state(session.key_of(state_id), session.cache.t1,
+                            session.view)
+    intern = session.intern
+    arcs = tuple([Arc(il, ol, w, intern(dst)) for il, ol, w, dst in raw.arcs])
     made = CachedExpansion(arcs, raw.final)
     session.private_exp[state_id] = made
     session.metrics.otf_expansion += 1
@@ -313,10 +314,11 @@ def dump_public_cache(cache: PublicCache) -> str:
     if not cache.sealed:
         raise ConfigurationError("dump requires a sealed cache")
     lines = [f"table {len(cache.keys)}"]
-    for key in cache.keys:
-        if not isinstance(key.q2, int):
-            raise InvariantError(f"public table holds non-root key {key}")
-        lines.append(f"k {key.q1} {key.q2} {int(key.f)}")
+    for q1, q2, f in cache.keys:
+        if q2 >= cache.root.num_states:
+            raise InvariantError(
+                f"public table holds non-root key {(q1, q2, f)}")
+        lines.append(f"k {q1} {q2} {f}")
     for state_id in sorted(cache.expanded):
         exp = cache.expanded[state_id]
         lines.append(f"s {state_id} {exp.final!r} {len(exp.arcs)}")
@@ -359,9 +361,9 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
     num_keys = _dump_int(head[1], rows[0], len(rows))
     for row in rows[1:num_keys + 1]:
         q1, q2, f = _dump_fields(row, "k", 3)
-        key = PairState(_dump_int(q1, row, t1.num_states),
-                        _dump_int(q2, row, root.num_states),
-                        FilterState(_dump_int(f, row, FilterState.BLOCKED)))
+        key = (_dump_int(q1, row, t1.num_states),
+               _dump_int(q2, row, root.num_states),
+               _dump_int(f, row, FilterState.BLOCKED))
         if key in cache.ids:
             raise BuildError(f"duplicate table row: {row!r}")
         cache.intern(key)

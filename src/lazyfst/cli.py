@@ -58,7 +58,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run the session benchmark")
     common(p)
     p.add_argument("--session-length", type=int, choices=(1, 2, 5), default=5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report", default=None, help="write the full report here")
 
     p = sub.add_parser("score", help="recompute WER for a bench report")
@@ -133,10 +132,10 @@ def cmd_bench(args) -> int:
     cfg = _config(args)
     report = run_bench(cfg, method=args.method,
                        session_length=args.session_length,
-                       threads=args.threads, bfs_depth=args.bfs_depth)
+                       bfs_depth=args.bfs_depth)
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
-    summary = {k: report[k] for k in ("method", "session_length", "threads",
+    summary = {k: report[k] for k in ("method", "session_length",
                                       "totals", "rtf", "bytes_public",
                                       "bytes_private_total",
                                       "marginal_bytes_per_session")}

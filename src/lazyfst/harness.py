@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -176,7 +175,8 @@ def decode_config(cfg: dict, beam: float | None = None,
                   max_active: int | None = None) -> DecodeConfig:
     return DecodeConfig(
         beam=cfg.get("beam", 10.0) if beam is None else beam,
-        max_active=cfg.get("max_active", 2000) if max_active is None else max_active)
+        max_active=cfg.get("max_active", 2000) if max_active is None else max_active,
+        max_eps_pops=cfg.get("max_eps_pops", DecodeConfig.max_eps_pops))
 
 
 def precompose_cache(build: Build, cfg: dict, method: str,
@@ -273,7 +273,7 @@ def run_session(cache: PublicCache, build: Build, cfg: dict,
 
 
 def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
-              threads: int = 1, bfs_depth: int | None = None,
+              bfs_depth: int | None = None,
               build: Build | None = None,
               cache: PublicCache | None = None) -> dict:
     if build is None:
@@ -289,18 +289,9 @@ def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
     by_user: dict[str, list[dict]] = {}
     for utt in build.utterances:
         by_user.setdefault(utt["user"], []).append(utt)
-    jobs = [(user, chunk)
-            for user in sorted(by_user)
-            for chunk in _chunk(by_user[user], session_length)]
-
-    if threads <= 1:
-        results = [run_session(cache, build, cfg, user, chunk, dec_cfg)
-                   for user, chunk in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda job: run_session(cache, build, cfg, job[0], job[1],
-                                        dec_cfg), jobs))
+    results = [run_session(cache, build, cfg, user, chunk, dec_cfg)
+               for user in sorted(by_user)
+               for chunk in _chunk(by_user[user], session_length)]
 
     all_turns = [t for r in results for t in r.turns]
     per_turn: dict[str, dict] = {}
@@ -325,7 +316,6 @@ def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
     report = {
         "method": method,
         "session_length": session_length,
-        "threads": threads,
         "cache": pre_stats,
         "totals": {
             "utterances": len(all_turns),

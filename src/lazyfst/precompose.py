@@ -46,8 +46,8 @@ class PrecomposeConfig:
 def _store_public(cache: PublicCache, state_id: int, t1: Fst,
                   view: ReplaceView) -> CachedExpansion:
     raw = expand_pair_state(cache.keys[state_id], t1, view)
-    arcs = tuple(Arc(a.ilabel, a.olabel, a.weight, cache.intern(a.nextstate))
-                 for a in raw.arcs)
+    intern = cache.intern
+    arcs = tuple([Arc(il, ol, w, intern(dst)) for il, ol, w, dst in raw.arcs])
     made = CachedExpansion(arcs, raw.final)
     cache.store(state_id, made)
     return made
@@ -134,17 +134,15 @@ def warmup_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
                 break
             recomputed = expand_pair_state(key, t1, check_view)
             stored = session.private_exp[state_id]
-            stored_shape = [(a.ilabel, a.olabel, a.weight,
-                             session.key_of(a.nextstate)) for a in stored.arcs]
-            fresh_shape = [(a.ilabel, a.olabel, a.weight, a.nextstate)
-                           for a in recomputed.arcs]
-            if stored_shape != fresh_shape or stored.final != recomputed.final:
+            stored_shape = [(il, ol, w, session.key_of(dst))
+                            for il, ol, w, dst in stored.arcs]
+            if stored_shape != recomputed.arcs \
+                    or stored.final != recomputed.final:
                 raise InvariantError(
                     f"warm-up expansion of {key} depends on the binding")
             public_id = cache.intern(key)
-            arcs = tuple(Arc(a.ilabel, a.olabel, a.weight,
-                             cache.intern(a.nextstate))
-                         for a in recomputed.arcs)
+            arcs = tuple([Arc(il, ol, w, cache.intern(dst))
+                          for il, ol, w, dst in recomputed.arcs])
             cache.store(public_id, CachedExpansion(arcs, recomputed.final))
         if budget_hit:
             logger.warning("warmup_precompose stopped at state budget %d; "

@@ -9,46 +9,27 @@ bound FST gets an epsilon arc (carrying its final weight) back to the
 state the class arc pointed at.  Nesting is depth one by construction:
 bound FSTs must not contain class labels themselves.
 
-View states lying in the root are the root's own int state ids, and a
-root state without a class out-arc passes the root's sorted arc tuple
-through unchanged.  Bridge states (those with a class out-arc) build and
-sort an arc list of their own; an InsideState maps the bound FST's
-sorted arcs in order and places only its exit arc.
+View states are plain ints.  A state lying in the root is the root's own
+state id, and a root state without a class out-arc passes the root's
+sorted arc tuple through unchanged.  A state inside the FST bound to class
+`cls`, at its state `qp`, resuming at root state `ret` when that FST
+accepts, is `num_root + base[cls] + qp * num_root + ret`, where `base`
+accumulates `num_states * num_root` over the bound classes in label
+order.  So every root id sorts before every inside id, and inside ids
+sort by (cls, qp, ret): arcs sort by their natural tuple order.  Bridge
+states (those with a class out-arc) build and sort an arc list of their
+own; an inside state maps the bound FST's sorted arcs in order and places
+only its exit arc.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Optional, Sequence, Union
+from bisect import bisect_right, insort
+from typing import Optional, Sequence
 
-from .compose import token_sort_key
 from .errors import BuildError, ExpansionError
 from .fst import EPS, Arc, Fst, FstBuilder, SymbolTable
 from .semiring import ZERO
-
-
-@dataclass(frozen=True, slots=True)
-class InsideState:
-    """View state inside the FST bound to `cls`; `ret` is the root state
-    to resume at when the bound FST accepts."""
-    cls: int
-    qp: int
-    ret: int
-
-    def sort_key(self) -> tuple:
-        return (2, self.cls, self.qp, self.ret)
-
-
-ReplaceState = Union[int, InsideState]
-
-
-def _view_arc_key(arc: Arc) -> tuple:
-    return (arc.ilabel, arc.olabel, arc.weight, token_sort_key(arc.nextstate))
-
-
-_arc_labels_weight = itemgetter(0, 1, 2)
 
 
 class ClassBinding:
@@ -97,9 +78,30 @@ class ReplaceView:
                 if arc.olabel in self.classes:
                     bridges.add(state)
         self.bridges = frozenset(bridges)
+        self.num_root = root.num_states
+        # first id of each bound class's region of inside states
+        self._first: dict[int, int] = {}
+        first = self.num_root
+        for cls in sorted(binding.mapping):
+            self._first[cls] = first
+            first += binding.mapping[cls].num_states * self.num_root
+        self._region_starts = list(self._first.values())
+        self._region_classes = list(self._first)
 
-    def arcs_of(self, state: ReplaceState) -> Sequence[Arc]:
-        if isinstance(state, int):
+    def inside_id(self, cls: int, qp: int, ret: int) -> int:
+        """The view state at `qp` of the FST bound to `cls`, resuming at
+        root state `ret` when that FST accepts."""
+        return self._first[cls] + qp * self.num_root + ret
+
+    def inside_of(self, state: int) -> tuple[int, int, int]:
+        """`(cls, qp, ret)` of an inside view state; inverse of inside_id."""
+        i = bisect_right(self._region_starts, state) - 1
+        qp, ret = divmod(state - self._region_starts[i], self.num_root)
+        cls = self._region_classes[i]
+        return cls, qp, ret
+
+    def arcs_of(self, state: int) -> Sequence[Arc]:
+        if state < self.num_root:
             if state not in self.bridges:
                 return self.root.arcs_of(state)
             out: list[Arc] = []
@@ -107,26 +109,28 @@ class ReplaceView:
                 if arc.olabel in self.classes:
                     inner = self.binding.fst_for(arc.olabel)
                     out.append(Arc(EPS, EPS, arc.weight,
-                                   InsideState(arc.olabel, inner.start, arc.nextstate)))
+                                   self.inside_id(arc.olabel, inner.start,
+                                                  arc.nextstate)))
                 else:
                     out.append(arc)
-            out.sort(key=_view_arc_key)
+            out.sort()
             return out
-        # qp -> InsideState(cls, qp, ret) keeps the bound FST's sorted
-        # order, so only the exit arc needs placing: its int destination
-        # ranks before every InsideState, so it goes ahead of its ties.
-        cls, ret = state.cls, state.ret
-        inner = self.binding.fst_for(cls)
-        out = [Arc(il, ol, w, InsideState(cls, qp, ret))
-               for il, ol, w, qp in inner.arcs_of(state.qp)]
-        exit_w = inner.final_weight(state.qp)
+        # qp -> inside_id(cls, qp, ret) keeps the bound FST's sorted order,
+        # so only the exit arc needs placing: its destination `ret` is a
+        # root id, below every inside id, so it goes ahead of its ties.
+        cls, qp, ret = self.inside_of(state)
+        inner = self.binding.mapping[cls]
+        n = self.num_root
+        at_start = state - qp * n  # inside_id(cls, 0, ret)
+        out = [Arc(il, ol, w, at_start + d * n)
+               for il, ol, w, d in inner.arcs_of(qp)]
+        exit_w = inner.final_weight(qp)
         if exit_w != ZERO:
-            at = bisect_left(out, (EPS, EPS, exit_w), key=_arc_labels_weight)
-            out.insert(at, Arc(EPS, EPS, exit_w, ret))
+            insort(out, Arc(EPS, EPS, exit_w, ret))
         return out
 
-    def final_weight(self, state: ReplaceState) -> float:
-        if isinstance(state, int):
+    def final_weight(self, state: int) -> float:
+        if state < self.num_root:
             return self.root.final_weight(state)
         return ZERO
 

@@ -255,6 +255,32 @@ def oracle_beam_decode(fst, scores, beam: float):
     return (best_cost, best_labels), survivors
 
 
+def view_state_key(t2, state: int) -> tuple:
+    """Rank of a t2 state in the order composed arcs sort by: a root
+    state q (or any state of a plain Fst) as (0, q), a state inside a
+    class FST as (2, cls, qp, ret), so every root state comes first.
+    Inside states are named by ReplaceView.inside_of, whose inverse is
+    checked against inside_id separately."""
+    num_root = getattr(t2, "num_root", None)
+    if num_root is None or state < num_root:
+        return (0, state)
+    return (2, *t2.inside_of(state))
+
+
+def view_arc_key(t2, arc) -> tuple:
+    """Order of the arcs out of one view state: labels, weight, then the
+    destination's rank."""
+    ilabel, olabel, weight, dst = arc
+    return (ilabel, olabel, weight, view_state_key(t2, dst))
+
+
+def composed_arc_key(t2, arc) -> tuple:
+    """Order of the arcs out of one composed state: labels, weight, then
+    the destination (t1 state, t2 state's rank, filter state)."""
+    ilabel, olabel, weight, (q1, q2, f) = arc
+    return (ilabel, olabel, weight, q1, view_state_key(t2, q2), f)
+
+
 def edit_distance(ref, hyp) -> int:
     """Plain Levenshtein, for cross-checking the harness scorer."""
     rows = len(ref) + 1

@@ -11,14 +11,14 @@ from lazyfst.cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
                            PublicCache, Session, dump_public_cache, end_session,
                            expand, is_precomposable, load_public_cache,
                            materialize, seal_public)
-from lazyfst.compose import FilterState, PairState, compose_static
+from lazyfst.compose import FilterState, compose_static
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
 from lazyfst.decoder import decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ClassBinding, InsideState, ReplaceView, empty_binding
+from lazyfst.replace import ClassBinding, ReplaceView, empty_binding
 
 CLS = 9
 TEMP = 99
@@ -83,17 +83,18 @@ def sealed_cache(t1, root, classes=frozenset({CLS}), depth=0):
 class TestIsPrecomposable:
     def test_root_state_without_class_arcs(self):
         _, root, _ = fixed_scenario()
-        key = PairState(0, 0, FilterState.ANY)
+        key = (0, 0, FilterState.ANY)
         assert is_precomposable(key, root, frozenset({CLS}))
 
     def test_root_state_with_class_arc(self):
         _, root, _ = fixed_scenario()
-        key = PairState(0, 1, FilterState.ANY)
+        key = (0, 1, FilterState.ANY)
         assert not is_precomposable(key, root, frozenset({CLS}))
 
     def test_inside_state_never(self):
-        _, root, _ = fixed_scenario()
-        key = PairState(0, InsideState(CLS, 0, 2), FilterState.ANY)
+        _, root, binding = fixed_scenario()
+        view = ReplaceView(root, binding)
+        key = (0, view.inside_id(CLS, 0, 2), FilterState.ANY)
         assert not is_precomposable(key, root, frozenset({CLS}))
 
 
@@ -102,7 +103,7 @@ class TestLifecycle:
         t1, root, _ = fixed_scenario()
         cache = sealed_cache(t1, root)
         with pytest.raises(ConfigurationError):
-            cache.intern(PairState(1, 0, FilterState.ANY))
+            cache.intern((1, 0, FilterState.ANY))
         with pytest.raises(ConfigurationError):
             cache.store(0, CachedExpansion((), 0.0))
 
@@ -143,7 +144,7 @@ class TestSealPurity:
         t1, root, _ = fixed_scenario()
         cache = PublicCache(t1, root, frozenset({CLS}))
         # root state 1 has a class out-arc, so caching it publicly is wrong
-        bad = cache.intern(PairState(0, 1, FilterState.ANY))
+        bad = cache.intern((0, 1, FilterState.ANY))
         cache.store(bad, CachedExpansion((), 1.0))
         with pytest.raises(InvariantError):
             seal_public(cache)
@@ -200,11 +201,10 @@ class TestIdSpace:
         cache = sealed_cache(t1, root, depth=3)
         assert cache.num_public > 0
         session = Session(cache, binding)
-        fresh = session.intern(PairState(3, InsideState(CLS, 0, 2),
-                                         FilterState.ANY))
+        inside = session.view.inside_id(CLS, 0, 2)
+        fresh = session.intern((3, inside, FilterState.ANY))
         assert fresh >= session.num_public
-        assert session.key_of(fresh) == PairState(3, InsideState(CLS, 0, 2),
-                                                  FilterState.ANY)
+        assert session.key_of(fresh) == (3, inside, FilterState.ANY)
 
     def test_public_key_interns_to_public_id(self):
         t1, root, binding = fixed_scenario()

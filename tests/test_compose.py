@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings
 
-from oracles import enumerate_language, relation_compose
+from oracles import composed_arc_key, enumerate_language, relation_compose
 from strategies import acyclic_fst
-from lazyfst.compose import (FilterState, PairState, arc_sort_key,
-                             compose_static, compose_static_full,
+from lazyfst.compose import (FilterState, compose_static, compose_static_full,
                              expand_pair_state)
 from lazyfst.errors import CompositionSizeError
 from lazyfst.fst import EPS, FstBuilder
@@ -90,9 +89,8 @@ class TestDualRoutes:
             static_arcs = [
                 (a.ilabel, a.olabel, a.weight, a.nextstate)
                 for a in full.fst.arcs_of(sid)]
-            lazy_arcs = [
-                (a.ilabel, a.olabel, a.weight, full.state_of[a.nextstate])
-                for a in exp.arcs]
+            lazy_arcs = [(il, ol, w, full.state_of[dst])
+                         for il, ol, w, dst in exp.arcs]
             assert lazy_arcs == static_arcs
             assert exp.final == full.fst.final_weight(sid)
 
@@ -101,8 +99,8 @@ class TestDualRoutes:
                        (0, 2, 2, 0.5, 1)], {1: 0.0}, 2)
         t2 = _machine([(0, 1, 5, 0.0, 1), (0, 2, 4, 0.0, 1),
                        (0, EPS, 6, 0.0, 1)], {1: 0.0}, 2)
-        exp = expand_pair_state(PairState(0, 0, FilterState.ANY), t1, t2)
-        keys = [arc_sort_key(a) for a in exp.arcs]
+        exp = expand_pair_state((0, 0, FilterState.ANY), t1, t2)
+        keys = [composed_arc_key(t2, a) for a in exp.arcs]
         assert keys == sorted(keys)
 
 
@@ -119,4 +117,4 @@ class TestLimitsAndNumbering:
         full = compose_static_full(t1, t2)
         ids = list(full.state_of.values())
         assert ids == sorted(ids)
-        assert full.state_of[PairState(0, 0, FilterState.ANY)] == 0
+        assert full.state_of[(0, 0, FilterState.ANY)] == 0

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import edit_distance
+from lazyfst.cache import Session, end_session
+from lazyfst.decoder import DecodeConfig, decode
 from lazyfst.errors import BuildError, ConfigurationError
 from lazyfst.harness import (_chunk, _percentile, binding_for, build_graphs,
                              decode_config, graph_stats, levenshtein,
@@ -53,6 +55,14 @@ class TestConfig:
         assert decode_config(desk_cfg).beam == desk_cfg["beam"]
         assert decode_config(desk_cfg, beam=30.0).beam == 30.0
         assert decode_config(desk_cfg, max_active=7).max_active == 7
+
+    def test_decode_config_reads_max_eps_pops(self, desk_cfg):
+        assert "max_eps_pops" not in desk_cfg
+        assert decode_config(desk_cfg).max_eps_pops == \
+            DecodeConfig().max_eps_pops
+        assert decode_config({**desk_cfg, "max_eps_pops": 7}).max_eps_pops == 7
+        with pytest.raises(ConfigurationError, match="max_eps_pops"):
+            decode_config({**desk_cfg, "max_eps_pops": 0})
 
 
 class TestBuild:
@@ -172,12 +182,38 @@ class TestBench:
                           build=small_build(desk_build))
         assert strip_timing(again) == strip_timing(report)
 
-    def test_threads_do_not_change_results(self, desk_build, desk_cfg, report):
-        threaded = run_bench(desk_cfg, method="none", session_length=5,
-                             threads=3, build=small_build(desk_build))
-        a, b = strip_timing(threaded), strip_timing(report)
-        a["threads"] = b["threads"]
-        assert a == b
+    def test_interleaved_sessions_match_sequential(self, desk_build, desk_cfg):
+        # sessions share no mutable state: two users' sessions decoded
+        # turn by turn against one public cache give the same turns,
+        # counters included, as decoding them one after the other
+        cache, _ = precompose_cache(desk_build, desk_cfg, "bfs")
+        dec_cfg = decode_config(desk_cfg)
+        users = ("u05", "u07")
+        utts = {user: [u for u in desk_build.utterances
+                       if u["user"] == user][:5] for user in users}
+
+        def turn(session, utt):
+            hyp = decode(scores_for(desk_build, desk_cfg, utt), session,
+                         dec_cfg)
+            m = hyp.metrics
+            return (utt["id"], hyp.words, hyp.cost, m.otf_expansion,
+                    m.public_hit, m.private_hit)
+
+        sequential = {}
+        for user in users:
+            session = Session(cache, binding_for(desk_build, user))
+            sequential[user] = [turn(session, utt) for utt in utts[user]]
+            end_session(session)
+        sessions = {user: Session(cache, binding_for(desk_build, user))
+                    for user in users}
+        interleaved = {user: [] for user in users}
+        for i in range(5):
+            for user in users:
+                interleaved[user].append(turn(sessions[user], utts[user][i]))
+        for session in sessions.values():
+            end_session(session)
+        assert interleaved == sequential
+        assert all(len(turns) == 5 for turns in sequential.values())
 
     def test_session_length_one_isolates_turns(self, desk_build, desk_cfg):
         report = run_bench(desk_cfg, method="none", session_length=1,

@@ -1,14 +1,15 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import acceptor_language, enumerate_language, substitute_language
+from oracles import (acceptor_language, composed_arc_key, enumerate_language,
+                     substitute_language, view_arc_key, view_state_key)
 from strategies import acyclic_fst
-from lazyfst.compose import FilterState, PairState, expand_pair_state
+from lazyfst.compose import FilterState, compose_static_full, expand_pair_state
 from lazyfst.errors import BuildError, ExpansionError
 from lazyfst.fst import EPS, FstBuilder
 from lazyfst.harness import binding_for
-from lazyfst.replace import (ClassBinding, InsideState, ReplaceView,
-                             _view_arc_key, empty_binding,
+from lazyfst.replace import (ClassBinding, ReplaceView, empty_binding,
                              insert_epsilon_before_class,
                              make_placeholder_class_fst, placeholder_binding)
 
@@ -69,23 +70,24 @@ class TestViewStructure:
         view = ReplaceView(simple_root,
                            ClassBinding(frozenset({CLS}), {CLS: simple_class}))
         arcs = view.arcs_of(1)
-        entries = [a for a in arcs if isinstance(a.nextstate, InsideState)]
+        assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
+        entries = [a for a in arcs if a.nextstate >= view.num_root]
         assert len(entries) == 1
         entry = entries[0]
         assert (entry.ilabel, entry.olabel, entry.weight) == (EPS, EPS, 0.25)
-        assert entry.nextstate == InsideState(CLS, simple_class.start, 2)
+        assert entry.nextstate == view.inside_id(CLS, simple_class.start, 2)
 
     def test_exit_carries_final_weight(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
                            ClassBinding(frozenset({CLS}), {CLS: simple_class}))
-        arcs = view.arcs_of(InsideState(CLS, 2, ret=2))
-        exits = [a for a in arcs if isinstance(a.nextstate, int)]
+        arcs = view.arcs_of(view.inside_id(CLS, 2, ret=2))
+        exits = [a for a in arcs if a.nextstate < view.num_root]
         assert exits == [type(exits[0])(EPS, EPS, 1.0, 2)]
 
     def test_inside_states_are_never_final(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
                            ClassBinding(frozenset({CLS}), {CLS: simple_class}))
-        assert view.final_weight(InsideState(CLS, 1, 2)) == float("inf")
+        assert view.final_weight(view.inside_id(CLS, 1, 2)) == float("inf")
         assert view.final_weight(3) == 0.75
 
     def test_language_hand_computed(self, simple_root, simple_class):
@@ -114,8 +116,8 @@ class TestArcOrder:
                          {0: 1.0, 1: 0.0}, 2)
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
         view = ReplaceView(root, ClassBinding(frozenset({CLS}), {CLS: inner}))
-        deeper = InsideState(CLS, 1, 1)
-        assert [tuple(a) for a in view.arcs_of(InsideState(CLS, 0, 1))] == [
+        deeper = view.inside_id(CLS, 1, 1)
+        assert [tuple(a) for a in view.arcs_of(view.inside_id(CLS, 0, 1))] == [
             (EPS, EPS, 0.5, deeper),
             (EPS, EPS, 1.0, 1),
             (EPS, EPS, 1.0, deeper),
@@ -123,13 +125,13 @@ class TestArcOrder:
         ]
         t1 = acceptor([(0, 3, 0.0, 1)], {1: 0.0}, 2)
         exp = expand_pair_state(
-            PairState(0, InsideState(CLS, 0, 1), FilterState.ANY), t1, view)
+            (0, view.inside_id(CLS, 0, 1), FilterState.ANY), t1, view)
         eps2 = FilterState.EPS2_ONLY
         assert [tuple(a) for a in exp.arcs] == [
-            (EPS, EPS, 0.5, PairState(0, deeper, eps2)),
-            (EPS, EPS, 1.0, PairState(0, 1, eps2)),
-            (EPS, EPS, 1.0, PairState(0, deeper, eps2)),
-            (3, 3, 0.25, PairState(1, deeper, FilterState.ANY)),
+            (EPS, EPS, 0.5, (0, deeper, eps2)),
+            (EPS, EPS, 1.0, (0, 1, eps2)),
+            (EPS, EPS, 1.0, (0, deeper, eps2)),
+            (3, 3, 0.25, (1, deeper, FilterState.ANY)),
         ]
 
     def test_inside_arcs_are_in_view_order_on_desk(self, desk_build):
@@ -144,8 +146,9 @@ class TestArcOrder:
             view = ReplaceView(desk_build.root, binding_for(desk_build, user))
             for qp in contacts.states():
                 for ret in sorted(rets):
-                    arcs = list(view.arcs_of(InsideState(cls, qp, ret)))
-                    assert arcs == sorted(arcs, key=_view_arc_key)
+                    arcs = list(view.arcs_of(view.inside_id(cls, qp, ret)))
+                    assert arcs == sorted(
+                        arcs, key=lambda a: view_arc_key(view, a))
                     checked += 1
         assert checked > len(desk_build.contact_fsts)
 
@@ -157,8 +160,59 @@ class TestArcOrder:
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
         view = ReplaceView(root, ClassBinding(frozenset({CLS}), {CLS: inner}))
         for qp in inner.states():
-            arcs = list(view.arcs_of(InsideState(CLS, qp, 1)))
-            assert arcs == sorted(arcs, key=_view_arc_key)
+            arcs = list(view.arcs_of(view.inside_id(CLS, qp, 1)))
+            assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
+
+    def test_composed_arcs_are_in_composed_order_on_desk(self, desk_build):
+        # every composed state reachable from the start, for every user
+        inside = 0
+        for user in sorted(desk_build.contact_fsts):
+            view = ReplaceView(desk_build.root, binding_for(desk_build, user))
+            reachable = compose_static_full(desk_build.t1, view).state_of
+            for key in reachable:
+                exp = expand_pair_state(key, desk_build.t1, view)
+                order = [composed_arc_key(view, a) for a in exp.arcs]
+                assert order == sorted(order)
+                inside += key[1] >= view.num_root
+        assert inside > len(desk_build.contact_fsts)
+
+
+@st.composite
+def view_and_states(draw):
+    """A view over a root of random size with classes bound to FSTs of
+    random sizes, then random root states and (cls, qp, ret) triples."""
+    num_root = draw(st.integers(min_value=1, max_value=12))
+    sizes = draw(st.dictionaries(st.integers(min_value=10, max_value=40),
+                                 st.integers(min_value=1, max_value=6),
+                                 min_size=1, max_size=4))
+    unbound = draw(st.sets(st.integers(min_value=41, max_value=45),
+                           max_size=2))
+    binding = ClassBinding(frozenset(sizes) | unbound,
+                           {cls: acceptor([], {}, k) for cls, k in sizes.items()})
+    view = ReplaceView(acceptor([], {}, num_root), binding)
+    triple = st.sampled_from(sorted(sizes)).flatmap(
+        lambda cls: st.tuples(st.just(cls),
+                              st.integers(min_value=0, max_value=sizes[cls] - 1),
+                              st.integers(min_value=0, max_value=num_root - 1)))
+    roots = draw(st.lists(st.integers(min_value=0, max_value=num_root - 1),
+                          max_size=6))
+    return view, roots, draw(st.lists(triple, min_size=1, max_size=24))
+
+
+class TestStateEncoding:
+    @given(view_and_states())
+    @settings(max_examples=200, deadline=None)
+    def test_int_order_is_root_then_cls_qp_ret(self, case):
+        view, roots, triples = case
+        ids = roots + [view.inside_id(*t) for t in triples]
+        old = [(0, q) for q in roots] + [(2, *t) for t in triples]
+        for t in triples:
+            assert view.inside_of(view.inside_id(*t)) == t
+        for a, key_a in zip(ids, old):
+            assert view_state_key(view, a) == key_a
+            for b, key_b in zip(ids, old):
+                assert (a < b) == (key_a < key_b)
+                assert (a == b) == (key_a == key_b)
 
 
 class TestAgainstSubstitutionOracle:
