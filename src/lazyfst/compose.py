@@ -112,7 +112,9 @@ def compose_static_full(t1: Fst, t2, max_states: int = 1_000_000) -> StaticCompo
 
     States are numbered in discovery order (queue order, arcs sorted the
     same way expand_pair_state sorts them), so repeated runs and the lazy
-    layer's empty-cache exploration produce identical numberings.  Raises
+    layer's empty-cache exploration produce identical numberings.  The
+    frozen Fst orders arcs tied on (ilabel, olabel, weight) by destination
+    id, where expand_pair_state orders them by destination key.  Raises
     CompositionSizeError when more than `max_states` composed states
     appear.
     """

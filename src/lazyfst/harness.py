@@ -175,8 +175,7 @@ def decode_config(cfg: dict, beam: float | None = None,
                   max_active: int | None = None) -> DecodeConfig:
     return DecodeConfig(
         beam=cfg.get("beam", 10.0) if beam is None else beam,
-        max_active=cfg.get("max_active", 2000) if max_active is None else max_active,
-        max_eps_pops=cfg.get("max_eps_pops", DecodeConfig.max_eps_pops))
+        max_active=cfg.get("max_active", 2000) if max_active is None else max_active)
 
 
 def precompose_cache(build: Build, cfg: dict, method: str,

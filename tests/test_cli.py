@@ -57,8 +57,7 @@ class TestDataErrors:
                      "--report", str(tmp_path / "missing.json")]) == 2
 
     @pytest.mark.parametrize("field, value", [
-        ("beam", "10"), ("beam", 0), ("max_active", 2.5),
-        ("max_eps_pops", 0)])
+        ("beam", "10"), ("beam", 0), ("max_active", 2.5)])
     def test_bad_decode_setting_exits_2(self, field, value, tmp_path, capsys):
         write_desk_data(tmp_path)
         path = tmp_path / "desk.json"

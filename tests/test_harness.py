@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import edit_distance
 from lazyfst.cache import Session, end_session
-from lazyfst.decoder import DecodeConfig, decode
+from lazyfst.decoder import decode
 from lazyfst.errors import BuildError, ConfigurationError
 from lazyfst.harness import (_chunk, _percentile, binding_for, build_graphs,
                              decode_config, graph_stats, levenshtein,
@@ -55,14 +55,6 @@ class TestConfig:
         assert decode_config(desk_cfg).beam == desk_cfg["beam"]
         assert decode_config(desk_cfg, beam=30.0).beam == 30.0
         assert decode_config(desk_cfg, max_active=7).max_active == 7
-
-    def test_decode_config_reads_max_eps_pops(self, desk_cfg):
-        assert "max_eps_pops" not in desk_cfg
-        assert decode_config(desk_cfg).max_eps_pops == \
-            DecodeConfig().max_eps_pops
-        assert decode_config({**desk_cfg, "max_eps_pops": 7}).max_eps_pops == 7
-        with pytest.raises(ConfigurationError, match="max_eps_pops"):
-            decode_config({**desk_cfg, "max_eps_pops": 0})
 
 
 class TestBuild:
