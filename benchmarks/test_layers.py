@@ -6,7 +6,9 @@ desk states.  Run with
 The states are the heaviest pair on the desk graphs (the lexicon start,
 86 arcs, against the root's backoff state, 49 arcs), one root state, one
 bridge state (a root state with a class out-arc) and one state inside a
-user's contact FST.
+user's contact FST.  `test_cache_expand_otf` times one cold
+`cache.expand` (kernel, interning and the cached arcs) in a fresh session
+per round, at the lexicon loop state and at a chain state.
 """
 
 from __future__ import annotations
@@ -55,6 +57,22 @@ def test_arcs_of_inside_state(benchmark, desk, view):
     contacts = build.contact_fsts[USER]
     benchmark(view.arcs_of,
               view.inside_id(cls, contacts.start, build.root.start))
+
+
+@pytest.mark.parametrize("t1_state", ["loop", "chain"])
+def test_cache_expand_otf(benchmark, desk, t1_state):
+    cfg, build = desk
+    cache, _ = precompose_cache(build, cfg, "none")
+    t1 = build.t1
+    q1 = t1.start if t1_state == "loop" else t1.arcs_of(t1.start)[-1].nextstate
+    key = (q1, backoff_state(build.root), int(FilterState.ANY))
+
+    def fresh_session():
+        session = Session(cache, binding_for(build, USER))
+        return (session.intern(key), session), {}
+
+    made = benchmark.pedantic(expand, setup=fresh_session, rounds=2000)
+    assert len(made.arcs) == (52 if t1_state == "loop" else 2)
 
 
 def test_cache_expand_public_hit(benchmark, desk):

@@ -13,10 +13,15 @@ Expansions live in two layers:
 
 Both layers share one state-id space over `(q1, q2, f)` pair keys (see
 compose): the sealed public state table owns dense ids [0, N_pub) and
-each session appends its own keys at ids >= N_pub.  Public expansions may therefore be referenced directly by private
-arcs, and a public id that was interned but never expanded offline (a
-frontier destination) is simply expanded into the private layer on first
-use.  Session.lookup holds the two-layer rule and counts a public_hit or
+each session appends its own keys at ids >= N_pub.  Public expansions may
+therefore be referenced directly by private arcs, and a public id that
+was interned but never expanded offline (a frontier destination) is
+simply expanded into the private layer on first use.  Each layer interns
+all destinations of one expansion in one call (PublicCache.intern_arcs,
+Session.intern_arcs, which hold the public and the private-first rule),
+and that pass also builds the cached arcs, plain `(ilabel, olabel,
+weight, nextstate)` tuples, and counts the epsilon-input ones.
+Session.lookup holds the two-layer rule and counts a public_hit or
 private_hit when it finds the state; expand is lookup or else build, and
 counts an otf_expansion when it builds.  The decoder resolves each state
 its epsilon closure returns once per frame, so the hits count one per
@@ -27,13 +32,14 @@ exactly one of public_hit / private_hit / otf_expansion.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .compose import FilterState, expand_pair_state
 from .errors import BuildError, CompositionSizeError, ConfigurationError, InvariantError
-from .fst import EPS, Arc, Fst, FstBuilder, write_text_fst
+from .fst import EPS, Fst, FstBuilder, write_text_fst
 from .metrics import Metrics
-from .replace import ClassBinding, ReplaceView
+from .replace import ClassBinding, ReplaceView, bridge_states
 from .semiring import ZERO, is_member
 
 # Deterministic memory model: what one arc / one expanded state / one
@@ -43,6 +49,11 @@ ARC_BYTES = 16
 STATE_BYTES = 16
 KEY_BYTES = 24
 
+# A composed arc: (ilabel, olabel, weight, destination).  Raw arcs from
+# expand_pair_state carry a (q1, q2, f) key, cached arcs a state id.
+RawArcs = Iterable[tuple[int, int, float, tuple[int, int, int]]]
+CachedArc = tuple[int, int, float, int]
+
 
 class CachedExpansion:
     """Arcs with destinations already interned to shared state ids.
@@ -50,17 +61,20 @@ class CachedExpansion:
     Composed arcs are sorted by ilabel first (compose.expand_pair_state) and
     EPS is 0, so the epsilon-input arcs are the first `n_eps` arcs and the
     emitting arcs are the rest; the decoder's closure and emit step each
-    walk only their own slice."""
+    walk only their own slice.  `n_eps` is counted here unless the
+    interning pass that built the arcs passes its count."""
     __slots__ = ("arcs", "final", "n_eps")
 
-    def __init__(self, arcs: tuple[Arc, ...], final: float):
+    def __init__(self, arcs: tuple[CachedArc, ...], final: float,
+                 n_eps: Optional[int] = None):
         self.arcs = arcs
         self.final = final
-        n_eps = 0
-        for arc in arcs:
-            if arc.ilabel != EPS:
-                break
-            n_eps += 1
+        if n_eps is None:
+            n_eps = 0
+            for arc in arcs:
+                if arc[0] != EPS:
+                    break
+                n_eps += 1
         self.n_eps = n_eps
 
     def __eq__(self, other):
@@ -115,16 +129,36 @@ class PublicCache:
     def start_key(self) -> tuple[int, int, int]:
         return (self.t1.start, self.root.start, int(FilterState.ANY))
 
-    def intern(self, key: tuple[int, int, int]) -> int:
+    @cached_property
+    def bridges(self) -> frozenset[int]:
+        """replace.bridge_states of the root: scanned, and the root's class
+        arcs checked, once per cache rather than once per session."""
+        return bridge_states(self.root, self.classes)
+
+    def intern_arcs(self, arcs: RawArcs) -> tuple[tuple[CachedArc, ...], int]:
+        """Intern every destination key of `arcs` in one pass, a known key
+        keeping its id and a new one taking the next; return the arcs with
+        ids for keys, and how many have an epsilon input."""
         if self.sealed:
             raise ConfigurationError("public state table is sealed")
-        got = self.ids.get(key)
-        if got is not None:
-            return got
-        new_id = len(self.keys)
-        self.keys.append(key)
-        self.ids[key] = new_id
-        return new_id
+        ids = self.ids
+        keys = self.keys
+        out = []
+        n_eps = 0
+        for il, ol, w, key in arcs:
+            got = ids.get(key)
+            if got is None:
+                got = ids[key] = len(keys)
+                keys.append(key)
+            if il == EPS:
+                n_eps += 1
+            out.append((il, ol, w, got))
+        return tuple(out), n_eps
+
+    def intern(self, key: tuple[int, int, int]) -> int:
+        """The id of one key, by intern_arcs' rule."""
+        ((_, _, _, state_id),), _ = self.intern_arcs(((EPS, EPS, ZERO, key),))
+        return state_id
 
     def store(self, state_id: int, expansion: CachedExpansion) -> None:
         if self.sealed:
@@ -164,15 +198,15 @@ def seal_public(cache: PublicCache) -> PublicCache:
         if not is_precomposable(key, cache.root, cache.classes):
             raise InvariantError(
                 f"public cache holds non-shareable state {key} (id {state_id})")
-        if any(arc.ilabel == EPS for arc in expansion.arcs[expansion.n_eps:]):
+        if any(il == EPS for il, _, _, _ in expansion.arcs[expansion.n_eps:]):
             raise InvariantError(
                 f"public expansion {state_id} has an epsilon arc after an "
                 f"emitting arc")
-        for arc in expansion.arcs:
-            if not 0 <= arc.nextstate < len(cache.keys):
+        for _, _, _, dst in expansion.arcs:
+            if not 0 <= dst < len(cache.keys):
                 raise InvariantError(
                     f"public expansion {state_id} references unregistered "
-                    f"destination {arc.nextstate}")
+                    f"destination {dst}")
     cache.sealed = True
     return cache
 
@@ -188,7 +222,7 @@ class Session:
             raise ConfigurationError("binding declares a different class-label set")
         self.cache = cache
         self.binding = binding
-        self.view = ReplaceView(cache.root, binding)
+        self.view = ReplaceView(cache.root, binding, cache.bridges)
         self.num_public = cache.num_public
         self.private_keys: list[tuple[int, int, int]] = []
         self.private_ids: dict[tuple[int, int, int], int] = {}
@@ -201,20 +235,36 @@ class Session:
             return self.cache.keys[state_id]
         return self.private_keys[state_id - self.num_public]
 
+    def intern_arcs(self, arcs: RawArcs) -> tuple[tuple[CachedArc, ...], int]:
+        """Intern every destination key of `arcs` in one pass; return the
+        arcs with ids for keys, and how many have an epsilon input.
+
+        Private first: a key is interned privately only when it had no
+        public id below num_public, and those ids never change while the
+        session is open, so the order of the two checks cannot change an
+        id.  A new key takes the next private id."""
+        private_ids = self.private_ids
+        public_ids = self.cache.ids
+        num_public = self.num_public
+        keys = self.private_keys
+        out = []
+        n_eps = 0
+        for il, ol, w, key in arcs:
+            got = private_ids.get(key)
+            if got is None:
+                got = public_ids.get(key)
+                if got is None or got >= num_public:
+                    got = private_ids[key] = num_public + len(keys)
+                    keys.append(key)
+            if il == EPS:
+                n_eps += 1
+            out.append((il, ol, w, got))
+        return tuple(out), n_eps
+
     def intern(self, key: tuple[int, int, int]) -> int:
-        # Private first: a key is interned privately only when it had no
-        # public id below num_public, and those ids never change while the
-        # session is open, so the order of the two checks cannot change an id.
-        got = self.private_ids.get(key)
-        if got is not None:
-            return got
-        got = self.cache.ids.get(key)
-        if got is not None and got < self.num_public:
-            return got
-        new_id = self.num_public + len(self.private_keys)
-        self.private_keys.append(key)
-        self.private_ids[key] = new_id
-        return new_id
+        """The id of one key, by intern_arcs' rule."""
+        ((_, _, _, state_id),), _ = self.intern_arcs(((EPS, EPS, ZERO, key),))
+        return state_id
 
     def start_id(self) -> int:
         return self.intern(self.cache.start_key())
@@ -251,9 +301,8 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
         return cached
     raw = expand_pair_state(session.key_of(state_id), session.cache.t1,
                             session.view)
-    intern = session.intern
-    arcs = tuple([Arc(il, ol, w, intern(dst)) for il, ol, w, dst in raw.arcs])
-    made = CachedExpansion(arcs, raw.final)
+    arcs, n_eps = session.intern_arcs(raw.arcs)
+    made = CachedExpansion(arcs, raw.final, n_eps)
     session.private_exp[state_id] = made
     session.metrics.otf_expansion += 1
     return made
@@ -290,17 +339,17 @@ def materialize(session: Session, max_states: int = 1_000_000) -> Fst:
         sid = queue[head]
         head += 1
         exp = expand(sid, session)
-        for arc in exp.arcs:
-            dst = order.get(arc.nextstate)
+        for ilabel, olabel, weight, nextstate in exp.arcs:
+            dst = order.get(nextstate)
             if dst is None:
                 if len(order) >= max_states:
                     raise CompositionSizeError(
                         f"materialization exceeded {max_states} states")
                 dst = len(order)
-                order[arc.nextstate] = dst
+                order[nextstate] = dst
                 builder.add_state()
-                queue.append(arc.nextstate)
-            builder.add_arc(order[sid], arc.ilabel, arc.olabel, arc.weight, dst)
+                queue.append(nextstate)
+            builder.add_arc(order[sid], ilabel, olabel, weight, dst)
         if exp.final != ZERO:
             builder.set_final(order[sid], exp.final)
     return builder.freeze(start=0)
@@ -322,8 +371,8 @@ def dump_public_cache(cache: PublicCache) -> str:
     for state_id in sorted(cache.expanded):
         exp = cache.expanded[state_id]
         lines.append(f"s {state_id} {exp.final!r} {len(exp.arcs)}")
-        for arc in exp.arcs:
-            lines.append(f"a {arc.ilabel} {arc.olabel} {arc.weight!r} {arc.nextstate}")
+        for ilabel, olabel, weight, nextstate in exp.arcs:
+            lines.append(f"a {ilabel} {olabel} {weight!r} {nextstate}")
     body = "".join(line + "\n" for line in lines)
     digest = hashlib.sha256(body.encode()).hexdigest()
     return (f"{CACHE_FORMAT}\n"
@@ -378,9 +427,9 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
         arcs = []
         for arc_row in rows[pos + 1:pos + 1 + n_arcs]:
             il, ol, w, dst = _dump_fields(arc_row, "a", 4)
-            arcs.append(Arc(_dump_int(il, arc_row), _dump_int(ol, arc_row),
-                            _dump_weight(w, arc_row),
-                            _dump_int(dst, arc_row, num_keys)))
+            arcs.append((_dump_int(il, arc_row), _dump_int(ol, arc_row),
+                         _dump_weight(w, arc_row),
+                         _dump_int(dst, arc_row, num_keys)))
         cache.store(state_id, CachedExpansion(tuple(arcs),
                                               _dump_weight(final, row)))
         pos += 1 + n_arcs

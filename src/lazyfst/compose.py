@@ -7,6 +7,13 @@ cached layer.  Both follow the same pairing rule: a t1 arc whose output
 label matches a t2 arc's input label yields one composed arc with the
 weights multiplied, and epsilon moves advance exactly one side.
 
+The lazy kernel joins through t1's OLabelIndex (fst.Fst.olabel_index,
+OpenFst's output-label-sorted left operand with a matcher): each t2 arc's
+input label probes the dict of t1's arcs by output label, so the work
+follows the matches rather than t1's fan-out, and t1's epsilon-output
+arcs come from the same index.  The filter moves are int tables indexed
+by the filter state.
+
 A composed state is a plain `(q1, q2, f)` tuple of ints: t1 state, t2
 state, filter state.  t2's int states must sort the way its arcs do (a
 replace view's encoding guarantees this), so composed arcs sort by their
@@ -22,7 +29,6 @@ representative because one-sided moves commute.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -53,6 +59,13 @@ def advance_eps2(f: FilterState) -> FilterState:
     return FilterState.EPS2_ONLY
 
 
+# The three moves above as tables indexed by filter state, for the kernel.
+MATCH_NEXT = (0, 0, 0, 0)
+EPS1_NEXT = (1, 1, 3, 1)
+EPS2_NEXT = (2, 2, 2, 2)
+BLOCKED = int(FilterState.BLOCKED)
+
+
 class Expansion(NamedTuple):
     """Arcs out of one composed state plus its final weight (ZERO when not
     final).  Each arc is a plain `(ilabel, olabel, weight, (q1, q2, f))`
@@ -67,35 +80,38 @@ def expand_pair_state(key: tuple[int, int, int], t1: Fst, t2) -> Expansion:
 
     `t2` is anything with int states and arcs_of/final_weight/start (an
     Fst or a replace view) whose int order is the order its arcs sort in.
-    The arcs are sorted by their natural tuple order, labels, weight, then
-    the destination (q1, q2, f), which fixes the interning order
-    downstream.
+    Matches come from probing t1's OLabelIndex at q1 with the input label
+    of each of t2's arcs at q2.  The arcs are sorted by their natural
+    tuple order, labels, weight, then the destination (q1, q2, f), which
+    fixes the interning order downstream.
     """
     q1, q2, f = key
-    t2_arcs = t2.arcs_of(q2)
-    t2_ilabels = [a[0] for a in t2_arcs]
-    n2 = len(t2_ilabels)
+    index = t1.olabel_index()
     out: list[tuple] = []
     append = out.append
 
-    nf_eps1 = int(advance_eps1(f))
-    eps1_open = nf_eps1 != FilterState.BLOCKED
-    nf_match = int(advance_match(f))
-    for il1, ol1, w1, d1 in t1.arcs_of(q1):
-        if ol1 == EPS:
-            if eps1_open:
-                append((il1, EPS, w1, (d1, q2, nf_eps1)))
-            continue
-        i = bisect_left(t2_ilabels, ol1)
-        while i < n2 and t2_ilabels[i] == ol1:
-            _, ol2, w2, d2 = t2_arcs[i]
-            append((il1, ol2, w1 + w2, (d1, d2, nf_match)))
-            i += 1
-    nf_eps2 = int(advance_eps2(f))
-    for il2, ol2, w2, d2 in t2_arcs:
-        if il2 != EPS:
-            break  # sorted by ilabel; epsilon arcs come first
-        append((EPS, ol2, w2, (q1, d2, nf_eps2)))
+    nf_eps1 = EPS1_NEXT[f]
+    if nf_eps1 != BLOCKED:
+        for il1, _, w1, d1 in index.eps[q1]:
+            append((il1, EPS, w1, (d1, q2, nf_eps1)))
+    nf_eps2 = EPS2_NEXT[f]
+    labelled = index.labelled[q1]
+    if labelled is None:
+        for il2, ol2, w2, d2 in t2.arcs_of(q2):
+            if il2 != EPS:
+                break  # sorted by ilabel; epsilon arcs come first
+            append((EPS, ol2, w2, (q1, d2, nf_eps2)))
+    else:
+        nf_match = MATCH_NEXT[f]
+        matches_of = labelled.get
+        for il2, ol2, w2, d2 in t2.arcs_of(q2):
+            if il2 == EPS:
+                append((EPS, ol2, w2, (q1, d2, nf_eps2)))
+                continue
+            matches = matches_of(il2)
+            if matches is not None:
+                for il1, _, w1, d1 in matches:
+                    append((il1, ol2, w1 + w2, (d1, d2, nf_match)))
 
     out.sort()
     return Expansion(out, t1.final_weight(q1) + t2.final_weight(q2))

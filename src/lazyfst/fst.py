@@ -5,6 +5,8 @@ arc tuples sorted by (ilabel, olabel, weight, nextstate), a final-weight
 dict, and optional symbol tables.  Label 0 is reserved for epsilon on both
 tapes.  Everything downstream (composition, lazy expansion, decoding)
 iterates arcs in stored order, so the sort is what makes runs reproducible.
+A machine used as composition's left operand also carries an
+OLabelIndex, its arcs grouped by output label, built once.
 """
 
 from __future__ import annotations
@@ -95,6 +97,19 @@ def write_symbols(table: SymbolTable) -> str:
     return "".join(f"{sym}\t{i}\n" for i, sym in enumerate(table.symbols()))
 
 
+class OLabelIndex(NamedTuple):
+    """An Fst's arcs grouped by output label, per state: what composition
+    needs of its left operand (OpenFst's ArcSort(OLabelCompare) plus a
+    matcher).
+
+    `eps[q]` holds q's epsilon-output arcs and `labelled[q]` maps every
+    other output label to q's arcs that carry it, both in stored order.
+    A state without a labelled out-arc has `labelled[q]` None and
+    `eps[q]` its stored arc tuple itself, so it allocates nothing."""
+    eps: tuple[tuple[Arc, ...], ...]
+    labelled: tuple[Optional[dict[int, tuple[Arc, ...]]], ...]
+
+
 class Fst:
     """A frozen WFST.  Use FstBuilder (or the read/compose helpers) to make one.
 
@@ -104,7 +119,7 @@ class Fst:
     """
 
     __slots__ = ("start", "num_states", "_arcs", "finals", "isyms", "osyms",
-                 "_arcs_by_olabel")
+                 "_olabel_index")
 
     def __init__(self, start: int, num_states: int,
                  arcs: Sequence[Sequence[Arc]], finals: dict[int, float],
@@ -133,7 +148,7 @@ class Fst:
         self.finals = dict(finals)
         self.isyms = isyms
         self.osyms = osyms
-        self._arcs_by_olabel: Optional[tuple[tuple[Arc, ...], ...]] = None
+        self._olabel_index: Optional[OLabelIndex] = None
 
     def arcs_of(self, state: int) -> tuple[Arc, ...]:
         return self._arcs[state]
@@ -141,17 +156,27 @@ class Fst:
     def final_weight(self, state) -> float:
         return self.finals.get(state, ZERO)
 
-    def arcs_by_olabel(self, state: int) -> tuple[Arc, ...]:
-        """Arcs of `state` re-sorted by (olabel, ilabel, weight, nextstate).
-
-        Composition matches this machine's output tape against another
-        machine's input tape, so it wants this ordering.  Computed once.
-        """
-        if self._arcs_by_olabel is None:
-            self._arcs_by_olabel = tuple(
-                tuple(sorted(a, key=lambda e: (e.olabel, e.ilabel, e.weight, e.nextstate)))
-                for a in self._arcs)
-        return self._arcs_by_olabel[state]
+    def olabel_index(self) -> OLabelIndex:
+        """This machine's OLabelIndex, built on the first call and kept.
+        build_lexicon_fst calls it, so the lexicon transducer's index is
+        built with the graph, not on its first expansion."""
+        if self._olabel_index is None:
+            eps: list[tuple[Arc, ...]] = []
+            labelled: list[Optional[dict[int, tuple[Arc, ...]]]] = []
+            for arcs in self._arcs:
+                by_label: dict[int, list[Arc]] = {}
+                for arc in arcs:
+                    if arc.olabel != EPS:
+                        by_label.setdefault(arc.olabel, []).append(arc)
+                if by_label:
+                    eps.append(tuple([a for a in arcs if a.olabel == EPS]))
+                    labelled.append({label: tuple(group)
+                                     for label, group in by_label.items()})
+                else:
+                    eps.append(arcs)
+                    labelled.append(None)
+            self._olabel_index = OLabelIndex(tuple(eps), tuple(labelled))
+        return self._olabel_index
 
     @property
     def num_arcs(self) -> int:

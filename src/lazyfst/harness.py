@@ -52,6 +52,7 @@ class Build:
     contacts: list[ContactEntry]
     users: dict[str, list[str]]
     contact_fsts: dict[str, Fst]
+    bindings: dict[str, ClassBinding]   # per user, built once
     utterances: list[dict] = field(default_factory=list)
 
 
@@ -90,8 +91,14 @@ def build_graphs(cfg: dict) -> Build:
     utterances = parse_utterances(read("utterances"),
                                   str(data / cfg["utterances"]), users)
     class_ids = frozenset(word_syms.id_of(c) for c in class_names)
+    if len(class_ids) != 1:
+        raise BuildError(f"contacts bind to exactly one class label, but "
+                         f"{len(class_ids)} are declared")
+    (class_id,) = class_ids
+    bindings = {user: ClassBinding(class_ids, {class_id: fst})
+                for user, fst in contact_fsts.items()}
     return Build(lexicon, phone_syms, word_syms, t1, root, class_ids,
-                 contacts, users, contact_fsts, utterances)
+                 contacts, users, contact_fsts, bindings, utterances)
 
 
 UTTERANCE_FIELDS = (("id", str), ("user", str), ("words", list),
@@ -152,10 +159,11 @@ def write_build(build: Build, out_dir: str | Path) -> dict:
 
 
 def binding_for(build: Build, user: str) -> ClassBinding:
-    if user not in build.contact_fsts:
+    """The user's binding, built once by build_graphs."""
+    binding = build.bindings.get(user)
+    if binding is None:
         raise BuildError(f"unknown user {user!r}")
-    (class_id,) = build.class_ids
-    return ClassBinding(build.class_ids, {class_id: build.contact_fsts[user]})
+    return binding
 
 
 def scores_for(build: Build, cfg: dict, utt: dict):

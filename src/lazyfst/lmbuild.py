@@ -4,9 +4,10 @@ and the monophone contact acceptor.
 The contact pipeline mirrors how out-of-vocabulary names reach the
 decoder: every inventory phone is promoted to a "monophone word", a
 contact's pronunciation is spelled as a sequence of those words closed by
-one SIL word, homophones get auxiliary "#1", "#2", ... labels so the
-union stays determinizable, and the auxiliary labels are epsilon-erased
-after determinization and minimization.
+one SIL word, homophones get auxiliary "#1", "#2", ... labels (ids above
+the shared word table, never registered in it) so the union stays
+determinizable, and the auxiliary labels are epsilon-erased after
+determinization and minimization.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def build_lexicon_fst(lexicon: Lexicon, phone_syms: SymbolTable,
     Each phone occurrence owns one state carrying a phone:eps self-loop,
     so a phone may span any number of consecutive acoustic frames; the
     chain rejoins the loop state through a free eps:eps arc.
+
+    The result is composition's left operand, so its OLabelIndex is built
+    here, with the graph, rather than on the first expansion.
     """
     builder = FstBuilder(phone_syms, word_syms)
     loop = builder.add_state()
@@ -155,7 +159,9 @@ def build_lexicon_fst(lexicon: Lexicon, phone_syms: SymbolTable,
     for phone in lexicon.phones:
         chain([phone], word_syms.id_of(phone), 0.0)
     chain([SIL], EPS, sil_penalty)
-    return builder.freeze(start=loop)
+    fst = builder.freeze(start=loop)
+    fst.olabel_index()
+    return fst
 
 
 def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
@@ -248,9 +254,12 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
 def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable,
                         with_disambig: bool = True) -> tuple[Fst, frozenset[int]]:
     """Star-shaped union of pronunciation chains, one SIL word at the end
-    of each, with "#j" labels inserted before SIL on the j-th occurrence
-    of any duplicated pronunciation.  Returns the FST and the set of
-    auxiliary label ids it used."""
+    of each, with an auxiliary "#j" label inserted before SIL on the j-th
+    occurrence of any duplicated pronunciation.  "#j" is the label
+    `len(word_syms) + j - 1`, above every id of the shared word table and
+    not registered in it, so compiling a user's contacts changes nothing
+    a sealed cache or an open session can see.  Returns the FST and the
+    set of auxiliary label ids it used."""
     if not contacts:
         raise BuildError("empty contact list")
     seqs: list[tuple[list[int], float]] = []
@@ -278,7 +287,7 @@ def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable,
         ids = list(key)
         if with_disambig and group_count[key] > 1:
             occurrence[key] = occurrence.get(key, 0) + 1
-            aux = word_syms.add(f"#{occurrence[key]}")
+            aux = len(word_syms) + occurrence[key] - 1
             disambig_ids.add(aux)
             ids.append(aux)
         ids.append(sil_id)

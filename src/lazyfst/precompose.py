@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cache import CachedExpansion, PublicCache, Session, is_precomposable
-from .compose import expand_pair_state
+from .compose import Expansion, expand_pair_state
 from .decoder import DecodeConfig, ScoreMatrix, decode
 from .errors import ConfigurationError, InvariantError, LazyFstError
-from .fst import Arc, Fst
+from .fst import Fst
 from .replace import ReplaceView, empty_binding, placeholder_binding
 
 logger = logging.getLogger(__name__)
@@ -43,12 +43,10 @@ class PrecomposeConfig:
             raise ConfigurationError("state_budget must be >= 0")
 
 
-def _store_public(cache: PublicCache, state_id: int, t1: Fst,
-                  view: ReplaceView) -> CachedExpansion:
-    raw = expand_pair_state(cache.keys[state_id], t1, view)
-    intern = cache.intern
-    arcs = tuple([Arc(il, ol, w, intern(dst)) for il, ol, w, dst in raw.arcs])
-    made = CachedExpansion(arcs, raw.final)
+def _store_public(cache: PublicCache, state_id: int,
+                  raw: Expansion) -> CachedExpansion:
+    arcs, n_eps = cache.intern_arcs(raw.arcs)
+    made = CachedExpansion(arcs, raw.final, n_eps)
     cache.store(state_id, made)
     return made
 
@@ -86,11 +84,12 @@ def bfs_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
                 logger.warning("bfs_precompose stopped at state budget %d; "
                                "coverage is partial", cfg.state_budget)
                 break
-            exp = _store_public(cache, state_id, t1, view)
-        for arc in exp.arcs:
-            if arc.nextstate not in dist:
-                dist[arc.nextstate] = d + 1
-                queue.append(arc.nextstate)
+            exp = _store_public(cache, state_id,
+                                expand_pair_state(cache.keys[state_id], t1, view))
+        for _, _, _, dst in exp.arcs:
+            if dst not in dist:
+                dist[dst] = d + 1
+                queue.append(dst)
     return cache
 
 
@@ -140,10 +139,7 @@ def warmup_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
                     or stored.final != recomputed.final:
                 raise InvariantError(
                     f"warm-up expansion of {key} depends on the binding")
-            public_id = cache.intern(key)
-            arcs = tuple([Arc(il, ol, w, cache.intern(dst))
-                          for il, ol, w, dst in recomputed.arcs])
-            cache.store(public_id, CachedExpansion(arcs, recomputed.final))
+            _store_public(cache, cache.intern(key), recomputed)
         if budget_hit:
             logger.warning("warmup_precompose stopped at state budget %d; "
                            "coverage is partial", cfg.state_budget)

@@ -19,7 +19,9 @@ order.  So every root id sorts before every inside id, and inside ids
 sort by (cls, qp, ret): arcs sort by their natural tuple order.  Bridge
 states (those with a class out-arc) build and sort an arc list of their
 own; an inside state maps the bound FST's sorted arcs in order and places
-only its exit arc.
+only its exit arc.  The bridge set depends on the root and the class
+labels only, so a public cache computes it once (bridge_states) and
+hands it to every session's view.
 """
 
 from __future__ import annotations
@@ -57,27 +59,39 @@ class ClassBinding:
         return got
 
 
-class ReplaceView:
-    """Fst-like lazy view of the root with class labels substituted."""
+def bridge_states(root: Fst, classes: frozenset[int]) -> frozenset[int]:
+    """The root states with a class out-arc, after checking that every
+    class arc carries its label on both tapes."""
+    bridges = set()
+    for state in root.states():
+        for arc in root.arcs_of(state):
+            if (arc.olabel in classes) != (arc.ilabel in classes) \
+                    or (arc.olabel in classes and arc.ilabel != arc.olabel):
+                raise BuildError(
+                    f"root arc {state}->{arc.nextstate} must carry its class "
+                    "label on both tapes")
+            if arc.olabel in classes:
+                bridges.add(state)
+    return frozenset(bridges)
 
-    def __init__(self, root: Fst, binding: ClassBinding):
+
+class ReplaceView:
+    """Fst-like lazy view of the root with class labels substituted.
+
+    `bridges`, when given, is bridge_states(root, binding.classes),
+    already computed; otherwise the view computes it."""
+
+    def __init__(self, root: Fst, binding: ClassBinding,
+                 bridges: Optional[frozenset[int]] = None):
         self.root = root
         self.binding = binding
         self.classes = binding.classes
         self.isyms = root.isyms
         self.osyms = root.osyms
         self.start = root.start
-        bridges = set()
-        for state in root.states():
-            for arc in root.arcs_of(state):
-                if (arc.olabel in self.classes) != (arc.ilabel in self.classes) \
-                        or (arc.olabel in self.classes and arc.ilabel != arc.olabel):
-                    raise BuildError(
-                        f"root arc {state}->{arc.nextstate} must carry its class "
-                        "label on both tapes")
-                if arc.olabel in self.classes:
-                    bridges.add(state)
-        self.bridges = frozenset(bridges)
+        if bridges is None:
+            bridges = bridge_states(root, self.classes)
+        self.bridges = bridges
         self.num_root = root.num_states
         # first id of each bound class's region of inside states
         self._first: dict[int, int] = {}

@@ -281,6 +281,29 @@ def composed_arc_key(t2, arc) -> tuple:
     return (ilabel, olabel, weight, q1, view_state_key(t2, q2), f)
 
 
+def pair_state_arcs(key, t1, t2) -> list:
+    """Arcs out of one composed state `(q1, q2, f)`, by the pairing rule
+    applied to every pair of a t1 arc and a t2 arc, with no index: equal
+    non-epsilon t1 output and t2 input match into filter state 0; a t1
+    epsilon output moves into state 1 unless t2 moves have started
+    (f == 2); a t2 epsilon input moves into state 2.  Sorted by
+    composed_arc_key."""
+    q1, q2, f = key
+    out = []
+    for il1, ol1, w1, d1 in t1.arcs_of(q1):
+        if ol1 == EPS:
+            if f != 2:
+                out.append((il1, EPS, w1, (d1, q2, 1)))
+            continue
+        for il2, ol2, w2, d2 in t2.arcs_of(q2):
+            if il2 == ol1:
+                out.append((il1, ol2, w1 + w2, (d1, d2, 0)))
+    for il2, ol2, w2, d2 in t2.arcs_of(q2):
+        if il2 == EPS:
+            out.append((EPS, ol2, w2, (q1, d2, 2)))
+    return sorted(out, key=lambda arc: composed_arc_key(t2, arc))
+
+
 def edit_distance(ref, hyp) -> int:
     """Plain Levenshtein, for cross-checking the harness scorer."""
     rows = len(ref) + 1

@@ -233,15 +233,14 @@ class TestIdSpace:
         seen, stack = {sid}, [sid]
         while stack:
             cur = stack.pop()
-            for arc in expand(cur, session).arcs:
-                if arc.nextstate >= session.num_public or \
-                        arc.nextstate not in cache.expanded:
-                    frontier = arc.nextstate
+            for _, _, _, dst in expand(cur, session).arcs:
+                if dst >= session.num_public or dst not in cache.expanded:
+                    frontier = dst
                     stack.clear()
                     break
-                if arc.nextstate not in seen:
-                    seen.add(arc.nextstate)
-                    stack.append(arc.nextstate)
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
         assert frontier is not None, "graph entirely public; deepen the test"
         before = counts()
         expand(frontier, session)

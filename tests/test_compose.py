@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import composed_arc_key, enumerate_language, relation_compose
-from strategies import acyclic_fst
-from lazyfst.compose import (FilterState, compose_static, compose_static_full,
+from oracles import (composed_arc_key, enumerate_language, pair_state_arcs,
+                     relation_compose)
+from strategies import acyclic_fst, dyadic_weights
+from lazyfst.compose import (EPS1_NEXT, EPS2_NEXT, MATCH_NEXT, FilterState,
+                             compose_static, compose_static_full,
                              expand_pair_state)
 from lazyfst.errors import CompositionSizeError
 from lazyfst.fst import EPS, FstBuilder
@@ -74,6 +77,10 @@ class TestEpsilonFilter:
         assert advance_eps1(FilterState.ANY) == FilterState.EPS1_ONLY
         assert advance_eps1(FilterState.EPS2_ONLY) == FilterState.BLOCKED
         assert advance_eps2(FilterState.EPS1_ONLY) == FilterState.EPS2_ONLY
+        for f in FilterState:
+            assert MATCH_NEXT[f] == advance_match(f)
+            assert EPS1_NEXT[f] == advance_eps1(f)
+            assert EPS2_NEXT[f] == advance_eps2(f)
 
 
 class TestDualRoutes:
@@ -110,6 +117,77 @@ class TestDualRoutes:
         exp = expand_pair_state((0, 0, FilterState.ANY), t1, t2)
         keys = [composed_arc_key(t2, a) for a in exp.arcs]
         assert keys == sorted(keys)
+
+
+LIVE_FILTER_STATES = [FilterState.ANY, FilterState.EPS1_ONLY,
+                      FilterState.EPS2_ONLY]   # BLOCKED is never created
+
+
+def _wide_pair():
+    """t1 state 0 writes 22 labelled arcs over output labels 1..21, two of
+    them on label 5, plus two epsilon-output arcs.  t2 state 0 reads two
+    epsilon-input arcs, two arcs on input label 5, arcs on 2, 7 and 21, and
+    one on 40, which no t1 arc writes."""
+    t1_arcs = [(0, 100 + ol, ol, 0.25 * (ol % 3), ol) for ol in range(1, 22)]
+    t1_arcs += [(0, 150, 5, 0.5, 22), (0, 160, EPS, 0.75, 23),
+                (0, EPS, EPS, 0.25, 24)]
+    t1 = _machine(t1_arcs, {1: 0.0, 23: 0.5}, 25)
+    t2 = _machine([(0, EPS, 50, 0.5, 1), (0, EPS, EPS, 0.25, 2),
+                   (0, 5, 51, 0.0, 3), (0, 5, 52, 0.25, 4),
+                   (0, 2, 53, 0.0, 5), (0, 7, 54, 0.5, 6),
+                   (0, 21, 55, 0.0, 7), (0, 40, 56, 0.0, 8)], {0: 0.25}, 9)
+    return t1, t2
+
+
+@st.composite
+def wide_pair(draw):
+    """A t1 state with 20 to 30 arcs over few output labels, so labels
+    repeat, against a t2 state whose input labels may be epsilon and may
+    repeat, and a live filter state."""
+    labels = st.integers(min_value=EPS, max_value=6)
+    t1_arcs = [(0, draw(st.integers(min_value=EPS, max_value=4)),
+                draw(labels), draw(dyadic_weights()),
+                draw(st.integers(min_value=1, max_value=5)))
+               for _ in range(draw(st.integers(min_value=20, max_value=30)))]
+    t2_arcs = [(0, draw(labels), draw(st.integers(min_value=EPS, max_value=3)),
+                draw(dyadic_weights()),
+                draw(st.integers(min_value=1, max_value=5)))
+               for _ in range(draw(st.integers(min_value=1, max_value=12)))]
+    t1 = _machine(t1_arcs, {0: 0.5}, 6)
+    t2 = _machine(t2_arcs, {0: 0.25, 2: 0.0}, 6)
+    return t1, t2, int(draw(st.sampled_from(LIVE_FILTER_STATES)))
+
+
+class TestIndexJoin:
+    @pytest.mark.parametrize("f", LIVE_FILTER_STATES)
+    def test_wide_state_matches_pairwise_rule(self, f):
+        t1, t2 = _wide_pair()
+        key = (0, 0, int(f))
+        exp = expand_pair_state(key, t1, t2)
+        assert exp.arcs == pair_state_arcs(key, t1, t2)
+        # both t1 arcs writing 5 meet both t2 arcs reading 5
+        assert len([a for a in exp.arcs if a[1] in (51, 52)]) == 4
+        assert len([a for a in exp.arcs if a[0] == EPS]) == \
+            (3 if f != FilterState.EPS2_ONLY else 2)
+        assert exp.final == t1.final_weight(0) + t2.final_weight(0)
+
+    def test_wide_state_matches_static_route(self):
+        t1, t2 = _wide_pair()
+        full = compose_static_full(t1, t2)
+        key_of = {sid: key for key, sid in full.state_of.items()}
+        static = [(a.ilabel, a.olabel, a.weight, key_of[a.nextstate])
+                  for a in full.fst.arcs_of(0)]
+        exp = expand_pair_state((0, 0, int(FilterState.ANY)), t1, t2)
+        assert sorted(exp.arcs) == sorted(static)
+
+    @given(wide_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_random_wide_state_matches_pairwise_rule(self, case):
+        t1, t2, f = case
+        key = (0, 0, f)
+        exp = expand_pair_state(key, t1, t2)
+        assert exp.arcs == pair_state_arcs(key, t1, t2)
+        assert exp.final == t1.final_weight(0) + t2.final_weight(0)
 
 
 class TestLimitsAndNumbering:

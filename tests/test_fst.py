@@ -82,9 +82,32 @@ class TestFstCore:
         b.ensure_state(1)
         b.add_arc(0, 1, 3, 0.0, 1)
         b.add_arc(0, 2, 1, 0.0, 1)
+        b.add_arc(0, 3, 1, 0.0, 1)
+        b.add_arc(0, 4, EPS, 0.0, 1)
         b.set_final(1)
         f = b.freeze()
-        assert [a.olabel for a in f.arcs_by_olabel(0)] == [1, 3]
+        index = f.olabel_index()
+        assert index.eps[0] == (Arc(4, EPS, 0.0, 1),)
+        assert index.labelled[0] == {1: (Arc(2, 1, 0.0, 1), Arc(3, 1, 0.0, 1)),
+                                     3: (Arc(1, 3, 0.0, 1),)}
+
+    def test_olabel_index_built_once(self):
+        f = linear([1, 2])
+        assert f.olabel_index() is f.olabel_index()
+
+    def test_olabel_index_allocates_nothing_without_labelled_arcs(self):
+        b = FstBuilder()
+        b.ensure_state(2)
+        b.add_arc(0, 1, 5, 0.0, 1)
+        b.add_arc(1, 2, EPS, 0.0, 2)
+        b.add_arc(1, EPS, EPS, 0.5, 2)
+        b.set_final(2)
+        f = b.freeze()
+        index = f.olabel_index()
+        for state in (1, 2):
+            assert index.eps[state] is f.arcs_of(state)
+            assert index.labelled[state] is None
+        assert index.eps[0] == () and index.labelled[0] is not None
 
 
 class TestTextFormat:

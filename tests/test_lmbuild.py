@@ -310,9 +310,28 @@ class TestContactPipeline:
                     ContactEntry("anna", [["AA", "N"]]),
                     ContactEntry("bo", [["B", "O"], ["B", "AA"]])]
         union, disambig = naive_contact_union(contacts, word_syms)
-        assert {word_syms.sym_of(d) for d in disambig} == {"#1", "#2"}
+        # "#1" and "#2": two distinct ids above the word table, gone after
+        # remove_disambig
+        assert len(disambig) == 2
+        assert all(d >= len(word_syms) for d in disambig)
+        erased = remove_disambig(union, disambig)
+        assert not {label for q in erased.states()
+                    for a in erased.arcs_of(q)
+                    for label in (a.ilabel, a.olabel)} & disambig
         first_weights = sorted(a.weight for a in union.arcs_of(union.start))
         assert first_weights == [0.0, 0.0, math.log(2.0), math.log(2.0)]
+
+    def test_contact_compilation_leaves_word_table_unchanged(self):
+        word_syms = self.syms()
+        size, before = len(word_syms), word_syms.symbols()
+        contacts = [ContactEntry("ana", [["AA", "N"]]),
+                    ContactEntry("anna", [["AA", "N"]]),
+                    ContactEntry("nana", [["AA", "N"]]),
+                    ContactEntry("bo", [["B", "O"], ["B", "AA"]])]
+        build_contact_fst(contacts, word_syms)
+        build_contact_fst(contacts[1:], word_syms)
+        assert len(word_syms) == size
+        assert [word_syms.id_of(sym) for sym in before] == list(range(size))
 
     def test_unknown_phone_and_empty_list(self):
         word_syms = self.syms()

@@ -61,8 +61,8 @@ class TestBfs:
         t1, root, _ = scn
         cache = bfs_precompose(t1, root, pre_cfg(3))
         for exp in cache.expanded.values():
-            for arc in exp.arcs:
-                assert 0 <= arc.nextstate < cache.num_public
+            for _, _, _, dst in exp.arcs:
+                assert 0 <= dst < cache.num_public
 
     def test_budget_stops_expansion_but_result_still_seals(self):
         t1, _, _ = fixed_scenario()
