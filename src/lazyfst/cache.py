@@ -20,7 +20,7 @@ simply expanded into the private layer on first use.  Each layer interns
 all destinations of one expansion in one call (PublicCache.intern_arcs,
 Session.intern_arcs, which hold the public and the private-first rule),
 and that pass also builds the cached arcs, plain `(ilabel, olabel,
-weight, nextstate)` tuples, and counts the epsilon-input ones.
+weight, nextstate)` tuples.
 Session.lookup holds the two-layer rule and counts a public_hit or
 private_hit when it finds the state; expand is lookup or else build, and
 counts an otf_expansion when it builds.  The decoder resolves each state
@@ -61,20 +61,17 @@ class CachedExpansion:
     Composed arcs are sorted by ilabel first (compose.expand_pair_state) and
     EPS is 0, so the epsilon-input arcs are the first `n_eps` arcs and the
     emitting arcs are the rest; the decoder's closure and emit step each
-    walk only their own slice.  `n_eps` is counted here unless the
-    interning pass that built the arcs passes its count."""
+    walk only their own slice."""
     __slots__ = ("arcs", "final", "n_eps")
 
-    def __init__(self, arcs: tuple[CachedArc, ...], final: float,
-                 n_eps: Optional[int] = None):
+    def __init__(self, arcs: tuple[CachedArc, ...], final: float):
         self.arcs = arcs
         self.final = final
-        if n_eps is None:
-            n_eps = 0
-            for arc in arcs:
-                if arc[0] != EPS:
-                    break
-                n_eps += 1
+        n_eps = 0
+        for arc in arcs:
+            if arc[0] != EPS:
+                break
+            n_eps += 1
         self.n_eps = n_eps
 
     def __eq__(self, other):
@@ -135,29 +132,26 @@ class PublicCache:
         arcs checked, once per cache rather than once per session."""
         return bridge_states(self.root, self.classes)
 
-    def intern_arcs(self, arcs: RawArcs) -> tuple[tuple[CachedArc, ...], int]:
+    def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
         """Intern every destination key of `arcs` in one pass, a known key
         keeping its id and a new one taking the next; return the arcs with
-        ids for keys, and how many have an epsilon input."""
+        ids for keys."""
         if self.sealed:
             raise ConfigurationError("public state table is sealed")
         ids = self.ids
         keys = self.keys
         out = []
-        n_eps = 0
         for il, ol, w, key in arcs:
             got = ids.get(key)
             if got is None:
                 got = ids[key] = len(keys)
                 keys.append(key)
-            if il == EPS:
-                n_eps += 1
             out.append((il, ol, w, got))
-        return tuple(out), n_eps
+        return tuple(out)
 
     def intern(self, key: tuple[int, int, int]) -> int:
         """The id of one key, by intern_arcs' rule."""
-        ((_, _, _, state_id),), _ = self.intern_arcs(((EPS, EPS, ZERO, key),))
+        ((_, _, _, state_id),) = self.intern_arcs(((EPS, EPS, ZERO, key),))
         return state_id
 
     def store(self, state_id: int, expansion: CachedExpansion) -> None:
@@ -235,9 +229,9 @@ class Session:
             return self.cache.keys[state_id]
         return self.private_keys[state_id - self.num_public]
 
-    def intern_arcs(self, arcs: RawArcs) -> tuple[tuple[CachedArc, ...], int]:
+    def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
         """Intern every destination key of `arcs` in one pass; return the
-        arcs with ids for keys, and how many have an epsilon input.
+        arcs with ids for keys.
 
         Private first: a key is interned privately only when it had no
         public id below num_public, and those ids never change while the
@@ -248,7 +242,6 @@ class Session:
         num_public = self.num_public
         keys = self.private_keys
         out = []
-        n_eps = 0
         for il, ol, w, key in arcs:
             got = private_ids.get(key)
             if got is None:
@@ -256,14 +249,12 @@ class Session:
                 if got is None or got >= num_public:
                     got = private_ids[key] = num_public + len(keys)
                     keys.append(key)
-            if il == EPS:
-                n_eps += 1
             out.append((il, ol, w, got))
-        return tuple(out), n_eps
+        return tuple(out)
 
     def intern(self, key: tuple[int, int, int]) -> int:
         """The id of one key, by intern_arcs' rule."""
-        ((_, _, _, state_id),), _ = self.intern_arcs(((EPS, EPS, ZERO, key),))
+        ((_, _, _, state_id),) = self.intern_arcs(((EPS, EPS, ZERO, key),))
         return state_id
 
     def start_id(self) -> int:
@@ -301,8 +292,7 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
         return cached
     raw = expand_pair_state(session.key_of(state_id), session.cache.t1,
                             session.view)
-    arcs, n_eps = session.intern_arcs(raw.arcs)
-    made = CachedExpansion(arcs, raw.final, n_eps)
+    made = CachedExpansion(session.intern_arcs(raw.arcs), raw.final)
     session.private_exp[state_id] = made
     session.metrics.otf_expansion += 1
     return made

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import BuildError, InvariantError, ParseError
 from .fst import EPS, Arc, Fst, FstBuilder, SymbolTable
@@ -258,8 +259,10 @@ def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable,
     occurrence of any duplicated pronunciation.  "#j" is the label
     `len(word_syms) + j - 1`, above every id of the shared word table and
     not registered in it, so compiling a user's contacts changes nothing
-    a sealed cache or an open session can see.  Returns the FST and the
-    set of auxiliary label ids it used."""
+    a sealed cache or an open session can see.  The union therefore
+    carries no symbol tables (nor do determinize_acyclic and
+    minimize_acyclic of it); remove_disambig attaches them.  Returns the
+    FST and the set of auxiliary label ids it used."""
     if not contacts:
         raise BuildError("empty contact list")
     seqs: list[tuple[list[int], float]] = []
@@ -293,7 +296,7 @@ def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable,
         ids.append(sil_id)
         seqs.append((ids, weight))
 
-    builder = FstBuilder(word_syms, word_syms)
+    builder = FstBuilder()
     start = builder.add_state()
     for ids, weight in seqs:
         src = start
@@ -415,9 +418,16 @@ def minimize_acyclic(fst: Fst) -> Fst:
     return builder.freeze(start=renum[rep[fst.start]])
 
 
-def remove_disambig(fst: Fst, disambig_ids: frozenset[int]) -> Fst:
-    """Replace auxiliary labels by epsilon; exact duplicates collapse."""
-    builder = FstBuilder(fst.isyms, fst.osyms)
+def remove_disambig(fst: Fst, disambig_ids: frozenset[int],
+                    syms: Optional[SymbolTable] = None) -> Fst:
+    """Replace auxiliary labels by epsilon; exact duplicates collapse.
+    The result carries `syms` as both symbol tables when given (the
+    auxiliary labels lie outside the table, so the input carries none),
+    and the input's tables otherwise."""
+    if syms is None:
+        builder = FstBuilder(fst.isyms, fst.osyms)
+    else:
+        builder = FstBuilder(syms, syms)
     builder.ensure_state(fst.num_states - 1)
     for state in fst.states():
         emitted: set[Arc] = set()
@@ -445,4 +455,4 @@ def build_contact_fst(contacts: list[ContactEntry],
             raise InvariantError("contact FST not input-deterministic "
                                  "before disambiguation-symbol removal")
     minimized = minimize_acyclic(det)
-    return remove_disambig(minimized, disambig_ids)
+    return remove_disambig(minimized, disambig_ids, word_syms)

@@ -45,8 +45,7 @@ class PrecomposeConfig:
 
 def _store_public(cache: PublicCache, state_id: int,
                   raw: Expansion) -> CachedExpansion:
-    arcs, n_eps = cache.intern_arcs(raw.arcs)
-    made = CachedExpansion(arcs, raw.final, n_eps)
+    made = CachedExpansion(cache.intern_arcs(raw.arcs), raw.final)
     cache.store(state_id, made)
     return made
 

@@ -371,6 +371,25 @@ class TestContactPipeline:
         assert acceptor_language(fst) == self.expected_language(contacts,
                                                                 word_syms)
 
+    def test_every_stage_can_be_written(self):
+        # The auxiliary labels lie outside the word table, so the stages
+        # that still carry them have no symbol table and write numbers;
+        # only remove_disambig's result names its labels.
+        word_syms = self.syms()
+        contacts = [ContactEntry("ana", [["AA", "N"]]),
+                    ContactEntry("anna", [["AA", "N"]])]
+        union, disambig = naive_contact_union(contacts, word_syms)
+        det = determinize_acyclic(union)
+        mini = minimize_acyclic(det)
+        for stage in (union, det, mini):
+            assert stage.isyms is None and stage.osyms is None
+            write_text_fst(stage)
+        final = remove_disambig(mini, disambig, word_syms)
+        assert final.isyms is word_syms and final.osyms is word_syms
+        assert "SIL" in write_text_fst(final)
+        assert write_text_fst(build_contact_fst(contacts, word_syms)) == \
+            write_text_fst(final)
+
     def test_pipeline_collapses_shared_suffixes(self):
         word_syms = self.syms()
         contacts = [ContactEntry("an", [["AA", "N"]]),
