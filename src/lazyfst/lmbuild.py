@@ -421,13 +421,9 @@ def minimize_acyclic(fst: Fst) -> Fst:
 def remove_disambig(fst: Fst, disambig_ids: frozenset[int],
                     syms: Optional[SymbolTable] = None) -> Fst:
     """Replace auxiliary labels by epsilon; exact duplicates collapse.
-    The result carries `syms` as both symbol tables when given (the
-    auxiliary labels lie outside the table, so the input carries none),
-    and the input's tables otherwise."""
-    if syms is None:
-        builder = FstBuilder(fst.isyms, fst.osyms)
-    else:
-        builder = FstBuilder(syms, syms)
+    The result carries `syms` as both symbol tables: the auxiliary labels
+    lie outside the word table, so the input carries none."""
+    builder = FstBuilder(syms, syms)
     builder.ensure_state(fst.num_states - 1)
     for state in fst.states():
         emitted: set[Arc] = set()
