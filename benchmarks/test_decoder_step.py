@@ -19,13 +19,14 @@ from lazyfst.decoder import _emit, _eps_closure, _prune, decode
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 
 USER = "u01"
-ACTIVE, EMITTED, CLOSED = 98, 152, 40   # tokens at the benchmarked frame
+ACTIVE, EMITTED, CLOSED = 98, 29, 40   # tokens at the benchmarked frame
 
 
 @pytest.fixture(scope="module")
 def frame(desk):
-    """(session, decode config, active tokens with their expansions, and
-    the frame's acoustic row) at the middle frame of the utterance."""
+    """(session, decode config, active tokens, each carrying its
+    expansion, and the frame's acoustic row) at the middle frame of the
+    utterance."""
     cfg, build = desk
     cache, _ = precompose_cache(build, cfg, "both")
     session = Session(cache, binding_for(build, USER))
@@ -33,27 +34,27 @@ def frame(desk):
     scores = scores_for(build, cfg, utt)
     dec_cfg = decode_config(cfg)
     assert decode(scores, session, dec_cfg) is not None
-    tokens, exps, floor = _eps_closure({session.start_id(): (0.0, None)},
-                                       session, dec_cfg)
+    tokens, floor = _eps_closure({session.start_id(): (0.0, None)},
+                                 session, dec_cfg)
     active = _prune(tokens, floor, dec_cfg)
     middle = scores.num_frames // 2
     for t in range(middle):
-        tokens, exps, floor = _eps_closure(
-            _emit(active, exps, scores.row(t)), session, dec_cfg)
+        tokens, floor = _eps_closure(
+            _emit(active, scores.row(t), dec_cfg.beam), session, dec_cfg)
         active = _prune(tokens, floor, dec_cfg)
-    return session, dec_cfg, active, exps, scores.row(middle)
+    return session, dec_cfg, active, scores.row(middle)
 
 
 def test_emit_step(benchmark, frame):
-    _, _, active, exps, row = frame
-    emitted = benchmark(_emit, active, exps, row)
+    _, dec_cfg, active, row = frame
+    emitted = benchmark(_emit, active, row, dec_cfg.beam)
     assert (len(active), len(emitted)) == (ACTIVE, EMITTED)
 
 
 def test_eps_closure(benchmark, frame):
-    session, dec_cfg, active, exps, row = frame
-    emitted = _emit(active, exps, row)
+    session, dec_cfg, active, row = frame
+    emitted = _emit(active, row, dec_cfg.beam)
     before = session.metrics.otf_expansion
-    tokens, _, _ = benchmark(_eps_closure, emitted, session, dec_cfg)
+    tokens, _ = benchmark(_eps_closure, emitted, session, dec_cfg)
     assert session.metrics.otf_expansion == before
     assert len(tokens) == CLOSED

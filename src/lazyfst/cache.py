@@ -21,12 +21,15 @@ all destinations of one expansion in one call (PublicCache.intern_arcs,
 Session.intern_arcs, which hold the public and the private-first rule),
 and that pass also builds the cached arcs, plain `(ilabel, olabel,
 weight, nextstate)` tuples.
-Session.lookup holds the two-layer rule and counts a public_hit or
-private_hit when it finds the state; expand is lookup or else build, and
-counts an otf_expansion when it builds.  The decoder resolves each state
-its epsilon closure returns once per frame, so the hits count one per
-state a closure returns, per frame, and every such state increments
-exactly one of public_hit / private_hit / otf_expansion.
+Session.lookup holds the two-layer rule for one state and counts a
+public_hit or private_hit when it finds the state; expand is lookup or
+else build, and counts an otf_expansion when it builds.  The decoder's
+epsilon closure (decoder._eps_closure) applies the same rule to every
+state it resolves, reading the two layer dicts directly, and adds its
+hits to the session's metrics once per closure.  It resolves each state
+it returns once per frame, so the hits count one per state a closure
+returns, per frame, and every such state increments exactly one of
+public_hit / private_hit / otf_expansion.
 """
 
 from __future__ import annotations
@@ -262,7 +265,9 @@ class Session:
 
     def lookup(self, state_id: int) -> Optional[CachedExpansion]:
         """The stored expansion of `state_id`, public layer first, counting
-        the hit; None when neither layer holds it yet."""
+        the hit; None when neither layer holds it yet.  This is the
+        one-state form of the rule decoder._eps_closure applies inline to
+        every state it resolves."""
         if self.ended:
             raise ConfigurationError("session already ended")
         if state_id < self.num_public:

@@ -114,7 +114,9 @@ def expand_pair_state(key: tuple[int, int, int], t1: Fst, t2) -> Expansion:
                     append((il1, ol2, w1 + w2, (d1, d2, nf_match)))
 
     out.sort()
-    return Expansion(out, t1.final_weight(q1) + t2.final_weight(q2))
+    final = t1.final_weight(q1) + t2.final_weight(q2)
+    # A sum of ZEROs is a new inf object; every non-final state shares ZERO.
+    return Expansion(out, ZERO if final == ZERO else final)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,30 @@
 """Frame-synchronous Viterbi beam decoding over the two-layer lazy graph.
 
-The decoder only ever sees composed states through Session.lookup and
-cache.expand, so the same code serves fully dynamic, BFS-pre-composed and
-warmed-up graphs; which layer answered is visible purely in the counters.
-Each frame is Kaldi's ProcessEmitting/ProcessNonemitting split: the emit
-step walks only emitting arcs, the epsilon closure only epsilon arcs, and
-the closure resolves each state it returns once, handing the expansions
-on to the next emit step.  Acoustic input is a cost matrix (frames x
-input labels); a tiny simulator fabricates such matrices from reference
-label sequences so the whole pipeline runs without any audio dependency.
+The decoder only ever sees composed states through the two cache layers
+and cache.expand, so the same code serves fully dynamic, BFS-pre-composed
+and warmed-up graphs; which layer answered is visible purely in the
+counters.  Each frame is Kaldi's ProcessEmitting/ProcessNonemitting
+split: the emit step walks only emitting arcs, the epsilon closure only
+epsilon arcs.  The closure resolves each state it returns once, by
+Session.lookup's rule but reading the layers directly, and counts the
+public and private hits into the session's metrics once per closure; each
+token it returns carries its expansion on to the next emit step.
+Acoustic input is a cost matrix (frames x input labels); a tiny simulator
+fabricates such matrices from reference label sequences so the whole
+pipeline runs without any audio dependency.
 
-The beam is applied inside the epsilon closure, as the cutoff in Kaldi's
-lattice-faster-decoder, rather than after it.  This is exact because no
-graph weight is negative (semiring.is_member; Fst.freeze and
-load_public_cache enforce it): a closure never goes below its cheapest
-seed, so the cost floor pruning measures from is known before the
-closure starts, and a token above floor + beam has no descendant within
-the beam.  The closure therefore drops such tokens before it looks them
-up, relaxes from them or expands them, and hands pruning only tokens it
-would keep; pruning then only cuts to max_active.
+The beam is applied as the cutoffs in Kaldi's lattice-faster-decoder.
+This is exact because no graph weight is negative (semiring.is_member;
+Fst.freeze and load_public_cache enforce it): a closure never goes below
+its cheapest seed, so the cost floor pruning measures from is known
+before the closure starts, and a token above floor + beam has no
+descendant within the beam.  The closure therefore drops such tokens
+before it looks them up, relaxes from them or expands them, and hands
+pruning only tokens it would keep; pruning then only cuts to max_active.
+The emit step scans the cheapest active token's emitting arcs first and
+skips every arc above the cheapest cost they produce plus the beam.  That
+cost is a real emitted cost, so it is at or above the next closure's
+floor, and the emit cutoff drops only tokens the closure would drop.
 
 Determinism: tokens are processed in ascending state-id order, epsilon
 closure settles states in (cost, state id) order, and every equal-cost
@@ -32,15 +38,30 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from numbers import Integral, Real
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cache import CachedExpansion, Session, expand
+from .cache import Session, expand
 from .errors import CompositionSizeError, ConfigurationError
 from .fst import EPS
 from .metrics import Metrics
 from .semiring import ZERO
+
+
+def _is_real(value) -> bool:
+    """A real number, numpy's included; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, Real)
+
+
+def require_count(name: str, value) -> None:
+    """ConfigurationError unless `value` is an integer >= 1, numpy's
+    included; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) \
+            or value < 1:
+        raise ConfigurationError(
+            f"{name} must be an integer >= 1, not {value!r}")
 
 
 @dataclass
@@ -53,27 +74,30 @@ class DecodeConfig:
     max_eps_pops: int = 200_000
 
     def __post_init__(self):
-        if isinstance(self.beam, bool) or not isinstance(self.beam, Real) \
-                or not self.beam > 0:
+        if not (_is_real(self.beam) and self.beam > 0):
             raise ConfigurationError(
                 f"beam must be a positive number, not {self.beam!r}")
         for name in ("max_active", "max_eps_pops"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) \
-                    or value < 1:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 1, not {value!r}")
+            require_count(name, getattr(self, name))
 
 
 class ScoreMatrix:
-    """Per-frame, per-input-label tropical costs; column 0 (epsilon) is +inf."""
+    """Per-frame, per-input-label tropical costs; column 0 (epsilon) is +inf.
+
+    The costs are copied, so the caller's array is never written.  A cost
+    may be any float but NaN or -inf."""
 
     def __init__(self, costs: np.ndarray, frame_seconds: float = 0.01):
-        self._m = np.asarray(costs, dtype=np.float64)
+        self._m = np.array(costs, dtype=np.float64)
         if self._m.ndim != 2:
             raise ConfigurationError("score matrix must be frames x labels")
+        if not (self._m > -np.inf).all():
+            raise ConfigurationError("score matrix holds a NaN or -inf cost")
         if self._m.shape[1] > 0:
             self._m[:, EPS] = np.inf
+        if not (_is_real(frame_seconds) and 0 < frame_seconds < np.inf):
+            raise ConfigurationError(f"frame_seconds must be a positive "
+                                     f"number, not {frame_seconds!r}")
         self.frame_seconds = frame_seconds
 
     @property
@@ -99,8 +123,18 @@ def simulate_scores(ref_labels: Sequence[int], num_labels: int, *,
     Each reference label occupies `frames_per_label` frames.  On its
     frames the correct label costs noise*u and every other label costs
     margin + noise*u with u ~ U[0,1) from a seeded generator, so at zero
-    noise the per-frame argmin is exactly the reference.
+    noise the per-frame argmin is exactly the reference.  A
+    frames_per_label that is not an integer >= 1, a margin that is not a
+    finite number or a noise that is not a finite number >= 0 is a
+    ConfigurationError.
     """
+    require_count("frames_per_label", frames_per_label)
+    if not (_is_real(margin) and -np.inf < margin < np.inf):
+        raise ConfigurationError(
+            f"margin must be a finite number, not {margin!r}")
+    if not (_is_real(noise) and 0 <= noise < np.inf):
+        raise ConfigurationError(
+            f"noise must be a finite number >= 0, not {noise!r}")
     rng = np.random.default_rng(seed)
     frames = len(ref_labels) * frames_per_label
     u = rng.random((frames, num_labels))
@@ -130,11 +164,14 @@ def rtf(h: Hypothesis) -> float:
     return h.wall_seconds / audio
 
 
-_Token = tuple  # (cost, trace); trace is None or (parent_trace, olabel)
+# A closure's token: (cost, trace, expansion); trace is None or
+# (parent_trace, olabel).  Emitted tokens carry (cost, trace) only.
+_Token = tuple
+_cost = itemgetter(0)
 
 
 def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
-                 ) -> tuple[dict[int, _Token], dict[int, CachedExpansion], float]:
+                 ) -> tuple[dict[int, _Token], float]:
     """Extend `tokens` along epsilon-input arcs, settling states in
     (cost, state id) order, and keep only tokens within cfg.beam of the
     cheapest seed.
@@ -143,65 +180,88 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
     cost the closure can reach: the floor is known up front, and a seed
     or relaxation above floor + cfg.beam is dropped before it is looked
     up or pushed.  Every state kept is resolved once: a seed or a newly
-    reached state through Session.lookup, and a state neither layer
-    holds through expand when it is settled.  A resolved state without
-    epsilon arcs relaxes nothing, so it never enters the heap.  Returns
-    the tokens, the expansion of each and the floor.
+    reached state from the two cache layers, by Session.lookup's rule
+    (the public layer below session.num_public, then the private layer),
+    and a state neither layer holds through expand when it is settled.
+    The public and private hits are added to session.metrics once, when
+    the closure ends.  A resolved state without epsilon arcs relaxes
+    nothing, so it never enters the heap.  A relaxation is pushed only
+    when it strictly lowers a state's cost, so a heap entry whose cost is
+    not the state's current cost is stale and every state is settled at
+    most once.  Returns the tokens, each carrying its expansion, and the
+    floor.
     """
+    if session.ended:
+        raise ConfigurationError("session already ended")
     floor = ZERO
     for tok in tokens.values():
         if tok[0] < floor:
             floor = tok[0]
     limit = floor + cfg.beam
+    public = session.cache.expanded
+    private = session.private_exp
+    num_public = session.num_public
+    public_hits = private_hits = 0
     best: dict[int, _Token] = {}
-    exps: dict[int, CachedExpansion] = {}
-    lookup = session.lookup
     heap: list[tuple[float, int]] = []
     for sid, tok in tokens.items():
         cost = tok[0]
         if not cost <= limit:
             continue
-        best[sid] = tok
-        exp = lookup(sid)
+        exp = public.get(sid) if sid < num_public else None
         if exp is not None:
-            exps[sid] = exp
-            if not exp.n_eps:
-                continue
-        heap.append((cost, sid))
+            public_hits += 1
+        else:
+            exp = private.get(sid)
+            if exp is not None:
+                private_hits += 1
+        best[sid] = (cost, tok[1], exp)
+        if exp is None or exp.n_eps:
+            heap.append((cost, sid))
     heapify(heap)
-    settled: set[int] = set()
+    pops = 0
     max_pops = cfg.max_eps_pops
-    while heap:
-        cost, sid = heappop(heap)
-        tok = best[sid]
-        if cost > tok[0] or sid in settled:
-            continue
-        settled.add(sid)
-        if len(settled) > max_pops:
-            raise CompositionSizeError(
-                f"epsilon closure exceeded {max_pops} settlements")
-        exp = exps.get(sid)
-        if exp is None:
-            exp = exps[sid] = expand(sid, session)
-        trace = tok[1]
-        for _, olabel, weight, dst in exp.arcs[:exp.n_eps]:
-            new_cost = cost + weight
-            if new_cost > limit:
+    try:
+        while heap:
+            cost, sid = heappop(heap)
+            tok = best[sid]
+            if cost != tok[0]:
                 continue
-            cur = best.get(dst)
-            if cur is None:
-                dst_exp = lookup(dst)
-                if dst_exp is not None:
-                    exps[dst] = dst_exp
-            elif new_cost < cur[0]:
-                dst_exp = exps.get(dst)
-            else:
-                continue
-            best[dst] = (new_cost,
-                         trace if olabel == EPS else (trace, olabel))
-            if dst_exp is None or dst_exp.n_eps:
-                heappush(heap, (new_cost, dst))
-    return best, exps, floor
+            pops += 1
+            if pops > max_pops:
+                raise CompositionSizeError(
+                    f"epsilon closure exceeded {max_pops} settlements")
+            trace, exp = tok[1], tok[2]
+            if exp is None:
+                exp = expand(sid, session)
+                best[sid] = (cost, trace, exp)
+            for _, olabel, weight, dst in exp.arcs[:exp.n_eps]:
+                new_cost = cost + weight
+                if new_cost > limit:
+                    continue
+                cur = best.get(dst)
+                if cur is None:
+                    dst_exp = public.get(dst) if dst < num_public else None
+                    if dst_exp is not None:
+                        public_hits += 1
+                    else:
+                        dst_exp = private.get(dst)
+                        if dst_exp is not None:
+                            private_hits += 1
+                elif new_cost < cur[0]:
+                    dst_exp = cur[2]
+                else:
+                    continue
+                best[dst] = (new_cost,
+                             trace if olabel == EPS else (trace, olabel),
+                             dst_exp)
+                if dst_exp is None or dst_exp.n_eps:
+                    heappush(heap, (new_cost, dst))
+    finally:
+        metrics = session.metrics
+        metrics.public_hit += public_hits
+        metrics.private_hit += private_hits
+    return best, floor
 
 
 def _prune(tokens: dict[int, _Token], floor: float,
@@ -214,22 +274,39 @@ def _prune(tokens: dict[int, _Token], floor: float,
     return dict(ranked[:cfg.max_active])
 
 
-def _emit(active: dict[int, _Token], exps: dict[int, CachedExpansion],
-          row: list[float]) -> dict[int, _Token]:
+def _emit(active: dict[int, _Token], row: list[float],
+          beam: float) -> dict[int, _Token]:
     """Advance every active token over its emitting arcs, adding graph
-    and acoustic cost from one frame's `row` of costs."""
-    emitted: dict[int, _Token] = {}
+    and acoustic cost from one frame's `row` of costs.
+
+    The cheapest active token's emitting arcs are scanned first, and the
+    cheapest cost they produce plus `beam` is the cutoff: an arc above it
+    is skipped.  That cost is a real emitted cost, at or above the floor
+    the next closure measures, so the cutoff is at or above that
+    closure's floor + beam and drops only tokens the closure would drop
+    before looking them up.
+    """
     num_labels = len(row)
+    cost, _, exp = min(active.values(), key=_cost)
+    cutoff = ZERO
+    for ilabel, _, weight, _ in exp.arcs[exp.n_eps:]:
+        if ilabel < num_labels:
+            new_cost = cost + weight + row[ilabel]
+            if new_cost < cutoff:
+                cutoff = new_cost
+    cutoff += beam
+    emitted: dict[int, _Token] = {}
     for sid in sorted(active):
-        cost, trace = active[sid]
-        exp = exps[sid]
+        cost, trace, exp = active[sid]
         for ilabel, olabel, weight, dst in exp.arcs[exp.n_eps:]:
             if ilabel >= num_labels:
                 continue
             acoustic = row[ilabel]
-            if acoustic == ZERO:
-                continue
             new_cost = cost + weight + acoustic
+            # an unscored label (ZERO) is never taken; a ZERO cutoff,
+            # when the cheapest token emits nothing, does not exclude it
+            if new_cost > cutoff or acoustic == ZERO:
+                continue
             cur = emitted.get(dst)
             if cur is None or new_cost < cur[0]:
                 emitted[dst] = (new_cost,
@@ -250,9 +327,9 @@ def decode(scores: ScoreMatrix, session: Session,
            cfg: Optional[DecodeConfig] = None) -> Optional[Hypothesis]:
     """Beam-search the lazy graph against one utterance's score matrix.
 
-    Per frame: follow emitting arcs (adding graph plus acoustic cost),
-    then run the epsilon closure, which keeps only tokens within the
-    beam, then cut to max_active.
+    Per frame: follow emitting arcs (adding graph plus acoustic cost)
+    up to the emit cutoff, then run the epsilon closure, which keeps only
+    tokens within the beam, then cut to max_active.
     After the last frame final weights are applied; the best surviving
     final token becomes the Hypothesis.  Returns None when no hypothesis
     survives -- a result, not an error.
@@ -262,22 +339,22 @@ def decode(scores: ScoreMatrix, session: Session,
     before = session.metrics.snapshot()
     t0 = time.perf_counter()
 
-    tokens, exps, floor = _eps_closure({session.start_id(): (0.0, None)},
-                                       session, cfg)
+    tokens, floor = _eps_closure({session.start_id(): (0.0, None)},
+                                 session, cfg)
     active = _prune(tokens, floor, cfg)
     for t in range(scores.num_frames):
-        emitted = _emit(active, exps, scores.row(t))
+        emitted = _emit(active, scores.row(t), cfg.beam)
         if not emitted:
             active = {}
             break
-        tokens, exps, floor = _eps_closure(emitted, session, cfg)
+        tokens, floor = _eps_closure(emitted, session, cfg)
         active = _prune(tokens, floor, cfg)
 
     best_cost = ZERO
     best_trace = None
     for sid in sorted(active):
-        cost, trace = active[sid]
-        final = exps[sid].final
+        cost, trace, exp = active[sid]
+        final = exp.final
         if final == ZERO:
             continue
         total = cost + final

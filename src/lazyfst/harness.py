@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import PublicCache, Session, end_session, seal_public
-from .decoder import DecodeConfig, decode, rtf, simulate_scores
+from .decoder import DecodeConfig, decode, require_count, rtf, simulate_scores
 from .errors import BuildError, ConfigurationError
 from .fst import Fst, SymbolTable, write_symbols, write_text_fst
 from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
@@ -171,8 +171,10 @@ def scores_for(build: Build, cfg: dict, utt: dict):
     if any(p is None for p in ref):
         raise BuildError(f"utterance {utt['id']} uses unknown phones")
     seed = (utt["seed"] * 1000003 + cfg.get("seed", 0)) & 0x7FFFFFFF
+    frames_per_phone = cfg.get("frames_per_phone", 3)
+    require_count("frames_per_phone", frames_per_phone)
     return simulate_scores(ref, len(build.phone_syms),
-                           frames_per_label=cfg.get("frames_per_phone", 3),
+                           frames_per_label=frames_per_phone,
                            margin=cfg.get("margin", 4.0),
                            noise=cfg.get("noise", 0.25),
                            seed=seed,

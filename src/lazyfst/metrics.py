@@ -4,10 +4,12 @@ Wall-clock time is recorded but never asserted on; the reproducible
 signals are the expansion/hit counters and the modeled byte sizes.
 
 public_hit and private_hit count one per state a decoder closure returns,
-per frame, that the public or the private layer already held (one
-Session.lookup each); otf_expansion counts the states expanded on the
-fly, each once per session.  So per decode the three add up to the
-number of tokens the closures hand to pruning.
+per frame, that the public or the private layer already held; the
+closure resolves such states by Session.lookup's rule and adds its hits
+here once when it ends, and Session.lookup counts one per state it finds.
+otf_expansion counts the states expanded on the fly, each once per
+session.  So per decode the three add up to the number of tokens the
+closures hand to pruning.
 """
 
 from __future__ import annotations

@@ -57,7 +57,11 @@ class TestDataErrors:
                      "--report", str(tmp_path / "missing.json")]) == 2
 
     @pytest.mark.parametrize("field, value", [
-        ("beam", "10"), ("beam", 0), ("max_active", 2.5)])
+        ("beam", "10"), ("beam", 0), ("max_active", 2.5), ("margin", "4"),
+        ("margin", None), ("noise", -1.0), ("noise", "0.25"),
+        ("frames_per_phone", 0), ("frames_per_phone", 1.5),
+        ("frames_per_phone", True), ("frame_seconds", 0),
+        ("frame_seconds", "0.01")])
     def test_bad_decode_setting_exits_2(self, field, value, tmp_path, capsys):
         write_desk_data(tmp_path)
         path = tmp_path / "desk.json"

@@ -10,6 +10,7 @@ from lazyfst.compose import (EPS1_NEXT, EPS2_NEXT, MATCH_NEXT, FilterState,
                              expand_pair_state)
 from lazyfst.errors import CompositionSizeError
 from lazyfst.fst import EPS, FstBuilder
+from lazyfst.semiring import ZERO
 
 
 def _machine(arcs, finals, n):
@@ -117,6 +118,16 @@ class TestDualRoutes:
         exp = expand_pair_state((0, 0, FilterState.ANY), t1, t2)
         keys = [composed_arc_key(t2, a) for a in exp.arcs]
         assert keys == sorted(keys)
+
+    def test_non_final_expansion_shares_zero(self):
+        # a sum of ZERO final weights is a new inf object; the kernel
+        # hands every non-final state the one shared ZERO
+        t1 = _machine([(0, 1, 1, 0.0, 1)], {1: 0.0}, 2)
+        t2 = _machine([(0, 1, 1, 0.0, 1)], {1: 0.5}, 2)
+        for key in [(0, 0, FilterState.ANY), (0, 1, FilterState.ANY),
+                    (1, 0, FilterState.ANY)]:
+            assert expand_pair_state(key, t1, t2).final is ZERO
+        assert expand_pair_state((1, 1, FilterState.ANY), t1, t2).final == 0.5
 
 
 LIVE_FILTER_STATES = [FilterState.ANY, FilterState.EPS1_ONLY,

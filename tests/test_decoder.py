@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from oracles import oracle_beam_decode, oracle_decode
 from test_cache import build_machine, scenario
 from lazyfst import decoder
-from lazyfst.cache import CachedExpansion, PublicCache, Session, seal_public
+from lazyfst.cache import (CachedExpansion, PublicCache, Session, end_session,
+                           seal_public)
 from lazyfst.compose import compose_static
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
@@ -60,10 +61,33 @@ class TestScoreMatrix:
         m = ScoreMatrix(np.zeros((1, 3)))
         assert len(m.row(0)) == 3
         # the emit step charges a label past the row ZERO: never taken
-        exps = {0: CachedExpansion((Arc(1, 7, 0.0, 1), Arc(99, 8, 0.0, 2)),
-                                   math.inf)}
-        assert decoder._emit({0: (0.0, None)}, exps, m.row(0)) == \
+        exp = CachedExpansion((Arc(1, 7, 0.0, 1), Arc(99, 8, 0.0, 2)),
+                              math.inf)
+        assert decoder._emit({0: (0.0, None, exp)}, m.row(0), 10.0) == \
             {1: (0.0, (None, 7))}
+
+    def test_copies_the_callers_costs(self):
+        costs = np.ones((2, 3))
+        m = ScoreMatrix(costs)
+        assert m.row(0)[EPS] == math.inf
+        assert (costs == 1.0).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_infinity(self, bad):
+        costs = np.zeros((2, 3))
+        costs[1, 2] = bad
+        with pytest.raises(ConfigurationError, match="NaN or -inf"):
+            ScoreMatrix(costs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"frames_per_label": 0}, {"frames_per_label": 1.0},
+        {"frames_per_label": True}, {"margin": "4"}, {"margin": math.inf},
+        {"margin": math.nan}, {"noise": -0.5}, {"noise": math.nan},
+        {"noise": None}, {"frame_seconds": 0}, {"frame_seconds": math.inf},
+        {"frame_seconds": "0.01"}])
+    def test_simulate_rejects_bad_settings(self, kwargs):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            simulate_scores([1, 2], 3, **kwargs)
 
     def test_requires_two_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -175,6 +199,36 @@ class TestPruning:
         assert edge.cost == 6.0
         assert inside.cost == 10.0
 
+    def one_frame_over(self, t1, row, beam):
+        """Decode one frame of `row` over `t1` (root accepts the empty
+        string, so every t1 arc writes epsilon and only costs count)."""
+        session = session_over(t1, build_machine([], {0: 0.0}, 1))
+        return decode(ScoreMatrix(np.array([row])), session,
+                      DecodeConfig(beam=beam))
+
+    def test_emit_cutoff_from_a_token_that_is_not_the_floors_source(self):
+        # At frame 0 the start S (cost 0) and B (cost 1, by an epsilon
+        # arc) are active.  S emits only X, at 0.5 + 5 = 5.5; B emits Y at
+        # 1 + 0 = 1 (the floor) and Z at 1 + 4 = 5 = floor + beam.  The
+        # emit cutoff is 5.5 + 4 from S's arcs, not S's cost 0 + 4, which
+        # would drop Z; the closure then drops X above 1 + 4.
+        t1 = build_machine([(0, EPS, EPS, 1.0, 1), (0, 1, EPS, 0.5, 2),
+                            (1, 2, EPS, 0.0, 3), (1, 2, EPS, 4.0, 4)],
+                           {2: 0.0, 3: 100.0, 4: 0.0}, 5)
+        hyp = self.one_frame_over(t1, [0.0, 5.0, 0.0], beam=4.0)
+        assert hyp.cost == 5.0
+
+    def test_token_at_the_emit_cutoff_survives(self):
+        # The start S is the only active token and the source of the
+        # cheapest emission, X at 0 + 0 + 1 = 1; Z costs 0 + 4 + 1 = 5,
+        # exactly that emission plus the beam, and is kept.
+        t1 = build_machine([(0, 1, EPS, 0.0, 1), (0, 2, EPS, 4.0, 2)],
+                           {1: 100.0, 2: 0.0}, 3)
+        hyp = self.one_frame_over(t1, [0.0, 1.0, 1.0], beam=4.0)
+        assert hyp.cost == 5.0
+        narrow = self.one_frame_over(t1, [0.0, 1.0, 1.0], beam=3.75)
+        assert narrow.cost == 101.0
+
     def test_max_active_keeps_cheapest_tokens(self):
         t1, root = self.setup_graph()
         scores = simulate_scores([1], 2, frames_per_label=1)
@@ -231,6 +285,76 @@ class TestClosureContract:
         assert again.cost == hyp.cost
         with pytest.raises(CompositionSizeError):
             decode(no_frames, session, DecodeConfig(max_eps_pops=n - 1))
+
+
+    def test_zero_weight_epsilon_cycle_settles_each_state_once(self):
+        # t1 states A and B are joined both ways by free epsilon arcs.  In
+        # the composed graph the start (A, ANY) leads to the cycle
+        # (B, EPS1_ONLY) <-> (A, EPS1_ONLY): the closure settles the
+        # three states in turn, reaching each at cost 0, and a relaxation
+        # back to a state at its own cost is not pushed, so it stops
+        # after three settlements
+        t1 = build_machine([(0, EPS, EPS, 0.0, 1), (1, EPS, EPS, 0.0, 0)],
+                           {0: 0.5}, 2)
+        no_frames = ScoreMatrix(np.zeros((0, 2)))
+        with pytest.raises(CompositionSizeError):
+            decode(no_frames, self.cycle_session(t1),
+                   DecodeConfig(max_eps_pops=2))
+        session = self.cycle_session(t1)
+        hyp = decode(no_frames, session, DecodeConfig(max_eps_pops=3))
+        assert hyp.cost == 0.5
+        assert session.metrics.otf_expansion == 3
+        # expanded now, all three still have an epsilon arc and settle
+        again = decode(no_frames, session, DecodeConfig(max_eps_pops=3))
+        assert again.cost == 0.5
+        assert session.metrics.private_hit == 3
+        with pytest.raises(CompositionSizeError):
+            decode(no_frames, session, DecodeConfig(max_eps_pops=2))
+
+    def test_ended_session_cannot_decode(self):
+        # the start state is public: the closure itself must refuse
+        session = session_over(hmm_t1(), two_word_root(), depth=64)
+        end_session(session)
+        with pytest.raises(ConfigurationError, match="ended"):
+            decode(simulate_scores([1], 3), session)
+
+    def cycle_session(self, t1):
+        return session_over(t1, build_machine([], {0: 0.0}, 1))
+
+    def test_closure_counts_hits_by_the_lookup_rule(self, desk_build,
+                                                    desk_cfg, monkeypatch):
+        # The closure resolves states from the two layers itself and adds
+        # its hits once; Session.lookup is the one-state form of the same
+        # rule.  Looking up every state a closure returned must find the
+        # same public hits, and as private hits its private hits plus the
+        # states it expanded.
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        user = desk_build.utterances[0]["user"]
+        session = Session(cache, binding_for(desk_build, user))
+        closure = decoder._eps_closure
+        closures = []
+
+        def checking_closure(tokens, session, cfg):
+            before = session.metrics.snapshot()
+            kept, floor = closure(tokens, session, cfg)
+            counted = session.metrics.delta(before)
+            session.metrics, metrics = Metrics(), session.metrics
+            for sid in kept:
+                assert session.lookup(sid) is kept[sid][2]
+            looked_up, session.metrics = session.metrics, metrics
+            assert looked_up.public_hit == counted.public_hit
+            assert looked_up.private_hit == \
+                counted.private_hit + counted.otf_expansion
+            closures.append(counted)
+            return kept, floor
+
+        monkeypatch.setattr(decoder, "_eps_closure", checking_closure)
+        for utt in [u for u in desk_build.utterances if u["user"] == user][:5]:
+            assert decode(scores_for(desk_build, desk_cfg, utt), session,
+                          decode_config(desk_cfg)) is not None
+        assert min(sum(c.public_hit for c in closures),
+                   sum(c.private_hit for c in closures),
+                   sum(c.otf_expansion for c in closures)) > 0
 
 
 class TestDeterminism:

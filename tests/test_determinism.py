@@ -1,11 +1,12 @@
 """Golden determinism: pre-composing the desk graphs gives the same public
 cache, byte for byte, and decoding the desk sessions gives the same
-hypotheses, costs and expansion counts, on every run and across refactors
-of the expansion path and the decoder.  The cache digests are sha256 of
-dump_public_cache for each method; the decode digests are sha256 of every
-turn's (id, words, repr(cost), OTF expansions) in session order.  The
-hypothesis digest leaves out the expansions: the search result is the
-same for every method, and a change that only skips work keeps it."""
+hypotheses, costs, expansion counts and per-layer hit counts, on every
+run and across refactors of the expansion path and the decoder.  The
+cache digests are sha256 of dump_public_cache for each method; the
+decode digests are sha256 of every turn's (id, words, repr(cost), OTF
+expansions) in session order.  The hypothesis digest leaves out the
+expansions: the search result is the same for every method, and a change
+that only skips work keeps it."""
 
 import hashlib
 import json
@@ -36,15 +37,20 @@ def test_precomposed_desk_cache_is_pinned(desk_build, desk_cfg, method):
 HYPOTHESES = ("be564524e1ac686e927d8eb482cbcd90"
               "d5964ff71da92bd9c882a1efefcaf325")
 
+# (OTF expansions, public hits, private hits, turn digest) per method
 GOLDEN_DECODE = {
-    "none": (19_085, "454f3fab65eb0be6cc2c479852ba31a0"
-                     "0cc8e1250e99fe17a3842598df5c4955"),
-    "bfs": (8_790, "66156349080e6bc197f921f76068b652"
-                   "523c662cee4b55d86a49dc64fcb831fc"),
-    "warmup": (7_288, "ef4cd52df514452269a5eb2e41f5161b"
-                      "17a4ab602418554186105eb94383d1cf"),
-    "both": (7_288, "ef4cd52df514452269a5eb2e41f5161b"
-                    "17a4ab602418554186105eb94383d1cf"),
+    "none": (19_085, 0, 201_916,
+             "454f3fab65eb0be6cc2c479852ba31a0"
+             "0cc8e1250e99fe17a3842598df5c4955"),
+    "bfs": (8_790, 131_094, 81_117,
+            "66156349080e6bc197f921f76068b652"
+            "523c662cee4b55d86a49dc64fcb831fc"),
+    "warmup": (7_288, 143_176, 70_537,
+               "ef4cd52df514452269a5eb2e41f5161b"
+               "17a4ab602418554186105eb94383d1cf"),
+    "both": (7_288, 143_176, 70_537,
+             "ef4cd52df514452269a5eb2e41f5161b"
+             "17a4ab602418554186105eb94383d1cf"),
 }
 
 
@@ -59,5 +65,6 @@ def test_desk_decode_is_pinned(desk_build, desk_cfg, method):
              for s in report["sessions"] for t in s["turns"]]
     assert report["totals"]["wer"] == 0.0
     assert _sha256([turn[:3] for turn in turns]) == HYPOTHESES
-    assert (report["totals"]["otf_expansions"], _sha256(turns)) == \
-        GOLDEN_DECODE[method]
+    totals = report["totals"]
+    assert (totals["otf_expansions"], totals["public_hits"],
+            totals["private_hits"], _sha256(turns)) == GOLDEN_DECODE[method]
