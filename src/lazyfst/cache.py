@@ -30,12 +30,22 @@ hits to the session's metrics once per closure.  It resolves each state
 it returns once per frame, so the hits count one per state a closure
 returns, per frame, and every such state increments exactly one of
 public_hit / private_hit / otf_expansion.
+
+Sealing shares equal parts of the public layer: one float object per
+distinct weight (ZERO itself for every non-final state), one tuple per
+distinct arc and per distinct arc sequence, and one CachedExpansion per
+distinct (arcs, final), which every state with that expansion points at.
+A weight's key is its value and its sign: 0.0 and -0.0 are equal floats
+but dump differently (dumps print repr), so they are never merged.  In
+the private layer every state with no arcs that is not final gets the
+one DEAD_END expansion.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import cached_property
+from math import copysign
 from typing import Iterable, Optional
 
 from .compose import FilterState, expand_pair_state
@@ -84,6 +94,11 @@ class CachedExpansion:
 
     def __repr__(self):
         return f"CachedExpansion(arcs={self.arcs!r}, final={self.final!r})"
+
+
+# The expansion of every state with no arcs that is not final, in both
+# layers: a third of the desk public layer is such dead ends.
+DEAD_END = CachedExpansion((), ZERO)
 
 
 def is_precomposable(key: tuple[int, int, int], root: Fst,
@@ -186,7 +201,8 @@ def seal_public(cache: PublicCache) -> PublicCache:
     destination must be interned publicly, and the epsilon-input arcs must
     come first; a violation means pre-composition cached something
     binding-dependent or misordered, which would poison every session, so
-    sealing refuses with the offending key.  Sealing twice is a no-op.
+    sealing refuses with the offending key.  A cache that passes then has
+    its equal parts shared (_share_equal_parts).  Sealing twice is a no-op.
     """
     if cache.sealed:
         return cache
@@ -204,8 +220,34 @@ def seal_public(cache: PublicCache) -> PublicCache:
                 raise InvariantError(
                     f"public expansion {state_id} references unregistered "
                     f"destination {dst}")
+    _share_equal_parts(cache.expanded)
     cache.sealed = True
     return cache
+
+
+def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
+    """Point every state of `expanded` at one shared CachedExpansion per
+    distinct (arcs, final), built from one float per distinct weight and
+    one tuple per distinct arc and arc sequence.
+
+    A weight is keyed by (value, sign), so 0.0 and -0.0 stay apart; once
+    weights are shared, the id of a shared part stands for its value in
+    the keys of the parts built from it."""
+    weights = {(ZERO, 1.0): ZERO}
+    arcs: dict[tuple, CachedArc] = {}
+    sequences = {(): DEAD_END.arcs}
+    expansions = {(id(DEAD_END.arcs), id(ZERO)): DEAD_END}
+    for state_id, expansion in expanded.items():
+        shared = []
+        for il, ol, w, dst in expansion.arcs:
+            w = weights.setdefault((w, copysign(1.0, w)), w)
+            shared.append(arcs.setdefault((il, ol, id(w), dst),
+                                          (il, ol, w, dst)))
+        sequence = sequences.setdefault(tuple(map(id, shared)), tuple(shared))
+        final = expansion.final
+        final = weights.setdefault((final, copysign(1.0, final)), final)
+        expanded[state_id] = expansions.setdefault(
+            (id(sequence), id(final)), CachedExpansion(sequence, final))
 
 
 class Session:
@@ -291,13 +333,17 @@ class Session:
 
 def expand(state_id: int, session: Session) -> CachedExpansion:
     """Arcs and final weight of one composed state: Session.lookup, or else
-    an on-the-fly expansion stored in the private layer."""
+    an on-the-fly expansion stored in the private layer (DEAD_END when it
+    has no arcs and is not final)."""
     cached = session.lookup(state_id)
     if cached is not None:
         return cached
     raw = expand_pair_state(session.key_of(state_id), session.cache.t1,
                             session.view)
-    made = CachedExpansion(session.intern_arcs(raw.arcs), raw.final)
+    if raw.arcs or raw.final != ZERO:
+        made = CachedExpansion(session.intern_arcs(raw.arcs), raw.final)
+    else:
+        made = DEAD_END
     session.private_exp[state_id] = made
     session.metrics.otf_expansion += 1
     return made
@@ -381,7 +427,8 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
     """Parse a dump back into a sealed cache, verifying version, graph
     fingerprint and checksum, then every row: ids within their table or
     graph, weights in the semiring, no repeated key or state.  Anything
-    malformed is a BuildError."""
+    malformed is a BuildError.  Sealing shares the loaded cache's equal
+    parts as it does a built cache's."""
     lines = text.splitlines(keepends=True)
     if len(lines) < 3 or lines[0].strip() != CACHE_FORMAT:
         raise BuildError("not a public cache dump (bad or missing version line)")

@@ -11,8 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .cache import dump_public_cache
-from .errors import InvariantError, LazyFstError
+from .cache import dump_public_cache, load_public_cache
+from .errors import ConfigurationError, InvariantError, LazyFstError
 from .harness import (METHODS, build_graphs, decode_config, graph_stats,
                       load_config, precompose_cache, run_bench, run_session,
                       score_report, write_build)
@@ -32,10 +32,15 @@ def _build_parser() -> _Parser:
                         help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method_default="none"):
+    def common(p, method_default=None):
         p.add_argument("--config", required=True, help="path to desk.json")
         p.add_argument("--method", choices=METHODS, default=method_default)
         p.add_argument("--bfs-depth", type=int, default=None)
+
+    def cache_file(p):
+        p.add_argument("--cache", default=None, metavar="FILE",
+                       help="load the shared cache from a precompose or "
+                            "warmup dump instead of building it")
 
     p = sub.add_parser("build", help="build graphs and write artifacts")
     p.add_argument("--config", required=True)
@@ -52,11 +57,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="decode one utterance")
     common(p)
+    cache_file(p)
     p.add_argument("--user", default=None)
     p.add_argument("--utt", default=None, help="utterance id")
 
     p = sub.add_parser("bench", help="run the session benchmark")
     common(p)
+    cache_file(p)
     p.add_argument("--session-length", type=int, choices=(1, 2, 5), default=5)
     p.add_argument("--report", default=None, help="write the full report here")
 
@@ -84,6 +91,23 @@ def _dump_cache(cache, cfg, args, method: str) -> str:
         out = str(out_dir / f"cache_{method}.txt")
     Path(out).write_text(dump_public_cache(cache))
     return out
+
+
+def _cache_from_file(args, build):
+    """The sealed cache of the --cache dump, or None without --cache.  A
+    dump fixes how its cache was built, so --cache takes no --method or
+    --bfs-depth."""
+    if args.cache is None:
+        return None
+    if args.method is not None or args.bfs_depth is not None:
+        raise ConfigurationError("--cache loads a finished cache; it cannot "
+                                 "be combined with --method or --bfs-depth")
+    try:
+        text = Path(args.cache).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigurationError(
+            f"cannot read cache dump {args.cache}: {err}") from None
+    return load_public_cache(text, build.t1, build.root, build.class_ids)
 
 
 def cmd_build(args) -> int:
@@ -116,7 +140,10 @@ def cmd_decode(args) -> int:
     else:
         user = args.user or build.utterances[0]["user"]
         utt = next(u for u in build.utterances if u["user"] == user)
-    cache, _ = precompose_cache(build, cfg, args.method, args.bfs_depth)
+    cache = _cache_from_file(args, build)
+    if cache is None:
+        cache, _ = precompose_cache(build, cfg, args.method or "none",
+                                    args.bfs_depth)
     result = run_session(cache, build, cfg, utt["user"], [utt],
                          decode_config(cfg))
     turn = result.turns[0]
@@ -130,9 +157,11 @@ def cmd_decode(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config(args)
-    report = run_bench(cfg, method=args.method,
-                       session_length=args.session_length,
-                       bfs_depth=args.bfs_depth)
+    build = build_graphs(cfg)
+    cache = _cache_from_file(args, build)
+    method = "loaded" if cache is not None else args.method or "none"
+    report = run_bench(cfg, method=method, session_length=args.session_length,
+                       bfs_depth=args.bfs_depth, build=build, cache=cache)
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
     summary = {k: report[k] for k in ("method", "session_length",

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import acyclic_fst, dyadic_weights
-from lazyfst.cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
-                           PublicCache, Session, dump_public_cache, end_session,
-                           expand, is_precomposable, load_public_cache,
-                           materialize, seal_public)
+from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
+                           CachedExpansion, PublicCache, Session,
+                           dump_public_cache, end_session, expand,
+                           is_precomposable, load_public_cache, materialize,
+                           seal_public)
 from lazyfst.compose import FilterState, compose_static
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
@@ -19,6 +20,7 @@ from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import ClassBinding, ReplaceView, empty_binding
+from lazyfst.semiring import ZERO
 
 CLS = 9
 TEMP = 99
@@ -391,6 +393,94 @@ class TestDumpLoad:
             assert got.final == exp.final or (
                 math.isinf(got.final) and math.isinf(exp.final))
             assert got.arcs == exp.arcs
+
+
+def signed(w: float) -> tuple[float, float]:
+    """A weight's value and sign: 0.0 and -0.0 are equal but dump apart."""
+    return (w, math.copysign(1.0, w))
+
+
+def census(cache) -> dict:
+    """Objects against distinct values among a layer's expansions, arcs and
+    weights; a value holds each weight's sign."""
+    exps = list(cache.expanded.values())
+    arcs = [arc for e in exps for arc in e.arcs]
+    weights = [arc[2] for arc in arcs] + [e.final for e in exps]
+
+    def arc_value(arc):
+        return (arc[0], arc[1], signed(arc[2]), arc[3])
+
+    exp_values = {(tuple(map(arc_value, e.arcs)), signed(e.final))
+                  for e in exps}
+    return {"expansions": (len({id(e) for e in exps}), len(exp_values),
+                           len(exps)),
+            "arcs": (len({id(a) for a in arcs}), len(set(map(arc_value, arcs))),
+                     len(arcs)),
+            "weights": (len({id(w) for w in weights}),
+                        len(set(map(signed, weights))))}
+
+
+class TestSharing:
+    """Sealing shares one object per distinct weight, arc and expansion."""
+
+    def test_sealed_desk_cache_shares_equal_parts(self, desk_build, desk_cfg):
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        got = census(cache)
+        assert got["expansions"] == (274, 274, 502)
+        assert got["arcs"] == (654, 654, 1104)
+        assert got["weights"][0] == got["weights"][1]
+        non_final = [e for e in cache.expanded.values() if e.final == ZERO]
+        assert non_final and all(e.final is ZERO for e in non_final)
+
+    def test_signed_zeros_survive_seal_dump_and_load(self):
+        t1, root, _ = fixed_scenario()
+        cache = PublicCache(t1, root, frozenset({CLS}))
+        a, b, c = (cache.intern((q1, q2, FilterState.ANY))
+                   for q1, q2 in ((0, 0), (0, 2), (0, 3)))
+        # equal as floats, apart by sign: arcs, finals and whole expansions
+        cache.store(a, CachedExpansion(((1, 8, 0.0, b), (1, 8, -0.0, b)), 0.0))
+        cache.store(b, CachedExpansion(((1, 8, 0.0, b), (1, 8, -0.0, b)), -0.0))
+        cache.store(c, CachedExpansion(((1, 8, -0.0, c),), 0.0))
+        want = {a: (["0.0", "-0.0"], "0.0"), b: (["0.0", "-0.0"], "-0.0"),
+                c: (["-0.0"], "0.0")}
+
+        def reprs(cache):
+            return {sid: ([repr(w) for _, _, w, _ in e.arcs], repr(e.final))
+                    for sid, e in cache.expanded.items()}
+
+        text = dump_public_cache(seal_public(cache))
+        assert reprs(cache) == want
+        assert census(cache)["expansions"] == (3, 3, 3)
+        assert cache.expanded[a].arcs is cache.expanded[b].arcs
+        loaded = load_public_cache(text, t1, root, frozenset({CLS}))
+        assert reprs(loaded) == want
+        assert dump_public_cache(loaded) == text
+
+    def test_loaded_cache_shares_like_the_dumped_one(self, desk_build,
+                                                     desk_cfg):
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        loaded = load_public_cache(dump_public_cache(cache), desk_build.t1,
+                                   desk_build.root, desk_build.class_ids)
+        assert census(loaded) == census(cache)
+        assert all(e.final is ZERO for e in loaded.expanded.values()
+                   if e.final == ZERO)
+
+    def test_private_dead_ends_share_one_expansion(self, desk_build,
+                                                   desk_cfg):
+        cache, _ = precompose_cache(desk_build, desk_cfg, "none")
+        utt = desk_build.utterances[0]
+        session = Session(cache, binding_for(desk_build, utt["user"]))
+        decode(scores_for(desk_build, desk_cfg, utt), session,
+               decode_config(desk_cfg))
+        dead = [e for e in session.private_exp.values()
+                if not e.arcs and e.final == ZERO]
+        assert len(dead) >= 2 and all(e is DEAD_END for e in dead)
+        # a state with no arcs that is final keeps its own final weight
+        t1, root, binding = fixed_scenario()
+        session = Session(sealed_cache(t1, root), binding)
+        materialize(session)
+        final_end = session.private_exp[session.intern((3, 3, FilterState.ANY))]
+        assert final_end.arcs == () and final_end.final == 0.25
 
 
 def rechecksum(text: str) -> str:

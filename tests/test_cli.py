@@ -24,6 +24,15 @@ def mini_config(desk_root, desk_build, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def warm_dump(mini_config, tmp_path_factory):
+    """A warm-up cache dump of mini_config, written by the CLI."""
+    dump = tmp_path_factory.mktemp("dump") / "warm.txt"
+    assert main(["warmup", "--config", str(mini_config),
+                 "--out", str(dump)]) == 0
+    return dump
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -90,6 +99,66 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{cfg['utterances']}:201" in err
+
+
+class TestCacheFile:
+    """decode and bench serve the shared cache from a dump with --cache."""
+
+    def test_decode_from_dump_matches_method(self, mini_config, warm_dump,
+                                             capsys):
+        assert main(["decode", "--config", str(mini_config),
+                     "--method", "warmup"]) == 0
+        built = json.loads(capsys.readouterr().out)
+        assert main(["decode", "--config", str(mini_config),
+                     "--cache", str(warm_dump)]) == 0
+        loaded = json.loads(capsys.readouterr().out)
+        assert loaded["hyp_words"] == built["hyp_words"]
+        assert repr(loaded["cost"]) == repr(built["cost"])
+        assert loaded == built
+
+    def test_bench_from_dump_matches_method(self, mini_config, warm_dump,
+                                            capsys):
+        assert main(["bench", "--config", str(mini_config), "--method",
+                     "warmup", "--session-length", "2"]) == 0
+        built = json.loads(capsys.readouterr().out)
+        assert main(["bench", "--config", str(mini_config), "--cache",
+                     str(warm_dump), "--session-length", "2"]) == 0
+        loaded = json.loads(capsys.readouterr().out)
+        assert loaded["method"] == "loaded"
+        assert loaded["totals"] == built["totals"]
+        assert loaded["bytes_public"] == built["bytes_public"]
+
+    @pytest.mark.parametrize("command", ["decode", "bench"])
+    @pytest.mark.parametrize("flag", [["--method", "warmup"],
+                                      ["--method", "none"],
+                                      ["--bfs-depth", "3"]])
+    def test_cache_with_build_flag_exits_2(self, mini_config, warm_dump,
+                                           command, flag, capsys):
+        assert main([command, "--config", str(mini_config),
+                     "--cache", str(warm_dump), *flag]) == 2
+        assert "--cache" in capsys.readouterr().err
+
+    def test_dump_from_changed_config_exits_2(self, mini_config, warm_dump,
+                                              tmp_path, capsys):
+        cfg = json.loads(mini_config.read_text())
+        cfg["sil_penalty"] = 1.5
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(cfg))
+        assert main(["decode", "--config", str(changed),
+                     "--cache", str(warm_dump)]) == 2
+        assert "different graphs" in capsys.readouterr().err
+
+    def test_corrupt_or_missing_dump_exits_2(self, mini_config, warm_dump,
+                                             tmp_path, capsys):
+        lines = warm_dump.read_text().splitlines(keepends=True)
+        corrupt = tmp_path / "corrupt.txt"
+        corrupt.write_text("".join(lines[:-1]))
+        assert main(["decode", "--config", str(mini_config),
+                     "--cache", str(corrupt)]) == 2
+        assert "checksum" in capsys.readouterr().err
+        assert main(["bench", "--config", str(mini_config),
+                     "--cache", str(tmp_path / "missing.txt")]) == 2
+        assert "cannot read cache dump" in capsys.readouterr().err
 
 
 class TestCommands:
