@@ -9,16 +9,14 @@ shared public layer plus per-session private layers.
 from .cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
                     PublicCache, Session,
                     dump_public_cache, end_session, is_precomposable,
-                    load_public_cache, materialize, seal_public)
-from .compose import (Expansion, FilterState, compose_static,
-                      expand_pair_state)
+                    load_public_cache, seal_public)
+from .compose import Expansion, FilterState, expand_pair_state
 from .decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode, rtf,
                       simulate_scores)
 from .errors import (BuildError, CompositionSizeError, ConfigurationError,
                      ExpansionError, InvariantError, LazyFstError, ParseError)
-from .fst import (EPS, Arc, Fst, FstBuilder, SymbolTable, canonicalize,
-                  connect, read_symbols, read_text_fst, shortest_path,
-                  write_symbols, write_text_fst)
+from .fst import (EPS, Arc, Fst, FstBuilder, SymbolTable, write_symbols,
+                  write_text_fst)
 from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                       build_lexicon_fst, build_symbol_tables,
                       determinize_acyclic, minimize_acyclic, parse_contacts_jsonl,
@@ -27,12 +25,12 @@ from .metrics import Metrics
 from .precompose import PrecomposeConfig, bfs_precompose, warmup_precompose
 from .replace import (ClassBinding, ReplaceView, empty_binding,
                       insert_epsilon_before_class, placeholder_binding)
-from .semiring import ONE, ZERO, approx_equal, plus, times
+from .semiring import ZERO
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARC_BYTES", "KEY_BYTES", "STATE_BYTES", "EPS", "ONE", "ZERO",
+    "ARC_BYTES", "KEY_BYTES", "STATE_BYTES", "EPS", "ZERO",
     "Arc", "BuildError", "CachedExpansion", "ClassBinding",
     "CompositionSizeError", "ConfigurationError",
     "ContactEntry", "DecodeConfig", "Expansion", "ExpansionError",
@@ -40,15 +38,14 @@ __all__ = [
     "InvariantError", "LazyFstError", "Lexicon", "Metrics",
     "ParseError", "PrecomposeConfig", "PublicCache", "ReplaceView",
     "ScoreMatrix", "Session", "SymbolTable",
-    "approx_equal", "bfs_precompose", "build_contact_fst",
-    "build_lexicon_fst", "build_symbol_tables", "canonicalize",
-    "compose_static", "connect", "decode", "determinize_acyclic",
+    "bfs_precompose", "build_contact_fst",
+    "build_lexicon_fst", "build_symbol_tables",
+    "decode", "determinize_acyclic",
     "dump_public_cache", "empty_binding", "end_session",
     "expand_pair_state", "insert_epsilon_before_class", "is_precomposable",
-    "load_public_cache", "materialize", "minimize_acyclic",
+    "load_public_cache", "minimize_acyclic",
     "parse_contacts_jsonl", "parse_corpus", "parse_lexicon",
-    "placeholder_binding", "plus", "read_symbols", "read_text_fst",
-    "rtf", "seal_public", "shortest_path",
-    "simulate_scores", "times", "train_bigram_root", "warmup_precompose",
+    "placeholder_binding", "rtf", "seal_public",
+    "simulate_scores", "train_bigram_root", "warmup_precompose",
     "write_symbols", "write_text_fst",
 ]

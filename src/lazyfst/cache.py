@@ -49,8 +49,8 @@ from math import copysign
 from typing import Iterable, Optional
 
 from .compose import FilterState, expand_pair_state
-from .errors import BuildError, CompositionSizeError, ConfigurationError, InvariantError
-from .fst import EPS, Fst, FstBuilder, write_text_fst
+from .errors import BuildError, ConfigurationError, InvariantError
+from .fst import EPS, Fst, write_text_fst
 from .metrics import Metrics
 from .replace import ClassBinding, ReplaceView, bridge_states
 from .semiring import ZERO, is_member
@@ -362,40 +362,6 @@ def end_session(session: Session) -> Metrics:
     return final
 
 
-def materialize(session: Session, max_states: int = 1_000_000) -> Fst:
-    """Explore the whole lazy graph reachable from the start.
-
-    States are renumbered in breadth-first discovery order, which is the
-    same traversal compose_static uses, so a full materialization is
-    comparable state-by-state with the static composition regardless of
-    what the public cache holds.
-    """
-    start = session.start_id()
-    order: dict[int, int] = {start: 0}
-    queue = [start]
-    builder = FstBuilder(session.cache.t1.isyms, session.cache.root.osyms)
-    builder.add_state()
-    head = 0
-    while head < len(queue):
-        sid = queue[head]
-        head += 1
-        exp = expand(sid, session)
-        for ilabel, olabel, weight, nextstate in exp.arcs:
-            dst = order.get(nextstate)
-            if dst is None:
-                if len(order) >= max_states:
-                    raise CompositionSizeError(
-                        f"materialization exceeded {max_states} states")
-                dst = len(order)
-                order[nextstate] = dst
-                builder.add_state()
-                queue.append(nextstate)
-            builder.add_arc(order[sid], ilabel, olabel, weight, dst)
-        if exp.final != ZERO:
-            builder.set_final(order[sid], exp.final)
-    return builder.freeze(start=0)
-
-
 CACHE_FORMAT = "lazyfst-public-cache 1"
 
 
@@ -427,8 +393,9 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
     """Parse a dump back into a sealed cache, verifying version, graph
     fingerprint and checksum, then every row: ids within their table or
     graph, weights in the semiring, no repeated key or state.  Anything
-    malformed is a BuildError.  Sealing shares the loaded cache's equal
-    parts as it does a built cache's."""
+    malformed is a BuildError.  State ids and arc destinations are the
+    state table's own int objects, and sealing shares the loaded cache's
+    equal parts as it does a built cache's."""
     lines = text.splitlines(keepends=True)
     if len(lines) < 3 or lines[0].strip() != CACHE_FORMAT:
         raise BuildError("not a public cache dump (bad or missing version line)")
@@ -458,11 +425,14 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
         if key in cache.ids:
             raise BuildError(f"duplicate table row: {row!r}")
         cache.intern(key)
+    # Ids are dense in intern order: every state id and destination below
+    # is the table's own int object, not a fresh parse of the same value.
+    table_ids = list(cache.ids.values())
     pos = num_keys + 1
     while pos < len(rows):
         row = rows[pos]
         sid, final, count = _dump_fields(row, "s", 3)
-        state_id = _dump_int(sid, row, num_keys)
+        state_id = table_ids[_dump_int(sid, row, num_keys)]
         if state_id in cache.expanded:
             raise BuildError(f"duplicate expansion row: {row!r}")
         n_arcs = _dump_int(count, row, len(rows) - pos)
@@ -471,7 +441,7 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
             il, ol, w, dst = _dump_fields(arc_row, "a", 4)
             arcs.append((_dump_int(il, arc_row), _dump_int(ol, arc_row),
                          _dump_weight(w, arc_row),
-                         _dump_int(dst, arc_row, num_keys)))
+                         table_ids[_dump_int(dst, arc_row, num_keys)]))
         cache.store(state_id, CachedExpansion(tuple(arcs),
                                               _dump_weight(final, row)))
         pos += 1 + n_arcs

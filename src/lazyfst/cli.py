@@ -114,8 +114,8 @@ def cmd_build(args) -> int:
     cfg = _config(args)
     build = build_graphs(cfg)
     out = args.out or cfg.get("out_dir", "build")
-    counts = write_build(build, out)
-    print(json.dumps(counts, indent=2))
+    write_build(build, out)
+    print(json.dumps(graph_stats(build, cfg), indent=2))
     return 0
 
 

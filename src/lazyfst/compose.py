@@ -1,11 +1,12 @@
 """Composition of weighted transducers with an epsilon-sequencing filter.
 
-Two routes produce the same graph: `compose_static` materializes the whole
-composition breadth-first (the reference used by tests and oracles), and
-`expand_pair_state` expands one composed state at a time for the lazy
-cached layer.  Both follow the same pairing rule: a t1 arc whose output
-label matches a t2 arc's input label yields one composed arc with the
-weights multiplied, and epsilon moves advance exactly one side.
+Two routes produce the same graph: `expand_pair_state` here expands one
+composed state at a time for the lazy cached layer, and the tests'
+`compose_static` (tests/oracles.py) materializes the whole composition
+breadth-first as an independent re-derivation to check it against.  Both
+follow the same pairing rule: a t1 arc whose output label matches a t2
+arc's input label yields one composed arc with the weights multiplied,
+and epsilon moves advance exactly one side.
 
 The lazy kernel joins through t1's OLabelIndex (fst.Fst.olabel_index,
 OpenFst's output-label-sorted left operand with a matcher): each t2 arc's
@@ -29,12 +30,10 @@ representative because one-sided moves commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .errors import CompositionSizeError
-from .fst import EPS, Arc, Fst, FstBuilder
+from .fst import EPS, Fst
 from .semiring import ZERO
 
 
@@ -45,21 +44,9 @@ class FilterState(IntEnum):
     BLOCKED = 3    # dead; such a state is never created
 
 
-def advance_match(f: FilterState) -> FilterState:
-    return FilterState.ANY
-
-
-def advance_eps1(f: FilterState) -> FilterState:
-    if f == FilterState.EPS2_ONLY:
-        return FilterState.BLOCKED
-    return FilterState.EPS1_ONLY
-
-
-def advance_eps2(f: FilterState) -> FilterState:
-    return FilterState.EPS2_ONLY
-
-
-# The three moves above as tables indexed by filter state, for the kernel.
+# The filter's three moves as tables indexed by filter state: a match
+# resets it, a t1-side epsilon move is blocked once t2-side ones have
+# started, and a t2-side epsilon move always leads to EPS2_ONLY.
 MATCH_NEXT = (0, 0, 0, 0)
 EPS1_NEXT = (1, 1, 3, 1)
 EPS2_NEXT = (2, 2, 2, 2)
@@ -118,78 +105,3 @@ def expand_pair_state(key: tuple[int, int, int], t1: Fst, t2) -> Expansion:
     # A sum of ZEROs is a new inf object; every non-final state shares ZERO.
     return Expansion(out, ZERO if final == ZERO else final)
 
-
-@dataclass(frozen=True)
-class StaticComposition:
-    fst: Fst
-    state_of: dict  # (q1, q2, f) -> state id, in discovery order
-
-
-def compose_static_full(t1: Fst, t2, max_states: int = 1_000_000) -> StaticComposition:
-    """Materialize the filtered composition breadth-first.
-
-    States are numbered in discovery order (queue order, arcs sorted the
-    same way expand_pair_state sorts them), so repeated runs and the lazy
-    layer's empty-cache exploration produce identical numberings.  The
-    frozen Fst orders arcs tied on (ilabel, olabel, weight) by destination
-    id, where expand_pair_state orders them by destination key.  Raises
-    CompositionSizeError when more than `max_states` composed states
-    appear.
-    """
-    start = (t1.start, t2.start, int(FilterState.ANY))
-    state_of: dict[tuple[int, int, int], int] = {start: 0}
-    queue = [start]
-    builder = FstBuilder(t1.isyms, getattr(t2, "osyms", None))
-    builder.add_state()
-    head = 0
-    while head < len(queue):
-        key = queue[head]
-        head += 1
-        src = state_of[key]
-        q1, q2, f = key
-
-        # Inline re-derivation of the pairing rule; kept separate from
-        # expand_pair_state on purpose so the two can check each other.
-        generated: list[tuple] = []
-        t2_arcs = t2.arcs_of(q2)
-        for e2 in t2_arcs:
-            if e2.ilabel != EPS:
-                continue
-            generated.append((EPS, e2.olabel, e2.weight,
-                              (q1, e2.nextstate, int(advance_eps2(f)))))
-        by_il: dict[int, list[Arc]] = {}
-        for e2 in t2_arcs:
-            by_il.setdefault(e2.ilabel, []).append(e2)
-        for e1 in t1.arcs_of(q1):
-            if e1.olabel == EPS:
-                nf = advance_eps1(f)
-                if nf != FilterState.BLOCKED:
-                    generated.append((e1.ilabel, EPS, e1.weight,
-                                      (e1.nextstate, q2, int(nf))))
-            else:
-                for e2 in by_il.get(e1.olabel, ()):
-                    generated.append((e1.ilabel, e2.olabel,
-                                      e1.weight + e2.weight,
-                                      (e1.nextstate, e2.nextstate,
-                                       int(advance_match(f)))))
-        generated.sort()
-
-        for ilabel, olabel, weight, dst_key in generated:
-            dst = state_of.get(dst_key)
-            if dst is None:
-                if len(state_of) >= max_states:
-                    raise CompositionSizeError(
-                        f"composition exceeded {max_states} states")
-                dst = len(state_of)
-                state_of[dst_key] = dst
-                builder.add_state()
-                queue.append(dst_key)
-            builder.add_arc(src, ilabel, olabel, weight, dst)
-        final = t1.final_weight(q1) + t2.final_weight(q2)
-        if final != ZERO:
-            builder.set_final(src, final)
-    return StaticComposition(builder.freeze(start=0), state_of)
-
-
-def compose_static(t1: Fst, t2, max_states: int = 1_000_000) -> Fst:
-    return compose_static_full(t1, t2, max_states=max_states).fst

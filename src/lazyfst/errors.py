@@ -10,7 +10,7 @@ class LazyFstError(Exception):
 
 
 class ParseError(LazyFstError):
-    """Malformed text input (FST, symbol table, lexicon, ...)."""
+    """Malformed text input (lexicon, contact list, ...)."""
 
     def __init__(self, path: str, lineno: int, message: str):
         self.path = path

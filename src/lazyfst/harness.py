@@ -133,8 +133,9 @@ def parse_utterances(text: str, path: str,
     return rows
 
 
-def write_build(build: Build, out_dir: str | Path) -> dict:
-    """Write graph artifacts and return the count summary."""
+def write_build(build: Build, out_dir: str | Path) -> None:
+    """Write the symbol tables and the graphs as AT&T text, the form
+    OpenFst's fstcompile reads with --isymbols/--osymbols."""
     out = Path(out_dir)
     (out / "contacts").mkdir(parents=True, exist_ok=True)
     (out / "phones.syms").write_text(write_symbols(build.phone_syms))
@@ -143,19 +144,6 @@ def write_build(build: Build, out_dir: str | Path) -> dict:
     (out / "root.fst.txt").write_text(write_text_fst(build.root))
     for user, fst in build.contact_fsts.items():
         (out / "contacts" / f"{user}.fst.txt").write_text(write_text_fst(fst))
-    counts = {
-        "phones": len(build.phone_syms) - 1,
-        "words": len(build.word_syms) - 1,
-        "t1_states": build.t1.num_states,
-        "t1_arcs": build.t1.num_arcs,
-        "root_states": build.root.num_states,
-        "root_arcs": build.root.num_arcs,
-        "contact_fsts": {user: {"states": fst.num_states,
-                                "arcs": fst.num_arcs}
-                         for user, fst in build.contact_fsts.items()},
-    }
-    (out / "counts.json").write_text(json.dumps(counts, indent=2) + "\n")
-    return counts
 
 
 def binding_for(build: Build, user: str) -> ClassBinding:

@@ -1,9 +1,10 @@
 """Tropical semiring over non-negative reals plus infinity.
 
-Weights are plain floats: ``plus`` is min, ``times`` is addition,
-``ZERO`` (no path) is +inf and ``ONE`` (free path) is 0.0.  All graph
-weights in this package are negative log probabilities, so they stay
-non-negative and shortest-distance algorithms need no reweighting.
+Weights are plain floats, combined inline where they are used: the
+semiring's plus is min and its times is addition, ``ZERO`` (no path) is
++inf and the free path costs 0.0.  All graph weights in this package are
+negative log probabilities, so they stay non-negative and
+shortest-distance algorithms need no reweighting.
 """
 
 from __future__ import annotations
@@ -11,25 +12,8 @@ from __future__ import annotations
 import math
 
 ZERO = math.inf
-ONE = 0.0
-
-
-def plus(a: float, b: float) -> float:
-    """Semiring collection: keep the better (smaller) cost."""
-    return a if a <= b else b
-
-
-def times(a: float, b: float) -> float:
-    """Semiring extension: accumulate costs along a path."""
-    return a + b
 
 
 def is_member(w: float) -> bool:
     """True for weights this package considers valid: non-negative or +inf."""
     return not math.isnan(w) and w >= 0.0
-
-
-def approx_equal(a: float, b: float, tol: float = 1e-9) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol

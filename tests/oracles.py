@@ -1,9 +1,22 @@
-"""Brute-force reference implementations the tests compare against.
+"""Reference implementations and test-only helpers the tests compare against.
 
-Everything here is deliberately naive: enumerate paths, join relations
-pairwise, run Dijkstra over the time-expanded graph.  None of it shares
+Most of it is deliberately naive: enumerate paths, join relations
+pairwise, run Dijkstra over the time-expanded graph.  None of that shares
 code with the package beyond the Arc/Fst data types, so agreement is
-evidence rather than tautology.
+evidence rather than tautology.  It holds:
+
+* path and relation oracles: enumerate_language, relation_compose,
+  substitute_language, acceptor_language, best_accepting_weight;
+* decoding oracles: oracle_decode (exact) and oracle_beam_decode;
+* the composition pairing rule, re-derived twice: pair_state_arcs, one
+  composed state with no index, and compose_static / compose_static_full,
+  the whole filtered composition breadth-first, each independent of
+  compose.expand_pair_state;
+* materialize, the whole lazy graph of a session through cache.expand,
+  numbered the way compose_static numbers its states;
+* shortest_path, a tropical single shortest path;
+* read_text_fst and read_symbols, minimal readers for exactly what
+  fst.write_text_fst and fst.write_symbols emit, for round-trip tests.
 
 Float discipline: oracles accumulate weights left to right along each
 path, the same order the production code uses, so exact equality
@@ -14,9 +27,15 @@ dyadic weights to keep cross-path sums associative.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple, Optional
 
-from lazyfst.fst import EPS
+from lazyfst.cache import Session, expand
+from lazyfst.compose import FilterState
+from lazyfst.errors import CompositionSizeError
+from lazyfst.fst import EPS, Arc, Fst, FstBuilder, SymbolTable
+from lazyfst.semiring import ZERO
 
 MAX_PATHS = 200_000
 
@@ -304,6 +323,130 @@ def pair_state_arcs(key, t1, t2) -> list:
     return sorted(out, key=lambda arc: composed_arc_key(t2, arc))
 
 
+def advance_match(f: FilterState) -> FilterState:
+    return FilterState.ANY
+
+
+def advance_eps1(f: FilterState) -> FilterState:
+    if f == FilterState.EPS2_ONLY:
+        return FilterState.BLOCKED
+    return FilterState.EPS1_ONLY
+
+
+def advance_eps2(f: FilterState) -> FilterState:
+    return FilterState.EPS2_ONLY
+
+
+@dataclass(frozen=True)
+class StaticComposition:
+    fst: Fst
+    state_of: dict  # (q1, q2, f) -> state id, in discovery order
+
+
+def compose_static_full(t1: Fst, t2, max_states: int = 1_000_000) -> StaticComposition:
+    """Materialize the filtered composition breadth-first.
+
+    States are numbered in discovery order (queue order, arcs sorted the
+    same way expand_pair_state sorts them), so repeated runs and the lazy
+    layer's empty-cache exploration produce identical numberings.  The
+    frozen Fst orders arcs tied on (ilabel, olabel, weight) by destination
+    id, where expand_pair_state orders them by destination key.  Raises
+    CompositionSizeError when more than `max_states` composed states
+    appear.
+    """
+    start = (t1.start, t2.start, int(FilterState.ANY))
+    state_of: dict[tuple[int, int, int], int] = {start: 0}
+    queue = [start]
+    builder = FstBuilder(t1.isyms, getattr(t2, "osyms", None))
+    builder.add_state()
+    head = 0
+    while head < len(queue):
+        key = queue[head]
+        head += 1
+        src = state_of[key]
+        q1, q2, f = key
+
+        # Inline re-derivation of the pairing rule; kept separate from
+        # expand_pair_state on purpose so the two can check each other.
+        generated: list[tuple] = []
+        t2_arcs = t2.arcs_of(q2)
+        for e2 in t2_arcs:
+            if e2.ilabel != EPS:
+                continue
+            generated.append((EPS, e2.olabel, e2.weight,
+                              (q1, e2.nextstate, int(advance_eps2(f)))))
+        by_il: dict[int, list[Arc]] = {}
+        for e2 in t2_arcs:
+            by_il.setdefault(e2.ilabel, []).append(e2)
+        for e1 in t1.arcs_of(q1):
+            if e1.olabel == EPS:
+                nf = advance_eps1(f)
+                if nf != FilterState.BLOCKED:
+                    generated.append((e1.ilabel, EPS, e1.weight,
+                                      (e1.nextstate, q2, int(nf))))
+            else:
+                for e2 in by_il.get(e1.olabel, ()):
+                    generated.append((e1.ilabel, e2.olabel,
+                                      e1.weight + e2.weight,
+                                      (e1.nextstate, e2.nextstate,
+                                       int(advance_match(f)))))
+        generated.sort()
+
+        for ilabel, olabel, weight, dst_key in generated:
+            dst = state_of.get(dst_key)
+            if dst is None:
+                if len(state_of) >= max_states:
+                    raise CompositionSizeError(
+                        f"composition exceeded {max_states} states")
+                dst = len(state_of)
+                state_of[dst_key] = dst
+                builder.add_state()
+                queue.append(dst_key)
+            builder.add_arc(src, ilabel, olabel, weight, dst)
+        final = t1.final_weight(q1) + t2.final_weight(q2)
+        if final != ZERO:
+            builder.set_final(src, final)
+    return StaticComposition(builder.freeze(start=0), state_of)
+
+
+def compose_static(t1: Fst, t2, max_states: int = 1_000_000) -> Fst:
+    return compose_static_full(t1, t2, max_states=max_states).fst
+
+
+def materialize(session: Session, max_states: int = 1_000_000) -> Fst:
+    """Explore the whole lazy graph reachable from the start.
+
+    States are renumbered in breadth-first discovery order, which is the
+    same traversal compose_static uses, so a full materialization is
+    comparable state-by-state with the static composition regardless of
+    what the public cache holds.
+    """
+    start = session.start_id()
+    order: dict[int, int] = {start: 0}
+    queue = [start]
+    builder = FstBuilder(session.cache.t1.isyms, session.cache.root.osyms)
+    builder.add_state()
+    head = 0
+    while head < len(queue):
+        sid = queue[head]
+        head += 1
+        exp = expand(sid, session)
+        for ilabel, olabel, weight, nextstate in exp.arcs:
+            dst = order.get(nextstate)
+            if dst is None:
+                if len(order) >= max_states:
+                    raise CompositionSizeError(
+                        f"materialization exceeded {max_states} states")
+                dst = len(order)
+                order[nextstate] = dst
+                builder.add_state()
+                queue.append(nextstate)
+            builder.add_arc(order[sid], ilabel, olabel, weight, dst)
+        if exp.final != ZERO:
+            builder.set_final(order[sid], exp.final)
+    return builder.freeze(start=0)
+
+
 def edit_distance(ref, hyp) -> int:
     """Plain Levenshtein, for cross-checking the harness scorer."""
     rows = len(ref) + 1
@@ -318,3 +461,118 @@ def edit_distance(ref, hyp) -> int:
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
                           d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]))
     return d[-1][-1]
+
+
+class ShortestPath(NamedTuple):
+    weight: float
+    ilabels: tuple[int, ...]
+    olabels: tuple[int, ...]
+    states: tuple[int, ...]
+
+
+def shortest_path(fst: Fst) -> Optional[ShortestPath]:
+    """Tropical single shortest accepting path, or None if none exists.
+
+    Weights must be non-negative (the Weight domain guarantees it), so
+    this is a backward Dijkstra for the distance-to-final function
+    followed by a deterministic greedy walk.  Ties are broken toward the
+    lexicographically smallest state-id sequence: stopping at a final
+    state beats continuing, then the smallest next state wins, then the
+    smallest (ilabel, olabel).  Epsilon labels are omitted from the
+    returned label sequences.
+    """
+    dist: list[float] = [ZERO] * fst.num_states
+    reverse: dict[int, list[tuple[int, float]]] = {}
+    for state in fst.states():
+        for arc in fst.arcs_of(state):
+            reverse.setdefault(arc.nextstate, []).append((state, arc.weight))
+    heap: list[tuple[float, int]] = []
+    for state, rho in fst.finals.items():
+        if rho < dist[state]:
+            dist[state] = rho
+            heapq.heappush(heap, (rho, state))
+    while heap:
+        d, state = heapq.heappop(heap)
+        if d > dist[state]:
+            continue
+        for src, w in reverse.get(state, ()):
+            nd = w + d
+            if nd < dist[src]:
+                dist[src] = nd
+                heapq.heappush(heap, (nd, src))
+
+    if dist[fst.start] == ZERO:
+        return None
+
+    ilabels: list[int] = []
+    olabels: list[int] = []
+    states = [fst.start]
+    on_path = {fst.start}
+    state = fst.start
+    while True:
+        remaining = dist[state]
+        if fst.finals.get(state, ZERO) == remaining:
+            return ShortestPath(dist[fst.start], tuple(ilabels), tuple(olabels),
+                                tuple(states))
+        best: Optional[Arc] = None
+        for arc in fst.arcs_of(state):
+            if arc.weight + dist[arc.nextstate] != remaining:
+                continue
+            if arc.nextstate in on_path and dist[arc.nextstate] == remaining:
+                continue  # zero-weight cycle; an equally good acyclic choice exists
+            if best is None or (arc.nextstate, arc.ilabel, arc.olabel) < \
+                    (best.nextstate, best.ilabel, best.olabel):
+                best = arc
+        if best is None:
+            # Only possible when every optimal continuation closes a
+            # zero-weight cycle, which valid inputs here never produce.
+            raise AssertionError("shortest-path walk trapped in zero-weight cycles")
+        if best.ilabel != EPS:
+            ilabels.append(best.ilabel)
+        if best.olabel != EPS:
+            olabels.append(best.olabel)
+        state = best.nextstate
+        states.append(state)
+        on_path.add(state)
+
+
+def read_symbols(text: str) -> SymbolTable:
+    """Parse what fst.write_symbols emits: "symbol<TAB>id" lines, ids
+    dense from 0 and 0 = <eps>."""
+    table = SymbolTable()
+    for expected, line in enumerate(text.splitlines()):
+        sym, sym_id = line.split("\t")
+        assert int(sym_id) == expected, line
+        if expected == 0:
+            assert sym == "<eps>", line
+        else:
+            assert table.add(sym) == expected, line
+    return table
+
+
+def read_text_fst(text: str, isyms: Optional[SymbolTable] = None,
+                  osyms: Optional[SymbolTable] = None) -> Fst:
+    """Parse what fst.write_text_fst emits: arc lines "src dst isym osym
+    weight", final lines "state weight", the start state's block first.
+    Labels resolve through the symbol tables when given, else they are
+    integer ids."""
+    def label(tok: str, table: Optional[SymbolTable]) -> int:
+        got = int(tok) if table is None else table.id_of(tok)
+        assert got is not None, f"unknown symbol {tok!r}"
+        return got
+
+    builder = FstBuilder(isyms, osyms)
+    start = None
+    for line in text.splitlines():
+        parts = line.split()
+        state = int(parts[0])
+        if start is None:
+            start = state
+        if len(parts) == 2:
+            builder.set_final(state, float(parts[1]))
+        else:
+            dst, il, ol, weight = parts[1:]
+            builder.add_arc(state, label(il, isyms), label(ol, osyms),
+                            float(weight), int(dst))
+    assert start is not None, "no states"
+    return builder.freeze(start=start)

@@ -13,15 +13,14 @@ import time
 import pytest
 
 import criteria
-from oracles import acceptor_language, oracle_decode
+from oracles import (acceptor_language, compose_static, materialize,
+                     oracle_decode, shortest_path)
 from test_cache import build_machine
 
-from lazyfst.cache import (PublicCache, Session, is_precomposable,
-                           materialize, seal_public)
-from lazyfst.compose import compose_static
+from lazyfst.cache import PublicCache, Session, is_precomposable, seal_public
 from lazyfst.decoder import DecodeConfig, decode
 from lazyfst.deskdata import SIL, stable_seed
-from lazyfst.fst import shortest_path, write_text_fst
+from lazyfst.fst import write_text_fst
 from lazyfst.harness import (binding_for, decode_config, levenshtein,
                              precompose_cache, run_bench, scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import compose_static, materialize
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
                            CachedExpansion, PublicCache, Session,
                            dump_public_cache, end_session, expand,
-                           is_precomposable, load_public_cache, materialize,
-                           seal_public)
-from lazyfst.compose import FilterState, compose_static
+                           is_precomposable, load_public_cache, seal_public)
+from lazyfst.compose import FilterState
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
 from lazyfst.decoder import decode
@@ -464,6 +464,18 @@ class TestSharing:
         assert census(loaded) == census(cache)
         assert all(e.final is ZERO for e in loaded.expanded.values()
                    if e.final == ZERO)
+
+    def test_loaded_cache_ids_are_the_table_ints(self, desk_build, desk_cfg):
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        loaded = load_public_cache(dump_public_cache(cache), desk_build.t1,
+                                   desk_build.root, desk_build.class_ids)
+        own = {id(state_id) for state_id in loaded.ids.values()}
+        dsts = [dst for e in loaded.expanded.values() for *_, dst in e.arcs]
+        # ints above 256 are not cached by the interpreter, so only
+        # mapping through the table makes them the same objects
+        assert sum(dst > 256 for dst in dsts) > 0
+        assert all(id(dst) in own for dst in dsts)
+        assert all(id(state_id) in own for state_id in loaded.expanded)
 
     def test_private_dead_ends_share_one_expansion(self, desk_build,
                                                    desk_cfg):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_beam_decode, oracle_decode
+from oracles import compose_static, oracle_beam_decode, oracle_decode
 from test_cache import build_machine, scenario
 from lazyfst import decoder
 from lazyfst.cache import (CachedExpansion, PublicCache, Session, end_session,
                            seal_public)
-from lazyfst.compose import compose_static
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
 from lazyfst.errors import CompositionSizeError, ConfigurationError

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import edit_distance
+from oracles import edit_distance, read_symbols, read_text_fst
 from lazyfst.cache import Session, end_session
 from lazyfst.decoder import decode
 from lazyfst.errors import BuildError, ConfigurationError
+from lazyfst.fst import write_text_fst
 from lazyfst.harness import (_chunk, _percentile, binding_for, build_graphs,
                              decode_config, graph_stats, levenshtein,
                              load_config, precompose_cache, run_bench,
@@ -90,12 +91,29 @@ class TestBuild:
                                          "fst_arcs": 63}
 
     def test_write_build_artifacts(self, desk_build, tmp_path):
-        counts = write_build(desk_build, tmp_path)
+        write_build(desk_build, tmp_path)
         for name in ("phones.syms", "words.syms", "t1.fst.txt",
-                     "root.fst.txt", "counts.json", "contacts/u01.fst.txt"):
+                     "root.fst.txt", "contacts/u01.fst.txt"):
             assert (tmp_path / name).exists()
-        assert json.loads((tmp_path / "counts.json").read_text()) == counts
-        assert counts["t1_states"] == 238
+        # every written graph reads back through the written symbol
+        # tables and writes again byte for byte as the built graph does
+        phones = read_symbols((tmp_path / "phones.syms").read_text())
+        words = read_symbols((tmp_path / "words.syms").read_text())
+        assert phones.symbols() == desk_build.phone_syms.symbols()
+        assert words.symbols() == desk_build.word_syms.symbols()
+        graphs = {"t1.fst.txt": (desk_build.t1, phones, words),
+                  "root.fst.txt": (desk_build.root, words, words)}
+        for user, fst in desk_build.contact_fsts.items():
+            graphs[f"contacts/{user}.fst.txt"] = (fst, words, words)
+        assert len(list((tmp_path / "contacts").iterdir())) == \
+            len(desk_build.contact_fsts)
+        back = {}
+        for name, (fst, isyms, osyms) in graphs.items():
+            text = (tmp_path / name).read_text()
+            assert text == write_text_fst(fst)
+            back[name] = read_text_fst(text, isyms, osyms)
+            assert write_text_fst(back[name]) == text
+        assert back["t1.fst.txt"].num_states == 238
 
     def test_missing_data_file(self, desk_cfg, tmp_path):
         cfg = dict(desk_cfg)

@@ -3,11 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from oracles import acceptor_language
+from oracles import acceptor_language, compose_static, shortest_path
 from strategies import acyclic_fst
-from lazyfst.compose import compose_static
 from lazyfst.errors import BuildError, ParseError
-from lazyfst.fst import EPS, FstBuilder, shortest_path, write_text_fst
+from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                              build_lexicon_fst, build_symbol_tables,
                              determinize_acyclic, minimize_acyclic,

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (acceptor_language, composed_arc_key, enumerate_language,
-                     substitute_language, view_arc_key, view_state_key)
+from oracles import (acceptor_language, compose_static_full, composed_arc_key,
+                     enumerate_language, substitute_language, view_arc_key,
+                     view_state_key)
 from strategies import acyclic_fst
-from lazyfst.compose import FilterState, compose_static_full, expand_pair_state
+from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError, ExpansionError
 from lazyfst.fst import EPS, FstBuilder
 from lazyfst.harness import binding_for
