@@ -74,12 +74,3 @@ def test_cache_expand_otf(benchmark, desk, t1_state):
     made = benchmark.pedantic(expand, setup=fresh_session, rounds=2000)
     assert len(made.arcs) == (52 if t1_state == "loop" else 2)
 
-
-def test_cache_expand_public_hit(benchmark, desk):
-    cfg, build = desk
-    cache, _ = precompose_cache(build, cfg, "both")
-    session = Session(cache, binding_for(build, USER))
-    start = session.start_id()
-    assert start in cache.expanded
-    benchmark(expand, start, session)
-    assert session.metrics.otf_expansion == 0

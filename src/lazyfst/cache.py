@@ -21,15 +21,11 @@ all destinations of one expansion in one call (PublicCache.intern_arcs,
 Session.intern_arcs, which hold the public and the private-first rule),
 and that pass also builds the cached arcs, plain `(ilabel, olabel,
 weight, nextstate)` tuples.
-Session.lookup holds the two-layer rule for one state and counts a
-public_hit or private_hit when it finds the state; expand is lookup or
-else build, and counts an otf_expansion when it builds.  The decoder's
-epsilon closure (decoder._eps_closure) applies the same rule to every
-state it resolves, reading the two layer dicts directly, and adds its
-hits to the session's metrics once per closure.  It resolves each state
-it returns once per frame, so the hits count one per state a closure
-returns, per frame, and every such state increments exactly one of
-public_hit / private_hit / otf_expansion.
+
+The rule for reading the two layers lives in the decoder's epsilon
+closure (decoder._eps_closure), which counts the hits; expand is the
+build half it calls for a state neither layer holds, the only writer of
+the private layer, and counts an otf_expansion.
 
 Sealing shares equal parts of the public layer: one float object per
 distinct weight (ZERO itself for every non-final state), one tuple per
@@ -305,26 +301,6 @@ class Session:
     def start_id(self) -> int:
         return self.intern(self.cache.start_key())
 
-    def lookup(self, state_id: int) -> Optional[CachedExpansion]:
-        """The stored expansion of `state_id`, public layer first, counting
-        the hit; None when neither layer holds it yet.  This is the
-        one-state form of the rule decoder._eps_closure applies inline to
-        every state it resolves."""
-        if self.ended:
-            raise ConfigurationError("session already ended")
-        if state_id < self.num_public:
-            # Bounded by the table size this session was opened with, so a
-            # build-time session never confuses its private ids with public
-            # ids interned after it started.
-            cached = self.cache.expanded.get(state_id)
-            if cached is not None:
-                self.metrics.public_hit += 1
-                return cached
-        cached = self.private_exp.get(state_id)
-        if cached is not None:
-            self.metrics.private_hit += 1
-        return cached
-
     @property
     def bytes_private(self) -> int:
         arcs = sum(len(e.arcs) for e in self.private_exp.values())
@@ -332,12 +308,12 @@ class Session:
 
 
 def expand(state_id: int, session: Session) -> CachedExpansion:
-    """Arcs and final weight of one composed state: Session.lookup, or else
-    an on-the-fly expansion stored in the private layer (DEAD_END when it
-    has no arcs and is not final)."""
-    cached = session.lookup(state_id)
-    if cached is not None:
-        return cached
+    """Expand one composed state on the fly into the private layer
+    (DEAD_END when it has no arcs and is not final), counting an
+    otf_expansion.  Reads neither layer: decoder._eps_closure calls it
+    only for a state that neither holds."""
+    if session.ended:
+        raise ConfigurationError("session already ended")
     raw = expand_pair_state(session.key_of(state_id), session.cache.t1,
                             session.view)
     if raw.arcs or raw.final != ZERO:

@@ -39,8 +39,8 @@ def _build_parser() -> _Parser:
 
     def cache_file(p):
         p.add_argument("--cache", default=None, metavar="FILE",
-                       help="load the shared cache from a precompose or "
-                            "warmup dump instead of building it")
+                       help="load the shared cache from a precompose "
+                            "dump instead of building it")
 
     p = sub.add_parser("build", help="build graphs and write artifacts")
     p.add_argument("--config", required=True)
@@ -48,11 +48,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("precompose", help="fill and dump the shared cache")
     common(p, method_default="bfs")
-    p.add_argument("--out", default=None, help="cache dump path")
-
-    p = sub.add_parser("warmup", help="warm-up pre-composition (decode-driven)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--bfs-depth", type=int, default=None)
     p.add_argument("--out", default=None, help="cache dump path")
 
     p = sub.add_parser("decode", help="decode one utterance")
@@ -83,12 +78,12 @@ def _config(args) -> dict:
     return cfg
 
 
-def _dump_cache(cache, cfg, args, method: str) -> str:
+def _dump_cache(cache, cfg, args) -> str:
     out = args.out
     if out is None:
         out_dir = Path(cfg.get("out_dir", "build"))
         out_dir.mkdir(parents=True, exist_ok=True)
-        out = str(out_dir / f"cache_{method}.txt")
+        out = str(out_dir / f"cache_{args.method}.txt")
     Path(out).write_text(dump_public_cache(cache))
     return out
 
@@ -115,16 +110,15 @@ def cmd_build(args) -> int:
     build = build_graphs(cfg)
     out = args.out or cfg.get("out_dir", "build")
     write_build(build, out)
-    print(json.dumps(graph_stats(build, cfg), indent=2))
+    print(json.dumps(graph_stats(build), indent=2))
     return 0
 
 
-def cmd_precompose(args, method: str | None = None) -> int:
+def cmd_precompose(args) -> int:
     cfg = _config(args)
     build = build_graphs(cfg)
-    method = method or args.method
-    cache, stats = precompose_cache(build, cfg, method, args.bfs_depth)
-    stats["dump"] = _dump_cache(cache, cfg, args, method)
+    cache, stats = precompose_cache(build, cfg, args.method, args.bfs_depth)
+    stats["dump"] = _dump_cache(cache, cfg, args)
     print(json.dumps(stats, indent=2))
     return 0
 
@@ -184,9 +178,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    cfg = _config(args)
-    build = build_graphs(cfg)
-    print(json.dumps(graph_stats(build, cfg), indent=2))
+    build = build_graphs(_config(args))
+    print(json.dumps(graph_stats(build), indent=2))
     return 0
 
 
@@ -201,8 +194,6 @@ def main(argv=None) -> int:
             return cmd_build(args)
         if args.command == "precompose":
             return cmd_precompose(args)
-        if args.command == "warmup":
-            return cmd_precompose(args, method="warmup")
         if args.command == "decode":
             return cmd_decode(args)
         if args.command == "bench":

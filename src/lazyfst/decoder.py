@@ -5,10 +5,9 @@ and cache.expand, so the same code serves fully dynamic, BFS-pre-composed
 and warmed-up graphs; which layer answered is visible purely in the
 counters.  Each frame is Kaldi's ProcessEmitting/ProcessNonemitting
 split: the emit step walks only emitting arcs, the epsilon closure only
-epsilon arcs.  The closure resolves each state it returns once, by
-Session.lookup's rule but reading the layers directly, and counts the
-public and private hits into the session's metrics once per closure; each
-token it returns carries its expansion on to the next emit step.
+epsilon arcs.  The closure (_eps_closure) holds the rule for reading the
+two layers and resolves each state it returns once; each token it
+returns carries its expansion on to the next emit step.
 Acoustic input is a cost matrix (frames x input labels); a tiny simulator
 fabricates such matrices from reference label sequences so the whole
 pipeline runs without any audio dependency.
@@ -50,18 +49,19 @@ from .metrics import Metrics
 from .semiring import ZERO
 
 
-def _is_real(value) -> bool:
+def is_real(value) -> bool:
     """A real number, numpy's included; a bool is not one."""
     return not isinstance(value, bool) and isinstance(value, Real)
 
 
-def require_count(name: str, value) -> None:
-    """ConfigurationError unless `value` is an integer >= 1, numpy's
-    included; a bool is not one."""
+def require_int(name: str, value, least: Optional[int] = None) -> None:
+    """ConfigurationError unless `value` is an integer, numpy's included,
+    and at least `least` when one is given; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, Integral) \
-            or value < 1:
+            or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
         raise ConfigurationError(
-            f"{name} must be an integer >= 1, not {value!r}")
+            f"{name} must be an integer{bound}, not {value!r}")
 
 
 @dataclass
@@ -74,11 +74,11 @@ class DecodeConfig:
     max_eps_pops: int = 200_000
 
     def __post_init__(self):
-        if not (_is_real(self.beam) and self.beam > 0):
+        if not (is_real(self.beam) and self.beam > 0):
             raise ConfigurationError(
                 f"beam must be a positive number, not {self.beam!r}")
         for name in ("max_active", "max_eps_pops"):
-            require_count(name, getattr(self, name))
+            require_int(name, getattr(self, name), 1)
 
 
 class ScoreMatrix:
@@ -95,7 +95,7 @@ class ScoreMatrix:
             raise ConfigurationError("score matrix holds a NaN or -inf cost")
         if self._m.shape[1] > 0:
             self._m[:, EPS] = np.inf
-        if not (_is_real(frame_seconds) and 0 < frame_seconds < np.inf):
+        if not (is_real(frame_seconds) and 0 < frame_seconds < np.inf):
             raise ConfigurationError(f"frame_seconds must be a positive "
                                      f"number, not {frame_seconds!r}")
         self.frame_seconds = frame_seconds
@@ -128,11 +128,11 @@ def simulate_scores(ref_labels: Sequence[int], num_labels: int, *,
     finite number or a noise that is not a finite number >= 0 is a
     ConfigurationError.
     """
-    require_count("frames_per_label", frames_per_label)
-    if not (_is_real(margin) and -np.inf < margin < np.inf):
+    require_int("frames_per_label", frames_per_label, 1)
+    if not (is_real(margin) and -np.inf < margin < np.inf):
         raise ConfigurationError(
             f"margin must be a finite number, not {margin!r}")
-    if not (_is_real(noise) and 0 <= noise < np.inf):
+    if not (is_real(noise) and 0 <= noise < np.inf):
         raise ConfigurationError(
             f"noise must be a finite number >= 0, not {noise!r}")
     rng = np.random.default_rng(seed)
@@ -179,17 +179,23 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
     Graph weights are never negative, so the cheapest seed is the lowest
     cost the closure can reach: the floor is known up front, and a seed
     or relaxation above floor + cfg.beam is dropped before it is looked
-    up or pushed.  Every state kept is resolved once: a seed or a newly
-    reached state from the two cache layers, by Session.lookup's rule
-    (the public layer below session.num_public, then the private layer),
-    and a state neither layer holds through expand when it is settled.
-    The public and private hits are added to session.metrics once, when
-    the closure ends.  A resolved state without epsilon arcs relaxes
-    nothing, so it never enters the heap.  A relaxation is pushed only
-    when it strictly lowers a state's cost, so a heap entry whose cost is
-    not the state's current cost is stale and every state is settled at
-    most once.  Returns the tokens, each carrying its expansion, and the
-    floor.
+    up or pushed.
+
+    This is the one reader of the two cache layers.  Every state kept is
+    resolved once: a seed or a newly reached state from the public layer
+    when its id is below session.num_public and the public layer holds
+    it, else from the private layer, and a state neither layer holds
+    through cache.expand when it is settled.  The bound is the table
+    size the session was opened with, so a warm-up session never takes
+    its private ids for public ids interned after it started.  Each
+    state kept counts one public_hit, private_hit or otf_expansion; the
+    hits are added to session.metrics once, when the closure ends.
+
+    A resolved state without epsilon arcs relaxes nothing, so it never
+    enters the heap.  A relaxation is pushed only when it strictly lowers
+    a state's cost, so a heap entry whose cost is not the state's current
+    cost is stale and every state is settled at most once.  Returns the
+    tokens, each carrying its expansion, and the floor.
     """
     if session.ended:
         raise ConfigurationError("session already ended")
@@ -364,7 +370,6 @@ def decode(scores: ScoreMatrix, session: Session,
 
     wall = time.perf_counter() - t0
     session.metrics.frames += scores.num_frames
-    session.metrics.decode_seconds += wall
     if best_cost == ZERO:
         return None
     labels = _unwind(best_trace)

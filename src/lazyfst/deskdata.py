@@ -305,7 +305,6 @@ def desk_config(data_dir: str = "data/desk",
         "contacts": "contacts.jsonl",
         "users": "users.json",
         "utterances": "utterances.jsonl",
-        "temp_label": "<temp>",
         "noise": 0.25,
         "margin": 4.0,
         "frames_per_phone": 3,

@@ -60,9 +60,6 @@ class SymbolTable:
     def symbols(self) -> list[str]:
         return list(self._syms)
 
-    def copy(self) -> "SymbolTable":
-        return SymbolTable(self._syms[1:])
-
 
 def write_symbols(table: SymbolTable) -> str:
     return "".join(f"{sym}\t{i}\n" for i, sym in enumerate(table.symbols()))

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import PublicCache, Session, end_session, seal_public
-from .decoder import DecodeConfig, decode, require_count, rtf, simulate_scores
+from .decoder import (DecodeConfig, decode, is_real, require_int, rtf,
+                      simulate_scores)
 from .errors import BuildError, ConfigurationError
 from .fst import Fst, SymbolTable, write_symbols, write_text_fst
-from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
+from .lmbuild import (TEMP_SYMBOL, ContactEntry, Lexicon, build_contact_fst,
                       build_lexicon_fst, build_symbol_tables, parse_classes,
                       parse_contacts_jsonl, parse_corpus, parse_lexicon,
                       train_bigram_root)
@@ -70,12 +71,13 @@ def build_graphs(cfg: dict) -> Build:
     if isinstance(class_names, str):
         class_names = parse_classes(read("classes"))
     phone_syms, word_syms = build_symbol_tables(lexicon, class_names)
-    t1 = build_lexicon_fst(lexicon, phone_syms, word_syms,
-                           sil_penalty=cfg.get("sil_penalty", math.log(2.0)))
+    t1 = build_lexicon_fst(
+        lexicon, phone_syms, word_syms,
+        sil_penalty=_penalty(cfg, "sil_penalty", math.log(2.0)))
     corpus = parse_corpus(read("corpus"))
-    root = train_bigram_root(corpus, lexicon, class_names, word_syms,
-                             backoff_penalty=cfg.get("backoff_penalty",
-                                                     math.log(10.0)))
+    root = train_bigram_root(
+        corpus, lexicon, class_names, word_syms,
+        backoff_penalty=_penalty(cfg, "backoff_penalty", math.log(10.0)))
     contacts = parse_contacts_jsonl(read("contacts"),
                                     str(data / cfg["contacts"]))
     by_name = {c.name: c for c in contacts}
@@ -99,6 +101,15 @@ def build_graphs(cfg: dict) -> Build:
                 for user, fst in contact_fsts.items()}
     return Build(lexicon, phone_syms, word_syms, t1, root, class_ids,
                  contacts, users, contact_fsts, bindings, utterances)
+
+
+def _penalty(cfg: dict, name: str, default: float) -> float:
+    """cfg[name], or `default` when absent: a finite number >= 0."""
+    value = cfg.get(name, default)
+    if not (is_real(value) and 0 <= value < math.inf):
+        raise ConfigurationError(
+            f"{name} must be a finite number >= 0, not {value!r}")
+    return value
 
 
 UTTERANCE_FIELDS = (("id", str), ("user", str), ("words", list),
@@ -158,9 +169,11 @@ def scores_for(build: Build, cfg: dict, utt: dict):
     ref = [build.phone_syms.id_of(p) for p in utt["phones"]]
     if any(p is None for p in ref):
         raise BuildError(f"utterance {utt['id']} uses unknown phones")
-    seed = (utt["seed"] * 1000003 + cfg.get("seed", 0)) & 0x7FFFFFFF
+    cfg_seed = cfg.get("seed", 0)
+    require_int("seed", cfg_seed)
+    seed = (utt["seed"] * 1000003 + cfg_seed) & 0x7FFFFFFF
     frames_per_phone = cfg.get("frames_per_phone", 3)
-    require_count("frames_per_phone", frames_per_phone)
+    require_int("frames_per_phone", frames_per_phone, 1)
     return simulate_scores(ref, len(build.phone_syms),
                            frames_per_label=frames_per_phone,
                            margin=cfg.get("margin", 4.0),
@@ -184,21 +197,20 @@ def precompose_cache(build: Build, cfg: dict, method: str,
                                  f"expected one of {METHODS}")
     depth = cfg.get("bfs_depth", 5) if bfs_depth is None else bfs_depth
     pre_cfg = PrecomposeConfig(
-        classes=build.class_ids,
-        temp_label=build.word_syms.id_of(cfg.get("temp_label", "<temp>")),
+        temp_label=build.word_syms.id_of(TEMP_SYMBOL),
         bfs_depth=depth,
         state_budget=cfg.get("state_budget", 200000))
     cache = PublicCache(build.t1, build.root, build.class_ids)
     stats = {"method": method, "bfs_depth": depth}
     if method in ("bfs", "both"):
-        bfs_precompose(build.t1, build.root, pre_cfg, cache=cache)
+        bfs_precompose(cache, pre_cfg)
         stats["after_bfs"] = cache.num_expanded
     if method in ("warmup", "both"):
         count = cfg.get("warmup_count", 60)
+        require_int("warmup_count", count, 0)
         score_list = [scores_for(build, cfg, utt)
                       for utt in build.utterances[:count]]
-        warmup_precompose(build.t1, build.root, pre_cfg, score_list,
-                          decode_config(cfg), cache=cache)
+        warmup_precompose(cache, pre_cfg, score_list, decode_config(cfg))
         stats["after_warmup"] = cache.num_expanded
     seal_public(cache)
     stats["public_states"] = cache.num_public
@@ -356,7 +368,7 @@ def score_report(report: dict, build: Build) -> dict:
             "unknown_utterances": missing}
 
 
-def graph_stats(build: Build, cfg: dict) -> dict:
+def graph_stats(build: Build) -> dict:
     (class_id,) = build.class_ids
     root_class_arcs = sum(
         1 for state in build.root.states()

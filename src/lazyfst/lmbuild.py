@@ -252,8 +252,8 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
     return root
 
 
-def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable,
-                        with_disambig: bool = True) -> tuple[Fst, frozenset[int]]:
+def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable
+                        ) -> tuple[Fst, frozenset[int]]:
     """Star-shaped union of pronunciation chains, one SIL word at the end
     of each, with an auxiliary "#j" label inserted before SIL on the j-th
     occurrence of any duplicated pronunciation.  "#j" is the label
@@ -288,7 +288,7 @@ def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable,
         raise BuildError("word table lacks the SIL monophone word")
     for key, weight in flat:
         ids = list(key)
-        if with_disambig and group_count[key] > 1:
+        if group_count[key] > 1:
             occurrence[key] = occurrence.get(key, 0) + 1
             aux = len(word_syms) + occurrence[key] - 1
             disambig_ids.add(aux)

@@ -1,15 +1,14 @@
 """Counters that drive every comparison in the benchmark harness.
 
-Wall-clock time is recorded but never asserted on; the reproducible
-signals are the expansion/hit counters and the modeled byte sizes.
+The reproducible signals are the expansion/hit counters and the modeled
+byte sizes; wall-clock time lives on the Hypothesis, never here.
 
 public_hit and private_hit count one per state a decoder closure returns,
 per frame, that the public or the private layer already held; the
-closure resolves such states by Session.lookup's rule and adds its hits
-here once when it ends, and Session.lookup counts one per state it finds.
-otf_expansion counts the states expanded on the fly, each once per
-session.  So per decode the three add up to the number of tokens the
-closures hand to pruning.
+closure (decoder._eps_closure, the one reader of the two layers) adds
+its hits here once when it ends.  otf_expansion counts the states
+cache.expand builds on the fly, each once per session.  So per decode
+the three add up to the number of tokens the closures hand to pruning.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ class Metrics:
     private_hit: int = 0
     otf_expansion: int = 0
     frames: int = 0
-    decode_seconds: float = 0.0
     bytes_private: int = 0
 
     def snapshot(self) -> "Metrics":
@@ -37,9 +35,5 @@ class Metrics:
             private_hit=self.private_hit - before.private_hit,
             otf_expansion=self.otf_expansion - before.otf_expansion,
             frames=self.frames - before.frames,
-            decode_seconds=self.decode_seconds - before.decode_seconds,
             bytes_private=self.bytes_private,
         )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)

@@ -1,10 +1,11 @@
 """Offline filling of the public cache: breadth-first and data-driven warm-up.
 
-Both strategies expand only states whose arcs are provably independent of
-any session's class FSTs (see cache.is_precomposable).  During this build
-phase every class label is bound to a throwaway FST: a placeholder
-acceptor for the BFS walk (its symbol never occurs in the first-pass
-graph, so expansion cannot proceed past a class entry) and an
+Both strategies fill a PublicCache from its own graphs (t1, root, class
+labels and bridge states) and expand only states whose arcs are provably
+independent of any session's class FSTs (see cache.is_precomposable).
+During this build phase every class label is bound to a throwaway FST: a
+placeholder acceptor for the BFS walk (its symbol never occurs in the
+first-pass graph, so expansion cannot proceed past a class entry) and an
 accept-nothing FST for warm-up decoding.  States cached here never touch
 either, which warm-up promotion re-verifies by recomputation.
 """
@@ -14,13 +15,12 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cache import CachedExpansion, PublicCache, Session, is_precomposable
 from .compose import Expansion, expand_pair_state
-from .decoder import DecodeConfig, ScoreMatrix, decode
+from .decoder import DecodeConfig, ScoreMatrix, decode, require_int
 from .errors import ConfigurationError, InvariantError, LazyFstError
-from .fst import Fst
 from .replace import ReplaceView, empty_binding, placeholder_binding
 
 logger = logging.getLogger(__name__)
@@ -31,16 +31,13 @@ __all__ = ["PrecomposeConfig", "bfs_precompose", "warmup_precompose",
 
 @dataclass
 class PrecomposeConfig:
-    classes: frozenset[int]
     temp_label: int
     bfs_depth: int = 5
     state_budget: int = 1_000_000
 
     def __post_init__(self):
-        if self.bfs_depth < 0:
-            raise ConfigurationError("bfs_depth must be >= 0")
-        if self.state_budget < 0:
-            raise ConfigurationError("state_budget must be >= 0")
+        for name in ("bfs_depth", "state_budget"):
+            require_int(name, getattr(self, name), 0)
 
 
 def _store_public(cache: PublicCache, state_id: int,
@@ -50,9 +47,17 @@ def _store_public(cache: PublicCache, state_id: int,
     return made
 
 
-def bfs_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
-                   cache: Optional[PublicCache] = None) -> PublicCache:
-    """Expand shareable states breadth-first from the composed start.
+def _placeholder_view(cache: PublicCache,
+                      cfg: PrecomposeConfig) -> ReplaceView:
+    """The cache's root with every class bound to the placeholder."""
+    binding = placeholder_binding(cache.classes, cfg.temp_label,
+                                  cache.root.osyms)
+    return ReplaceView(cache.root, binding, cache.bridges)
+
+
+def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
+    """Expand shareable states of `cache` breadth-first from the composed
+    start; returns `cache`.
 
     A state is expanded iff it passes is_precomposable, its distance from
     the start (in composed arcs, epsilon arcs included) is strictly below
@@ -61,12 +66,10 @@ def bfs_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
     nothing but still registers the start key.  Deterministic: FIFO
     queue, arcs in stored order.
     """
-    if cache is None:
-        cache = PublicCache(t1, root, cfg.classes)
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
-    view = ReplaceView(root, placeholder_binding(cfg.classes, cfg.temp_label,
-                                                 root.osyms))
+    t1, root, classes = cache.t1, cache.root, cache.classes
+    view = _placeholder_view(cache, cfg)
     start = cache.intern(cache.start_key())
     dist = {start: 0}
     queue = deque([start])
@@ -75,7 +78,7 @@ def bfs_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
         d = dist[state_id]
         if d >= cfg.bfs_depth:
             continue
-        if not is_precomposable(cache.keys[state_id], root, cfg.classes):
+        if not is_precomposable(cache.keys[state_id], root, classes):
             continue
         exp = cache.expanded.get(state_id)
         if exp is None:
@@ -92,12 +95,11 @@ def bfs_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
     return cache
 
 
-def warmup_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
+def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
                       score_list: Sequence[ScoreMatrix],
-                      decode_cfg: DecodeConfig,
-                      cache: Optional[PublicCache] = None) -> PublicCache:
+                      decode_cfg: DecodeConfig) -> PublicCache:
     """Decode warm-up traffic with every class bound to an accept-nothing
-    FST; promote each visited shareable state into the public cache.
+    FST; promote each visited shareable state into `cache` and return it.
 
     Promotion recomputes the expansion with the ordinary kernel under the
     placeholder binding and insists it matches what the warm-up session
@@ -105,13 +107,11 @@ def warmup_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
     and checking beats assuming.  Decode failures on warm-up traffic are
     logged and skipped.  Can extend a BFS-produced cache.
     """
-    if cache is None:
-        cache = PublicCache(t1, root, cfg.classes)
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
-    warm_binding = empty_binding(cfg.classes, root.osyms)
-    check_view = ReplaceView(root, placeholder_binding(cfg.classes, cfg.temp_label,
-                                                       root.osyms))
+    t1, root, classes = cache.t1, cache.root, cache.classes
+    warm_binding = empty_binding(classes, root.osyms)
+    check_view = _placeholder_view(cache, cfg)
     budget_hit = False
     for utt_index, scores in enumerate(score_list):
         session = Session(cache, warm_binding, _allow_unsealed=True)
@@ -122,7 +122,7 @@ def warmup_precompose(t1: Fst, root: Fst, cfg: PrecomposeConfig,
                            utt_index, err)
         for state_id in sorted(session.private_exp):
             key = session.key_of(state_id)
-            if not is_precomposable(key, root, cfg.classes):
+            if not is_precomposable(key, root, classes):
                 continue
             public_id = cache.ids.get(key)
             if public_id is not None and public_id in cache.expanded:

@@ -12,8 +12,10 @@ evidence rather than tautology.  It holds:
   composed state with no index, and compose_static / compose_static_full,
   the whole filtered composition breadth-first, each independent of
   compose.expand_pair_state;
-* materialize, the whole lazy graph of a session through cache.expand,
-  numbered the way compose_static numbers its states;
+* lookup, the one-state form of the rule decoder._eps_closure applies
+  to read the two cache layers, counting the hit it finds;
+* materialize, the whole lazy graph of a session through lookup and
+  cache.expand, numbered the way compose_static numbers its states;
 * shortest_path, a tropical single shortest path;
 * read_text_fst and read_symbols, minimal readers for exactly what
   fst.write_text_fst and fst.write_symbols emit, for round-trip tests.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple, Optional
 
-from lazyfst.cache import Session, expand
+from lazyfst.cache import CachedExpansion, Session, expand
 from lazyfst.compose import FilterState
 from lazyfst.errors import CompositionSizeError
 from lazyfst.fst import EPS, Arc, Fst, FstBuilder, SymbolTable
@@ -413,6 +415,22 @@ def compose_static(t1: Fst, t2, max_states: int = 1_000_000) -> Fst:
     return compose_static_full(t1, t2, max_states=max_states).fst
 
 
+def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:
+    """The stored expansion of `state_id`, public layer first, counting
+    the hit; None when neither layer holds it.  The public layer is read
+    only below session.num_public, the table size the session was opened
+    with."""
+    if state_id < session.num_public:
+        cached = session.cache.expanded.get(state_id)
+        if cached is not None:
+            session.metrics.public_hit += 1
+            return cached
+    cached = session.private_exp.get(state_id)
+    if cached is not None:
+        session.metrics.private_hit += 1
+    return cached
+
+
 def materialize(session: Session, max_states: int = 1_000_000) -> Fst:
     """Explore the whole lazy graph reachable from the start.
 
@@ -430,7 +448,9 @@ def materialize(session: Session, max_states: int = 1_000_000) -> Fst:
     while head < len(queue):
         sid = queue[head]
         head += 1
-        exp = expand(sid, session)
+        exp = lookup(session, sid)
+        if exp is None:
+            exp = expand(sid, session)
         for ilabel, olabel, weight, nextstate in exp.arcs:
             dst = order.get(nextstate)
             if dst is None:

@@ -23,6 +23,7 @@ from lazyfst.deskdata import SIL, stable_seed
 from lazyfst.fst import write_text_fst
 from lazyfst.harness import (binding_for, decode_config, levenshtein,
                              precompose_cache, run_bench, scores_for)
+from lazyfst.lmbuild import TEMP_SYMBOL
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import (ClassBinding, ReplaceView,
                              insert_epsilon_before_class)
@@ -150,16 +151,14 @@ def test_epsilon_insertion_unlocks_start_state(desk_build, desk_cfg):
         raw = build_machine([(0, class_id, class_id, 0.25, 1)], {1: 0.5}, 2)
         transformed = insert_epsilon_before_class(raw, desk_build.class_ids)
         pre_cfg = PrecomposeConfig(
-            classes=desk_build.class_ids,
-            temp_label=desk_build.word_syms.id_of("<temp>"),
-            bfs_depth=4)
+            temp_label=desk_build.word_syms.id_of(TEMP_SYMBOL), bfs_depth=4)
 
         before = PublicCache(desk_build.t1, raw, desk_build.class_ids)
-        bfs_precompose(desk_build.t1, raw, pre_cfg, cache=before)
+        bfs_precompose(before, pre_cfg)
         assert before.num_expanded == 0
 
         after = PublicCache(desk_build.t1, transformed, desk_build.class_ids)
-        bfs_precompose(desk_build.t1, transformed, pre_cfg, cache=after)
+        bfs_precompose(after, pre_cfg)
         assert after.num_expanded >= 1
 
         binding = binding_for(desk_build, "u01")

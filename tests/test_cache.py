@@ -15,9 +15,10 @@ from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
 from lazyfst.compose import FilterState
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
-from lazyfst.decoder import decode
+from lazyfst.decoder import DecodeConfig, _eps_closure, decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
+from lazyfst.lmbuild import TEMP_SYMBOL
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import ClassBinding, ReplaceView, empty_binding
 from lazyfst.semiring import ZERO
@@ -78,8 +79,8 @@ def fixed_scenario():
 
 
 def sealed_cache(t1, root, classes=frozenset({CLS}), depth=0):
-    cfg = PrecomposeConfig(classes=classes, temp_label=TEMP, bfs_depth=depth)
-    return seal_public(bfs_precompose(t1, root, cfg))
+    cfg = PrecomposeConfig(temp_label=TEMP, bfs_depth=depth)
+    return seal_public(bfs_precompose(PublicCache(t1, root, classes), cfg))
 
 
 class TestIsPrecomposable:
@@ -225,17 +226,12 @@ class TestIdSpace:
         def counts():
             return (m.public_hit, m.private_hit, m.otf_expansion)
 
-        assert counts() == (0, 0, 0)
-        expand(sid, session)
-        assert counts() == (1, 0, 0)          # start was cached publicly
-        expand(sid, session)
-        assert counts() == (2, 0, 0)
-        # walk to a state the public layer does not hold
+        # walk the public layer to a state it does not hold
         frontier = None
         seen, stack = {sid}, [sid]
         while stack:
             cur = stack.pop()
-            for _, _, _, dst in expand(cur, session).arcs:
+            for _, _, _, dst in cache.expanded[cur].arcs:
                 if dst >= session.num_public or dst not in cache.expanded:
                     frontier = dst
                     stack.clear()
@@ -244,14 +240,16 @@ class TestIdSpace:
                     seen.add(dst)
                     stack.append(dst)
         assert frontier is not None, "graph entirely public; deepen the test"
-        before = counts()
-        expand(frontier, session)
-        after = counts()
-        assert after[2] == before[2] + 1 and after[0] == before[0] \
-            and after[1] == before[1]
-        expand(frontier, session)
-        assert (m.public_hit, m.private_hit, m.otf_expansion) == \
-            (after[0], after[1] + 1, after[2])
+        assert counts() == (0, 0, 0)
+        made = expand(frontier, session)
+        assert counts() == (0, 0, 1)          # built, never looked up
+        assert session.private_exp[frontier] is made
+        # a beam below its one epsilon arc's weight keeps the closure to it
+        assert made.n_eps == 1 and made.arcs[0][2] == 0.5
+        kept, _ = _eps_closure({frontier: (0.0, None)}, session,
+                               DecodeConfig(beam=0.25))
+        assert list(kept) == [frontier] and kept[frontier][2] is made
+        assert counts() == (0, 1, 1)          # the closure finds it privately
 
     def test_sealed_session_interns_as_public_first(self, desk_build, desk_cfg):
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
@@ -267,9 +265,9 @@ class TestIdSpace:
 
     def test_warmup_session_interns_as_public_first(self, desk_build, desk_cfg):
         pre_cfg = PrecomposeConfig(
-            classes=desk_build.class_ids,
-            temp_label=desk_build.word_syms.id_of("<temp>"), bfs_depth=3)
-        cache = bfs_precompose(desk_build.t1, desk_build.root, pre_cfg)
+            temp_label=desk_build.word_syms.id_of(TEMP_SYMBOL), bfs_depth=3)
+        cache = bfs_precompose(PublicCache(desk_build.t1, desk_build.root,
+                                           desk_build.class_ids), pre_cfg)
         binding = empty_binding(desk_build.class_ids, desk_build.root.osyms)
         user = desk_build.utterances[0]["user"]
         keys = desk_session_keys(

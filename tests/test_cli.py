@@ -28,8 +28,8 @@ def mini_config(desk_root, desk_build, tmp_path_factory):
 def warm_dump(mini_config, tmp_path_factory):
     """A warm-up cache dump of mini_config, written by the CLI."""
     dump = tmp_path_factory.mktemp("dump") / "warm.txt"
-    assert main(["warmup", "--config", str(mini_config),
-                 "--out", str(dump)]) == 0
+    assert main(["precompose", "--config", str(mini_config),
+                 "--method", "warmup", "--out", str(dump)]) == 0
     return dump
 
 
@@ -78,6 +78,25 @@ class TestDataErrors:
         cfg[field] = value
         path.write_text(json.dumps(cfg))
         assert main(["decode", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert field in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("bfs_depth", "5"), ("bfs_depth", 2.5),
+        ("state_budget", "x"), ("state_budget", True),
+        ("warmup_count", "x"), ("warmup_count", -5), ("seed", "x"),
+        ("seed", 1.5), ("sil_penalty", "x"), ("sil_penalty", -0.5),
+        ("backoff_penalty", -1), ("backoff_penalty", float("inf"))])
+    def test_bad_precompose_setting_exits_2(self, field, value, tmp_path,
+                                            capsys):
+        write_desk_data(tmp_path)
+        path = tmp_path / "desk.json"
+        cfg = json.loads(path.read_text())
+        cfg[field] = value
+        path.write_text(json.dumps(cfg))
+        assert main(["precompose", "--config", str(path), "--method", "both",
+                     "--out", str(tmp_path / "cache.txt")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert field in err
@@ -199,8 +218,8 @@ class TestCommands:
     def test_warmup_command_uses_warmup_method(self, mini_config, tmp_path,
                                                capsys):
         dump = tmp_path / "warm.txt"
-        assert main(["warmup", "--config", str(mini_config),
-                     "--out", str(dump)]) == 0
+        assert main(["precompose", "--config", str(mini_config),
+                     "--method", "warmup", "--out", str(dump)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["method"] == "warmup"
         assert stats["public_expanded"] > 0

@@ -6,24 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_static, oracle_beam_decode, oracle_decode
-from test_cache import build_machine, scenario
+from oracles import compose_static, lookup, oracle_beam_decode, oracle_decode
+from test_cache import build_machine, scenario, sealed_cache
 from lazyfst import decoder
-from lazyfst.cache import (CachedExpansion, PublicCache, Session, end_session,
-                           seal_public)
+from lazyfst.cache import CachedExpansion, Session, end_session
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
 from lazyfst.errors import CompositionSizeError, ConfigurationError
 from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
-from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import ClassBinding, ReplaceView
 
 
 def session_over(t1, root, depth=0):
-    cfg = PrecomposeConfig(classes=frozenset(), temp_label=5, bfs_depth=depth)
-    cache = seal_public(bfs_precompose(t1, root, cfg))
+    cache = sealed_cache(t1, root, frozenset(), depth)
     return Session(cache, ClassBinding(frozenset(), {}))
 
 
@@ -323,7 +320,7 @@ class TestClosureContract:
     def test_closure_counts_hits_by_the_lookup_rule(self, desk_build,
                                                     desk_cfg, monkeypatch):
         # The closure resolves states from the two layers itself and adds
-        # its hits once; Session.lookup is the one-state form of the same
+        # its hits once; oracles.lookup is the one-state form of the same
         # rule.  Looking up every state a closure returned must find the
         # same public hits, and as private hits its private hits plus the
         # states it expanded.
@@ -339,7 +336,7 @@ class TestClosureContract:
             counted = session.metrics.delta(before)
             session.metrics, metrics = Metrics(), session.metrics
             for sid in kept:
-                assert session.lookup(sid) is kept[sid][2]
+                assert lookup(session, sid) is kept[sid][2]
             looked_up, session.metrics = session.metrics, metrics
             assert looked_up.public_hit == counted.public_hit
             assert looked_up.private_hit == \
@@ -386,9 +383,7 @@ class TestAgainstOracle:
         t1, root, binding = scn
         rng = np.random.default_rng(seed)
         m = ScoreMatrix(rng.integers(0, 12, size=(frames, 3)) * 0.25)
-        cfg = PrecomposeConfig(classes=frozenset({9}), temp_label=99,
-                               bfs_depth=0)
-        cache = seal_public(bfs_precompose(t1, root, cfg))
+        cache = sealed_cache(t1, root)
         hyp = decode(m, Session(cache, binding),
                      DecodeConfig(beam=1e9, max_active=1_000_000))
         want = oracle_decode(compose_static(t1, ReplaceView(root, binding)), m)
@@ -410,9 +405,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(seed)
         m = ScoreMatrix(rng.integers(0, 24, size=(frames, 3)) * 0.25)
         beam = quarters * 0.25
-        cfg = PrecomposeConfig(classes=frozenset({9}), temp_label=99,
-                               bfs_depth=0)
-        cache = seal_public(bfs_precompose(t1, root, cfg))
+        cache = sealed_cache(t1, root)
         survivors = []
         prune = decoder._prune
 

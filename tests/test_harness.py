@@ -79,8 +79,8 @@ class TestBuild:
         b = scores_for(desk_build, desk_cfg, utt)
         assert (a._m == b._m).all()
 
-    def test_graph_count_snapshot(self, desk_build, desk_cfg):
-        stats = graph_stats(desk_build, desk_cfg)
+    def test_graph_count_snapshot(self, desk_build):
+        stats = graph_stats(desk_build)
         assert stats["phones"] == 33
         assert stats["words"] == 85   # no "#j" auxiliaries in the table
         assert stats["t1"] == {"states": 238, "arcs": 560}

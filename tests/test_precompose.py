@@ -6,15 +6,22 @@ from test_cache import TEMP, fixed_scenario, scenario
 from lazyfst.cache import PublicCache, is_precomposable, seal_public
 from lazyfst.errors import ConfigurationError
 from lazyfst.harness import decode_config, scores_for
+from lazyfst.lmbuild import TEMP_SYMBOL
 from lazyfst.precompose import (PrecomposeConfig, bfs_precompose,
                                 warmup_precompose)
 
 CLS = 9
 
 
-def pre_cfg(depth, budget=1_000_000, classes=frozenset({CLS})):
-    return PrecomposeConfig(classes=classes, temp_label=TEMP,
-                            bfs_depth=depth, state_budget=budget)
+def pre_cfg(depth, budget=1_000_000):
+    return PrecomposeConfig(temp_label=TEMP, bfs_depth=depth,
+                            state_budget=budget)
+
+
+def bfs(t1, root, depth, budget=1_000_000):
+    """bfs_precompose into a fresh cache over (t1, root)."""
+    return bfs_precompose(PublicCache(t1, root, frozenset({CLS})),
+                          pre_cfg(depth, budget))
 
 
 class TestConfig:
@@ -30,7 +37,7 @@ class TestConfig:
 class TestBfs:
     def test_depth_zero_registers_start_only(self):
         t1, root, _ = fixed_scenario()
-        cache = bfs_precompose(t1, root, pre_cfg(0))
+        cache = bfs(t1, root, 0)
         assert cache.num_expanded == 0
         assert cache.keys == [cache.start_key()]
         seal_public(cache)  # an empty cache is a valid sealed cache
@@ -39,8 +46,8 @@ class TestBfs:
     @settings(max_examples=40, deadline=None)
     def test_deeper_covers_no_less(self, scn, depth):
         t1, root, _ = scn
-        shallow = bfs_precompose(t1, root, pre_cfg(depth))
-        deep = bfs_precompose(t1, root, pre_cfg(depth + 1))
+        shallow = bfs(t1, root, depth)
+        deep = bfs(t1, root, depth + 1)
         shallow_keys = {shallow.keys[i] for i in shallow.expanded}
         deep_keys = {deep.keys[i] for i in deep.expanded}
         assert shallow_keys <= deep_keys
@@ -49,7 +56,7 @@ class TestBfs:
     @settings(max_examples=40, deadline=None)
     def test_only_shareable_states_expanded(self, scn):
         t1, root, _ = scn
-        cache = bfs_precompose(t1, root, pre_cfg(64))
+        cache = bfs(t1, root, 64)
         for state_id in cache.expanded:
             key = cache.keys[state_id]
             assert key[1] < root.num_states
@@ -59,7 +66,7 @@ class TestBfs:
     @settings(max_examples=40, deadline=None)
     def test_every_frontier_destination_is_interned(self, scn):
         t1, root, _ = scn
-        cache = bfs_precompose(t1, root, pre_cfg(3))
+        cache = bfs(t1, root, 3)
         for exp in cache.expanded.values():
             for _, _, _, dst in exp.arcs:
                 assert 0 <= dst < cache.num_public
@@ -72,37 +79,40 @@ class TestBfs:
             [(0, 8, 8, 0.0, 1), (1, 10, 10, 0.0, 2), (2, 8, 8, 0.0, 3),
              (3, CLS, CLS, 0.0, 4), (4, 10, 10, 0.0, 5)],
             {5: 0.0, 2: 0.5}, 6)
-        full = bfs_precompose(t1, root, pre_cfg(64))
+        full = bfs(t1, root, 64)
         assert full.num_expanded > 2
-        cut = bfs_precompose(t1, root, pre_cfg(64, budget=2))
+        cut = bfs(t1, root, 64, budget=2)
         assert cut.num_expanded == 2
         seal_public(cut)
 
     def test_cannot_extend_sealed(self):
         t1, root, _ = fixed_scenario()
-        cache = seal_public(bfs_precompose(t1, root, pre_cfg(2)))
+        cache = seal_public(bfs(t1, root, 2))
         with pytest.raises(ConfigurationError):
-            bfs_precompose(t1, root, pre_cfg(4), cache=cache)
+            bfs_precompose(cache, pre_cfg(4))
         with pytest.raises(ConfigurationError):
-            warmup_precompose(t1, root, pre_cfg(4), [], None, cache=cache)
+            warmup_precompose(cache, pre_cfg(4), [], None)
 
     def test_deterministic(self):
         t1, root, _ = fixed_scenario()
-        a = bfs_precompose(t1, root, pre_cfg(5))
-        b = bfs_precompose(t1, root, pre_cfg(5))
+        a = bfs(t1, root, 5)
+        b = bfs(t1, root, 5)
         assert a.keys == b.keys and a.expanded == b.expanded
+
+
+def desk_cache(build):
+    return PublicCache(build.t1, build.root, build.class_ids)
 
 
 @pytest.fixture(scope="module")
 def warm(desk_build, desk_cfg):
     cfg = PrecomposeConfig(
-        classes=desk_build.class_ids,
-        temp_label=desk_build.word_syms.id_of("<temp>"),
+        temp_label=desk_build.word_syms.id_of(TEMP_SYMBOL),
         bfs_depth=desk_cfg["bfs_depth"])
     scores = [scores_for(desk_build, desk_cfg, utt)
               for utt in desk_build.utterances[:10]]
-    cache = warmup_precompose(desk_build.t1, desk_build.root, cfg,
-                              scores, decode_config(desk_cfg))
+    cache = warmup_precompose(desk_cache(desk_build), cfg, scores,
+                              decode_config(desk_cfg))
     return cfg, scores, cache
 
 
@@ -118,13 +128,11 @@ class TestWarmupOnDeskData:
 
     def test_extends_bfs_cache_to_a_superset(self, desk_build, warm):
         cfg, scores, warm_only = warm
-        bfs_only = bfs_precompose(desk_build.t1, desk_build.root, cfg)
-        combined = bfs_precompose(desk_build.t1, desk_build.root, cfg)
-        combined = warmup_precompose(desk_build.t1, desk_build.root, cfg,
-                                     scores,
+        bfs_only = bfs_precompose(desk_cache(desk_build), cfg)
+        combined = bfs_precompose(desk_cache(desk_build), cfg)
+        combined = warmup_precompose(combined, cfg, scores,
                                      decode_config({"beam": 10.0,
-                                                    "max_active": 2000}),
-                                     cache=combined)
+                                                    "max_active": 2000}))
         bfs_keys = {bfs_only.keys[i] for i in bfs_only.expanded}
         warm_keys = {warm_only.keys[i] for i in warm_only.expanded}
         comb_keys = {combined.keys[i] for i in combined.expanded}
@@ -133,19 +141,18 @@ class TestWarmupOnDeskData:
 
     def test_warmup_is_deterministic(self, desk_build, warm):
         cfg, scores, cache = warm
-        again = warmup_precompose(desk_build.t1, desk_build.root, cfg,
-                                  scores, decode_config({"beam": 10.0,
-                                                         "max_active": 2000}))
+        again = warmup_precompose(desk_cache(desk_build), cfg, scores,
+                                  decode_config({"beam": 10.0,
+                                                 "max_active": 2000}))
         assert again.keys == cache.keys
         assert again.expanded == cache.expanded
 
     def test_budget_limits_promotion(self, desk_build, warm):
         cfg, scores, full = warm
-        small = PrecomposeConfig(classes=cfg.classes,
-                                 temp_label=cfg.temp_label,
+        small = PrecomposeConfig(temp_label=cfg.temp_label,
                                  bfs_depth=cfg.bfs_depth, state_budget=5)
-        cache = warmup_precompose(desk_build.t1, desk_build.root, small,
-                                  scores, decode_config({"beam": 10.0,
-                                                         "max_active": 2000}))
+        cache = warmup_precompose(desk_cache(desk_build), small, scores,
+                                  decode_config({"beam": 10.0,
+                                                 "max_active": 2000}))
         assert cache.num_expanded == 5
         assert full.num_expanded > 5
