@@ -19,7 +19,7 @@ from lazyfst.decoder import _emit, _eps_closure, _prune, decode
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 
 USER = "u01"
-ACTIVE, EMITTED, CLOSED = 98, 29, 40   # tokens at the benchmarked frame
+ACTIVE, EMITTED, CLOSED = 77, 29, 33   # tokens at the benchmarked frame
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,11 @@ counters.  Each frame is Kaldi's ProcessEmitting/ProcessNonemitting
 split: the emit step walks only emitting arcs, the epsilon closure only
 epsilon arcs.  The closure (_eps_closure) holds the rule for reading the
 two layers and resolves each state it returns once; each token it
-returns carries its expansion on to the next emit step.
+returns carries its expansion on to the next emit step.  It returns no
+dead end (cache.DEAD_END: no arcs, not final), which could neither emit,
+end a hypothesis nor relax anything, and walks only the live epsilon
+arcs that sealing puts first in each public expansion; dropping dead
+ends changes no hypothesis, cost or state id, only the work.
 Acoustic input is a cost matrix (frames x input labels); a tiny simulator
 fabricates such matrices from reference label sequences so the whole
 pipeline runs without any audio dependency.
@@ -42,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cache import Session, expand
+from .cache import DEAD_END, Session, expand
 from .errors import CompositionSizeError, ConfigurationError
 from .fst import EPS
 from .metrics import Metrics
@@ -69,8 +73,8 @@ class DecodeConfig:
     beam: float = 10.0
     max_active: int = 2000
     # Per closure: states within the beam settled from the heap, i.e.
-    # those with epsilon arcs or not yet expanded; trips on pathological
-    # graphs.
+    # those with live epsilon arcs or not yet expanded; trips on
+    # pathological graphs.
     max_eps_pops: int = 200_000
 
     def __post_init__(self):
@@ -174,7 +178,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                  ) -> tuple[dict[int, _Token], float]:
     """Extend `tokens` along epsilon-input arcs, settling states in
     (cost, state id) order, and keep only tokens within cfg.beam of the
-    cheapest seed.
+    cheapest seed that are not dead ends.
 
     Graph weights are never negative, so the cheapest seed is the lowest
     cost the closure can reach: the floor is known up front, and a seed
@@ -191,11 +195,19 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
     state kept counts one public_hit, private_hit or otf_expansion; the
     hits are added to session.metrics once, when the closure ends.
 
-    A resolved state without epsilon arcs relaxes nothing, so it never
-    enters the heap.  A relaxation is pushed only when it strictly lowers
-    a state's cost, so a heap entry whose cost is not the state's current
-    cost is stale and every state is settled at most once.  Returns the
-    tokens, each carrying its expansion, and the floor.
+    A dead end (DEAD_END: no arcs, not final) can neither emit, end a
+    hypothesis nor relax anything, so dropping it changes no result: a
+    seed or relaxation that resolves to one is dropped before it is
+    counted or stored, and a state cache.expand builds as one is dropped
+    after its otf_expansion is counted.  The floor is still the cheapest
+    seed, dead or not.  The closure walks only a state's first n_live
+    arcs (sealing puts a public state's epsilon arcs into dead ends after
+    them), and a resolved state without live epsilon arcs relaxes
+    nothing, so it never enters the heap.  A relaxation is pushed only
+    when it strictly lowers a state's cost, so a heap entry whose cost is
+    not the state's current cost is stale and every state is settled at
+    most once.  Returns the tokens, each carrying its expansion, and the
+    floor.
     """
     if session.ended:
         raise ConfigurationError("session already ended")
@@ -216,15 +228,20 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
             continue
         exp = public.get(sid) if sid < num_public else None
         if exp is not None:
+            if exp is DEAD_END:
+                continue
             public_hits += 1
         else:
             exp = private.get(sid)
             if exp is not None:
+                if exp is DEAD_END:
+                    continue
                 private_hits += 1
         best[sid] = (cost, tok[1], exp)
-        if exp is None or exp.n_eps:
+        if exp is None or exp.n_live:
             heap.append((cost, sid))
     heapify(heap)
+    built_dead = []
     pops = 0
     max_pops = cfg.max_eps_pops
     try:
@@ -241,7 +258,10 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
             if exp is None:
                 exp = expand(sid, session)
                 best[sid] = (cost, trace, exp)
-            for _, olabel, weight, dst in exp.arcs[:exp.n_eps]:
+                if exp is DEAD_END:
+                    # settled, so no later relaxation lowers it
+                    built_dead.append(sid)
+            for _, olabel, weight, dst in exp.arcs[:exp.n_live]:
                 new_cost = cost + weight
                 if new_cost > limit:
                     continue
@@ -249,10 +269,14 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                 if cur is None:
                     dst_exp = public.get(dst) if dst < num_public else None
                     if dst_exp is not None:
+                        if dst_exp is DEAD_END:
+                            continue
                         public_hits += 1
                     else:
                         dst_exp = private.get(dst)
                         if dst_exp is not None:
+                            if dst_exp is DEAD_END:
+                                continue
                             private_hits += 1
                 elif new_cost < cur[0]:
                     dst_exp = cur[2]
@@ -261,12 +285,14 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                 best[dst] = (new_cost,
                              trace if olabel == EPS else (trace, olabel),
                              dst_exp)
-                if dst_exp is None or dst_exp.n_eps:
+                if dst_exp is None or dst_exp.n_live:
                     heappush(heap, (new_cost, dst))
     finally:
         metrics = session.metrics
         metrics.public_hit += public_hits
         metrics.private_hit += private_hits
+    for sid in built_dead:
+        del best[sid]
     return best, floor
 
 
@@ -338,7 +364,9 @@ def decode(scores: ScoreMatrix, session: Session,
     tokens within the beam, then cut to max_active.
     After the last frame final weights are applied; the best surviving
     final token becomes the Hypothesis.  Returns None when no hypothesis
-    survives -- a result, not an error.
+    survives -- a result, not an error -- as when a frame emits nothing
+    or a closure keeps no token because every one it reached is a dead
+    end.
     """
     if cfg is None:
         cfg = DecodeConfig()
@@ -349,7 +377,8 @@ def decode(scores: ScoreMatrix, session: Session,
                                  session, cfg)
     active = _prune(tokens, floor, cfg)
     for t in range(scores.num_frames):
-        emitted = _emit(active, scores.row(t), cfg.beam)
+        # a closure that keeps no token leaves nothing to emit from
+        emitted = _emit(active, scores.row(t), cfg.beam) if active else None
         if not emitted:
             active = {}
             break

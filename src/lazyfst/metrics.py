@@ -6,9 +6,12 @@ byte sizes; wall-clock time lives on the Hypothesis, never here.
 public_hit and private_hit count one per state a decoder closure returns,
 per frame, that the public or the private layer already held; the
 closure (decoder._eps_closure, the one reader of the two layers) adds
-its hits here once when it ends.  otf_expansion counts the states
-cache.expand builds on the fly, each once per session.  So per decode
-the three add up to the number of tokens the closures hand to pruning.
+its hits here once when it ends.  A dead end (cache.DEAD_END) is never
+returned, so it is never a hit.  otf_expansion counts the states
+cache.expand builds on the fly, each once per session, dead ends
+included, which the closure drops once built.  So per decode the three
+add up to the number of tokens the closures hand to pruning plus the
+dead ends they expanded.
 """
 
 from __future__ import annotations

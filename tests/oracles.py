@@ -225,8 +225,11 @@ def oracle_beam_decode(fst, scores, beam: float):
     tie-break.  Returns (best, survivors): best is None or (cost, the
     label sequences of every cheapest final path), and survivors counts
     the tokens kept after the start closure and after each frame, up to
-    the frame that emits nothing.  The closure ends on any graph without
-    a zero-weight epsilon cycle that writes a label.
+    the frame that emits nothing, that are not dead ends: a dead end has
+    no arc and no final weight, so it can neither emit nor end a path,
+    and the decoder does not keep it.  The beam is still measured from
+    the cheapest token, dead or not.  The closure ends on any graph
+    without a zero-weight epsilon cycle that writes a label.
     """
     def close(tokens):
         changed = True
@@ -242,8 +245,12 @@ def oracle_beam_decode(fst, scores, beam: float):
         return {state: tok for state, tok in tokens.items()
                 if tok[0] <= floor + beam}
 
+    def live(tokens):
+        return sum(1 for state in tokens
+                   if fst.arcs_of(state) or fst.final_weight(state) != inf)
+
     active = close({fst.start: (0.0, frozenset({()}))})
-    survivors = [len(active)]
+    survivors = [live(active)]
     for t in range(scores.num_frames):
         row = scores.row(t)
         emitted: dict = {}
@@ -259,7 +266,7 @@ def oracle_beam_decode(fst, scores, beam: float):
         if not emitted:
             return None, survivors
         active = close(emitted)
-        survivors.append(len(active))
+        survivors.append(live(active))
     best_cost = inf
     best_labels: frozenset = frozenset()
     for state, (cost, labels) in active.items():

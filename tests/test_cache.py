@@ -493,6 +493,71 @@ class TestSharing:
         assert final_end.arcs == () and final_end.final == 0.25
 
 
+def dumped_arcs(text: str) -> dict[int, tuple]:
+    """Each expanded state's arcs in the order a dump writes them."""
+    arcs: dict[int, tuple] = {}
+    for row in text.splitlines():
+        parts = row.split()
+        if parts[0] == "s":
+            state = arcs.setdefault(int(parts[1]), [])
+        elif parts[0] == "a":
+            il, ol, w, dst = parts[1:]
+            state.append((int(il), int(ol), float(w), int(dst)))
+    return {sid: tuple(a) for sid, a in arcs.items()}
+
+
+def live_first(arcs: tuple, expanded: dict) -> tuple[tuple, int]:
+    """`arcs`, in composed order, with the epsilon arcs into a dead end of
+    `expanded` (an expansion with no arcs that is not final) after the
+    other epsilon arcs, and the number of the others."""
+    def dead(arc):
+        exp = expanded.get(arc[3])
+        return exp is not None and not exp.arcs and exp.final == ZERO
+
+    eps = tuple(a for a in arcs if a[0] == EPS)
+    live = tuple(a for a in eps if not dead(a))
+    return live + tuple(a for a in eps if dead(a)) + arcs[len(eps):], len(live)
+
+
+class TestLiveEpsilonPrefix:
+    """Sealing puts each public expansion's live epsilon arcs first and
+    counts them; dumps keep composed order."""
+
+    def check(self, cache, composed):
+        """`cache` is sealed; `composed` holds its expansions' arcs in
+        composed order."""
+        dead = [e for e in cache.expanded.values()
+                if not e.arcs and e.final == ZERO]
+        assert all(e is DEAD_END for e in dead)
+        for sid, exp in cache.expanded.items():
+            arcs, n_live = live_first(composed[sid], cache.expanded)
+            assert (exp.arcs, exp.n_live) == (arcs, n_live)
+
+    @given(acyclic_fst(), acyclic_fst(acceptor=True))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, t1, root):
+        cache = bfs_precompose(PublicCache(t1, root, frozenset()),
+                               PrecomposeConfig(temp_label=TEMP, bfs_depth=64))
+        composed = {sid: e.arcs for sid, e in cache.expanded.items()}
+        text = dump_public_cache(seal_public(cache))
+        self.check(cache, composed)
+        assert dumped_arcs(text) == composed
+        loaded = load_public_cache(text, t1, root, frozenset())
+        self.check(loaded, composed)
+        assert dump_public_cache(loaded) == text
+
+    def test_desk_cache(self, desk_build, desk_cfg):
+        # the pinned dump (test_determinism) is in composed order
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        text = dump_public_cache(cache)
+        self.check(cache, dumped_arcs(text))
+        assert any(0 < e.n_live < e.n_eps for e in cache.expanded.values())
+        loaded = load_public_cache(text, desk_build.t1, desk_build.root,
+                                   desk_build.class_ids)
+        self.check(loaded, dumped_arcs(text))
+        assert dump_public_cache(loaded) == text
+
+
 def rechecksum(text: str) -> str:
     """Re-sign an edited dump so only the body's contents are under test."""
     lines = text.splitlines(keepends=True)

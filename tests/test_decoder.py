@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import compose_static, lookup, oracle_beam_decode, oracle_decode
 from test_cache import build_machine, scenario, sealed_cache
 from lazyfst import decoder
-from lazyfst.cache import CachedExpansion, Session, end_session
+from lazyfst.cache import DEAD_END, CachedExpansion, Session, end_session
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
 from lazyfst.errors import CompositionSizeError, ConfigurationError
@@ -17,6 +17,7 @@ from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
 from lazyfst.replace import ClassBinding, ReplaceView
+from lazyfst.semiring import ZERO
 
 
 def session_over(t1, root, depth=0):
@@ -160,6 +161,34 @@ class TestHandGraph:
         m[0, 1] = 0.0
         assert decode(ScoreMatrix(m), session) is None
 
+    @pytest.mark.parametrize("depth", [0, 64])
+    def test_closure_that_keeps_only_dead_ends_returns_none(self, depth):
+        # A dead end (no arc, not final) is dropped by the closure, so a
+        # closure that reaches nothing else keeps no token and the decode
+        # ends there.  At depth 64 the public layer holds every state, and
+        # a dead end is dropped uncounted; at depth 0 each is expanded on
+        # the fly, counted, then dropped.
+        def counts(session):
+            m = session.metrics
+            return m.public_hit, m.private_hit, m.otf_expansion
+
+        # t1's start is a dead end: the start closure keeps nothing
+        root = build_machine([], {0: 0.0}, 1)
+        session = session_over(build_machine([], {}, 1), root, depth)
+        assert decode(ScoreMatrix(np.zeros((1, 2))), session) is None
+        assert counts(session) == ((0, 0, 0) if depth else (0, 0, 1))
+        # the start's one arc emits into a dead end: the first frame's
+        # closure keeps nothing, and the second frame has no token to
+        # emit from
+        t1 = build_machine([(0, 1, EPS, 0.0, 1)], {}, 2)
+        session = session_over(t1, root, depth)
+        assert decode(ScoreMatrix(np.zeros((2, 2))), session) is None
+        assert counts(session) == ((1, 0, 0) if depth else (0, 0, 2))
+        assert session.metrics.frames == 2
+        # once built, a dead end is dropped uncounted from either layer
+        assert decode(ScoreMatrix(np.zeros((2, 2))), session) is None
+        assert counts(session) == ((2, 0, 0) if depth else (0, 1, 2))
+
 
 class TestPruning:
     def setup_graph(self):
@@ -239,25 +268,58 @@ class TestPruning:
 class TestClosureContract:
     def test_one_lookup_per_state_a_closure_returns(self, desk_build, desk_cfg,
                                                     monkeypatch):
+        # Every state a closure returns counts one hit or OTF expansion,
+        # and so does every dead end it expanded and then dropped.
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        user = desk_build.utterances[0]["user"]
+        session = Session(cache, binding_for(desk_build, user))
+        handed = []
+        closure = decoder._eps_closure
+
+        def checking_closure(tokens, session, cfg):
+            kept, floor = closure(tokens, session, cfg)
+            # the floor is the cheapest seed, kept or a dropped dead end
+            assert floor == min(tok[0] for tok in tokens.values())
+            assert all(floor <= tok[0] <= floor + cfg.beam
+                       for tok in kept.values())
+            handed.append(len(kept))
+            return kept, floor
+
+        monkeypatch.setattr(decoder, "_eps_closure", checking_closure)
+        for utt in [u for u in desk_build.utterances if u["user"] == user][:5]:
+            assert decode(scores_for(desk_build, desk_cfg, utt), session,
+                          decode_config(desk_cfg)) is not None
+        m = session.metrics
+        built_dead = sum(e is DEAD_END for e in session.private_exp.values())
+        assert min(m.public_hit, m.private_hit, m.otf_expansion,
+                   built_dead) > 0
+        assert m.public_hit + m.private_hit + m.otf_expansion == \
+            sum(handed) + built_dead
+        assert all(e.n_live == e.n_eps for e in session.private_exp.values())
+
+    @pytest.mark.parametrize("method", ["none", "both"])
+    def test_no_dead_end_is_handed_to_pruning(self, desk_build, desk_cfg,
+                                              method, monkeypatch):
+        # "none" meets dead ends only in the private layer, "both" in the
+        # public one too
+        cache, _ = precompose_cache(desk_build, desk_cfg, method)
         user = desk_build.utterances[0]["user"]
         session = Session(cache, binding_for(desk_build, user))
         handed = []
         prune = decoder._prune
 
-        def counting_prune(tokens, floor, cfg):
-            assert floor == min(tok[0] for tok in tokens.values())
-            assert max(tok[0] for tok in tokens.values()) <= floor + cfg.beam
+        def checking_prune(tokens, floor, cfg):
+            for tok in tokens.values():
+                assert tok[2].arcs or tok[2].final != ZERO
             handed.append(len(tokens))
             return prune(tokens, floor, cfg)
 
-        monkeypatch.setattr(decoder, "_prune", counting_prune)
+        monkeypatch.setattr(decoder, "_prune", checking_prune)
         for utt in [u for u in desk_build.utterances if u["user"] == user][:5]:
             assert decode(scores_for(desk_build, desk_cfg, utt), session,
                           decode_config(desk_cfg)) is not None
-        m = session.metrics
-        assert min(m.public_hit, m.private_hit, m.otf_expansion) > 0
-        assert m.public_hit + m.private_hit + m.otf_expansion == sum(handed)
+        assert sum(handed) > 0
+        assert DEAD_END in session.private_exp.values()
 
     def eps_chain(self, n):
         """t1 is n epsilon arcs in a row, final at the end; root accepts
@@ -323,14 +385,22 @@ class TestClosureContract:
         # its hits once; oracles.lookup is the one-state form of the same
         # rule.  Looking up every state a closure returned must find the
         # same public hits, and as private hits its private hits plus the
-        # states it expanded.
+        # states it expanded that are not dead ends, which it drops.
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
         user = desk_build.utterances[0]["user"]
         session = Session(cache, binding_for(desk_build, user))
         closure = decoder._eps_closure
+        expand = decoder.expand
+        built_dead = []
         closures = []
 
+        def counting_expand(state_id, session):
+            made = expand(state_id, session)
+            built_dead[-1] += made is DEAD_END
+            return made
+
         def checking_closure(tokens, session, cfg):
+            built_dead.append(0)
             before = session.metrics.snapshot()
             kept, floor = closure(tokens, session, cfg)
             counted = session.metrics.delta(before)
@@ -339,18 +409,20 @@ class TestClosureContract:
                 assert lookup(session, sid) is kept[sid][2]
             looked_up, session.metrics = session.metrics, metrics
             assert looked_up.public_hit == counted.public_hit
-            assert looked_up.private_hit == \
-                counted.private_hit + counted.otf_expansion
+            assert looked_up.private_hit == counted.private_hit \
+                + counted.otf_expansion - built_dead[-1]
             closures.append(counted)
             return kept, floor
 
+        monkeypatch.setattr(decoder, "expand", counting_expand)
         monkeypatch.setattr(decoder, "_eps_closure", checking_closure)
         for utt in [u for u in desk_build.utterances if u["user"] == user][:5]:
             assert decode(scores_for(desk_build, desk_cfg, utt), session,
                           decode_config(desk_cfg)) is not None
         assert min(sum(c.public_hit for c in closures),
                    sum(c.private_hit for c in closures),
-                   sum(c.otf_expansion for c in closures)) > 0
+                   sum(c.otf_expansion for c in closures),
+                   sum(built_dead)) > 0
 
 
 class TestDeterminism:

@@ -39,16 +39,16 @@ HYPOTHESES = ("be564524e1ac686e927d8eb482cbcd90"
 
 # (OTF expansions, public hits, private hits, turn digest) per method
 GOLDEN_DECODE = {
-    "none": (19_085, 0, 201_916,
+    "none": (19_085, 0, 158_602,
              "454f3fab65eb0be6cc2c479852ba31a0"
              "0cc8e1250e99fe17a3842598df5c4955"),
-    "bfs": (8_790, 131_094, 81_117,
+    "bfs": (8_790, 98_360, 67_375,
             "66156349080e6bc197f921f76068b652"
             "523c662cee4b55d86a49dc64fcb831fc"),
-    "warmup": (7_288, 143_176, 70_537,
+    "warmup": (7_288, 106_996, 59_758,
                "ef4cd52df514452269a5eb2e41f5161b"
                "17a4ab602418554186105eb94383d1cf"),
-    "both": (7_288, 143_176, 70_537,
+    "both": (7_288, 106_996, 59_758,
              "ef4cd52df514452269a5eb2e41f5161b"
              "17a4ab602418554186105eb94383d1cf"),
 }
