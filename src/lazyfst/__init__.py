@@ -24,7 +24,7 @@ from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
 from .metrics import Metrics
 from .precompose import PrecomposeConfig, bfs_precompose, warmup_precompose
 from .replace import (ClassBinding, ReplaceView, empty_binding,
-                      insert_epsilon_before_class, placeholder_binding)
+                      insert_epsilon_before_class)
 from .semiring import ZERO
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ __all__ = [
     "expand_pair_state", "insert_epsilon_before_class", "is_precomposable",
     "load_public_cache", "minimize_acyclic",
     "parse_contacts_jsonl", "parse_corpus", "parse_lexicon",
-    "placeholder_binding", "rtf", "seal_public",
+    "rtf", "seal_public",
     "simulate_scores", "train_bigram_root", "warmup_precompose",
     "write_symbols", "write_text_fst",
 ]

@@ -33,8 +33,9 @@ distinct arc and per distinct arc sequence, and one CachedExpansion per
 distinct (arcs, final), which every state with that expansion points at.
 A weight's key is its value and its sign: 0.0 and -0.0 are equal floats
 but dump differently (dumps print repr), so they are never merged.  In
-the sealed public layer and in the private layer every state with no
-arcs that is not final, a dead end, gets the one DEAD_END expansion.
+both layers every state with no arcs that is not final, a dead end, gets
+the one DEAD_END expansion: interned() holds that rule for every
+expansion built, and sealing applies it to a loaded dump.
 Sealing also moves each public epsilon arc into a dead end after the
 live ones and records how many are live (CachedExpansion.n_live), so the
 closure never relaxes into a public dead end; dumps write the epsilon
@@ -48,7 +49,7 @@ from functools import cached_property
 from math import copysign
 from typing import Iterable, Optional
 
-from .compose import FilterState, expand_pair_state
+from .compose import Expansion, FilterState, expand_pair_state
 from .errors import BuildError, ConfigurationError, InvariantError
 from .fst import EPS, Fst, write_text_fst
 from .metrics import Metrics
@@ -106,12 +107,23 @@ class CachedExpansion:
 DEAD_END = CachedExpansion((), ZERO)
 
 
+def interned(raw: Expansion, layer) -> CachedExpansion:
+    """`raw` with its destinations interned by `layer` (a PublicCache or
+    a Session): DEAD_END when it has no arcs and is not final, so both
+    layers hold every dead end as that one expansion."""
+    if not raw.arcs and raw.final == ZERO:
+        return DEAD_END
+    return CachedExpansion(layer.intern_arcs(raw.arcs), raw.final)
+
+
 def is_precomposable(key: tuple[int, int, int], root: Fst,
                      classes: frozenset[int]) -> bool:
     """True when `key`'s expansion cannot depend on any class binding:
     the t2 side sits in the root (its view id is below the root's state
     count, so not inside a class FST) and its root state has no
-    class-label out-arc."""
+    class-label out-arc.  A replace view hands out such a root state's
+    own arcs and final weight, so the key's expansion against the root
+    itself equals its expansion against any view."""
     q2 = key[1]
     if q2 >= root.num_states:
         return False
@@ -339,12 +351,9 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
     only for a state that neither holds."""
     if session.ended:
         raise ConfigurationError("session already ended")
-    raw = expand_pair_state(session.key_of(state_id), session.cache.t1,
-                            session.view)
-    if raw.arcs or raw.final != ZERO:
-        made = CachedExpansion(session.intern_arcs(raw.arcs), raw.final)
-    else:
-        made = DEAD_END
+    made = interned(expand_pair_state(session.key_of(state_id),
+                                      session.cache.t1, session.view),
+                    session)
     session.private_exp[state_id] = made
     session.metrics.otf_expansion += 1
     return made

@@ -329,7 +329,6 @@ def write_desk_data(root: str | Path) -> dict:
     data_dir.mkdir(parents=True, exist_ok=True)
     (data_dir / "lexicon.txt").write_text(lexicon_text())
     (data_dir / "corpus.txt").write_text(corpus_text())
-    (data_dir / "classes.txt").write_text("@contact\n")
     (data_dir / "contacts.jsonl").write_text(contacts_jsonl())
     users = user_contacts()
     (data_dir / "users.json").write_text(json.dumps(users, indent=2) + "\n")

@@ -19,12 +19,12 @@ from .decoder import (DecodeConfig, decode, is_real, require_int, rtf,
                       simulate_scores)
 from .errors import BuildError, ConfigurationError
 from .fst import Fst, SymbolTable, write_symbols, write_text_fst
-from .lmbuild import (TEMP_SYMBOL, ContactEntry, Lexicon, build_contact_fst,
-                      build_lexicon_fst, build_symbol_tables, parse_classes,
+from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
+                      build_lexicon_fst, build_symbol_tables,
                       parse_contacts_jsonl, parse_corpus, parse_lexicon,
                       train_bigram_root)
 from .precompose import PrecomposeConfig, bfs_precompose, warmup_precompose
-from .replace import ClassBinding
+from .replace import ClassBinding, insert_epsilon_before_class
 
 METHODS = ("none", "bfs", "warmup", "both")
 
@@ -66,18 +66,25 @@ def build_graphs(cfg: dict) -> Build:
             raise BuildError(f"missing data file {path}")
         return path.read_text()
 
-    lexicon = parse_lexicon(read("lexicon"), str(data / cfg["lexicon"]))
     class_names = cfg["classes"]
-    if isinstance(class_names, str):
-        class_names = parse_classes(read("classes"))
+    if not (isinstance(class_names, list)
+            and all(isinstance(name, str) for name in class_names)):
+        raise ConfigurationError(
+            f"classes must be a list of strings, not {class_names!r}")
+    lexicon = parse_lexicon(read("lexicon"), str(data / cfg["lexicon"]))
     phone_syms, word_syms = build_symbol_tables(lexicon, class_names)
+    class_ids = frozenset(word_syms.id_of(c) for c in class_names)
+    if len(class_ids) != 1:
+        raise BuildError(f"contacts bind to exactly one class label, but "
+                         f"{len(class_ids)} are declared")
     t1 = build_lexicon_fst(
         lexicon, phone_syms, word_syms,
         sil_penalty=_penalty(cfg, "sil_penalty", math.log(2.0)))
     corpus = parse_corpus(read("corpus"))
-    root = train_bigram_root(
+    root = insert_epsilon_before_class(train_bigram_root(
         corpus, lexicon, class_names, word_syms,
-        backoff_penalty=_penalty(cfg, "backoff_penalty", math.log(10.0)))
+        backoff_penalty=_penalty(cfg, "backoff_penalty", math.log(10.0))),
+        class_ids)
     contacts = parse_contacts_jsonl(read("contacts"),
                                     str(data / cfg["contacts"]))
     by_name = {c.name: c for c in contacts}
@@ -92,10 +99,6 @@ def build_graphs(cfg: dict) -> Build:
                                                word_syms)
     utterances = parse_utterances(read("utterances"),
                                   str(data / cfg["utterances"]), users)
-    class_ids = frozenset(word_syms.id_of(c) for c in class_names)
-    if len(class_ids) != 1:
-        raise BuildError(f"contacts bind to exactly one class label, but "
-                         f"{len(class_ids)} are declared")
     (class_id,) = class_ids
     bindings = {user: ClassBinding(class_ids, {class_id: fst})
                 for user, fst in contact_fsts.items()}
@@ -182,11 +185,20 @@ def scores_for(build: Build, cfg: dict, utt: dict):
                            frame_seconds=cfg.get("frame_seconds", 0.01))
 
 
+def _settings(cfg: dict, names: tuple[str, ...], **given) -> dict:
+    """The settings among `names` that cfg holds, each replaced by its
+    value in `given` when that is not None.  A name set nowhere is left
+    out, so the config class's own default applies."""
+    out = {name: cfg[name] for name in names if name in cfg}
+    out.update((name, value) for name, value in given.items()
+               if value is not None)
+    return out
+
+
 def decode_config(cfg: dict, beam: float | None = None,
                   max_active: int | None = None) -> DecodeConfig:
-    return DecodeConfig(
-        beam=cfg.get("beam", 10.0) if beam is None else beam,
-        max_active=cfg.get("max_active", 2000) if max_active is None else max_active)
+    return DecodeConfig(**_settings(cfg, ("beam", "max_active"), beam=beam,
+                                    max_active=max_active))
 
 
 def precompose_cache(build: Build, cfg: dict, method: str,
@@ -195,13 +207,10 @@ def precompose_cache(build: Build, cfg: dict, method: str,
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; "
                                  f"expected one of {METHODS}")
-    depth = cfg.get("bfs_depth", 5) if bfs_depth is None else bfs_depth
-    pre_cfg = PrecomposeConfig(
-        temp_label=build.word_syms.id_of(TEMP_SYMBOL),
-        bfs_depth=depth,
-        state_budget=cfg.get("state_budget", 200000))
+    pre_cfg = PrecomposeConfig(**_settings(
+        cfg, ("bfs_depth", "state_budget"), bfs_depth=bfs_depth))
     cache = PublicCache(build.t1, build.root, build.class_ids)
-    stats = {"method": method, "bfs_depth": depth}
+    stats = {"method": method, "bfs_depth": pre_cfg.bfs_depth}
     if method in ("bfs", "both"):
         bfs_precompose(cache, pre_cfg)
         stats["after_bfs"] = cache.num_expanded

@@ -19,11 +19,9 @@ from typing import Optional
 
 from .errors import BuildError, InvariantError, ParseError
 from .fst import EPS, Arc, Fst, FstBuilder, SymbolTable
-from .replace import insert_epsilon_before_class
 from .semiring import ZERO
 
 SIL = "SIL"
-TEMP_SYMBOL = "<temp>"
 
 
 @dataclass
@@ -66,10 +64,6 @@ def parse_corpus(text: str) -> list[list[str]]:
     return [line.split() for line in text.splitlines() if line.strip()]
 
 
-def parse_classes(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines() if line.strip()]
-
-
 @dataclass
 class ContactEntry:
     name: str
@@ -97,8 +91,7 @@ def parse_contacts_jsonl(text: str, path: str = "<contacts>") -> list[ContactEnt
 def build_symbol_tables(lexicon: Lexicon,
                         class_names: list[str]) -> tuple[SymbolTable, SymbolTable]:
     """Phone table from the inventory; word table holding real words,
-    monophone words (named after their phones), class labels, and the
-    pre-composition placeholder."""
+    monophone words (named after their phones) and class labels."""
     phone_syms = SymbolTable(lexicon.phones)
     word_syms = SymbolTable()
     for word in lexicon.words:
@@ -109,7 +102,6 @@ def build_symbol_tables(lexicon: Lexicon,
         if name in word_syms:
             raise BuildError(f"class label {name!r} collides with a word")
         word_syms.add(name)
-    word_syms.add(TEMP_SYMBOL)
     return phone_syms, word_syms
 
 
@@ -167,8 +159,7 @@ def build_lexicon_fst(lexicon: Lexicon, phone_syms: SymbolTable,
 
 def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
                       class_names: list[str], word_syms: SymbolTable,
-                      backoff_penalty: float = math.log(10.0),
-                      apply_class_transform: bool = True) -> Fst:
+                      backoff_penalty: float = math.log(10.0)) -> Fst:
     """Backoff bigram acceptor over the corpus.
 
     One history state per seen word plus a sentence-start history and a
@@ -177,9 +168,9 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
     penalty) to the unigram state; sentence ends become final weights.
     Class tokens train like ordinary words except that the unigram state
     carries no class arcs: a non-terminal is only enterable from contexts
-    that actually license it, never through backoff.  Unless disabled the
-    result is passed through insert_epsilon_before_class so no state
-    keeps a class-label out-arc.
+    that actually license it, never through backoff.  Class arcs leave
+    their history states directly; harness.build_graphs passes the result
+    through replace.insert_epsilon_before_class.
     """
     if not corpus:
         raise BuildError("empty corpus")
@@ -245,11 +236,7 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
         if v in end_count:
             builder.set_final(hist[v], -math.log(end_count[v] / hist_total[v]))
 
-    root = builder.freeze(start=start)
-    if apply_class_transform and class_names:
-        class_ids = frozenset(word_syms.id_of(c) for c in class_names)
-        root = insert_epsilon_before_class(root, class_ids)
-    return root
+    return builder.freeze(start=start)
 
 
 def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable

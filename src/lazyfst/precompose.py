@@ -1,13 +1,14 @@
 """Offline filling of the public cache: breadth-first and data-driven warm-up.
 
-Both strategies fill a PublicCache from its own graphs (t1, root, class
-labels and bridge states) and expand only states whose arcs are provably
-independent of any session's class FSTs (see cache.is_precomposable).
-During this build phase every class label is bound to a throwaway FST: a
-placeholder acceptor for the BFS walk (its symbol never occurs in the
-first-pass graph, so expansion cannot proceed past a class entry) and an
-accept-nothing FST for warm-up decoding.  States cached here never touch
-either, which warm-up promotion re-verifies by recomputation.
+Both strategies fill a PublicCache from its own graphs (t1, root and
+class labels) and expand only states whose arcs are provably independent
+of any session's class FSTs (see cache.is_precomposable).  Such a state
+is expanded against the cache's root itself: its root state has no class
+out-arc, so a replace view under any binding hands out the root's own
+arcs and final weight for it, and no binding is needed.  Warm-up decoding
+does need one, and binds every class to an accept-nothing FST; each
+state it promotes is expanded again against the root and must match what
+the warm-up session stored, which a state with a class out-arc cannot.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cache import CachedExpansion, PublicCache, Session, is_precomposable
-from .compose import Expansion, expand_pair_state
+from .cache import PublicCache, Session, interned, is_precomposable
+from .compose import expand_pair_state
 from .decoder import DecodeConfig, ScoreMatrix, decode, require_int
 from .errors import ConfigurationError, InvariantError, LazyFstError
-from .replace import ReplaceView, empty_binding, placeholder_binding
+from .replace import empty_binding
 
 logger = logging.getLogger(__name__)
 
@@ -31,28 +32,12 @@ __all__ = ["PrecomposeConfig", "bfs_precompose", "warmup_precompose",
 
 @dataclass
 class PrecomposeConfig:
-    temp_label: int
     bfs_depth: int = 5
-    state_budget: int = 1_000_000
+    state_budget: int = 200_000
 
     def __post_init__(self):
         for name in ("bfs_depth", "state_budget"):
             require_int(name, getattr(self, name), 0)
-
-
-def _store_public(cache: PublicCache, state_id: int,
-                  raw: Expansion) -> CachedExpansion:
-    made = CachedExpansion(cache.intern_arcs(raw.arcs), raw.final)
-    cache.store(state_id, made)
-    return made
-
-
-def _placeholder_view(cache: PublicCache,
-                      cfg: PrecomposeConfig) -> ReplaceView:
-    """The cache's root with every class bound to the placeholder."""
-    binding = placeholder_binding(cache.classes, cfg.temp_label,
-                                  cache.root.osyms)
-    return ReplaceView(cache.root, binding, cache.bridges)
 
 
 def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
@@ -69,7 +54,6 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
     t1, root, classes = cache.t1, cache.root, cache.classes
-    view = _placeholder_view(cache, cfg)
     start = cache.intern(cache.start_key())
     dist = {start: 0}
     queue = deque([start])
@@ -86,8 +70,9 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
                 logger.warning("bfs_precompose stopped at state budget %d; "
                                "coverage is partial", cfg.state_budget)
                 break
-            exp = _store_public(cache, state_id,
-                                expand_pair_state(cache.keys[state_id], t1, view))
+            exp = interned(expand_pair_state(cache.keys[state_id], t1, root),
+                           cache)
+            cache.store(state_id, exp)
         for _, _, _, dst in exp.arcs:
             if dst not in dist:
                 dist[dst] = d + 1
@@ -101,17 +86,18 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
     """Decode warm-up traffic with every class bound to an accept-nothing
     FST; promote each visited shareable state into `cache` and return it.
 
-    Promotion recomputes the expansion with the ordinary kernel under the
-    placeholder binding and insists it matches what the warm-up session
-    stored: a shareable state's expansion must not depend on the binding,
-    and checking beats assuming.  Decode failures on warm-up traffic are
-    logged and skipped.  Can extend a BFS-produced cache.
+    Promotion expands the state again against the cache's root and
+    insists it matches what the warm-up session stored: a shareable
+    state's expansion must not depend on the binding, and checking beats
+    assuming.  A state with a class out-arc fails the check, since the
+    session's view turns that arc into an epsilon arc that the root does
+    not have.  Decode failures on warm-up traffic are logged and skipped.
+    Can extend a BFS-produced cache.
     """
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
     t1, root, classes = cache.t1, cache.root, cache.classes
     warm_binding = empty_binding(classes, root.osyms)
-    check_view = _placeholder_view(cache, cfg)
     budget_hit = False
     for utt_index, scores in enumerate(score_list):
         session = Session(cache, warm_binding, _allow_unsealed=True)
@@ -130,7 +116,7 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
             if len(cache.expanded) >= cfg.state_budget:
                 budget_hit = True
                 break
-            recomputed = expand_pair_state(key, t1, check_view)
+            recomputed = expand_pair_state(key, t1, root)
             stored = session.private_exp[state_id]
             stored_shape = [(il, ol, w, session.key_of(dst))
                             for il, ol, w, dst in stored.arcs]
@@ -138,7 +124,7 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
                     or stored.final != recomputed.final:
                 raise InvariantError(
                     f"warm-up expansion of {key} depends on the binding")
-            _store_public(cache, cache.intern(key), recomputed)
+            cache.store(cache.intern(key), interned(recomputed, cache))
         if budget_hit:
             logger.warning("warmup_precompose stopped at state budget %d; "
                            "coverage is partial", cfg.state_budget)

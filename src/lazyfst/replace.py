@@ -21,7 +21,9 @@ states (those with a class out-arc) build and sort an arc list of their
 own; an inside state maps the bound FST's sorted arcs in order and places
 only its exit arc.  The bridge set depends on the root and the class
 labels only, so a public cache computes it once (bridge_states) and
-hands it to every session's view.
+hands it to every session's view.  A root state that is not a bridge has
+the root's own arcs and final weight under every binding, so the public
+cache expands such states against the root alone (precompose).
 """
 
 from __future__ import annotations
@@ -181,37 +183,11 @@ def insert_epsilon_before_class(root: Fst, classes: frozenset[int]) -> Fst:
     return builder.freeze(start=root.start)
 
 
-def make_placeholder_class_fst(temp_label: int,
-                               syms: Optional[SymbolTable] = None) -> Fst:
-    """Two-state FST accepting exactly the placeholder symbol.
-
-    Binding every class to this during pre-composition keeps expansion
-    well-defined while guaranteeing no real path enters a class region:
-    the deployed first-pass graph never emits the placeholder, so
-    composition cannot continue past the class entry.
-    """
-    builder = FstBuilder(syms, syms)
-    s0 = builder.add_state()
-    s1 = builder.add_state()
-    builder.add_arc(s0, temp_label, temp_label, 0.0, s1)
-    builder.set_final(s1, 0.0)
-    return builder.freeze(start=s0)
-
-
-def make_empty_class_fst(syms: Optional[SymbolTable] = None) -> Fst:
-    """Single-state FST accepting nothing; the warm-up binding."""
-    builder = FstBuilder(syms, syms)
-    builder.add_state()
-    return builder.freeze(start=0)
-
-
-def placeholder_binding(classes: frozenset[int], temp_label: int,
-                        syms: Optional[SymbolTable] = None) -> ClassBinding:
-    fst = make_placeholder_class_fst(temp_label, syms)
-    return ClassBinding(classes, {c: fst for c in classes})
-
-
 def empty_binding(classes: frozenset[int],
                   syms: Optional[SymbolTable] = None) -> ClassBinding:
-    fst = make_empty_class_fst(syms)
+    """Every class bound to one single-state FST that accepts nothing;
+    the warm-up binding."""
+    builder = FstBuilder(syms, syms)
+    builder.add_state()
+    fst = builder.freeze(start=0)
     return ClassBinding(classes, {c: fst for c in classes})

@@ -23,7 +23,6 @@ from lazyfst.deskdata import SIL, stable_seed
 from lazyfst.fst import write_text_fst
 from lazyfst.harness import (binding_for, decode_config, levenshtein,
                              precompose_cache, run_bench, scores_for)
-from lazyfst.lmbuild import TEMP_SYMBOL
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import (ClassBinding, ReplaceView,
                              insert_epsilon_before_class)
@@ -150,8 +149,7 @@ def test_epsilon_insertion_unlocks_start_state(desk_build, desk_cfg):
         (class_id,) = desk_build.class_ids
         raw = build_machine([(0, class_id, class_id, 0.25, 1)], {1: 0.5}, 2)
         transformed = insert_epsilon_before_class(raw, desk_build.class_ids)
-        pre_cfg = PrecomposeConfig(
-            temp_label=desk_build.word_syms.id_of(TEMP_SYMBOL), bfs_depth=4)
+        pre_cfg = PrecomposeConfig(bfs_depth=4)
 
         before = PublicCache(desk_build.t1, raw, desk_build.class_ids)
         bfs_precompose(before, pre_cfg)

@@ -18,13 +18,11 @@ from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
 from lazyfst.decoder import DecodeConfig, _eps_closure, decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
-from lazyfst.lmbuild import TEMP_SYMBOL
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import ClassBinding, ReplaceView, empty_binding
 from lazyfst.semiring import ZERO
 
 CLS = 9
-TEMP = 99
 
 
 def build_machine(arcs, finals, n):
@@ -79,7 +77,7 @@ def fixed_scenario():
 
 
 def sealed_cache(t1, root, classes=frozenset({CLS}), depth=0):
-    cfg = PrecomposeConfig(temp_label=TEMP, bfs_depth=depth)
+    cfg = PrecomposeConfig(bfs_depth=depth)
     return seal_public(bfs_precompose(PublicCache(t1, root, classes), cfg))
 
 
@@ -264,8 +262,7 @@ class TestIdSpace:
             [oracle.intern(k) for k in keys]
 
     def test_warmup_session_interns_as_public_first(self, desk_build, desk_cfg):
-        pre_cfg = PrecomposeConfig(
-            temp_label=desk_build.word_syms.id_of(TEMP_SYMBOL), bfs_depth=3)
+        pre_cfg = PrecomposeConfig(bfs_depth=3)
         cache = bfs_precompose(PublicCache(desk_build.t1, desk_build.root,
                                            desk_build.class_ids), pre_cfg)
         binding = empty_binding(desk_build.class_ids, desk_build.root.osyms)
@@ -537,7 +534,7 @@ class TestLiveEpsilonPrefix:
     @settings(max_examples=100, deadline=None)
     def test_random_graphs(self, t1, root):
         cache = bfs_precompose(PublicCache(t1, root, frozenset()),
-                               PrecomposeConfig(temp_label=TEMP, bfs_depth=64))
+                               PrecomposeConfig(bfs_depth=64))
         composed = {sid: e.arcs for sid, e in cache.expanded.items()}
         text = dump_public_cache(seal_public(cache))
         self.check(cache, composed)

@@ -87,7 +87,9 @@ class TestDataErrors:
         ("state_budget", "x"), ("state_budget", True),
         ("warmup_count", "x"), ("warmup_count", -5), ("seed", "x"),
         ("seed", 1.5), ("sil_penalty", "x"), ("sil_penalty", -0.5),
-        ("backoff_penalty", -1), ("backoff_penalty", float("inf"))])
+        ("backoff_penalty", -1), ("backoff_penalty", float("inf")),
+        ("classes", 5), ("classes", "classes.txt"), ("classes", None),
+        ("classes", ["@contact", 1]), ("classes", {"@contact": 1})])
     def test_bad_precompose_setting_exits_2(self, field, value, tmp_path,
                                             capsys):
         write_desk_data(tmp_path)
@@ -192,7 +194,7 @@ class TestCommands:
         assert main(["build", "--config", str(mini_config),
                      "--out", str(out)]) == 0
         counts = json.loads(capsys.readouterr().out)
-        assert counts["words"] == 85   # no "#j" auxiliaries in the table
+        assert counts["words"] == 84   # no "#j" auxiliaries in the table
         assert (out / "t1.fst.txt").exists()
 
     def test_decode_reports_a_hypothesis(self, mini_config, capsys):

@@ -82,7 +82,7 @@ class TestBuild:
     def test_graph_count_snapshot(self, desk_build):
         stats = graph_stats(desk_build)
         assert stats["phones"] == 33
-        assert stats["words"] == 85   # no "#j" auxiliaries in the table
+        assert stats["words"] == 84   # no "#j" auxiliaries in the table
         assert stats["t1"] == {"states": 238, "arcs": 560}
         assert stats["root"] == {"states": 56, "arcs": 178, "class_arcs": 4}
         assert stats["utterances"] == 200

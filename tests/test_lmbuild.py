@@ -10,9 +10,10 @@ from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                              build_lexicon_fst, build_symbol_tables,
                              determinize_acyclic, minimize_acyclic,
-                             naive_contact_union, parse_classes, parse_corpus,
+                             naive_contact_union, parse_corpus,
                              parse_contacts_jsonl, parse_lexicon,
                              remove_disambig, train_bigram_root)
+from lazyfst.replace import insert_epsilon_before_class
 
 
 @pytest.fixture
@@ -45,9 +46,8 @@ class TestParsing:
         with pytest.raises(BuildError):
             Lexicon({"X": [["X"]]})
 
-    def test_corpus_and_classes(self):
+    def test_corpus(self):
         assert parse_corpus("a b\n\nc\n") == [["a", "b"], ["c"]]
-        assert parse_classes(" @contact \n\n@place\n") == ["@contact", "@place"]
 
     def test_contacts_jsonl(self):
         text = ('{"name": "ana", "pronunciations": [["AA", "N", "AA"]]}\n'
@@ -71,12 +71,12 @@ class TestSymbolTables:
         lexicon, phone_syms, word_syms = tiny
         assert phone_syms.sym_of(0) == "<eps>" or phone_syms.sym_of(0)
         # words first (insertion order), then monophone words, then the
-        # class labels, then the placeholder
+        # class labels
         names = [word_syms.sym_of(i) for i in range(1, len(word_syms))]
         n_words = len(lexicon.words)
         assert names[:n_words] == ["ab", "to", "call"]
         assert names[n_words:n_words + len(lexicon.phones)] == lexicon.phones
-        assert names[-2:] == ["@contact", "<temp>"]
+        assert names[n_words + len(lexicon.phones):] == ["@contact"]
 
     def test_class_label_collision(self, tiny):
         lexicon = tiny[0]
@@ -230,7 +230,9 @@ class TestBigramRoot:
         lexicon, _, word_syms = tiny
         corpus = [["call", "@contact"]]
         cls = word_syms.id_of("@contact")
-        root = train_bigram_root(corpus, lexicon, ["@contact"], word_syms)
+        root = insert_epsilon_before_class(
+            train_bigram_root(corpus, lexicon, ["@contact"], word_syms),
+            frozenset({cls}))
         # transformed: class arcs leave only single-arc bridge states
         for state in root.states():
             arcs = root.arcs_of(state)
@@ -241,9 +243,9 @@ class TestBigramRoot:
     def test_class_transform_preserves_best_path(self, tiny):
         lexicon, _, word_syms = tiny
         corpus = [["call", "@contact"], ["ab", "to"]]
-        raw = train_bigram_root(corpus, lexicon, ["@contact"], word_syms,
-                                apply_class_transform=False)
-        cooked = train_bigram_root(corpus, lexicon, ["@contact"], word_syms)
+        raw = train_bigram_root(corpus, lexicon, ["@contact"], word_syms)
+        cooked = insert_epsilon_before_class(
+            raw, frozenset({word_syms.id_of("@contact")}))
         a, b = shortest_path(raw), shortest_path(cooked)
         assert a.weight == b.weight
         assert [l for l in a.olabels] == [l for l in b.olabels]

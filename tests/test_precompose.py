@@ -2,20 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_cache import TEMP, fixed_scenario, scenario
-from lazyfst.cache import PublicCache, is_precomposable, seal_public
-from lazyfst.errors import ConfigurationError
-from lazyfst.harness import decode_config, scores_for
-from lazyfst.lmbuild import TEMP_SYMBOL
+from test_cache import fixed_scenario, scenario
+from lazyfst import decoder, precompose
+from lazyfst.cache import PublicCache, Session, is_precomposable, seal_public
+from lazyfst.compose import expand_pair_state
+from lazyfst.errors import ConfigurationError, InvariantError
+from lazyfst.harness import (binding_for, decode_config, precompose_cache,
+                             scores_for)
 from lazyfst.precompose import (PrecomposeConfig, bfs_precompose,
                                 warmup_precompose)
+from lazyfst.semiring import ZERO
 
 CLS = 9
 
 
 def pre_cfg(depth, budget=1_000_000):
-    return PrecomposeConfig(temp_label=TEMP, bfs_depth=depth,
-                            state_budget=budget)
+    return PrecomposeConfig(bfs_depth=depth, state_budget=budget)
 
 
 def bfs(t1, root, depth, budget=1_000_000):
@@ -106,9 +108,7 @@ def desk_cache(build):
 
 @pytest.fixture(scope="module")
 def warm(desk_build, desk_cfg):
-    cfg = PrecomposeConfig(
-        temp_label=desk_build.word_syms.id_of(TEMP_SYMBOL),
-        bfs_depth=desk_cfg["bfs_depth"])
+    cfg = PrecomposeConfig(bfs_depth=desk_cfg["bfs_depth"])
     scores = [scores_for(desk_build, desk_cfg, utt)
               for utt in desk_build.utterances[:10]]
     cache = warmup_precompose(desk_cache(desk_build), cfg, scores,
@@ -149,10 +149,49 @@ class TestWarmupOnDeskData:
 
     def test_budget_limits_promotion(self, desk_build, warm):
         cfg, scores, full = warm
-        small = PrecomposeConfig(temp_label=cfg.temp_label,
-                                 bfs_depth=cfg.bfs_depth, state_budget=5)
+        small = PrecomposeConfig(bfs_depth=cfg.bfs_depth, state_budget=5)
         cache = warmup_precompose(desk_cache(desk_build), small, scores,
                                   decode_config({"beam": 10.0,
                                                  "max_active": 2000}))
         assert cache.num_expanded == 5
         assert full.num_expanded > 5
+
+
+class TestFilledFromTheRootAlone:
+    @pytest.mark.parametrize("method", ["bfs", "both"])
+    def test_public_expansions_equal_every_users_view(self, desk_build,
+                                                      desk_cfg, method):
+        cache, _ = precompose_cache(desk_build, desk_cfg, method)
+        views = [Session(cache, binding_for(desk_build, user)).view
+                 for user in sorted(desk_build.users)]
+        assert cache.num_expanded > 0 and len(views) > 1
+        for state_id in sorted(cache.expanded):
+            key = cache.keys[state_id]
+            want = expand_pair_state(key, cache.t1, cache.root)
+            for view in views:
+                assert expand_pair_state(key, cache.t1, view) == want
+
+    def test_promotion_rejects_a_bridge_state(self, desk_build, warm,
+                                              monkeypatch):
+        # admit every root-side key, bridge states included
+        monkeypatch.setattr(precompose, "is_precomposable",
+                            lambda key, root, classes:
+                            key[1] < root.num_states)
+        cfg, scores, _ = warm
+        with pytest.raises(InvariantError, match="depends on the binding"):
+            warmup_precompose(desk_cache(desk_build), cfg, scores,
+                              decode_config({}))
+
+    def test_no_dead_end_reaches_pruning(self, desk_build, desk_cfg,
+                                         monkeypatch):
+        handed = []
+        prune = decoder._prune
+
+        def spy(tokens, floor, cfg):
+            handed.extend(tok[2] for tok in tokens.values())
+            return prune(tokens, floor, cfg)
+
+        monkeypatch.setattr(decoder, "_prune", spy)
+        precompose_cache(desk_build, desk_cfg, "both")
+        assert len(handed) > 1000
+        assert [e for e in handed if not e.arcs and e.final == ZERO] == []

@@ -11,8 +11,7 @@ from lazyfst.errors import BuildError, ExpansionError
 from lazyfst.fst import EPS, FstBuilder
 from lazyfst.harness import binding_for
 from lazyfst.replace import (ClassBinding, ReplaceView, empty_binding,
-                             insert_epsilon_before_class,
-                             make_placeholder_class_fst, placeholder_binding)
+                             insert_epsilon_before_class)
 
 CLS = 9
 
@@ -284,14 +283,6 @@ class TestInsertEpsilonBeforeClass:
 
 
 class TestHelperMachines:
-    def test_placeholder_accepts_only_placeholder(self):
-        fst = make_placeholder_class_fst(5)
-        assert acceptor_language(fst) == {(5,): 0.0}
-
-    def test_placeholder_binding_covers_all_classes(self):
-        binding = placeholder_binding(frozenset({3, 4}), temp_label=5)
-        assert set(binding.mapping) == {3, 4}
-
     def test_empty_binding_accepts_nothing(self):
         binding = empty_binding(frozenset({CLS}))
         assert acceptor_language(binding.fst_for(CLS)) == {}
