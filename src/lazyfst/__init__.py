@@ -18,9 +18,9 @@ from .errors import (BuildError, CompositionSizeError, ConfigurationError,
 from .fst import (EPS, Arc, Fst, FstBuilder, SymbolTable, write_symbols,
                   write_text_fst)
 from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
-                      build_lexicon_fst, build_symbol_tables,
-                      determinize_acyclic, minimize_acyclic, parse_contacts_jsonl,
-                      parse_corpus, parse_lexicon, train_bigram_root)
+                      build_lexicon_fst, build_symbol_tables, minimize_acyclic,
+                      parse_contacts_jsonl, parse_corpus, parse_lexicon,
+                      train_bigram_root)
 from .metrics import Metrics
 from .precompose import PrecomposeConfig, bfs_precompose, warmup_precompose
 from .replace import (ClassBinding, ReplaceView, empty_binding,
@@ -40,7 +40,7 @@ __all__ = [
     "ScoreMatrix", "Session", "SymbolTable",
     "bfs_precompose", "build_contact_fst",
     "build_lexicon_fst", "build_symbol_tables",
-    "decode", "determinize_acyclic",
+    "decode",
     "dump_public_cache", "empty_binding", "end_session",
     "expand_pair_state", "insert_epsilon_before_class", "is_precomposable",
     "load_public_cache", "minimize_acyclic",

@@ -36,10 +36,9 @@ but dump differently (dumps print repr), so they are never merged.  In
 both layers every state with no arcs that is not final, a dead end, gets
 the one DEAD_END expansion: interned() holds that rule for every
 expansion built, and sealing applies it to a loaded dump.
-Sealing also moves each public epsilon arc into a dead end after the
-live ones and records how many are live (CachedExpansion.n_live), so the
-closure never relaxes into a public dead end; dumps write the epsilon
-arcs back in composed order.
+Sealing also drops each public epsilon arc into a public dead end,
+unless its state has nothing else (_share_equal_parts); dumps write the
+sealed arcs as they are.
 """
 
 from __future__ import annotations
@@ -75,14 +74,10 @@ class CachedExpansion:
     Composed arcs are sorted by ilabel first (compose.expand_pair_state) and
     EPS is 0, so the epsilon-input arcs are the first `n_eps` arcs and the
     emitting arcs are the rest; the decoder's closure and emit step each
-    walk only their own slice.  The closure walks only the first `n_live`
-    arcs: sealing puts a public expansion's epsilon arcs into a dead end
-    (DEAD_END) after the others (seal_public), and every other expansion
-    has n_live == n_eps."""
-    __slots__ = ("arcs", "final", "n_eps", "n_live")
+    walk only their own slice."""
+    __slots__ = ("arcs", "final", "n_eps")
 
-    def __init__(self, arcs: tuple[CachedArc, ...], final: float,
-                 n_live: Optional[int] = None):
+    def __init__(self, arcs: tuple[CachedArc, ...], final: float):
         self.arcs = arcs
         self.final = final
         n_eps = 0
@@ -91,7 +86,6 @@ class CachedExpansion:
                 break
             n_eps += 1
         self.n_eps = n_eps
-        self.n_live = n_eps if n_live is None else n_live
 
     def __eq__(self, other):
         if not isinstance(other, CachedExpansion):
@@ -219,9 +213,8 @@ def seal_public(cache: PublicCache) -> PublicCache:
     come first; a violation means pre-composition cached something
     binding-dependent or misordered, which would poison every session, so
     sealing refuses with the offending key.  A cache that passes then has
-    its equal parts shared and each expansion's epsilon arcs into a dead
-    end moved after its other epsilon arcs (_share_equal_parts), so the
-    decoder's closure walks only the live ones.  Sealing twice is a no-op.
+    its equal parts shared and its epsilon arcs into a dead end dropped
+    (_share_equal_parts).  Sealing twice is a no-op.
     """
     if cache.sealed:
         return cache
@@ -247,16 +240,17 @@ def seal_public(cache: PublicCache) -> PublicCache:
 def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
     """Point every state of `expanded` at one shared CachedExpansion per
     distinct (arcs, final), built from one float per distinct weight and
-    one tuple per distinct arc and arc sequence, with each sequence's
-    live epsilon arcs first.
+    one tuple per distinct arc and arc sequence, without the epsilon arcs
+    into a dead end.
 
     A weight is keyed by (value, sign), so 0.0 and -0.0 stay apart; once
     weights are shared, the id of a shared part stands for its value in
-    the keys of the parts built from it.  An epsilon arc is live unless
-    `expanded` holds its destination as a dead end (no arcs, not final);
-    the live ones keep their composed order ahead of the dead ones, which
-    keep theirs, and n_live counts them.  Whether an arc is live depends
-    only on its destination, so n_live is a function of the sequence."""
+    the keys of the parts built from it.  An epsilon arc whose
+    destination `expanded` holds as a dead end (no arcs, not final) is
+    dropped, unless that would leave its state a dead end too: such a
+    state keeps its arcs as built, so the dead ends of a sealed cache are
+    those it was built with, and sealing its loaded dump drops nothing
+    more."""
     dead = {sid for sid, e in expanded.items()
             if not e.arcs and e.final == ZERO}
     weights = {(ZERO, 1.0): ZERO}
@@ -264,23 +258,20 @@ def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
     sequences = {(): DEAD_END.arcs}
     expansions = {(id(DEAD_END.arcs), id(ZERO)): DEAD_END}
     for state_id, expansion in expanded.items():
-        n_eps = expansion.n_eps
+        built, final = expansion.arcs, expansion.final
+        kept = [arc for arc in built[:expansion.n_eps] if arc[3] not in dead]
+        kept += built[expansion.n_eps:]
+        if not kept and final == ZERO:
+            kept = built
         shared = []
-        dead_eps = []
-        for i, (il, ol, w, dst) in enumerate(expansion.arcs):
+        for il, ol, w, dst in kept:
             w = weights.setdefault((w, copysign(1.0, w)), w)
-            arc = arcs.setdefault((il, ol, id(w), dst), (il, ol, w, dst))
-            if i < n_eps and dst in dead:
-                dead_eps.append(arc)
-            else:
-                shared.append(arc)
-        n_live = n_eps - len(dead_eps)
-        shared[n_live:n_live] = dead_eps
+            shared.append(arcs.setdefault((il, ol, id(w), dst),
+                                          (il, ol, w, dst)))
         sequence = sequences.setdefault(tuple(map(id, shared)), tuple(shared))
-        final = expansion.final
         final = weights.setdefault((final, copysign(1.0, final)), final)
         expanded[state_id] = expansions.setdefault(
-            (id(sequence), id(final)), CachedExpansion(sequence, final, n_live))
+            (id(sequence), id(final)), CachedExpansion(sequence, final))
 
 
 class Session:
@@ -376,10 +367,8 @@ CACHE_FORMAT = "lazyfst-public-cache 1"
 
 
 def dump_public_cache(cache: PublicCache) -> str:
-    """Versioned, checksummed text dump of a sealed public cache.  Each
-    epsilon prefix is written in composed order, (olabel, weight,
-    destination key), not in the live-first order sealing gave it, so a
-    dump, and a dump of its load, are the bytes of the cache as built."""
+    """Versioned, checksummed text dump of a sealed public cache, its
+    arcs as sealing left them."""
     if not cache.sealed:
         raise ConfigurationError("dump requires a sealed cache")
     lines = [f"table {len(cache.keys)}"]
@@ -388,18 +377,10 @@ def dump_public_cache(cache: PublicCache) -> str:
             raise InvariantError(
                 f"public table holds non-root key {(q1, q2, f)}")
         lines.append(f"k {q1} {q2} {f}")
-    keys = cache.keys
     for state_id in sorted(cache.expanded):
         exp = cache.expanded[state_id]
-        arcs = exp.arcs
-        if exp.n_live < exp.n_eps:
-            # sealing moved the dead epsilon arcs last; write the prefix
-            # in composed order, as it was built and as it loads
-            arcs = sorted(arcs[:exp.n_eps],
-                          key=lambda a: (a[1], a[2], keys[a[3]])) \
-                + list(arcs[exp.n_eps:])
-        lines.append(f"s {state_id} {exp.final!r} {len(arcs)}")
-        for ilabel, olabel, weight, nextstate in arcs:
+        lines.append(f"s {state_id} {exp.final!r} {len(exp.arcs)}")
+        for ilabel, olabel, weight, nextstate in exp.arcs:
             lines.append(f"a {ilabel} {olabel} {weight!r} {nextstate}")
     body = "".join(line + "\n" for line in lines)
     digest = hashlib.sha256(body.encode()).hexdigest()

@@ -9,9 +9,9 @@ epsilon arcs.  The closure (_eps_closure) holds the rule for reading the
 two layers and resolves each state it returns once; each token it
 returns carries its expansion on to the next emit step.  It returns no
 dead end (cache.DEAD_END: no arcs, not final), which could neither emit,
-end a hypothesis nor relax anything, and walks only the live epsilon
-arcs that sealing puts first in each public expansion; dropping dead
-ends changes no hypothesis, cost or state id, only the work.
+end a hypothesis nor relax anything, and sealing drops the public
+epsilon arcs into one; dropping dead ends changes no hypothesis, cost
+or state id, only the work.
 Acoustic input is a cost matrix (frames x input labels); a tiny simulator
 fabricates such matrices from reference label sequences so the whole
 pipeline runs without any audio dependency.
@@ -73,7 +73,7 @@ class DecodeConfig:
     beam: float = 10.0
     max_active: int = 2000
     # Per closure: states within the beam settled from the heap, i.e.
-    # those with live epsilon arcs or not yet expanded; trips on
+    # those with epsilon arcs or not yet expanded; trips on
     # pathological graphs.
     max_eps_pops: int = 200_000
 
@@ -200,14 +200,12 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
     seed or relaxation that resolves to one is dropped before it is
     counted or stored, and a state cache.expand builds as one is dropped
     after its otf_expansion is counted.  The floor is still the cheapest
-    seed, dead or not.  The closure walks only a state's first n_live
-    arcs (sealing puts a public state's epsilon arcs into dead ends after
-    them), and a resolved state without live epsilon arcs relaxes
-    nothing, so it never enters the heap.  A relaxation is pushed only
-    when it strictly lowers a state's cost, so a heap entry whose cost is
-    not the state's current cost is stale and every state is settled at
-    most once.  Returns the tokens, each carrying its expansion, and the
-    floor.
+    seed, dead or not.  The closure walks a state's first n_eps arcs,
+    and a resolved state without epsilon arcs relaxes nothing, so it
+    never enters the heap.  A relaxation is pushed only when it strictly
+    lowers a state's cost, so a heap entry whose cost is not the state's
+    current cost is stale and every state is settled at most once.
+    Returns the tokens, each carrying its expansion, and the floor.
     """
     if session.ended:
         raise ConfigurationError("session already ended")
@@ -238,7 +236,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                     continue
                 private_hits += 1
         best[sid] = (cost, tok[1], exp)
-        if exp is None or exp.n_live:
+        if exp is None or exp.n_eps:
             heap.append((cost, sid))
     heapify(heap)
     built_dead = []
@@ -261,7 +259,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                 if exp is DEAD_END:
                     # settled, so no later relaxation lowers it
                     built_dead.append(sid)
-            for _, olabel, weight, dst in exp.arcs[:exp.n_live]:
+            for _, olabel, weight, dst in exp.arcs[:exp.n_eps]:
                 new_cost = cost + weight
                 if new_cost > limit:
                     continue
@@ -285,7 +283,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
                 best[dst] = (new_cost,
                              trace if olabel == EPS else (trace, olabel),
                              dst_exp)
-                if dst_exp is None or dst_exp.n_live:
+                if dst_exp is None or dst_exp.n_eps:
                     heappush(heap, (new_cost, dst))
     finally:
         metrics = session.metrics

@@ -169,20 +169,21 @@ def binding_for(build: Build, user: str) -> ClassBinding:
 
 
 def scores_for(build: Build, cfg: dict, utt: dict):
+    """The utterance's simulated scores: simulate_scores with the score
+    settings cfg holds (`frames_per_phone` is its `frames_per_label`) and
+    its own default for the rest, so a config without `noise` is
+    noise-free."""
     ref = [build.phone_syms.id_of(p) for p in utt["phones"]]
     if any(p is None for p in ref):
         raise BuildError(f"utterance {utt['id']} uses unknown phones")
     cfg_seed = cfg.get("seed", 0)
     require_int("seed", cfg_seed)
     seed = (utt["seed"] * 1000003 + cfg_seed) & 0x7FFFFFFF
-    frames_per_phone = cfg.get("frames_per_phone", 3)
-    require_int("frames_per_phone", frames_per_phone, 1)
-    return simulate_scores(ref, len(build.phone_syms),
-                           frames_per_label=frames_per_phone,
-                           margin=cfg.get("margin", 4.0),
-                           noise=cfg.get("noise", 0.25),
-                           seed=seed,
-                           frame_seconds=cfg.get("frame_seconds", 0.01))
+    settings = _settings(cfg, ("margin", "noise", "frame_seconds"))
+    if "frames_per_phone" in cfg:
+        require_int("frames_per_phone", cfg["frames_per_phone"], 1)
+        settings["frames_per_label"] = cfg["frames_per_phone"]
+    return simulate_scores(ref, len(build.phone_syms), seed=seed, **settings)
 
 
 def _settings(cfg: dict, names: tuple[str, ...], **given) -> dict:

@@ -5,9 +5,10 @@ The contact pipeline mirrors how out-of-vocabulary names reach the
 decoder: every inventory phone is promoted to a "monophone word", a
 contact's pronunciation is spelled as a sequence of those words closed by
 one SIL word, homophones get auxiliary "#1", "#2", ... labels (ids above
-the shared word table, never registered in it) so the union stays
-determinizable, and the auxiliary labels are epsilon-erased after
-determinization and minimization.
+the shared word table, never registered in it) so every string is
+distinct, the strings are laid into a prefix tree, which is deterministic
+by construction, and the auxiliary labels are epsilon-erased after
+minimization.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BuildError, InvariantError, ParseError
+from .errors import BuildError, ParseError
 from .fst import EPS, Arc, Fst, FstBuilder, SymbolTable
-from .semiring import ZERO
 
 SIL = "SIL"
 
@@ -177,11 +177,9 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
     allowed = set(lexicon.words) | set(class_names)
     unigram: dict[str, int] = {}
     bigram: dict[tuple[str, str], int] = {}
-    hist_total: dict[str, int] = {}
     end_count: dict[str, int] = {}
     start_bigram: dict[str, int] = {}
     num_sentences = 0
-    num_end = 0
     for sentence in corpus:
         if not sentence:
             continue
@@ -196,12 +194,10 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
             bigram[(prev, tok)] = bigram.get((prev, tok), 0) + 1
         last = sentence[-1]
         end_count[last] = end_count.get(last, 0) + 1
-        num_end += 1
-        for tok in sentence:
-            hist_total[tok] = hist_total.get(tok, 0) + 1
     if num_sentences == 0:
         raise BuildError("empty corpus")
-    total_tokens = sum(unigram.values()) + num_end
+    # one end marker per sentence
+    total_tokens = sum(unigram.values()) + num_sentences
 
     vocab = [word_syms.sym_of(i) for i in range(1, len(word_syms))
              if word_syms.sym_of(i) in unigram]
@@ -224,38 +220,39 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
             continue
         builder.add_arc(uni_state, word_syms.id_of(w), word_syms.id_of(w),
                         -math.log(unigram[w] / total_tokens), hist[w])
-    builder.set_final(uni_state, -math.log(num_end / total_tokens))
+    builder.set_final(uni_state, -math.log(num_sentences / total_tokens))
 
     for v in vocab:
         for w in vocab:
             c = bigram.get((v, w))
             if c:
                 builder.add_arc(hist[v], word_syms.id_of(w), word_syms.id_of(w),
-                                -math.log(c / hist_total[v]), hist[w])
+                                -math.log(c / unigram[v]), hist[w])
         builder.add_arc(hist[v], EPS, EPS, backoff_penalty, uni_state)
         if v in end_count:
-            builder.set_final(hist[v], -math.log(end_count[v] / hist_total[v]))
+            builder.set_final(hist[v], -math.log(end_count[v] / unigram[v]))
 
     return builder.freeze(start=start)
 
 
-def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable
-                        ) -> tuple[Fst, frozenset[int]]:
-    """Star-shaped union of pronunciation chains, one SIL word at the end
-    of each, with an auxiliary "#j" label inserted before SIL on the j-th
-    occurrence of any duplicated pronunciation.  "#j" is the label
-    `len(word_syms) + j - 1`, above every id of the shared word table and
-    not registered in it, so compiling a user's contacts changes nothing
-    a sealed cache or an open session can see.  The union therefore
-    carries no symbol tables (nor do determinize_acyclic and
-    minimize_acyclic of it); remove_disambig attaches them.  Returns the
-    FST and the set of auxiliary label ids it used."""
+def contact_strings(contacts: list[ContactEntry], word_syms: SymbolTable
+                    ) -> tuple[dict[tuple[int, ...], float], frozenset[int]]:
+    """Every pronunciation of `contacts` as a string of monophone words
+    closed by one SIL word, weighted log(k) for a contact with k
+    pronunciations, with an auxiliary "#j" label inserted before SIL on
+    the j-th occurrence of any duplicated pronunciation, so no two strings
+    are equal.  "#j" is the label `len(word_syms) + j - 1`, above every id
+    of the shared word table and not registered in it, so compiling a
+    user's contacts changes nothing a sealed cache or an open session can
+    see.  Returns the strings with their weights and the set of auxiliary
+    label ids they use."""
     if not contacts:
         raise BuildError("empty contact list")
-    seqs: list[tuple[list[int], float]] = []
-    occurrence: dict[tuple[int, ...], int] = {}
-    group_count: dict[tuple[int, ...], int] = {}
+    sil_id = word_syms.id_of(SIL)
+    if sil_id is None:
+        raise BuildError("word table lacks the SIL monophone word")
     flat: list[tuple[tuple[int, ...], float]] = []
+    group_count: dict[tuple[int, ...], int] = {}
     for entry in contacts:
         weight = math.log(len(entry.prons))
         for pron in entry.prons:
@@ -269,30 +266,38 @@ def naive_contact_union(contacts: list[ContactEntry], word_syms: SymbolTable
             key = tuple(ids)
             group_count[key] = group_count.get(key, 0) + 1
             flat.append((key, weight))
-    disambig_ids: set[int] = set()
-    sil_id = word_syms.id_of(SIL)
-    if sil_id is None:
-        raise BuildError("word table lacks the SIL monophone word")
+    strings: dict[tuple[int, ...], float] = {}
+    occurrence: dict[tuple[int, ...], int] = {}
+    aux_ids: set[int] = set()
     for key, weight in flat:
-        ids = list(key)
         if group_count[key] > 1:
             occurrence[key] = occurrence.get(key, 0) + 1
             aux = len(word_syms) + occurrence[key] - 1
-            disambig_ids.add(aux)
-            ids.append(aux)
-        ids.append(sil_id)
-        seqs.append((ids, weight))
+            aux_ids.add(aux)
+            key += (aux,)
+        strings[key + (sil_id,)] = weight
+    return strings, frozenset(aux_ids)
 
+
+def prefix_tree(strings: dict[tuple[int, ...], float]) -> Fst:
+    """The acceptor of `strings` as a prefix tree, states numbered as the
+    strings are laid in sorted order, each string's weight on its final
+    state and every arc weighing 0.  It carries no symbol tables: the
+    auxiliary labels lie outside the word table (remove_disambig attaches
+    them)."""
     builder = FstBuilder()
-    start = builder.add_state()
-    for ids, weight in seqs:
-        src = start
-        for i, label in enumerate(ids):
-            dst = builder.add_state()
-            builder.add_arc(src, label, label, weight if i == 0 else 0.0, dst)
+    root = builder.add_state()
+    children: dict[tuple[int, int], int] = {}
+    for string in sorted(strings):
+        src = root
+        for label in string:
+            dst = children.get((src, label))
+            if dst is None:
+                dst = children[src, label] = builder.add_state()
+                builder.add_arc(src, label, label, 0.0, dst)
             src = dst
-        builder.set_final(src, 0.0)
-    return builder.freeze(start=start), frozenset(disambig_ids)
+        builder.set_final(src, strings[string])
+    return builder.freeze(start=root)
 
 
 def _check_acyclic_acceptor(fst: Fst, op: str) -> None:
@@ -317,51 +322,6 @@ def _check_acyclic_acceptor(fst: Fst, op: str) -> None:
         if color[nxt] == 0:
             color[nxt] = 1
             stack.append((nxt, 0))
-
-
-def determinize_acyclic(fst: Fst) -> Fst:
-    """Exact determinization for acyclic acceptors.
-
-    Enumerates the (finitely many) accepted strings, takes the tropical
-    min per string, and lays the result out as a prefix tree with all
-    weight on final states.  Per-string weights are preserved exactly --
-    no residual subtraction -- which is what lets tests demand exact
-    language equality through the contact pipeline.
-    """
-    _check_acyclic_acceptor(fst, "determinize_acyclic")
-    strings: dict[tuple[int, ...], float] = {}
-
-    def walk(state: int, prefix: list[int], weight: float) -> None:
-        rho = fst.final_weight(state)
-        if rho != ZERO:
-            key = tuple(prefix)
-            total = weight + rho
-            old = strings.get(key)
-            if old is None or total < old:
-                strings[key] = total
-        for arc in fst.arcs_of(state):
-            if arc.ilabel != EPS:
-                prefix.append(arc.ilabel)
-            walk(arc.nextstate, prefix, weight + arc.weight)
-            if arc.ilabel != EPS:
-                prefix.pop()
-
-    walk(fst.start, [], 0.0)
-    builder = FstBuilder(fst.isyms, fst.osyms)
-    rootstate = builder.add_state()
-    nodes: dict[tuple[int, ...], int] = {(): rootstate}
-    for key in sorted(strings):
-        src = rootstate
-        for i, label in enumerate(key):
-            prefix = key[:i + 1]
-            dst = nodes.get(prefix)
-            if dst is None:
-                dst = builder.add_state()
-                nodes[prefix] = dst
-                builder.add_arc(src, label, label, 0.0, dst)
-            src = dst
-        builder.set_final(src, strings[key])
-    return builder.freeze(start=rootstate)
 
 
 def minimize_acyclic(fst: Fst) -> Fst:
@@ -428,14 +388,8 @@ def remove_disambig(fst: Fst, disambig_ids: frozenset[int],
 
 def build_contact_fst(contacts: list[ContactEntry],
                       word_syms: SymbolTable) -> Fst:
-    """Full contact pipeline: union, disambiguate, determinize, minimize,
-    erase the auxiliary labels."""
-    union, disambig_ids = naive_contact_union(contacts, word_syms)
-    det = determinize_acyclic(union)
-    for state in det.states():
-        labels = [a.ilabel for a in det.arcs_of(state)]
-        if len(labels) != len(set(labels)) or EPS in labels:
-            raise InvariantError("contact FST not input-deterministic "
-                                 "before disambiguation-symbol removal")
-    minimized = minimize_acyclic(det)
-    return remove_disambig(minimized, disambig_ids, word_syms)
+    """Full contact pipeline: the disambiguated strings, their prefix
+    tree, minimized, with the auxiliary labels erased."""
+    strings, aux_ids = contact_strings(contacts, word_syms)
+    return remove_disambig(minimize_acyclic(prefix_tree(strings)), aux_ids,
+                           word_syms)

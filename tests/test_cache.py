@@ -12,7 +12,7 @@ from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
                            CachedExpansion, PublicCache, Session,
                            dump_public_cache, end_session, expand,
                            is_precomposable, load_public_cache, seal_public)
-from lazyfst.compose import FilterState
+from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
 from lazyfst.decoder import DecodeConfig, _eps_closure, decode
@@ -422,7 +422,7 @@ class TestSharing:
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
         got = census(cache)
         assert got["expansions"] == (274, 274, 502)
-        assert got["arcs"] == (654, 654, 1104)
+        assert got["arcs"] == (477, 477, 833)
         assert got["weights"][0] == got["weights"][1]
         non_final = [e for e in cache.expanded.values() if e.final == ZERO]
         assert non_final and all(e.final is ZERO for e in non_final)
@@ -490,68 +490,64 @@ class TestSharing:
         assert final_end.arcs == () and final_end.final == 0.25
 
 
-def dumped_arcs(text: str) -> dict[int, tuple]:
-    """Each expanded state's arcs in the order a dump writes them."""
-    arcs: dict[int, tuple] = {}
-    for row in text.splitlines():
-        parts = row.split()
-        if parts[0] == "s":
-            state = arcs.setdefault(int(parts[1]), [])
-        elif parts[0] == "a":
-            il, ol, w, dst = parts[1:]
-            state.append((int(il), int(ol), float(w), int(dst)))
-    return {sid: tuple(a) for sid, a in arcs.items()}
+def composed_arcs(cache) -> dict[int, tuple]:
+    """Each expanded state's arcs as expand_pair_state composes them,
+    with the cache's ids for destination keys."""
+    out = {}
+    for sid in cache.expanded:
+        raw = expand_pair_state(cache.keys[sid], cache.t1, cache.root)
+        out[sid] = tuple((il, ol, w, cache.ids[key])
+                         for il, ol, w, key in raw.arcs)
+    return out
 
 
-def live_first(arcs: tuple, expanded: dict) -> tuple[tuple, int]:
-    """`arcs`, in composed order, with the epsilon arcs into a dead end of
-    `expanded` (an expansion with no arcs that is not final) after the
-    other epsilon arcs, and the number of the others."""
-    def dead(arc):
-        exp = expanded.get(arc[3])
-        return exp is not None and not exp.arcs and exp.final == ZERO
-
-    eps = tuple(a for a in arcs if a[0] == EPS)
-    live = tuple(a for a in eps if not dead(a))
-    return live + tuple(a for a in eps if dead(a)) + arcs[len(eps):], len(live)
-
-
-class TestLiveEpsilonPrefix:
-    """Sealing puts each public expansion's live epsilon arcs first and
-    counts them; dumps keep composed order."""
+class TestDeadEpsilonArcs:
+    """Sealing drops each public epsilon arc into a public dead end,
+    except from a state it would leave a dead end too, which keeps its
+    arcs as built; a dump holds the sealed arcs and loads to the same
+    cache."""
 
     def check(self, cache, composed):
-        """`cache` is sealed; `composed` holds its expansions' arcs in
-        composed order."""
-        dead = [e for e in cache.expanded.values()
-                if not e.arcs and e.final == ZERO]
-        assert all(e is DEAD_END for e in dead)
+        """`cache` is sealed; `composed` holds its expansions' arcs as
+        built.  Returns the number of arcs sealing dropped."""
+        dead = {sid for sid, e in cache.expanded.items()
+                if not e.arcs and e.final == ZERO}
+        assert all(cache.expanded[sid] is DEAD_END for sid in dead)
+        # the dead ends are those the cache was built with
+        assert dead == {sid for sid, arcs in composed.items()
+                        if not arcs and cache.expanded[sid].final == ZERO}
+        dropped = 0
         for sid, exp in cache.expanded.items():
-            arcs, n_live = live_first(composed[sid], cache.expanded)
-            assert (exp.arcs, exp.n_live) == (arcs, n_live)
+            built = composed[sid]
+            kept = tuple(a for a in built if a[0] != EPS or a[3] not in dead)
+            if not kept and exp.final == ZERO:
+                assert exp.arcs == built      # kept whole
+            else:
+                assert exp.arcs == kept
+                dropped += len(built) - len(kept)
+        return dropped
 
     @given(acyclic_fst(), acyclic_fst(acceptor=True))
     @settings(max_examples=100, deadline=None)
     def test_random_graphs(self, t1, root):
-        cache = bfs_precompose(PublicCache(t1, root, frozenset()),
-                               PrecomposeConfig(bfs_depth=64))
-        composed = {sid: e.arcs for sid, e in cache.expanded.items()}
-        text = dump_public_cache(seal_public(cache))
+        cache = seal_public(bfs_precompose(PublicCache(t1, root, frozenset()),
+                                           PrecomposeConfig(bfs_depth=64)))
+        composed = composed_arcs(cache)
         self.check(cache, composed)
-        assert dumped_arcs(text) == composed
+        text = dump_public_cache(cache)
         loaded = load_public_cache(text, t1, root, frozenset())
+        assert loaded.expanded == cache.expanded
         self.check(loaded, composed)
         assert dump_public_cache(loaded) == text
 
     def test_desk_cache(self, desk_build, desk_cfg):
-        # the pinned dump (test_determinism) is in composed order
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        composed = composed_arcs(cache)
+        assert self.check(cache, composed) == 1104 - 833
         text = dump_public_cache(cache)
-        self.check(cache, dumped_arcs(text))
-        assert any(0 < e.n_live < e.n_eps for e in cache.expanded.values())
         loaded = load_public_cache(text, desk_build.t1, desk_build.root,
                                    desk_build.class_ids)
-        self.check(loaded, dumped_arcs(text))
+        assert self.check(loaded, composed) == 1104 - 833
         assert dump_public_cache(loaded) == text
 
 

@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import compose_static, lookup, oracle_beam_decode, oracle_decode
+from strategies import acyclic_fst
 from test_cache import build_machine, scenario, sealed_cache
 from lazyfst import decoder
-from lazyfst.cache import DEAD_END, CachedExpansion, Session, end_session
+from lazyfst.cache import (DEAD_END, CachedExpansion, PublicCache, Session,
+                           end_session, seal_public)
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
 from lazyfst.errors import CompositionSizeError, ConfigurationError
 from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
+from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import ClassBinding, ReplaceView
 from lazyfst.semiring import ZERO
 
@@ -295,7 +298,12 @@ class TestClosureContract:
                    built_dead) > 0
         assert m.public_hit + m.private_hit + m.otf_expansion == \
             sum(handed) + built_dead
-        assert all(e.n_live == e.n_eps for e in session.private_exp.values())
+        # private expansions keep their epsilon arcs into a dead end,
+        # which the closure drops uncounted
+        dead = {sid for sid, e in session.private_exp.items()
+                if e is DEAD_END}
+        assert any(arc[0] == EPS and arc[3] in dead
+                   for e in session.private_exp.values() for arc in e.arcs)
 
     @pytest.mark.parametrize("method", ["none", "both"])
     def test_no_dead_end_is_handed_to_pruning(self, desk_build, desk_cfg,
@@ -498,6 +506,40 @@ class TestAgainstOracle:
             assert hyp is not None
             assert hyp.cost == want[0]
             assert hyp.labels in want[1]
+
+
+class TestSealedAgainstUnsealed:
+    @given(acyclic_fst(), acyclic_fst(acceptor=True),
+           st.sampled_from([1, 2, 64]),
+           st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.integers(min_value=2, max_value=16))
+    @settings(max_examples=100, deadline=None)
+    def test_two_turns_decode_alike(self, t1, root, depth, seed, quarters):
+        # sealing drops the public epsilon arcs into a dead end; the same
+        # cache left unsealed keeps them, and must decode the same
+        rng = np.random.default_rng(seed)
+        turns = [ScoreMatrix(rng.integers(0, 24, size=(frames, 4)) * 0.25)
+                 for frames in rng.integers(1, 6, size=2)]
+        dec_cfg = DecodeConfig(beam=quarters * 0.25)
+
+        def decoded(cache, **unsealed):
+            session = Session(cache, ClassBinding(frozenset(), {}),
+                              **unsealed)
+            out = []
+            for scores in turns:
+                hyp = decode(scores, session, dec_cfg)
+                m = session.metrics
+                out.append((None if hyp is None else
+                            (hyp.words, repr(hyp.cost)),
+                            m.public_hit, m.private_hit, m.otf_expansion))
+            return out
+
+        def cache():
+            return bfs_precompose(PublicCache(t1, root, frozenset()),
+                                  PrecomposeConfig(bfs_depth=depth))
+
+        assert decoded(seal_public(cache())) == \
+            decoded(cache(), _allow_unsealed=True)
 
 
 class TestTiming:

@@ -17,12 +17,12 @@ from lazyfst.cache import dump_public_cache
 from lazyfst.harness import precompose_cache, run_bench
 
 GOLDEN = {
-    "bfs": (434, 342, "814b112369f199ca090f9544f76116c2"
-                      "1bb5c6f9f30327d8602549ce134847f6"),
-    "warmup": (538, 501, "40b708e8424beeb8d5f28ea0ae575478"
-                         "9ebe715dad34d5dbf8fc3236e85524fe"),
-    "both": (538, 502, "7cf8125045bfd9a72134a3620977957b"
-                       "d986e5bc9cd64f2dd86fec625de83e65"),
+    "bfs": (434, 342, "7965a6435edbd820195fd9b45928b315"
+                      "cc13b1061aca77f38b1ed5ea5d9e4b3c"),
+    "warmup": (538, 501, "021d128631018e084e7f3e283440b676"
+                         "7586f05d15f26e0cc3f456bca581e4d6"),
+    "both": (538, 502, "1cc738dcfaaacb2746f50ebd6cc76449"
+                       "be9982b05506caa43c6582c2aae53d43"),
 }
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import edit_distance, read_symbols, read_text_fst
 from lazyfst.cache import Session, end_session
-from lazyfst.decoder import decode
+from lazyfst.decoder import decode, simulate_scores
 from lazyfst.errors import BuildError, ConfigurationError
 from lazyfst.fst import write_text_fst
 from lazyfst.harness import (_chunk, _percentile, binding_for, build_graphs,
@@ -78,6 +79,33 @@ class TestBuild:
         a = scores_for(desk_build, desk_cfg, utt)
         b = scores_for(desk_build, desk_cfg, utt)
         assert (a._m == b._m).all()
+
+    def test_score_settings_default_to_simulate_scores(self, desk_build,
+                                                       desk_cfg):
+        # a config without frames_per_phone, margin, noise and
+        # frame_seconds takes simulate_scores' own defaults: noise-free
+        cfg = {k: v for k, v in desk_cfg.items()
+               if k not in ("frames_per_phone", "margin", "noise",
+                            "frame_seconds")}
+        utt = desk_build.utterances[0]
+        ref = [desk_build.phone_syms.id_of(p) for p in utt["phones"]]
+        seed = (utt["seed"] * 1000003 + cfg["seed"]) & 0x7FFFFFFF
+        got = scores_for(desk_build, cfg, utt)
+        want = simulate_scores(ref, len(desk_build.phone_syms), seed=seed)
+        assert (got._m == want._m).all()
+        assert got.frame_seconds == want.frame_seconds
+
+    def test_desk_graphs_are_pinned(self, desk_build):
+        # sha256 of the root, and of the contact FSTs in sorted user order
+        root = write_text_fst(desk_build.root)
+        contacts = "".join(write_text_fst(desk_build.contact_fsts[user])
+                           for user in sorted(desk_build.contact_fsts))
+        assert hashlib.sha256(root.encode()).hexdigest() == (
+            "9c1ce88c5e395aa312e1586bd553b8da"
+            "ef201a3d0d6d508586ebf90a0ff9592c")
+        assert hashlib.sha256(contacts.encode()).hexdigest() == (
+            "da16564ccd1bbedc426bbd555aa60d12"
+            "011cbd720070d14407fd2b028b1570e5")
 
     def test_graph_count_snapshot(self, desk_build):
         stats = graph_stats(desk_build)

@@ -2,16 +2,16 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import acceptor_language, compose_static, shortest_path
-from strategies import acyclic_fst
+from strategies import dyadic_weights
 from lazyfst.errors import BuildError, ParseError
 from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                              build_lexicon_fst, build_symbol_tables,
-                             determinize_acyclic, minimize_acyclic,
-                             naive_contact_union, parse_corpus,
-                             parse_contacts_jsonl, parse_lexicon,
+                             contact_strings, minimize_acyclic, parse_corpus,
+                             parse_contacts_jsonl, parse_lexicon, prefix_tree,
                              remove_disambig, train_bigram_root)
 from lazyfst.replace import insert_epsilon_before_class
 
@@ -251,44 +251,55 @@ class TestBigramRoot:
         assert [l for l in a.olabels] == [l for l in b.olabels]
 
 
+def string_dicts():
+    """Weighted strings over labels 1..3, the empty string included."""
+    return st.dictionaries(
+        st.lists(st.integers(min_value=1, max_value=3), max_size=4).map(tuple),
+        dyadic_weights(), max_size=8)
+
+
+def assert_input_deterministic(fst):
+    for state in fst.states():
+        labels = [a.ilabel for a in fst.arcs_of(state)]
+        assert EPS not in labels
+        assert len(labels) == len(set(labels))
+
+
 class TestDeterminizeMinimize:
-    @given(acyclic_fst(num_labels=3, acceptor=True))
-    @settings(max_examples=80, deadline=None)
-    def test_determinize_preserves_language_exactly(self, fst):
-        det = determinize_acyclic(fst)
-        assert acceptor_language(det) == acceptor_language(fst)
+    """prefix_tree is the determinized acceptor of its strings."""
 
-    @given(acyclic_fst(num_labels=3, acceptor=True))
+    @given(string_dicts())
     @settings(max_examples=80, deadline=None)
-    def test_determinize_output_is_input_deterministic(self, fst):
-        det = determinize_acyclic(fst)
-        for state in det.states():
-            labels = [a.ilabel for a in det.arcs_of(state)]
-            assert EPS not in labels
-            assert len(labels) == len(set(labels))
+    def test_determinize_preserves_language_exactly(self, strings):
+        assert acceptor_language(prefix_tree(strings)) == strings
 
-    @given(acyclic_fst(num_labels=3, acceptor=True))
+    @given(string_dicts())
     @settings(max_examples=80, deadline=None)
-    def test_minimize_preserves_language_and_shrinks(self, fst):
-        det = determinize_acyclic(fst)
-        mini = minimize_acyclic(det)
-        assert acceptor_language(mini) == acceptor_language(det)
-        assert mini.num_states <= det.num_states
+    def test_determinize_output_is_input_deterministic(self, strings):
+        assert_input_deterministic(prefix_tree(strings))
 
-    @given(acyclic_fst(num_labels=3, acceptor=True))
+    @given(string_dicts())
+    @settings(max_examples=80, deadline=None)
+    def test_minimize_preserves_language_and_shrinks(self, strings):
+        tree = prefix_tree(strings)
+        mini = minimize_acyclic(tree)
+        assert acceptor_language(mini) == strings
+        assert mini.num_states <= tree.num_states
+
+    @given(string_dicts())
     @settings(max_examples=40, deadline=None)
-    def test_minimize_is_idempotent(self, fst):
-        once = minimize_acyclic(determinize_acyclic(fst))
+    def test_minimize_is_idempotent(self, strings):
+        once = minimize_acyclic(prefix_tree(strings))
         twice = minimize_acyclic(once)
         assert write_text_fst(twice) == write_text_fst(once)
 
-    def test_determinize_rejects_transducers_and_cycles(self):
+    def test_minimize_rejects_transducers_and_cycles(self):
         b = FstBuilder()
         b.ensure_state(1)
         b.add_arc(0, 1, 2, 0.0, 1)
         b.set_final(1)
         with pytest.raises(BuildError):
-            determinize_acyclic(b.freeze())
+            minimize_acyclic(b.freeze())
         b = FstBuilder()
         b.ensure_state(1)
         b.add_arc(0, 1, 1, 0.0, 1)
@@ -310,17 +321,24 @@ class TestContactPipeline:
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]]),
                     ContactEntry("bo", [["B", "O"], ["B", "AA"]])]
-        union, disambig = naive_contact_union(contacts, word_syms)
-        # "#1" and "#2": two distinct ids above the word table, gone after
-        # remove_disambig
-        assert len(disambig) == 2
-        assert all(d >= len(word_syms) for d in disambig)
-        erased = remove_disambig(union, disambig)
+        strings, disambig = contact_strings(contacts, word_syms)
+        # "#1" and "#2": the two ids just above the word table, one per
+        # occurrence of the duplicated pronunciation
+        aa, n, b, o, sil = (word_syms.id_of(p)
+                            for p in ("AA", "N", "B", "O", "SIL"))
+        first, second = len(word_syms), len(word_syms) + 1
+        assert disambig == {first, second}
+        assert strings == {(aa, n, first, sil): 0.0,
+                           (aa, n, second, sil): 0.0,
+                           (b, o, sil): math.log(2.0),
+                           (b, aa, sil): math.log(2.0)}
+        # the prefix tree is deterministic; remove_disambig erases them
+        tree = prefix_tree(strings)
+        assert_input_deterministic(tree)
+        erased = remove_disambig(tree, disambig)
         assert not {label for q in erased.states()
                     for a in erased.arcs_of(q)
                     for label in (a.ilabel, a.olabel)} & disambig
-        first_weights = sorted(a.weight for a in union.arcs_of(union.start))
-        assert first_weights == [0.0, 0.0, math.log(2.0), math.log(2.0)]
 
     def test_contact_compilation_leaves_word_table_unchanged(self):
         word_syms = self.syms()
@@ -337,9 +355,9 @@ class TestContactPipeline:
     def test_unknown_phone_and_empty_list(self):
         word_syms = self.syms()
         with pytest.raises(BuildError):
-            naive_contact_union([ContactEntry("x", [["ZZ"]])], word_syms)
+            contact_strings([ContactEntry("x", [["ZZ"]])], word_syms)
         with pytest.raises(BuildError):
-            naive_contact_union([], word_syms)
+            contact_strings([], word_syms)
 
     def test_remove_disambig_collapses_exact_duplicates(self):
         b = FstBuilder()
@@ -379,10 +397,10 @@ class TestContactPipeline:
         word_syms = self.syms()
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]])]
-        union, disambig = naive_contact_union(contacts, word_syms)
-        det = determinize_acyclic(union)
-        mini = minimize_acyclic(det)
-        for stage in (union, det, mini):
+        strings, disambig = contact_strings(contacts, word_syms)
+        tree = prefix_tree(strings)
+        mini = minimize_acyclic(tree)
+        for stage in (tree, mini):
             assert stage.isyms is None and stage.osyms is None
             write_text_fst(stage)
         final = remove_disambig(mini, disambig, word_syms)
@@ -397,7 +415,7 @@ class TestContactPipeline:
                     ContactEntry("ban", [["B", "AA", "N"]]),
                     ContactEntry("kan", [["K", "AA", "N"]])]
         fst = build_contact_fst(contacts, word_syms)
-        union, _ = naive_contact_union(contacts, word_syms)
-        assert fst.num_states < union.num_states
+        tree = prefix_tree(contact_strings(contacts, word_syms)[0])
+        assert fst.num_states < tree.num_states
         assert acceptor_language(fst) == self.expected_language(contacts,
                                                                 word_syms)

@@ -117,8 +117,13 @@ def warm(desk_build, desk_cfg):
 
 
 class TestWarmupOnDeskData:
-    def test_promotes_only_shareable_root_states(self, desk_build, warm):
-        _, _, cache = warm
+    def test_promotes_only_shareable_root_states(self, desk_build, desk_cfg,
+                                                 warm):
+        # seals a cache of its own: sealing changes the shared fixture's
+        # expansions, which later tests compare with
+        cfg, scores, _ = warm
+        cache = warmup_precompose(desk_cache(desk_build), cfg, scores,
+                                  decode_config(desk_cfg))
         assert cache.num_expanded > 0
         for state_id in cache.expanded:
             key = cache.keys[state_id]
