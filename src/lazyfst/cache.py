@@ -27,18 +27,20 @@ closure (decoder._eps_closure), which counts the hits; expand is the
 build half it calls for a state neither layer holds, the only writer of
 the private layer, and counts an otf_expansion.
 
-Sealing shares equal parts of the public layer: one float object per
-distinct weight (ZERO itself for every non-final state), one tuple per
-distinct arc and per distinct arc sequence, and one CachedExpansion per
-distinct (arcs, final), which every state with that expansion points at.
-A weight's key is its value and its sign: 0.0 and -0.0 are equal floats
-but dump differently (dumps print repr), so they are never merged.  In
-both layers every state with no arcs that is not final, a dead end, gets
-the one DEAD_END expansion: interned() holds that rule for every
-expansion built, and sealing applies it to a loaded dump.
-Sealing also drops each public epsilon arc into a public dead end,
-unless its state has nothing else (_share_equal_parts); dumps write the
-sealed arcs as they are.
+PublicCache.fill is the one writer of the public layer: it expands a
+shareable state against the root and nothing else, so pre-composition
+and loading a dump store the same expansion for the same key.  Sealing
+shares equal parts of the public layer: one float object per distinct
+weight (ZERO itself for every non-final state), one tuple per distinct
+arc and per distinct arc sequence, and one CachedExpansion per distinct
+(arcs, final), which every state with that expansion points at.  A
+weight's key is its value and its sign: 0.0 and -0.0 are equal floats
+but not the same weight, so they are never merged.  In both layers
+every state with no arcs that is not final, a dead end, gets the one
+DEAD_END expansion: interned() holds that rule for every expansion
+built.  Sealing also drops each public epsilon arc into a public dead
+end, unless its state has nothing else (_share_equal_parts).  A dump
+names the expanded states, and loading fills them again.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import BuildError, ConfigurationError, InvariantError
 from .fst import EPS, Fst, write_text_fst
 from .metrics import Metrics
 from .replace import ClassBinding, ReplaceView, bridge_states
-from .semiring import ZERO, is_member
+from .semiring import ZERO
 
 # Deterministic memory model: what one arc / one expanded state / one
 # state-table entry is charged, in bytes.  Chosen once; every "memory"
@@ -183,10 +185,19 @@ class PublicCache:
         ((_, _, _, state_id),) = self.intern_arcs(((EPS, EPS, ZERO, key),))
         return state_id
 
-    def store(self, state_id: int, expansion: CachedExpansion) -> None:
+    def fill(self, state_id: int) -> CachedExpansion:
+        """Expand the state `state_id` against the root, store and return
+        it: the one writer of the public layer.  Refuses a sealed cache,
+        and a key whose expansion could depend on a binding."""
         if self.sealed:
             raise ConfigurationError("public cache is sealed")
-        self.expanded[state_id] = expansion
+        key = self.keys[state_id]
+        if not is_precomposable(key, self.root, self.classes):
+            raise InvariantError(f"public cache refuses non-shareable "
+                                 f"state {key} (id {state_id})")
+        made = interned(expand_pair_state(key, self.t1, self.root), self)
+        self.expanded[state_id] = made
+        return made
 
     def bytes_estimate(self) -> int:
         arcs = sum(len(e.arcs) for e in self.expanded.values())
@@ -206,34 +217,13 @@ class PublicCache:
 
 
 def seal_public(cache: PublicCache) -> PublicCache:
-    """Freeze the public layer after verifying it only holds shareable states.
-
-    Every expanded key must pass is_precomposable, every cached arc
-    destination must be interned publicly, and the epsilon-input arcs must
-    come first; a violation means pre-composition cached something
-    binding-dependent or misordered, which would poison every session, so
-    sealing refuses with the offending key.  A cache that passes then has
-    its equal parts shared and its epsilon arcs into a dead end dropped
-    (_share_equal_parts).  Sealing twice is a no-op.
-    """
-    if cache.sealed:
-        return cache
-    for state_id, expansion in cache.expanded.items():
-        key = cache.keys[state_id]
-        if not is_precomposable(key, cache.root, cache.classes):
-            raise InvariantError(
-                f"public cache holds non-shareable state {key} (id {state_id})")
-        if any(il == EPS for il, _, _, _ in expansion.arcs[expansion.n_eps:]):
-            raise InvariantError(
-                f"public expansion {state_id} has an epsilon arc after an "
-                f"emitting arc")
-        for _, _, _, dst in expansion.arcs:
-            if not 0 <= dst < len(cache.keys):
-                raise InvariantError(
-                    f"public expansion {state_id} references unregistered "
-                    f"destination {dst}")
-    _share_equal_parts(cache.expanded)
-    cache.sealed = True
+    """Freeze the public layer and share its equal parts, dropping its
+    epsilon arcs into a dead end (_share_equal_parts).  PublicCache.fill
+    stores only shareable states, expanded against the root, so there is
+    nothing left to check.  Sealing twice is a no-op."""
+    if not cache.sealed:
+        _share_equal_parts(cache.expanded)
+        cache.sealed = True
     return cache
 
 
@@ -249,8 +239,7 @@ def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
     destination `expanded` holds as a dead end (no arcs, not final) is
     dropped, unless that would leave its state a dead end too: such a
     state keeps its arcs as built, so the dead ends of a sealed cache are
-    those it was built with, and sealing its loaded dump drops nothing
-    more."""
+    those it was built with."""
     dead = {sid for sid, e in expanded.items()
             if not e.arcs and e.final == ZERO}
     weights = {(ZERO, 1.0): ZERO}
@@ -363,12 +352,13 @@ def end_session(session: Session) -> Metrics:
     return final
 
 
-CACHE_FORMAT = "lazyfst-public-cache 1"
+CACHE_FORMAT = "lazyfst-public-cache 2"
 
 
 def dump_public_cache(cache: PublicCache) -> str:
-    """Versioned, checksummed text dump of a sealed public cache, its
-    arcs as sealing left them."""
+    """Versioned, checksummed text dump of a sealed public cache: its
+    state table, then the id of each expanded state.  It holds no arc or
+    weight; loading fills each named state from the graphs again."""
     if not cache.sealed:
         raise ConfigurationError("dump requires a sealed cache")
     lines = [f"table {len(cache.keys)}"]
@@ -377,11 +367,7 @@ def dump_public_cache(cache: PublicCache) -> str:
             raise InvariantError(
                 f"public table holds non-root key {(q1, q2, f)}")
         lines.append(f"k {q1} {q2} {f}")
-    for state_id in sorted(cache.expanded):
-        exp = cache.expanded[state_id]
-        lines.append(f"s {state_id} {exp.final!r} {len(exp.arcs)}")
-        for ilabel, olabel, weight, nextstate in exp.arcs:
-            lines.append(f"a {ilabel} {olabel} {weight!r} {nextstate}")
+    lines += [f"s {state_id}" for state_id in sorted(cache.expanded)]
     body = "".join(line + "\n" for line in lines)
     digest = hashlib.sha256(body.encode()).hexdigest()
     return (f"{CACHE_FORMAT}\n"
@@ -394,13 +380,14 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
                       classes: frozenset[int]) -> PublicCache:
     """Parse a dump back into a sealed cache, verifying version, graph
     fingerprint and checksum, then every row: ids within their table or
-    graph, weights in the semiring, no repeated key or state.  Anything
-    malformed is a BuildError.  State ids and arc destinations are the
-    state table's own int objects, and sealing shares the loaded cache's
-    equal parts as it does a built cache's."""
+    graph, no repeated key or state.  Each named state is filled
+    (PublicCache.fill) under the table's own int object, and must be
+    shareable and reach only keys the table holds.  Anything malformed,
+    a dump of an earlier format included, is a BuildError."""
     lines = text.splitlines(keepends=True)
     if len(lines) < 3 or lines[0].strip() != CACHE_FORMAT:
-        raise BuildError("not a public cache dump (bad or missing version line)")
+        raise BuildError(f"not a {CACHE_FORMAT!r} dump (bad or missing "
+                         f"version line); rebuild it with lazyfst precompose")
     cache = PublicCache(t1, root, classes)
     graph_line = lines[1].split()
     if len(graph_line) != 2 or graph_line[0] != "graph":
@@ -430,27 +417,19 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
     # Ids are dense in intern order: every state id and destination below
     # is the table's own int object, not a fresh parse of the same value.
     table_ids = list(cache.ids.values())
-    pos = num_keys + 1
-    while pos < len(rows):
-        row = rows[pos]
-        sid, final, count = _dump_fields(row, "s", 3)
+    for row in rows[num_keys + 1:]:
+        (sid,) = _dump_fields(row, "s", 1)
         state_id = table_ids[_dump_int(sid, row, num_keys)]
         if state_id in cache.expanded:
             raise BuildError(f"duplicate expansion row: {row!r}")
-        n_arcs = _dump_int(count, row, len(rows) - pos)
-        arcs = []
-        for arc_row in rows[pos + 1:pos + 1 + n_arcs]:
-            il, ol, w, dst = _dump_fields(arc_row, "a", 4)
-            arcs.append((_dump_int(il, arc_row), _dump_int(ol, arc_row),
-                         _dump_weight(w, arc_row),
-                         table_ids[_dump_int(dst, arc_row, num_keys)]))
-        cache.store(state_id, CachedExpansion(tuple(arcs),
-                                              _dump_weight(final, row)))
-        pos += 1 + n_arcs
-    try:
-        return seal_public(cache)
-    except InvariantError as err:
-        raise BuildError(f"cache dump fails the seal check: {err}") from None
+        try:
+            cache.fill(state_id)
+        except InvariantError as err:
+            raise BuildError(f"cache dump row {row!r}: {err}") from None
+        if len(cache.keys) > num_keys:
+            raise BuildError(f"cache dump row {row!r} reaches key "
+                             f"{cache.keys[num_keys]}, which its table lacks")
+    return seal_public(cache)
 
 
 def _dump_fields(row: str, tag: str, count: int) -> list[str]:
@@ -460,24 +439,13 @@ def _dump_fields(row: str, tag: str, count: int) -> list[str]:
     return parts[1:]
 
 
-def _dump_int(text: str, row: str, bound: Optional[int] = None) -> int:
-    """A non-negative int field, below `bound` when one is given."""
+def _dump_int(text: str, row: str, bound: int) -> int:
+    """A non-negative int field below `bound`."""
     try:
         value = int(text)
     except ValueError:
         raise BuildError(f"non-integer field {text!r} in cache dump row "
                          f"{row!r}") from None
-    if value < 0 or (bound is not None and value >= bound):
+    if not 0 <= value < bound:
         raise BuildError(f"field {value} out of range in cache dump row {row!r}")
-    return value
-
-
-def _dump_weight(text: str, row: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise BuildError(f"non-numeric weight {text!r} in cache dump row "
-                         f"{row!r}") from None
-    if not is_member(value):
-        raise BuildError(f"bad weight {value} in cache dump row {row!r}")
     return value

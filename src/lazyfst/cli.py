@@ -12,10 +12,11 @@ import sys
 from pathlib import Path
 
 from .cache import dump_public_cache, load_public_cache
-from .errors import ConfigurationError, InvariantError, LazyFstError
+from .errors import (BuildError, ConfigurationError, InvariantError,
+                     LazyFstError)
 from .harness import (METHODS, build_graphs, decode_config, graph_stats,
-                      load_config, precompose_cache, run_bench, run_session,
-                      score_report, write_build)
+                      is_string_lists, load_config, precompose_cache,
+                      run_bench, run_session, score_report, write_build)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +99,7 @@ def _cache_from_file(args, build):
         raise ConfigurationError("--cache loads a finished cache; it cannot "
                                  "be combined with --method or --bfs-depth")
     try:
-        text = Path(args.cache).read_text()
+        text = Path(args.cache).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(
             f"cannot read cache dump {args.cache}: {err}") from None
@@ -170,9 +171,13 @@ def cmd_score(args) -> int:
     cfg = _config(args)
     build = build_graphs(cfg)
     try:
-        report = json.loads(Path(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise LazyFstError(f"cannot read report {args.report}: {err}") from None
+    if not (isinstance(report, dict)
+            and is_string_lists(report.get("hypotheses"))):
+        raise BuildError(f"report {args.report} must be a JSON object whose "
+                         f"'hypotheses' maps utterance ids to word lists")
     print(json.dumps(score_report(report, build), indent=2))
     return 0
 

@@ -18,7 +18,8 @@ pipeline runs without any audio dependency.
 
 The beam is applied as the cutoffs in Kaldi's lattice-faster-decoder.
 This is exact because no graph weight is negative (semiring.is_member;
-Fst.freeze and load_public_cache enforce it): a closure never goes below
+Fst.freeze enforces it, and every cached arc, a loaded public cache's
+included, is composed from the graphs): a closure never goes below
 its cheapest seed, so the cost floor pruning measures from is known
 before the closure starts, and a token above floor + beam has no
 descendant within the beam.  The closure therefore drops such tokens

@@ -27,18 +27,34 @@ from .precompose import PrecomposeConfig, bfs_precompose, warmup_precompose
 from .replace import ClassBinding, insert_epsilon_before_class
 
 METHODS = ("none", "bfs", "warmup", "both")
+# Config fields naming the data directory and the files in it.
+PATH_FIELDS = ("data_dir", "lexicon", "corpus", "contacts", "users",
+               "utterances")
 
 
 def load_config(path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file `path`, which must hold `classes`
+    and every field of PATH_FIELDS, the latter as strings."""
     try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigurationError(f"cannot read config {path}: {err}") from None
-    for key in ("data_dir", "classes", "lexicon", "corpus", "contacts",
-                "users", "utterances"):
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config {path} is not a JSON object")
+    for key in ("classes",) + PATH_FIELDS:
         if key not in cfg:
             raise ConfigurationError(f"config {path} lacks {key!r}")
+        if key in PATH_FIELDS and not isinstance(cfg[key], str):
+            raise ConfigurationError(f"config {path}: {key} must be a "
+                                     f"string, not {cfg[key]!r}")
     return cfg
+
+
+def is_string_lists(value) -> bool:
+    """True for a JSON object that maps every key to a list of strings."""
+    return isinstance(value, dict) and all(
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+        for names in value.values())
 
 
 @dataclass
@@ -62,9 +78,10 @@ def build_graphs(cfg: dict) -> Build:
 
     def read(name: str) -> str:
         path = data / cfg[name]
-        if not path.exists():
-            raise BuildError(f"missing data file {path}")
-        return path.read_text()
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise BuildError(f"cannot read data file {path}: {err}") from None
 
     class_names = cfg["classes"]
     if not (isinstance(class_names, list)
@@ -88,7 +105,14 @@ def build_graphs(cfg: dict) -> Build:
     contacts = parse_contacts_jsonl(read("contacts"),
                                     str(data / cfg["contacts"]))
     by_name = {c.name: c for c in contacts}
-    users = json.loads(read("users"))
+    users_path = data / cfg["users"]
+    try:
+        users = json.loads(read("users"))
+    except json.JSONDecodeError as err:
+        raise BuildError(f"bad JSON in {users_path}: {err}") from None
+    if not is_string_lists(users):
+        raise BuildError(f"{users_path} must be a JSON object mapping each "
+                         f"user to a list of contact names")
     contact_fsts: dict[str, Fst] = {}
     for user, names in users.items():
         missing = [n for n in names if n not in by_name]

@@ -1,14 +1,14 @@
 """Offline filling of the public cache: breadth-first and data-driven warm-up.
 
-Both strategies fill a PublicCache from its own graphs (t1, root and
-class labels) and expand only states whose arcs are provably independent
-of any session's class FSTs (see cache.is_precomposable).  Such a state
-is expanded against the cache's root itself: its root state has no class
-out-arc, so a replace view under any binding hands out the root's own
-arcs and final weight for it, and no binding is needed.  Warm-up decoding
-does need one, and binds every class to an accept-nothing FST; each
-state it promotes is expanded again against the root and must match what
-the warm-up session stored, which a state with a class out-arc cannot.
+Both strategies choose which states of a PublicCache to fill and leave
+the expanding to PublicCache.fill, which takes only states whose arcs are
+provably independent of any session's class FSTs (see
+cache.is_precomposable) and expands them against the cache's root
+itself: such a root state has no class out-arc, so a replace view under
+any binding hands out the root's own arcs and final weight for it.
+Warm-up decoding does need a binding, and binds every class to an
+accept-nothing FST; each state it promotes must also match what the
+warm-up session stored.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cache import PublicCache, Session, interned, is_precomposable
-from .compose import expand_pair_state
+from .cache import PublicCache, Session, is_precomposable
 from .decoder import DecodeConfig, ScoreMatrix, decode, require_int
 from .errors import ConfigurationError, InvariantError, LazyFstError
 from .replace import empty_binding
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["PrecomposeConfig", "bfs_precompose", "warmup_precompose",
-           "is_precomposable"]
+__all__ = ["PrecomposeConfig", "bfs_precompose", "warmup_precompose"]
 
 
 @dataclass
@@ -53,7 +51,6 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
     """
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
-    t1, root, classes = cache.t1, cache.root, cache.classes
     start = cache.intern(cache.start_key())
     dist = {start: 0}
     queue = deque([start])
@@ -62,7 +59,8 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
         d = dist[state_id]
         if d >= cfg.bfs_depth:
             continue
-        if not is_precomposable(cache.keys[state_id], root, classes):
+        if not is_precomposable(cache.keys[state_id], cache.root,
+                                cache.classes):
             continue
         exp = cache.expanded.get(state_id)
         if exp is None:
@@ -70,9 +68,7 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
                 logger.warning("bfs_precompose stopped at state budget %d; "
                                "coverage is partial", cfg.state_budget)
                 break
-            exp = interned(expand_pair_state(cache.keys[state_id], t1, root),
-                           cache)
-            cache.store(state_id, exp)
+            exp = cache.fill(state_id)
         for _, _, _, dst in exp.arcs:
             if dst not in dist:
                 dist[dst] = d + 1
@@ -86,17 +82,15 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
     """Decode warm-up traffic with every class bound to an accept-nothing
     FST; promote each visited shareable state into `cache` and return it.
 
-    Promotion expands the state again against the cache's root and
-    insists it matches what the warm-up session stored: a shareable
+    Promotion fills the state and insists the result matches what the
+    warm-up session stored, destinations compared by key: a shareable
     state's expansion must not depend on the binding, and checking beats
-    assuming.  A state with a class out-arc fails the check, since the
-    session's view turns that arc into an epsilon arc that the root does
-    not have.  Decode failures on warm-up traffic are logged and skipped.
-    Can extend a BFS-produced cache.
+    assuming.  Decode failures on warm-up traffic are logged and
+    skipped.  Can extend a BFS-produced cache.
     """
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
-    t1, root, classes = cache.t1, cache.root, cache.classes
+    root, classes = cache.root, cache.classes
     warm_binding = empty_binding(classes, root.osyms)
     budget_hit = False
     for utt_index, scores in enumerate(score_list):
@@ -110,23 +104,25 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
             key = session.key_of(state_id)
             if not is_precomposable(key, root, classes):
                 continue
-            public_id = cache.ids.get(key)
-            if public_id is not None and public_id in cache.expanded:
+            if cache.ids.get(key) in cache.expanded:
                 continue
             if len(cache.expanded) >= cfg.state_budget:
                 budget_hit = True
                 break
-            recomputed = expand_pair_state(key, t1, root)
-            stored = session.private_exp[state_id]
-            stored_shape = [(il, ol, w, session.key_of(dst))
-                            for il, ol, w, dst in stored.arcs]
-            if stored_shape != recomputed.arcs \
-                    or stored.final != recomputed.final:
+            filled = cache.fill(cache.intern(key))
+            if _by_key(session.private_exp[state_id], session.key_of) != \
+                    _by_key(filled, cache.keys.__getitem__):
                 raise InvariantError(
                     f"warm-up expansion of {key} depends on the binding")
-            cache.store(cache.intern(key), interned(recomputed, cache))
         if budget_hit:
             logger.warning("warmup_precompose stopped at state budget %d; "
                            "coverage is partial", cfg.state_budget)
             break
     return cache
+
+
+def _by_key(expansion, key_of) -> tuple:
+    """`expansion`'s arcs with `key_of` each destination id, and its
+    final weight."""
+    return ([(il, ol, w, key_of(dst)) for il, ol, w, dst in expansion.arcs],
+            expansion.final)

@@ -16,6 +16,8 @@ evidence rather than tautology.  It holds:
   to read the two cache layers, counting the hit it finds;
 * materialize, the whole lazy graph of a session through lookup and
   cache.expand, numbered the way compose_static numbers its states;
+* dump_public_cache_v1, the first public cache dump format, which wrote
+  every sealed arc and weight, for the determinism digests;
 * shortest_path, a tropical single shortest path;
 * read_text_fst and read_symbols, minimal readers for exactly what
   fst.write_text_fst and fst.write_symbols emit, for round-trip tests.
@@ -29,11 +31,12 @@ dyadic weights to keep cross-path sums associative.
 from __future__ import annotations
 
 import heapq
+import hashlib
 from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple, Optional
 
-from lazyfst.cache import CachedExpansion, Session, expand
+from lazyfst.cache import CachedExpansion, PublicCache, Session, expand
 from lazyfst.compose import FilterState
 from lazyfst.errors import CompositionSizeError
 from lazyfst.fst import EPS, Arc, Fst, FstBuilder, SymbolTable
@@ -472,6 +475,25 @@ def materialize(session: Session, max_states: int = 1_000_000) -> Fst:
         if exp.final != ZERO:
             builder.set_final(order[sid], exp.final)
     return builder.freeze(start=0)
+
+
+def dump_public_cache_v1(cache: PublicCache) -> str:
+    """A sealed public cache as `lazyfst-public-cache 1` dumped it: the
+    state table, then each expanded state's final weight and arc count
+    (`s id final count`) followed by one `a ilabel olabel weight dst` row
+    per sealed arc, weights as repr.  The package's dump names states
+    only; this one pins the sealed arcs and weights byte for byte."""
+    lines = [f"table {len(cache.keys)}"]
+    lines += [f"k {q1} {q2} {f}" for q1, q2, f in cache.keys]
+    for state_id in sorted(cache.expanded):
+        exp = cache.expanded[state_id]
+        lines.append(f"s {state_id} {exp.final!r} {len(exp.arcs)}")
+        lines += [f"a {il} {ol} {w!r} {dst}" for il, ol, w, dst in exp.arcs]
+    body = "".join(line + "\n" for line in lines)
+    return (f"lazyfst-public-cache 1\n"
+            f"graph {cache.fingerprint()}\n"
+            f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+            f"{body}")
 
 
 def edit_distance(ref, hyp) -> int:

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from oracles import compose_static, materialize
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
-                           CachedExpansion, PublicCache, Session,
-                           dump_public_cache, end_session, expand,
-                           is_precomposable, load_public_cache, seal_public)
+                           PublicCache, Session, dump_public_cache,
+                           end_session, expand, is_precomposable,
+                           load_public_cache, seal_public)
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
-from lazyfst.fst import EPS, Arc, FstBuilder, write_text_fst
+from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.decoder import DecodeConfig, _eps_closure, decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
@@ -106,7 +106,7 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             cache.intern((1, 0, FilterState.ANY))
         with pytest.raises(ConfigurationError):
-            cache.store(0, CachedExpansion((), 0.0))
+            cache.fill(0)
 
     def test_session_requires_sealed_cache(self):
         t1, root, binding = fixed_scenario()
@@ -141,31 +141,17 @@ class TestLifecycle:
 
 
 class TestSealPurity:
+    """PublicCache.fill, the public layer's one writer, stores only
+    shareable states."""
+
     def test_rejects_binding_dependent_key(self):
         t1, root, _ = fixed_scenario()
         cache = PublicCache(t1, root, frozenset({CLS}))
         # root state 1 has a class out-arc, so caching it publicly is wrong
         bad = cache.intern((0, 1, FilterState.ANY))
-        cache.store(bad, CachedExpansion((), 1.0))
         with pytest.raises(InvariantError):
-            seal_public(cache)
-
-    def test_rejects_unregistered_destination(self):
-        t1, root, _ = fixed_scenario()
-        cache = PublicCache(t1, root, frozenset({CLS}))
-        ok = cache.intern(cache.start_key())
-        cache.store(ok, CachedExpansion((Arc(1, 8, 0.5, 7),), 1.0))
-        with pytest.raises(InvariantError):
-            seal_public(cache)
-
-    def test_rejects_epsilon_arc_after_emitting_arc(self):
-        t1, root, _ = fixed_scenario()
-        cache = PublicCache(t1, root, frozenset({CLS}))
-        ok = cache.intern(cache.start_key())
-        cache.store(ok, CachedExpansion((Arc(1, 8, 0.5, ok),
-                                         Arc(EPS, EPS, 0.5, ok)), 1.0))
-        with pytest.raises(InvariantError):
-            seal_public(cache)
+            cache.fill(bad)
+        assert cache.expanded == {}
 
 
 class PublicFirstIds:
@@ -351,8 +337,9 @@ class TestDumpLoad:
     def test_load_rejects_bad_version(self):
         t1, root, _ = fixed_scenario()
         text = dump_public_cache(sealed_cache(t1, root, depth=2))
-        wrong = text.replace("lazyfst-public-cache 1", "lazyfst-public-cache 2", 1)
-        with pytest.raises(BuildError):
+        # a first-format dump holds arcs; it must be rebuilt, not read
+        wrong = text.replace("public-cache 2", "public-cache 1", 1)
+        with pytest.raises(BuildError, match="rebuild it"):
             load_public_cache(wrong, t1, root, frozenset({CLS}))
 
     def test_load_rejects_different_graphs(self):
@@ -428,14 +415,22 @@ class TestSharing:
         assert non_final and all(e.final is ZERO for e in non_final)
 
     def test_signed_zeros_survive_seal_dump_and_load(self):
-        t1, root, _ = fixed_scenario()
+        # Weights add along a composed arc, and 0.0 + -0.0 is 0.0 while
+        # -0.0 + -0.0 is -0.0: the root weighs everything -0.0, t1 weighs
+        # its parallel arcs 0.0 and -0.0.
+        t1 = build_machine([(0, 1, 8, 0.0, 1), (0, 1, 8, -0.0, 1),
+                            (1, 1, 8, 0.0, 1), (1, 1, 8, -0.0, 1),
+                            (2, 1, 8, -0.0, 2)],
+                           {0: 0.0, 1: -0.0, 2: 0.0}, 3)
+        root = build_machine([(0, 8, 8, -0.0, 1), (1, 8, 8, -0.0, 1)],
+                             {0: -0.0, 1: -0.0}, 2)
         cache = PublicCache(t1, root, frozenset({CLS}))
         a, b, c = (cache.intern((q1, q2, FilterState.ANY))
-                   for q1, q2 in ((0, 0), (0, 2), (0, 3)))
+                   for q1, q2 in ((0, 0), (1, 1), (2, 1)))
         # equal as floats, apart by sign: arcs, finals and whole expansions
-        cache.store(a, CachedExpansion(((1, 8, 0.0, b), (1, 8, -0.0, b)), 0.0))
-        cache.store(b, CachedExpansion(((1, 8, 0.0, b), (1, 8, -0.0, b)), -0.0))
-        cache.store(c, CachedExpansion(((1, 8, -0.0, c),), 0.0))
+        for state_id in (a, b, c):
+            cache.fill(state_id)
+        assert cache.num_public == 3
         want = {a: (["0.0", "-0.0"], "0.0"), b: (["0.0", "-0.0"], "-0.0"),
                 c: (["-0.0"], "0.0")}
 
@@ -504,8 +499,8 @@ def composed_arcs(cache) -> dict[int, tuple]:
 class TestDeadEpsilonArcs:
     """Sealing drops each public epsilon arc into a public dead end,
     except from a state it would leave a dead end too, which keeps its
-    arcs as built; a dump holds the sealed arcs and loads to the same
-    cache."""
+    arcs as built; a dump names the expanded states and loads to the
+    same cache."""
 
     def check(self, cache, composed):
         """`cache` is sealed; `composed` holds its expansions' arcs as
@@ -536,7 +531,9 @@ class TestDeadEpsilonArcs:
         self.check(cache, composed)
         text = dump_public_cache(cache)
         loaded = load_public_cache(text, t1, root, frozenset())
+        assert loaded.keys == cache.keys
         assert loaded.expanded == cache.expanded
+        assert census(loaded) == census(cache)
         self.check(loaded, composed)
         assert dump_public_cache(loaded) == text
 
@@ -548,6 +545,19 @@ class TestDeadEpsilonArcs:
         loaded = load_public_cache(text, desk_build.t1, desk_build.root,
                                    desk_build.class_ids)
         assert self.check(loaded, composed) == 1104 - 833
+        assert dump_public_cache(loaded) == text
+
+    @pytest.mark.parametrize("method", ["bfs", "warmup", "both"])
+    def test_loaded_desk_caches(self, desk_build, desk_cfg, method):
+        cache, _ = precompose_cache(desk_build, desk_cfg, method)
+        text = dump_public_cache(cache)
+        loaded = load_public_cache(text, desk_build.t1, desk_build.root,
+                                   desk_build.class_ids)
+        assert loaded.keys == cache.keys
+        assert loaded.expanded == cache.expanded
+        assert census(loaded) == census(cache)
+        assert self.check(loaded, composed_arcs(loaded)) == \
+            self.check(cache, composed_arcs(cache))
         assert dump_public_cache(loaded) == text
 
 
@@ -585,13 +595,10 @@ class TestLoadRejectsBadDumps:
         assert self.load(desk_dump, desk_build).sealed
 
     @pytest.mark.parametrize("tag, field, value", [
-        ("s", 2, "nan"),        # final weight
-        ("a", 3, "-inf"),       # arc weight
         ("k", 1, "x"),          # non-integer field
         ("k", 2, "ROOT"),       # root state beyond the root
         ("k", 3, "7"),          # not a filter state
-    ], ids=["nan-final", "neg-inf-arc", "non-integer", "root-out-of-range",
-            "filter-7"])
+    ], ids=["non-integer", "root-out-of-range", "filter-7"])
     def test_bad_field(self, desk_dump, desk_build, tag, field, value):
         if value == "ROOT":
             value = str(desk_build.root.num_states)
@@ -604,27 +611,29 @@ class TestLoadRejectsBadDumps:
             self.load(self.edit(desk_dump, "s", 1, table_size), desk_build)
 
     def test_duplicate_expansion_row(self, desk_dump, desk_build):
-        first = next(i for i, row in enumerate(desk_dump)
-                     if row.startswith("s "))
-        n_arcs = int(desk_dump[first].split()[3])
-        block = desk_dump[first:first + 1 + n_arcs]
-        with pytest.raises(BuildError):
-            self.load(desk_dump + block, desk_build)
+        first = next(row for row in desk_dump if row.startswith("s "))
+        with pytest.raises(BuildError, match="duplicate"):
+            self.load(desk_dump + [first], desk_build)
 
-    def test_epsilon_arc_after_emitting_arc(self, desk_dump, desk_build):
-        # the last arc of the first state whose last two arcs both emit
-        for i, row in enumerate(desk_dump):
-            if row.startswith("s ") and int(row.split()[3]) >= 2:
-                last = i + int(row.split()[3])
-                if desk_dump[last - 1].split()[1] != "0":
-                    break
-        else:
-            pytest.fail("no desk state with two emitting arcs")
-        lines = list(desk_dump)
-        parts = lines[last].split()
-        parts[1] = "0"
-        lines[last] = " ".join(parts)
-        with pytest.raises(BuildError, match="epsilon arc after"):
+    def test_state_that_cannot_be_shared(self, desk_dump, desk_build):
+        # the table holds bridge states as frontier destinations
+        keys = [tuple(map(int, row.split()[1:])) for row in desk_dump
+                if row.startswith("k ")]
+        bridge = next(i for i, key in enumerate(keys)
+                      if not is_precomposable(key, desk_build.root,
+                                              desk_build.class_ids))
+        with pytest.raises(BuildError, match="non-shareable"):
+            self.load(desk_dump + [f"s {bridge}"], desk_build)
+
+    def test_table_lacks_a_destination(self, desk_dump, desk_build):
+        # drop the table's last key, a frontier destination
+        size = int(desk_dump[3].split()[1])
+        last = 3 + size
+        assert desk_dump[last].startswith("k ")
+        assert f"s {size - 1}" not in desk_dump
+        lines = desk_dump[:3] + [f"table {size - 1}"] + desk_dump[4:last] \
+            + desk_dump[last + 1:]
+        with pytest.raises(BuildError, match="table lacks"):
             self.load(lines, desk_build)
 
     @given(st.data())

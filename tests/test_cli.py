@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazyfst.cache import load_public_cache
 from lazyfst.cli import main
@@ -120,6 +125,164 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{cfg['utterances']}:201" in err
+
+
+def desk_copy(tmp_path, field=None, value=None) -> tuple[Path, dict]:
+    """A fresh desk dataset under tmp_path, its config's `field` set to
+    `value` when one is given; the config's path and dict."""
+    cfg = write_desk_data(tmp_path)
+    path = tmp_path / "desk.json"
+    if field is not None:
+        cfg[field] = value
+        path.write_text(json.dumps(cfg))
+    return path, cfg
+
+
+class TestInputShapes:
+    """Config, users.json and report files of the wrong shape exit 2 with
+    a message naming the file or field, never with a traceback."""
+
+    def run(self, argv, capsys, *names) -> str:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err
+        return err
+
+    @pytest.mark.parametrize("text", [
+        '["ana", "jon"]', "{", "", '{"u01": "abc"}', '{"u01": ["ana", 5]}',
+    ], ids=["list", "bad-json", "empty", "string-contacts", "int-contact"])
+    def test_bad_users_json(self, text, tmp_path, capsys):
+        path, cfg = desk_copy(tmp_path)
+        (Path(cfg["data_dir"]) / cfg["users"]).write_text(text)
+        err = self.run(["stats", "--config", str(path)], capsys, "users.json")
+        assert "unknown contacts" not in err
+
+    @pytest.mark.parametrize("field", ["data_dir", "lexicon", "users"])
+    @pytest.mark.parametrize("value", [5, None, ["lexicon.txt"]])
+    def test_path_field_must_be_a_string(self, field, value, tmp_path,
+                                         capsys):
+        path, _ = desk_copy(tmp_path, field, value)
+        self.run(["stats", "--config", str(path)], capsys, field)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path, _ = desk_copy(tmp_path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        self.run(["stats", "--config", str(path)], capsys, str(path))
+
+    @pytest.mark.parametrize("name", ["lexicon", "users", "utterances"])
+    def test_data_file_not_utf8(self, name, tmp_path, capsys):
+        path, cfg = desk_copy(tmp_path)
+        data_file = Path(cfg["data_dir"]) / cfg[name]
+        data_file.write_bytes(data_file.read_bytes() + b"\xfe\xff\n")
+        self.run(["stats", "--config", str(path)], capsys, str(data_file))
+
+    def test_path_field_naming_a_directory(self, tmp_path, capsys):
+        path, cfg = desk_copy(tmp_path, "lexicon", "")
+        self.run(["stats", "--config", str(path)], capsys, cfg["data_dir"])
+
+    @pytest.mark.parametrize("report", [
+        [], {"hypotheses": []}, {"hypotheses": {"u05-s1-t1": 5}},
+        {"hypotheses": {"u05-s1-t1": "call ana"}},
+        {"hypotheses": {"u05-s1-t1": ["call", 5]}}, {},
+    ], ids=["list", "hypotheses-list", "int-hypothesis",
+            "string-hypothesis", "int-word", "no-hypotheses"])
+    def test_bad_report_shape(self, report, mini_config, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        self.run(["score", "--config", str(mini_config), "--report",
+                  str(path)], capsys, str(path))
+
+    def test_report_not_utf8(self, mini_config, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"hypotheses": {"\xff": []}}')
+        self.run(["score", "--config", str(mini_config), "--report",
+                  str(path)], capsys, str(path))
+
+
+# JSON values of every type, for replacing a value with one of another
+JSON_VALUES = (5, 1.5, True, None, "x", [], ["x"], {}, {"x": ["y"]})
+
+
+def retype(value, data):
+    """`value` with itself, or one value nested in it, replaced by a JSON
+    value of another type."""
+    if isinstance(value, (dict, list)) and value and data.draw(st.booleans()):
+        out = dict(value) if isinstance(value, dict) else list(value)
+        at = data.draw(st.sampled_from(sorted(out) if isinstance(out, dict)
+                                       else range(len(out))))
+        out[at] = retype(out[at], data)
+        return out
+    return data.draw(st.sampled_from(
+        [v for v in JSON_VALUES if type(v) is not type(value)]))
+
+
+def mutate(value, how: str, data) -> bytes:
+    """`value` as JSON text, mutated one way: the wrong JSON type
+    somewhere in it, cut short, not UTF-8, or empty."""
+    if how == "type":
+        return json.dumps(retype(value, data)).encode()
+    text = json.dumps(value).encode()
+    if how == "empty":
+        return b""
+    cut = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+    if how == "truncate":
+        return text[:cut]
+    return text[:cut] + b"\xff" + text[cut:]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory, desk_build):
+    """A desk dataset, its config, its users and a report of its first
+    utterances."""
+    root = tmp_path_factory.mktemp("sweep")
+    cfg = write_desk_data(root)
+    report = {"hypotheses": {utt["id"]: utt["words"]
+                             for utt in desk_build.utterances[:5]}}
+    return root, cfg, desk_build.users, report
+
+
+class TestInputSweep:
+    """One config field, users.json or the report mutated one way: stats
+    and score exit 0 or 2, never with a traceback."""
+
+    PLACEHOLDER = "@mutated@"
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_mutation_exits_0_or_2(self, sweep_inputs, data):
+        root, cfg, users, report = sweep_inputs
+        command = data.draw(st.sampled_from(["stats", "score"]))
+        target = data.draw(st.sampled_from(
+            sorted(cfg) + ["users.json"]
+            + (["report"] if command == "score" else [])))
+        how = data.draw(st.sampled_from(["type", "truncate", "not-utf8",
+                                         "empty"]))
+        users_path = Path(cfg["data_dir"]) / "sweep-users.json"
+        cfg = dict(cfg, users=users_path.name)
+        files = {"users.json": json.dumps(users).encode(),
+                 "report": json.dumps(report).encode()}
+        if target in files:
+            files[target] = mutate(json.loads(files[target]), how, data)
+        else:
+            value, cfg[target] = cfg[target], self.PLACEHOLDER
+        config = json.dumps(cfg, indent=2).encode()
+        if target not in files:
+            config = config.replace(json.dumps(self.PLACEHOLDER).encode(),
+                                    mutate(value, how, data))
+        (root / "sweep.json").write_bytes(config)
+        users_path.write_bytes(files["users.json"])
+        (root / "sweep-report.json").write_bytes(files["report"])
+        argv = [command, "--config", str(root / "sweep.json")]
+        if command == "score":
+            argv += ["--report", str(root / "sweep-report.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCacheFile:

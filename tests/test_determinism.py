@@ -2,9 +2,12 @@
 cache, byte for byte, and decoding the desk sessions gives the same
 hypotheses, costs, expansion counts and per-layer hit counts, on every
 run and across refactors of the expansion path and the decoder.  The
-cache digests are sha256 of dump_public_cache for each method; the
-decode digests are sha256 of every turn's (id, words, repr(cost), OTF
-expansions) in session order.  The hypothesis digest leaves out the
+cache digests are sha256 of each method's sealed cache in the first dump
+format (oracles.dump_public_cache_v1, every arc and weight written out),
+for the cache as built and as loaded from its dump, and sha256 of the
+dump itself, which names states only.  The decode digests are sha256
+of every turn's (id, words, repr(cost), OTF expansions) in session
+order.  The hypothesis digest leaves out the
 expansions: the search result is the same for every method, and a change
 that only skips work keeps it."""
 
@@ -13,7 +16,8 @@ import json
 
 import pytest
 
-from lazyfst.cache import dump_public_cache
+from oracles import dump_public_cache_v1
+from lazyfst.cache import dump_public_cache, load_public_cache
 from lazyfst.harness import precompose_cache, run_bench
 
 GOLDEN = {
@@ -26,11 +30,31 @@ GOLDEN = {
 }
 
 
+# sha256 of dump_public_cache per method
+GOLDEN_DUMP = {
+    "bfs": ("213c7fbb5d338b54d10a991f10bd1b33"
+            "787f71fa3c230955c07dc19c23a621c3"),
+    "warmup": ("2d9b3dbb09061ff959b075aa7d4d5ebc"
+               "8b6aa2d4c278739d7b24e32fa9fb8272"),
+    "both": ("1d588dc8942025b173ccda4eaee31c31"
+             "a9a4eacc6e6a45f3fad486bdfdd94b04"),
+}
+
+
+def _pinned(cache) -> tuple:
+    digest = hashlib.sha256(dump_public_cache_v1(cache).encode()).hexdigest()
+    return (cache.num_public, cache.num_expanded, digest)
+
+
 @pytest.mark.parametrize("method", sorted(GOLDEN))
 def test_precomposed_desk_cache_is_pinned(desk_build, desk_cfg, method):
     cache, _ = precompose_cache(desk_build, desk_cfg, method)
-    digest = hashlib.sha256(dump_public_cache(cache).encode()).hexdigest()
-    assert (cache.num_public, cache.num_expanded, digest) == GOLDEN[method]
+    assert _pinned(cache) == GOLDEN[method]
+    dump = dump_public_cache(cache)
+    assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMP[method]
+    loaded = load_public_cache(dump, desk_build.t1, desk_build.root,
+                               desk_build.class_ids)
+    assert _pinned(loaded) == GOLDEN[method]
 
 
 # sha256 of every turn's (id, words, repr(cost)), whatever the method

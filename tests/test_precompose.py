@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_cache import fixed_scenario, scenario
-from lazyfst import decoder, precompose
+from lazyfst import cache as cache_module, decoder, precompose
 from lazyfst.cache import PublicCache, Session, is_precomposable, seal_public
 from lazyfst.compose import expand_pair_state
 from lazyfst.errors import ConfigurationError, InvariantError
@@ -182,6 +182,19 @@ class TestFilledFromTheRootAlone:
         monkeypatch.setattr(precompose, "is_precomposable",
                             lambda key, root, classes:
                             key[1] < root.num_states)
+        cfg, scores, _ = warm
+        with pytest.raises(InvariantError, match="non-shareable"):
+            warmup_precompose(desk_cache(desk_build), cfg, scores,
+                              decode_config({}))
+
+    def test_promotion_compares_with_the_warmup_session(self, desk_build,
+                                                        warm, monkeypatch):
+        # the same, with PublicCache.fill admitting bridge states too
+        def root_side(key, root, classes):
+            return key[1] < root.num_states
+
+        monkeypatch.setattr(precompose, "is_precomposable", root_side)
+        monkeypatch.setattr(cache_module, "is_precomposable", root_side)
         cfg, scores, _ = warm
         with pytest.raises(InvariantError, match="depends on the binding"):
             warmup_precompose(desk_cache(desk_build), cfg, scores,
