@@ -261,16 +261,16 @@ class TestInputSweep:
                                          "empty"]))
         users_path = Path(cfg["data_dir"]) / "sweep-users.json"
         cfg = dict(cfg, users=users_path.name)
-        files = {"users.json": json.dumps(users).encode(),
-                 "report": json.dumps(report).encode()}
+        values = {"users.json": users, "report": report}
+        files = {name: json.dumps(value).encode()
+                 for name, value in values.items()}
         if target in files:
-            files[target] = mutate(json.loads(files[target]), how, data)
+            files[target] = mutate(values[target], how, data)
+            config = json.dumps(cfg).encode()
         else:
-            value, cfg[target] = cfg[target], self.PLACEHOLDER
-        config = json.dumps(cfg, indent=2).encode()
-        if target not in files:
+            config = json.dumps({**cfg, target: self.PLACEHOLDER}).encode()
             config = config.replace(json.dumps(self.PLACEHOLDER).encode(),
-                                    mutate(value, how, data))
+                                    mutate(cfg[target], how, data))
         (root / "sweep.json").write_bytes(config)
         users_path.write_bytes(files["users.json"])
         (root / "sweep-report.json").write_bytes(files["report"])
