@@ -17,5 +17,4 @@ from lazyfst import harness  # noqa: E402
 @pytest.fixture(scope="session")
 def desk():
     cfg = harness.load_config(ROOT / "desk.json")
-    cfg["data_dir"] = str(ROOT / cfg["data_dir"])
     return cfg, harness.build_graphs(cfg)

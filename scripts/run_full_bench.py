@@ -28,12 +28,13 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = load_config(args.config)
+    if args.bfs_depth is not None:
+        cfg["bfs_depth"] = args.bfs_depth
     build = build_graphs(cfg)
     rows = []
     for method in args.methods:
         for length in args.session_lengths:
             report = run_bench(cfg, method=method, session_length=length,
-                               bfs_depth=args.bfs_depth,
                                build=build)
             if args.reports:
                 out_dir = Path(cfg.get("out_dir", "build"))

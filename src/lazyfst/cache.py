@@ -13,7 +13,8 @@ Expansions live in two layers:
 
 Both layers share one state-id space over `(q1, q2, f)` pair keys (see
 compose): the sealed public state table owns dense ids [0, N_pub) and
-each session appends its own keys at ids >= N_pub.  Public expansions may
+each session, opened only over a sealed cache, appends its own keys at
+ids >= N_pub.  Public expansions may
 therefore be referenced directly by private arcs, and a public id that
 was interned but never expanded offline (a frontier destination) is
 simply expanded into the private layer on first use.  Each layer interns
@@ -266,9 +267,8 @@ def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
 class Session:
     """One decoding session: a binding plus the private half of the graph."""
 
-    def __init__(self, cache: PublicCache, binding: ClassBinding,
-                 _allow_unsealed: bool = False):
-        if not cache.sealed and not _allow_unsealed:
+    def __init__(self, cache: PublicCache, binding: ClassBinding):
+        if not cache.sealed:
             raise ConfigurationError("seal the public cache before opening sessions")
         if binding.classes != cache.classes:
             raise ConfigurationError("binding declares a different class-label set")
@@ -291,10 +291,9 @@ class Session:
         """Intern every destination key of `arcs` in one pass; return the
         arcs with ids for keys.
 
-        Private first: a key is interned privately only when it had no
-        public id below num_public, and those ids never change while the
-        session is open, so the order of the two checks cannot change an
-        id.  A new key takes the next private id."""
+        Private first: a key is interned privately only when the sealed
+        public table lacks it, so the order of the two checks cannot
+        change an id.  A new key takes the next private id."""
         private_ids = self.private_ids
         public_ids = self.cache.ids
         num_public = self.num_public
@@ -304,7 +303,7 @@ class Session:
             got = private_ids.get(key)
             if got is None:
                 got = public_ids.get(key)
-                if got is None or got >= num_public:
+                if got is None:
                     got = private_ids[key] = num_public + len(keys)
                     keys.append(key)
             out.append((il, ol, w, got))

@@ -73,9 +73,12 @@ def _build_parser() -> _Parser:
 
 
 def _config(args) -> dict:
+    """The config file, with --seed and --bfs-depth in place of its own."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if getattr(args, "bfs_depth", None) is not None:
+        cfg["bfs_depth"] = args.bfs_depth
     return cfg
 
 
@@ -118,7 +121,7 @@ def cmd_build(args) -> int:
 def cmd_precompose(args) -> int:
     cfg = _config(args)
     build = build_graphs(cfg)
-    cache, stats = precompose_cache(build, cfg, args.method, args.bfs_depth)
+    cache, stats = precompose_cache(build, cfg, args.method)
     stats["dump"] = _dump_cache(cache, cfg, args)
     print(json.dumps(stats, indent=2))
     return 0
@@ -137,8 +140,7 @@ def cmd_decode(args) -> int:
         utt = next(u for u in build.utterances if u["user"] == user)
     cache = _cache_from_file(args, build)
     if cache is None:
-        cache, _ = precompose_cache(build, cfg, args.method or "none",
-                                    args.bfs_depth)
+        cache, _ = precompose_cache(build, cfg, args.method or "none")
     result = run_session(cache, build, cfg, utt["user"], [utt],
                          decode_config(cfg))
     turn = result.turns[0]
@@ -156,7 +158,7 @@ def cmd_bench(args) -> int:
     cache = _cache_from_file(args, build)
     method = "loaded" if cache is not None else args.method or "none"
     report = run_bench(cfg, method=method, session_length=args.session_length,
-                       bfs_depth=args.bfs_depth, build=build, cache=cache)
+                       build=build, cache=cache)
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
     summary = {k: report[k] for k in ("method", "session_length",

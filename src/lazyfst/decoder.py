@@ -188,13 +188,12 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
 
     This is the one reader of the two cache layers.  Every state kept is
     resolved once: a seed or a newly reached state from the public layer
-    when its id is below session.num_public and the public layer holds
-    it, else from the private layer, and a state neither layer holds
-    through cache.expand when it is settled.  The bound is the table
-    size the session was opened with, so a warm-up session never takes
-    its private ids for public ids interned after it started.  Each
-    state kept counts one public_hit, private_hit or otf_expansion; the
-    hits are added to session.metrics once, when the closure ends.
+    when its id is below session.num_public (ids at or above it are
+    private) and the public layer holds it, else from the private layer,
+    and a state neither layer holds through cache.expand when it is
+    settled.  Each state kept counts one public_hit, private_hit or
+    otf_expansion; the hits are added to session.metrics once, when the
+    closure ends.
 
     A dead end (DEAD_END: no arcs, not final) can neither emit, end a
     hypothesis nor relax anything, so dropping it changes no result: a

@@ -322,7 +322,8 @@ def desk_config(data_dir: str = "data/desk",
 
 def write_desk_data(root: str | Path) -> dict:
     """Write the whole dataset under `root`/data/desk plus a desk.json
-    config at `root`; returns the config dict."""
+    config at `root`, its `data_dir` relative to `root`; returns the
+    config as load_config reads it."""
     check_dataset()
     root = Path(root)
     data_dir = root / "data" / "desk"
@@ -336,6 +337,6 @@ def write_desk_data(root: str | Path) -> dict:
     with open(data_dir / "utterances.jsonl", "w") as fh:
         for utt in utts:
             fh.write(json.dumps(utt) + "\n")
-    cfg = desk_config(data_dir=str(data_dir), out_dir=str(root / "build" / "desk"))
+    cfg = desk_config(out_dir=str(root / "build" / "desk"))
     (root / "desk.json").write_text(json.dumps(cfg, indent=2) + "\n")
-    return cfg
+    return dict(cfg, data_dir=str(data_dir))

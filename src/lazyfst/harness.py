@@ -34,7 +34,8 @@ PATH_FIELDS = ("data_dir", "lexicon", "corpus", "contacts", "users",
 
 def load_config(path: str | Path) -> dict:
     """The JSON object in the UTF-8 file `path`, which must hold `classes`
-    and every field of PATH_FIELDS, the latter as strings."""
+    and every field of PATH_FIELDS, the latter as strings.  A relative
+    `data_dir` is taken from the config file's directory."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -47,6 +48,7 @@ def load_config(path: str | Path) -> dict:
         if key in PATH_FIELDS and not isinstance(cfg[key], str):
             raise ConfigurationError(f"config {path}: {key} must be a "
                                      f"string, not {cfg[key]!r}")
+    cfg["data_dir"] = str(Path(path).parent / cfg["data_dir"])
     return cfg
 
 
@@ -210,30 +212,24 @@ def scores_for(build: Build, cfg: dict, utt: dict):
     return simulate_scores(ref, len(build.phone_syms), seed=seed, **settings)
 
 
-def _settings(cfg: dict, names: tuple[str, ...], **given) -> dict:
-    """The settings among `names` that cfg holds, each replaced by its
-    value in `given` when that is not None.  A name set nowhere is left
-    out, so the config class's own default applies."""
-    out = {name: cfg[name] for name in names if name in cfg}
-    out.update((name, value) for name, value in given.items()
-               if value is not None)
-    return out
+def _settings(cfg: dict, names: tuple[str, ...]) -> dict:
+    """The settings among `names` that cfg holds.  A name it lacks is
+    left out, so the config class's own default applies."""
+    return {name: cfg[name] for name in names if name in cfg}
 
 
-def decode_config(cfg: dict, beam: float | None = None,
-                  max_active: int | None = None) -> DecodeConfig:
-    return DecodeConfig(**_settings(cfg, ("beam", "max_active"), beam=beam,
-                                    max_active=max_active))
+def decode_config(cfg: dict) -> DecodeConfig:
+    return DecodeConfig(**_settings(cfg, ("beam", "max_active")))
 
 
-def precompose_cache(build: Build, cfg: dict, method: str,
-                     bfs_depth: int | None = None) -> tuple[PublicCache, dict]:
+def precompose_cache(build: Build, cfg: dict,
+                     method: str) -> tuple[PublicCache, dict]:
     """Produce a sealed shared cache via the requested method."""
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; "
                                  f"expected one of {METHODS}")
-    pre_cfg = PrecomposeConfig(**_settings(
-        cfg, ("bfs_depth", "state_budget"), bfs_depth=bfs_depth))
+    pre_cfg = PrecomposeConfig(**_settings(cfg, ("bfs_depth",
+                                                 "state_budget")))
     cache = PublicCache(build.t1, build.root, build.class_ids)
     stats = {"method": method, "bfs_depth": pre_cfg.bfs_depth}
     if method in ("bfs", "both"):
@@ -316,13 +312,12 @@ def run_session(cache: PublicCache, build: Build, cfg: dict,
 
 
 def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
-              bfs_depth: int | None = None,
               build: Build | None = None,
               cache: PublicCache | None = None) -> dict:
     if build is None:
         build = build_graphs(cfg)
     if cache is None:
-        cache, pre_stats = precompose_cache(build, cfg, method, bfs_depth)
+        cache, pre_stats = precompose_cache(build, cfg, method)
     else:
         pre_stats = {"method": method, "public_states": cache.num_public,
                      "public_expanded": cache.num_expanded,

@@ -7,8 +7,9 @@ cache.is_precomposable) and expands them against the cache's root
 itself: such a root state has no class out-arc, so a replace view under
 any binding hands out the root's own arcs and final weight for it.
 Warm-up decoding does need a binding, and binds every class to an
-accept-nothing FST; each state it promotes must also match what the
-warm-up session stored.
+accept-nothing FST; it decodes in one session over an empty sealed
+cache, and each state it promotes must also match what that session
+stored.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cache import PublicCache, Session, is_precomposable
+from .cache import PublicCache, Session, is_precomposable, seal_public
 from .decoder import DecodeConfig, ScoreMatrix, decode, require_int
 from .errors import ConfigurationError, InvariantError, LazyFstError
 from .replace import empty_binding
@@ -79,45 +80,43 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
 def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
                       score_list: Sequence[ScoreMatrix],
                       decode_cfg: DecodeConfig) -> PublicCache:
-    """Decode warm-up traffic with every class bound to an accept-nothing
-    FST; promote each visited shareable state into `cache` and return it.
+    """Decode warm-up traffic in one session over an empty sealed cache,
+    every class bound to an accept-nothing FST, so each state reached is
+    expanded once; promote each shareable state it expanded into `cache`,
+    in private-id order, and return it.
 
     Promotion fills the state and insists the result matches what the
-    warm-up session stored, destinations compared by key: a shareable
-    state's expansion must not depend on the binding, and checking beats
+    session stored, destinations compared by key: a shareable state's
+    expansion must not depend on the binding, and checking beats
     assuming.  Decode failures on warm-up traffic are logged and
     skipped.  Can extend a BFS-produced cache.
     """
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
     root, classes = cache.root, cache.classes
-    warm_binding = empty_binding(classes, root.osyms)
-    budget_hit = False
+    session = Session(seal_public(PublicCache(cache.t1, root, classes)),
+                      empty_binding(classes, root.osyms))
     for utt_index, scores in enumerate(score_list):
-        session = Session(cache, warm_binding, _allow_unsealed=True)
         try:
             decode(scores, session, decode_cfg)
         except LazyFstError as err:
             logger.warning("warm-up utterance %d failed to decode: %s",
                            utt_index, err)
-        for state_id in sorted(session.private_exp):
-            key = session.key_of(state_id)
-            if not is_precomposable(key, root, classes):
-                continue
-            if cache.ids.get(key) in cache.expanded:
-                continue
-            if len(cache.expanded) >= cfg.state_budget:
-                budget_hit = True
-                break
-            filled = cache.fill(cache.intern(key))
-            if _by_key(session.private_exp[state_id], session.key_of) != \
-                    _by_key(filled, cache.keys.__getitem__):
-                raise InvariantError(
-                    f"warm-up expansion of {key} depends on the binding")
-        if budget_hit:
+    for state_id in sorted(session.private_exp):
+        key = session.key_of(state_id)
+        if not is_precomposable(key, root, classes):
+            continue
+        if cache.ids.get(key) in cache.expanded:
+            continue
+        if len(cache.expanded) >= cfg.state_budget:
             logger.warning("warmup_precompose stopped at state budget %d; "
                            "coverage is partial", cfg.state_budget)
             break
+        filled = cache.fill(cache.intern(key))
+        if _by_key(session.private_exp[state_id], session.key_of) != \
+                _by_key(filled, cache.keys.__getitem__):
+            raise InvariantError(
+                f"warm-up expansion of {key} depends on the binding")
     return cache
 
 

@@ -428,8 +428,7 @@ def compose_static(t1: Fst, t2, max_states: int = 1_000_000) -> Fst:
 def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:
     """The stored expansion of `state_id`, public layer first, counting
     the hit; None when neither layer holds it.  The public layer is read
-    only below session.num_public, the table size the session was opened
-    with."""
+    only below session.num_public: ids at or above it are private."""
     if state_id < session.num_public:
         cached = session.cache.expanded.get(state_id)
         if cached is not None:

@@ -128,7 +128,8 @@ def test_sealed_cache_holds_only_shareable_states(desk_build, desk_cfg):
     with criteria.checked(2, "sealed shared cache holds only "
                              "binding-independent states"):
         started = time.perf_counter()
-        cache, _ = precompose_cache(desk_build, desk_cfg, "both", bfs_depth=8)
+        cache, _ = precompose_cache(desk_build, dict(desk_cfg, bfs_depth=8),
+                                    "both")
         violating = [cache.keys[sid] for sid in cache.expanded
                      if not is_precomposable(cache.keys[sid], desk_build.root,
                                              desk_build.class_ids)]
@@ -237,8 +238,8 @@ def test_depth_saturates_while_cache_grows(desk_build, desk_cfg):
 
         def at_depth(depth):
             if depth not in measured:
-                cache, stats = precompose_cache(desk_build, desk_cfg, "bfs",
-                                                bfs_depth=depth)
+                cache, stats = precompose_cache(
+                    desk_build, dict(desk_cfg, bfs_depth=depth), "bfs")
                 report = run_bench(desk_cfg, method="bfs", session_length=5,
                                    build=desk_build, cache=cache)
                 measured[depth] = (report["totals"]["otf_expansions"],

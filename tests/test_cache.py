@@ -19,7 +19,7 @@ from lazyfst.decoder import DecodeConfig, _eps_closure, decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ClassBinding, ReplaceView, empty_binding
+from lazyfst.replace import ClassBinding, ReplaceView
 from lazyfst.semiring import ZERO
 
 CLS = 9
@@ -113,7 +113,6 @@ class TestLifecycle:
         cache = PublicCache(t1, root, frozenset({CLS}))
         with pytest.raises(ConfigurationError):
             Session(cache, binding)
-        Session(cache, binding, _allow_unsealed=True)  # build-time path
 
     def test_binding_must_declare_same_classes(self):
         t1, root, _ = fixed_scenario()
@@ -247,26 +246,6 @@ class TestIdSpace:
         assert [session.intern(k) for k in keys] == \
             [oracle.intern(k) for k in keys]
 
-    def test_warmup_session_interns_as_public_first(self, desk_build, desk_cfg):
-        pre_cfg = PrecomposeConfig(bfs_depth=3)
-        cache = bfs_precompose(PublicCache(desk_build.t1, desk_build.root,
-                                           desk_build.class_ids), pre_cfg)
-        binding = empty_binding(desk_build.class_ids, desk_build.root.osyms)
-        user = desk_build.utterances[0]["user"]
-        keys = desk_session_keys(
-            desk_build, desk_cfg,
-            Session(cache, binding, _allow_unsealed=True), user)
-        session = Session(cache, binding, _allow_unsealed=True)
-        oracle = PublicFirstIds(session)
-        assert [session.intern(k) for k in keys] == \
-            [oracle.intern(k) for k in keys]
-        # Keys the open session holds privately are interned publicly
-        # behind its back, above the table size it was opened with, as
-        # warm-up promotion does between sessions.
-        for key in session.private_keys[::2]:
-            assert cache.intern(key) >= session.num_public
-        assert [session.intern(k) for k in keys] == \
-            [oracle.intern(k) for k in keys]
 
 
 class TestMaterializeMatchesStatic:

@@ -23,6 +23,7 @@ def mini_config(desk_root, desk_build, tmp_path_factory):
     (data_dir / "u05-utterances.jsonl").write_text("\n".join(kept) + "\n")
     cfg["utterances"] = "u05-utterances.jsonl"
     cfg["warmup_count"] = 5
+    cfg["data_dir"] = str(data_dir)
     cfg["out_dir"] = str(out / "build")
     path = out / "mini.json"
     path.write_text(json.dumps(cfg))
@@ -351,6 +352,14 @@ class TestCommands:
         stats = json.loads(capsys.readouterr().out)
         assert stats["phones"] == 33
         assert stats["utterances"] == 20
+
+    def test_data_dir_is_taken_from_the_config_directory(
+            self, desk_root, tmp_path, monkeypatch, capsys):
+        cfg = json.loads((desk_root / "desk.json").read_text())
+        assert cfg["data_dir"] == "data/desk"
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", "--config", str(desk_root / "desk.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["utterances"] == 200
 
     def test_build_writes_artifacts(self, mini_config, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -516,15 +516,15 @@ class TestSealedAgainstUnsealed:
     @settings(max_examples=100, deadline=None)
     def test_two_turns_decode_alike(self, t1, root, depth, seed, quarters):
         # sealing drops the public epsilon arcs into a dead end; the same
-        # cache left unsealed keeps them, and must decode the same
+        # cache marked sealed without sharing its parts keeps them, and
+        # must decode the same
         rng = np.random.default_rng(seed)
         turns = [ScoreMatrix(rng.integers(0, 24, size=(frames, 4)) * 0.25)
                  for frames in rng.integers(1, 6, size=2)]
         dec_cfg = DecodeConfig(beam=quarters * 0.25)
 
-        def decoded(cache, **unsealed):
-            session = Session(cache, ClassBinding(frozenset(), {}),
-                              **unsealed)
+        def decoded(cache):
+            session = Session(cache, ClassBinding(frozenset(), {}))
             out = []
             for scores in turns:
                 hyp = decode(scores, session, dec_cfg)
@@ -538,8 +538,9 @@ class TestSealedAgainstUnsealed:
             return bfs_precompose(PublicCache(t1, root, frozenset()),
                                   PrecomposeConfig(bfs_depth=depth))
 
-        assert decoded(seal_public(cache())) == \
-            decoded(cache(), _allow_unsealed=True)
+        as_built = cache()
+        as_built.sealed = True
+        assert decoded(seal_public(cache())) == decoded(as_built)
 
 
 class TestTiming:

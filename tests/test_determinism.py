@@ -23,10 +23,10 @@ from lazyfst.harness import precompose_cache, run_bench
 GOLDEN = {
     "bfs": (434, 342, "7965a6435edbd820195fd9b45928b315"
                       "cc13b1061aca77f38b1ed5ea5d9e4b3c"),
-    "warmup": (538, 501, "021d128631018e084e7f3e283440b676"
-                         "7586f05d15f26e0cc3f456bca581e4d6"),
-    "both": (538, 502, "1cc738dcfaaacb2746f50ebd6cc76449"
-                       "be9982b05506caa43c6582c2aae53d43"),
+    "warmup": (538, 501, "7796582fb8d233d1735563dc95321abe"
+                         "b33cea0e3c947addf19ef56b0a646783"),
+    "both": (538, 502, "10c161373d0ba2b33cc498abe09bb581"
+                       "271e23b06479dd1c2aaf2fae96842c0c"),
 }
 
 
@@ -34,10 +34,10 @@ GOLDEN = {
 GOLDEN_DUMP = {
     "bfs": ("213c7fbb5d338b54d10a991f10bd1b33"
             "787f71fa3c230955c07dc19c23a621c3"),
-    "warmup": ("2d9b3dbb09061ff959b075aa7d4d5ebc"
-               "8b6aa2d4c278739d7b24e32fa9fb8272"),
-    "both": ("1d588dc8942025b173ccda4eaee31c31"
-             "a9a4eacc6e6a45f3fad486bdfdd94b04"),
+    "warmup": ("508b71740386e68ffc86aeed6d2d948c"
+               "ecb82b09136d849c846d6ceb958e76a2"),
+    "both": ("2734b2db0701a9c82f92a712e5ba18d2"
+             "ab4a186f5d9018f3bbb80320037628fe"),
 }
 
 

@@ -55,8 +55,6 @@ class TestConfig:
 
     def test_decode_config_overrides(self, desk_cfg):
         assert decode_config(desk_cfg).beam == desk_cfg["beam"]
-        assert decode_config(desk_cfg, beam=30.0).beam == 30.0
-        assert decode_config(desk_cfg, max_active=7).max_active == 7
 
 
 class TestBuild:

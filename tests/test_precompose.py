@@ -131,18 +131,29 @@ class TestWarmupOnDeskData:
             assert is_precomposable(key, desk_build.root, desk_build.class_ids)
         seal_public(cache)
 
-    def test_extends_bfs_cache_to_a_superset(self, desk_build, warm):
-        cfg, scores, warm_only = warm
-        bfs_only = bfs_precompose(desk_cache(desk_build), cfg)
-        combined = bfs_precompose(desk_cache(desk_build), cfg)
-        combined = warmup_precompose(combined, cfg, scores,
-                                     decode_config({"beam": 10.0,
-                                                    "max_active": 2000}))
-        bfs_keys = {bfs_only.keys[i] for i in bfs_only.expanded}
-        warm_keys = {warm_only.keys[i] for i in warm_only.expanded}
-        comb_keys = {combined.keys[i] for i in combined.expanded}
-        assert bfs_keys <= comb_keys
-        assert warm_keys <= comb_keys
+    def test_extends_bfs_cache_to_a_superset(self, desk_build, desk_cfg):
+        def expanded_keys(method):
+            cache, _ = precompose_cache(desk_build, desk_cfg, method)
+            return {cache.keys[i] for i in cache.expanded}
+
+        both = expanded_keys("both")
+        assert both == expanded_keys("bfs") | expanded_keys("warmup")
+        assert len(both) == 502
+
+    def test_expands_each_state_once(self, desk_build, desk_cfg,
+                                     monkeypatch):
+        # one session for all warm-up traffic: a state one utterance
+        # expanded is found, not expanded again, by the next
+        keys = []
+        expand = decoder.expand
+
+        def spy(state_id, session):
+            keys.append(session.key_of(state_id))
+            return expand(state_id, session)
+
+        monkeypatch.setattr(decoder, "expand", spy)
+        precompose_cache(desk_build, desk_cfg, "warmup")
+        assert len(keys) == len(set(keys)) == 541
 
     def test_warmup_is_deterministic(self, desk_build, warm):
         cfg, scores, cache = warm
