@@ -34,14 +34,13 @@ def frame(desk):
     scores = scores_for(build, cfg, utt)
     dec_cfg = decode_config(cfg)
     assert decode(scores, session, dec_cfg) is not None
-    tokens, floor = _eps_closure({session.start_id(): (0.0, None)},
-                                 session, dec_cfg)
-    active = _prune(tokens, floor, dec_cfg)
+    active = _prune(_eps_closure({session.start_id(): (0.0, None)},
+                                 session, dec_cfg), dec_cfg)
     middle = scores.num_frames // 2
     for t in range(middle):
-        tokens, floor = _eps_closure(
-            _emit(active, scores.row(t), dec_cfg.beam), session, dec_cfg)
-        active = _prune(tokens, floor, dec_cfg)
+        active = _prune(_eps_closure(
+            _emit(active, scores.row(t), dec_cfg.beam), session, dec_cfg),
+            dec_cfg)
     return session, dec_cfg, active, scores.row(middle)
 
 
@@ -55,6 +54,6 @@ def test_eps_closure(benchmark, frame):
     session, dec_cfg, active, row = frame
     emitted = _emit(active, row, dec_cfg.beam)
     before = session.metrics.otf_expansion
-    tokens, _ = benchmark(_eps_closure, emitted, session, dec_cfg)
+    tokens = benchmark(_eps_closure, emitted, session, dec_cfg)
     assert session.metrics.otf_expansion == before
     assert len(tokens) == CLOSED

@@ -53,10 +53,8 @@ def test_arcs_of_bridge_state(benchmark, view):
 
 def test_arcs_of_inside_state(benchmark, desk, view):
     _, build = desk
-    (cls,) = build.class_ids
     contacts = build.contact_fsts[USER]
-    benchmark(view.arcs_of,
-              view.inside_id(cls, contacts.start, build.root.start))
+    benchmark(view.arcs_of, view.inside_id(contacts.start, build.root.start))
 
 
 @pytest.mark.parametrize("t1_state", ["loop", "chain"])

@@ -8,13 +8,13 @@ shared public layer plus per-session private layers.
 
 from .cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
                     PublicCache, Session,
-                    dump_public_cache, end_session, is_precomposable,
-                    load_public_cache, seal_public)
+                    dump_public_cache, end_session, load_public_cache,
+                    seal_public)
 from .compose import Expansion, FilterState, expand_pair_state
 from .decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode, rtf,
                       simulate_scores)
 from .errors import (BuildError, CompositionSizeError, ConfigurationError,
-                     ExpansionError, InvariantError, LazyFstError, ParseError)
+                     InvariantError, LazyFstError, ParseError)
 from .fst import (EPS, Arc, Fst, FstBuilder, SymbolTable, write_symbols,
                   write_text_fst)
 from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
@@ -33,7 +33,7 @@ __all__ = [
     "ARC_BYTES", "KEY_BYTES", "STATE_BYTES", "EPS", "ZERO",
     "Arc", "BuildError", "CachedExpansion", "ClassBinding",
     "CompositionSizeError", "ConfigurationError",
-    "ContactEntry", "DecodeConfig", "Expansion", "ExpansionError",
+    "ContactEntry", "DecodeConfig", "Expansion",
     "FilterState", "Fst", "FstBuilder", "Hypothesis",
     "InvariantError", "LazyFstError", "Lexicon", "Metrics",
     "ParseError", "PrecomposeConfig", "PublicCache", "ReplaceView",
@@ -42,7 +42,7 @@ __all__ = [
     "build_lexicon_fst", "build_symbol_tables",
     "decode",
     "dump_public_cache", "empty_binding", "end_session",
-    "expand_pair_state", "insert_epsilon_before_class", "is_precomposable",
+    "expand_pair_state", "insert_epsilon_before_class",
     "load_public_cache", "minimize_acyclic",
     "parse_contacts_jsonl", "parse_corpus", "parse_lexicon",
     "rtf", "seal_public",

@@ -6,8 +6,9 @@ Expansions live in two layers:
 * PublicCache: expansions that are provably binding-independent, computed
   once offline (breadth-first or by warm-up decoding), then sealed and
   shared read-only by every session.  A composed state may be cached here
-  only if its root-side state is outside every class region and has no
-  class-label out-arc, so its arcs can never mention a class FST.
+  only if its t2 side is a root state that is not a bridge (has no class
+  out-arc), so its arcs can never mention the class FST: the rule
+  PublicCache.shareable holds.
 * Session: everything else is expanded on demand into a private cache
   that dies with the session.
 
@@ -113,23 +114,6 @@ def interned(raw: Expansion, layer) -> CachedExpansion:
     return CachedExpansion(layer.intern_arcs(raw.arcs), raw.final)
 
 
-def is_precomposable(key: tuple[int, int, int], root: Fst,
-                     classes: frozenset[int]) -> bool:
-    """True when `key`'s expansion cannot depend on any class binding:
-    the t2 side sits in the root (its view id is below the root's state
-    count, so not inside a class FST) and its root state has no
-    class-label out-arc.  A replace view hands out such a root state's
-    own arcs and final weight, so the key's expansion against the root
-    itself equals its expansion against any view."""
-    q2 = key[1]
-    if q2 >= root.num_states:
-        return False
-    for arc in root.arcs_of(q2):
-        if arc.olabel in classes:
-            return False
-    return True
-
-
 def _bytes_estimate(num_keys: int, num_expanded: int, num_arcs: int) -> int:
     return num_arcs * ARC_BYTES + num_expanded * STATE_BYTES + num_keys * KEY_BYTES
 
@@ -137,10 +121,10 @@ def _bytes_estimate(num_keys: int, num_expanded: int, num_arcs: int) -> int:
 class PublicCache:
     """Sealed, shared layer of the two-layer graph for one (t1, root) pair."""
 
-    def __init__(self, t1: Fst, root: Fst, classes: frozenset[int]):
+    def __init__(self, t1: Fst, root: Fst, label: int):
         self.t1 = t1
         self.root = root
-        self.classes = classes
+        self.label = label
         self.keys: list[tuple[int, int, int]] = []
         self.ids: dict[tuple[int, int, int], int] = {}
         self.expanded: dict[int, CachedExpansion] = {}
@@ -162,7 +146,16 @@ class PublicCache:
     def bridges(self) -> frozenset[int]:
         """replace.bridge_states of the root: scanned, and the root's class
         arcs checked, once per cache rather than once per session."""
-        return bridge_states(self.root, self.classes)
+        return bridge_states(self.root, self.label)
+
+    def shareable(self, key: tuple[int, int, int]) -> bool:
+        """True when `key`'s expansion cannot depend on any binding: its
+        t2 side is a root state (a view id below the root's state count,
+        so not inside the class FST) that is not a bridge.  A replace
+        view hands out such a state's own arcs and final weight, so the
+        key's expansion against the root itself equals its expansion
+        against any view."""
+        return key[1] < self.root.num_states and key[1] not in self.bridges
 
     def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
         """Intern every destination key of `arcs` in one pass, a known key
@@ -193,7 +186,7 @@ class PublicCache:
         if self.sealed:
             raise ConfigurationError("public cache is sealed")
         key = self.keys[state_id]
-        if not is_precomposable(key, self.root, self.classes):
+        if not self.shareable(key):
             raise InvariantError(f"public cache refuses non-shareable "
                                  f"state {key} (id {state_id})")
         made = interned(expand_pair_state(key, self.t1, self.root), self)
@@ -212,7 +205,7 @@ class PublicCache:
             h.update(b"\x00")
             h.update(write_text_fst(self.root).encode())
             h.update(b"\x00")
-            h.update(" ".join(map(str, sorted(self.classes))).encode())
+            h.update(str(self.label).encode())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
@@ -270,8 +263,8 @@ class Session:
     def __init__(self, cache: PublicCache, binding: ClassBinding):
         if not cache.sealed:
             raise ConfigurationError("seal the public cache before opening sessions")
-        if binding.classes != cache.classes:
-            raise ConfigurationError("binding declares a different class-label set")
+        if binding.label != cache.label:
+            raise ConfigurationError("binding is for a different class label")
         self.cache = cache
         self.binding = binding
         self.view = ReplaceView(cache.root, binding, cache.bridges)
@@ -376,7 +369,7 @@ def dump_public_cache(cache: PublicCache) -> str:
 
 
 def load_public_cache(text: str, t1: Fst, root: Fst,
-                      classes: frozenset[int]) -> PublicCache:
+                      label: int) -> PublicCache:
     """Parse a dump back into a sealed cache, verifying version, graph
     fingerprint and checksum, then every row: ids within their table or
     graph, no repeated key or state.  Each named state is filled
@@ -387,7 +380,7 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
     if len(lines) < 3 or lines[0].strip() != CACHE_FORMAT:
         raise BuildError(f"not a {CACHE_FORMAT!r} dump (bad or missing "
                          f"version line); rebuild it with lazyfst precompose")
-    cache = PublicCache(t1, root, classes)
+    cache = PublicCache(t1, root, label)
     graph_line = lines[1].split()
     if len(graph_line) != 2 or graph_line[0] != "graph":
         raise BuildError("cache dump missing graph fingerprint")

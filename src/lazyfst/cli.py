@@ -106,7 +106,7 @@ def _cache_from_file(args, build):
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(
             f"cannot read cache dump {args.cache}: {err}") from None
-    return load_public_cache(text, build.t1, build.root, build.class_ids)
+    return load_public_cache(text, build.t1, build.root, build.class_id)
 
 
 def cmd_build(args) -> int:

@@ -175,8 +175,8 @@ _Token = tuple
 _cost = itemgetter(0)
 
 
-def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
-                 ) -> tuple[dict[int, _Token], float]:
+def _eps_closure(tokens: dict[int, _Token], session: Session,
+                 cfg: DecodeConfig) -> dict[int, _Token]:
     """Extend `tokens` along epsilon-input arcs, settling states in
     (cost, state id) order, and keep only tokens within cfg.beam of the
     cheapest seed that are not dead ends.
@@ -205,7 +205,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
     never enters the heap.  A relaxation is pushed only when it strictly
     lowers a state's cost, so a heap entry whose cost is not the state's
     current cost is stale and every state is settled at most once.
-    Returns the tokens, each carrying its expansion, and the floor.
+    Returns the tokens, each carrying its expansion.
     """
     if session.ended:
         raise ConfigurationError("session already ended")
@@ -291,13 +291,12 @@ def _eps_closure(tokens: dict[int, _Token], session: Session, cfg: DecodeConfig
         metrics.private_hit += private_hits
     for sid in built_dead:
         del best[sid]
-    return best, floor
+    return best
 
 
-def _prune(tokens: dict[int, _Token], floor: float,
-           cfg: DecodeConfig) -> dict[int, _Token]:
+def _prune(tokens: dict[int, _Token], cfg: DecodeConfig) -> dict[int, _Token]:
     """The cfg.max_active cheapest of a closure's tokens.  The closure
-    has already applied the beam from `floor`, its cost floor."""
+    has already applied the beam from its cost floor."""
     if len(tokens) <= cfg.max_active:
         return tokens
     ranked = sorted(tokens.items(), key=lambda kv: (kv[1][0], kv[0]))
@@ -371,17 +370,15 @@ def decode(scores: ScoreMatrix, session: Session,
     before = session.metrics.snapshot()
     t0 = time.perf_counter()
 
-    tokens, floor = _eps_closure({session.start_id(): (0.0, None)},
-                                 session, cfg)
-    active = _prune(tokens, floor, cfg)
+    active = _prune(_eps_closure({session.start_id(): (0.0, None)},
+                                 session, cfg), cfg)
     for t in range(scores.num_frames):
         # a closure that keeps no token leaves nothing to emit from
         emitted = _emit(active, scores.row(t), cfg.beam) if active else None
         if not emitted:
             active = {}
             break
-        tokens, floor = _eps_closure(emitted, session, cfg)
-        active = _prune(tokens, floor, cfg)
+        active = _prune(_eps_closure(emitted, session, cfg), cfg)
 
     best_cost = ZERO
     best_trace = None

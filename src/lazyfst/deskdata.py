@@ -294,11 +294,10 @@ def contacts_jsonl() -> str:
     return "\n".join(lines) + "\n"
 
 
-def desk_config(data_dir: str = "data/desk",
-                out_dir: str = "build/desk") -> dict:
+def desk_config() -> dict:
     return {
-        "data_dir": data_dir,
-        "out_dir": out_dir,
+        "data_dir": "data/desk",
+        "out_dir": "build/desk",
         "lexicon": "lexicon.txt",
         "corpus": "corpus.txt",
         "classes": ["@contact"],
@@ -322,8 +321,9 @@ def desk_config(data_dir: str = "data/desk",
 
 def write_desk_data(root: str | Path) -> dict:
     """Write the whole dataset under `root`/data/desk plus a desk.json
-    config at `root`, its `data_dir` relative to `root`; returns the
-    config as load_config reads it."""
+    config at `root`, its `data_dir` relative to `root` and its `out_dir`
+    "build/desk" relative to the working directory, as every `out_dir`
+    is; returns the config as load_config reads it."""
     check_dataset()
     root = Path(root)
     data_dir = root / "data" / "desk"
@@ -337,6 +337,6 @@ def write_desk_data(root: str | Path) -> dict:
     with open(data_dir / "utterances.jsonl", "w") as fh:
         for utt in utts:
             fh.write(json.dumps(utt) + "\n")
-    cfg = desk_config(out_dir=str(root / "build" / "desk"))
+    cfg = desk_config()
     (root / "desk.json").write_text(json.dumps(cfg, indent=2) + "\n")
     return dict(cfg, data_dir=str(data_dir))

@@ -26,10 +26,6 @@ class CompositionSizeError(LazyFstError):
     """Composition exceeded its configured state budget."""
 
 
-class ExpansionError(LazyFstError):
-    """Lazy expansion hit a state it cannot expand (e.g. unbound class label)."""
-
-
 class ConfigurationError(LazyFstError):
     """API misuse: wrong lifecycle order, bad parameter values."""
 

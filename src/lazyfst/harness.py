@@ -67,7 +67,7 @@ class Build:
     word_syms: SymbolTable
     t1: Fst
     root: Fst
-    class_ids: frozenset[int]
+    class_id: int
     contacts: list[ContactEntry]
     users: dict[str, list[str]]
     contact_fsts: dict[str, Fst]
@@ -96,6 +96,7 @@ def build_graphs(cfg: dict) -> Build:
     if len(class_ids) != 1:
         raise BuildError(f"contacts bind to exactly one class label, but "
                          f"{len(class_ids)} are declared")
+    (class_id,) = class_ids
     t1 = build_lexicon_fst(
         lexicon, phone_syms, word_syms,
         sil_penalty=_penalty(cfg, "sil_penalty", math.log(2.0)))
@@ -103,7 +104,7 @@ def build_graphs(cfg: dict) -> Build:
     root = insert_epsilon_before_class(train_bigram_root(
         corpus, lexicon, class_names, word_syms,
         backoff_penalty=_penalty(cfg, "backoff_penalty", math.log(10.0))),
-        class_ids)
+        class_id)
     contacts = parse_contacts_jsonl(read("contacts"),
                                     str(data / cfg["contacts"]))
     by_name = {c.name: c for c in contacts}
@@ -125,10 +126,9 @@ def build_graphs(cfg: dict) -> Build:
                                                word_syms)
     utterances = parse_utterances(read("utterances"),
                                   str(data / cfg["utterances"]), users)
-    (class_id,) = class_ids
-    bindings = {user: ClassBinding(class_ids, {class_id: fst})
+    bindings = {user: ClassBinding(class_id, fst)
                 for user, fst in contact_fsts.items()}
-    return Build(lexicon, phone_syms, word_syms, t1, root, class_ids,
+    return Build(lexicon, phone_syms, word_syms, t1, root, class_id,
                  contacts, users, contact_fsts, bindings, utterances)
 
 
@@ -230,7 +230,7 @@ def precompose_cache(build: Build, cfg: dict,
                                  f"expected one of {METHODS}")
     pre_cfg = PrecomposeConfig(**_settings(cfg, ("bfs_depth",
                                                  "state_budget")))
-    cache = PublicCache(build.t1, build.root, build.class_ids)
+    cache = PublicCache(build.t1, build.root, build.class_id)
     stats = {"method": method, "bfs_depth": pre_cfg.bfs_depth}
     if method in ("bfs", "both"):
         bfs_precompose(cache, pre_cfg)
@@ -398,10 +398,9 @@ def score_report(report: dict, build: Build) -> dict:
 
 
 def graph_stats(build: Build) -> dict:
-    (class_id,) = build.class_ids
     root_class_arcs = sum(
         1 for state in build.root.states()
-        for arc in build.root.arcs_of(state) if arc.olabel == class_id)
+        for arc in build.root.arcs_of(state) if arc.olabel == build.class_id)
     return {
         "phones": len(build.phone_syms) - 1,
         "words": len(build.word_syms) - 1,

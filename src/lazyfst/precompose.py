@@ -2,11 +2,11 @@
 
 Both strategies choose which states of a PublicCache to fill and leave
 the expanding to PublicCache.fill, which takes only states whose arcs are
-provably independent of any session's class FSTs (see
-cache.is_precomposable) and expands them against the cache's root
-itself: such a root state has no class out-arc, so a replace view under
-any binding hands out the root's own arcs and final weight for it.
-Warm-up decoding does need a binding, and binds every class to an
+provably independent of any session's class FST (PublicCache.shareable:
+a root state that is not a bridge) and expands them against the cache's
+root itself: such a root state has no class out-arc, so a replace view
+under any binding hands out the root's own arcs and final weight for it.
+Warm-up decoding does need a binding, and binds the class label to an
 accept-nothing FST; it decodes in one session over an empty sealed
 cache, and each state it promotes must also match what that session
 stored.
@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cache import PublicCache, Session, is_precomposable, seal_public
+from .cache import PublicCache, Session, seal_public
 from .decoder import DecodeConfig, ScoreMatrix, decode, require_int
 from .errors import ConfigurationError, InvariantError, LazyFstError
 from .replace import empty_binding
@@ -43,12 +43,12 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
     """Expand shareable states of `cache` breadth-first from the composed
     start; returns `cache`.
 
-    A state is expanded iff it passes is_precomposable, its distance from
-    the start (in composed arcs, epsilon arcs included) is strictly below
-    cfg.bfs_depth, and the budget is not exhausted.  Frontier destinations
-    are interned in the state table either way.  Depth 0 therefore caches
-    nothing but still registers the start key.  Deterministic: FIFO
-    queue, arcs in stored order.
+    A state is expanded iff it is shareable (PublicCache.shareable), its
+    distance from the start (in composed arcs, epsilon arcs included) is
+    strictly below cfg.bfs_depth, and the budget is not exhausted.
+    Frontier destinations are interned in the state table either way.
+    Depth 0 therefore caches nothing but still registers the start key.
+    Deterministic: FIFO queue, arcs in stored order.
     """
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
@@ -60,8 +60,7 @@ def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
         d = dist[state_id]
         if d >= cfg.bfs_depth:
             continue
-        if not is_precomposable(cache.keys[state_id], cache.root,
-                                cache.classes):
+        if not cache.shareable(cache.keys[state_id]):
             continue
         exp = cache.expanded.get(state_id)
         if exp is None:
@@ -81,9 +80,9 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
                       score_list: Sequence[ScoreMatrix],
                       decode_cfg: DecodeConfig) -> PublicCache:
     """Decode warm-up traffic in one session over an empty sealed cache,
-    every class bound to an accept-nothing FST, so each state reached is
-    expanded once; promote each shareable state it expanded into `cache`,
-    in private-id order, and return it.
+    the class label bound to an accept-nothing FST, so each state reached
+    is expanded once; promote each shareable state it expanded into
+    `cache`, in private-id order, and return it.
 
     Promotion fills the state and insists the result matches what the
     session stored, destinations compared by key: a shareable state's
@@ -93,9 +92,9 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
     """
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
-    root, classes = cache.root, cache.classes
-    session = Session(seal_public(PublicCache(cache.t1, root, classes)),
-                      empty_binding(classes, root.osyms))
+    session = Session(seal_public(PublicCache(cache.t1, cache.root,
+                                              cache.label)),
+                      empty_binding(cache.label, cache.root.osyms))
     for utt_index, scores in enumerate(score_list):
         try:
             decode(scores, session, decode_cfg)
@@ -104,7 +103,7 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
                            utt_index, err)
     for state_id in sorted(session.private_exp):
         key = session.key_of(state_id)
-        if not is_precomposable(key, root, classes):
+        if not cache.shareable(key):
             continue
         if cache.ids.get(key) in cache.expanded:
             continue

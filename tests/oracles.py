@@ -12,6 +12,9 @@ evidence rather than tautology.  It holds:
   composed state with no index, and compose_static / compose_static_full,
   the whole filtered composition breadth-first, each independent of
   compose.expand_pair_state;
+* is_precomposable, the shareable rule re-derived by scanning a root
+  state's arcs for the class label, independent of
+  PublicCache.shareable and its bridge set;
 * lookup, the one-state form of the rule decoder._eps_closure applies
   to read the two cache layers, counting the hit it finds;
 * materialize, the whole lazy graph of a session through lookup and
@@ -288,14 +291,14 @@ def oracle_beam_decode(fst, scores, beam: float):
 
 def view_state_key(t2, state: int) -> tuple:
     """Rank of a t2 state in the order composed arcs sort by: a root
-    state q (or any state of a plain Fst) as (0, q), a state inside a
-    class FST as (2, cls, qp, ret), so every root state comes first.
-    Inside states are named by ReplaceView.inside_of, whose inverse is
-    checked against inside_id separately."""
+    state q (or any state of a plain Fst) as (0, q), a state inside the
+    class FST at its state qp, resuming at root state ret, as
+    (2, qp, ret), so every root state comes first."""
     num_root = getattr(t2, "num_root", None)
     if num_root is None or state < num_root:
         return (0, state)
-    return (2, *t2.inside_of(state))
+    qp, ret = divmod(state - num_root, num_root)
+    return (2, qp, ret)
 
 
 def view_arc_key(t2, arc) -> tuple:
@@ -423,6 +426,16 @@ def compose_static_full(t1: Fst, t2, max_states: int = 1_000_000) -> StaticCompo
 
 def compose_static(t1: Fst, t2, max_states: int = 1_000_000) -> Fst:
     return compose_static_full(t1, t2, max_states=max_states).fst
+
+
+def is_precomposable(key: tuple[int, int, int], root: Fst, label: int) -> bool:
+    """True when `key`'s t2 side is a root state (below the root's state
+    count, so not inside the class FST) with no out-arc carrying the
+    class label `label`: the state's arcs are scanned every call."""
+    q2 = key[1]
+    if q2 >= root.num_states:
+        return False
+    return all(arc.olabel != label for arc in root.arcs_of(q2))
 
 
 def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_static, materialize
+from oracles import compose_static, is_precomposable, materialize
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
                            PublicCache, Session, dump_public_cache,
-                           end_session, expand, is_precomposable,
-                           load_public_cache, seal_public)
+                           end_session, expand, load_public_cache,
+                           seal_public)
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, FstBuilder, write_text_fst
@@ -19,10 +19,12 @@ from lazyfst.decoder import DecodeConfig, _eps_closure, decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ClassBinding, ReplaceView
+from lazyfst.replace import ClassBinding, ReplaceView, empty_binding
 from lazyfst.semiring import ZERO
 
 CLS = 9
+# a class label that no test graph carries: a root without class arcs
+NO_CLASS = 99
 
 
 def build_machine(arcs, finals, n):
@@ -57,7 +59,7 @@ def scenario(draw):
                                min_size=1, max_size=2)):
         builder.set_final(state, draw(dyadic_weights()))
     t1 = builder.freeze(start=0)
-    binding = ClassBinding(frozenset({CLS}), {CLS: inner})
+    binding = ClassBinding(CLS, inner)
     return t1, root, binding
 
 
@@ -73,30 +75,34 @@ def fixed_scenario():
                          {3: 0.25}, 4)
     inner = build_machine([(0, 3, 3, 0.25, 1), (0, 4, 4, 0.5, 1)],
                           {1: 0.0}, 2)
-    return t1, root, ClassBinding(frozenset({CLS}), {CLS: inner})
+    return t1, root, ClassBinding(CLS, inner)
 
 
-def sealed_cache(t1, root, classes=frozenset({CLS}), depth=0):
+def sealed_cache(t1, root, label=CLS, depth=0):
     cfg = PrecomposeConfig(bfs_depth=depth)
-    return seal_public(bfs_precompose(PublicCache(t1, root, classes), cfg))
+    return seal_public(bfs_precompose(PublicCache(t1, root, label), cfg))
 
 
 class TestIsPrecomposable:
+    """PublicCache.shareable on three keys, each also checked against the
+    arc-scanning re-derivation in oracles."""
+
+    def shareable(self, key):
+        t1, root, _ = fixed_scenario()
+        got = PublicCache(t1, root, CLS).shareable(key)
+        assert got == is_precomposable(key, root, CLS)
+        return got
+
     def test_root_state_without_class_arcs(self):
-        _, root, _ = fixed_scenario()
-        key = (0, 0, FilterState.ANY)
-        assert is_precomposable(key, root, frozenset({CLS}))
+        assert self.shareable((0, 0, FilterState.ANY))
 
     def test_root_state_with_class_arc(self):
-        _, root, _ = fixed_scenario()
-        key = (0, 1, FilterState.ANY)
-        assert not is_precomposable(key, root, frozenset({CLS}))
+        assert not self.shareable((0, 1, FilterState.ANY))
 
     def test_inside_state_never(self):
         _, root, binding = fixed_scenario()
         view = ReplaceView(root, binding)
-        key = (0, view.inside_id(CLS, 0, 2), FilterState.ANY)
-        assert not is_precomposable(key, root, frozenset({CLS}))
+        assert not self.shareable((0, view.inside_id(0, 2), FilterState.ANY))
 
 
 class TestLifecycle:
@@ -110,14 +116,14 @@ class TestLifecycle:
 
     def test_session_requires_sealed_cache(self):
         t1, root, binding = fixed_scenario()
-        cache = PublicCache(t1, root, frozenset({CLS}))
+        cache = PublicCache(t1, root, CLS)
         with pytest.raises(ConfigurationError):
             Session(cache, binding)
 
     def test_binding_must_declare_same_classes(self):
         t1, root, _ = fixed_scenario()
         cache = sealed_cache(t1, root)
-        other = ClassBinding(frozenset({8}), {})
+        other = empty_binding(8)
         with pytest.raises(ConfigurationError):
             Session(cache, other)
 
@@ -145,7 +151,7 @@ class TestSealPurity:
 
     def test_rejects_binding_dependent_key(self):
         t1, root, _ = fixed_scenario()
-        cache = PublicCache(t1, root, frozenset({CLS}))
+        cache = PublicCache(t1, root, CLS)
         # root state 1 has a class out-arc, so caching it publicly is wrong
         bad = cache.intern((0, 1, FilterState.ANY))
         with pytest.raises(InvariantError):
@@ -187,7 +193,7 @@ class TestIdSpace:
         cache = sealed_cache(t1, root, depth=3)
         assert cache.num_public > 0
         session = Session(cache, binding)
-        inside = session.view.inside_id(CLS, 0, 2)
+        inside = session.view.inside_id(0, 2)
         fresh = session.intern((3, inside, FilterState.ANY))
         assert fresh >= session.num_public
         assert session.key_of(fresh) == (3, inside, FilterState.ANY)
@@ -229,8 +235,8 @@ class TestIdSpace:
         assert session.private_exp[frontier] is made
         # a beam below its one epsilon arc's weight keeps the closure to it
         assert made.n_eps == 1 and made.arcs[0][2] == 0.5
-        kept, _ = _eps_closure({frontier: (0.0, None)}, session,
-                               DecodeConfig(beam=0.25))
+        kept = _eps_closure({frontier: (0.0, None)}, session,
+                            DecodeConfig(beam=0.25))
         assert list(kept) == [frontier] and kept[frontier][2] is made
         assert counts() == (0, 1, 1)          # the closure finds it privately
 
@@ -294,7 +300,7 @@ class TestDumpLoad:
         t1, root, binding = fixed_scenario()
         cache = sealed_cache(t1, root, depth=depth)
         text = dump_public_cache(cache)
-        loaded = load_public_cache(text, t1, root, frozenset({CLS}))
+        loaded = load_public_cache(text, t1, root, CLS)
         assert loaded.sealed
         assert loaded.keys == cache.keys
         assert loaded.expanded == cache.expanded
@@ -309,7 +315,7 @@ class TestDumpLoad:
 
     def test_dump_requires_sealed(self):
         t1, root, _ = fixed_scenario()
-        cache = PublicCache(t1, root, frozenset({CLS}))
+        cache = PublicCache(t1, root, CLS)
         with pytest.raises(ConfigurationError):
             dump_public_cache(cache)
 
@@ -319,13 +325,13 @@ class TestDumpLoad:
         # a first-format dump holds arcs; it must be rebuilt, not read
         wrong = text.replace("public-cache 2", "public-cache 1", 1)
         with pytest.raises(BuildError, match="rebuild it"):
-            load_public_cache(wrong, t1, root, frozenset({CLS}))
+            load_public_cache(wrong, t1, root, CLS)
 
     def test_load_rejects_different_graphs(self):
         t1, root, binding = fixed_scenario()
         text = dump_public_cache(sealed_cache(t1, root, depth=2))
         with pytest.raises(BuildError):
-            load_public_cache(text, t1, binding.fst_for(CLS), frozenset({CLS}))
+            load_public_cache(text, t1, binding.fst, CLS)
 
     def test_load_rejects_corrupt_body(self):
         t1, root, _ = fixed_scenario()
@@ -334,21 +340,19 @@ class TestDumpLoad:
         assert lines[3].startswith("table ")
         lines[3] = "table 999999"
         with pytest.raises(BuildError):
-            load_public_cache("\n".join(lines) + "\n", t1, root,
-                              frozenset({CLS}))
+            load_public_cache("\n".join(lines) + "\n", t1, root, CLS)
 
     def test_load_rejects_truncation(self):
         t1, root, _ = fixed_scenario()
         text = dump_public_cache(sealed_cache(t1, root, depth=2))
         truncated = "".join(text.splitlines(keepends=True)[:-1])
         with pytest.raises(BuildError):
-            load_public_cache(truncated, t1, root, frozenset({CLS}))
+            load_public_cache(truncated, t1, root, CLS)
 
     def test_loaded_cache_weights_are_bit_exact(self):
         t1, root, _ = fixed_scenario()
         cache = sealed_cache(t1, root, depth=64)
-        loaded = load_public_cache(dump_public_cache(cache), t1, root,
-                                   frozenset({CLS}))
+        loaded = load_public_cache(dump_public_cache(cache), t1, root, CLS)
         for sid, exp in cache.expanded.items():
             got = loaded.expanded[sid]
             assert got.final == exp.final or (
@@ -403,7 +407,7 @@ class TestSharing:
                            {0: 0.0, 1: -0.0, 2: 0.0}, 3)
         root = build_machine([(0, 8, 8, -0.0, 1), (1, 8, 8, -0.0, 1)],
                              {0: -0.0, 1: -0.0}, 2)
-        cache = PublicCache(t1, root, frozenset({CLS}))
+        cache = PublicCache(t1, root, CLS)
         a, b, c = (cache.intern((q1, q2, FilterState.ANY))
                    for q1, q2 in ((0, 0), (1, 1), (2, 1)))
         # equal as floats, apart by sign: arcs, finals and whole expansions
@@ -421,7 +425,7 @@ class TestSharing:
         assert reprs(cache) == want
         assert census(cache)["expansions"] == (3, 3, 3)
         assert cache.expanded[a].arcs is cache.expanded[b].arcs
-        loaded = load_public_cache(text, t1, root, frozenset({CLS}))
+        loaded = load_public_cache(text, t1, root, CLS)
         assert reprs(loaded) == want
         assert dump_public_cache(loaded) == text
 
@@ -429,7 +433,7 @@ class TestSharing:
                                                      desk_cfg):
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
         loaded = load_public_cache(dump_public_cache(cache), desk_build.t1,
-                                   desk_build.root, desk_build.class_ids)
+                                   desk_build.root, desk_build.class_id)
         assert census(loaded) == census(cache)
         assert all(e.final is ZERO for e in loaded.expanded.values()
                    if e.final == ZERO)
@@ -437,7 +441,7 @@ class TestSharing:
     def test_loaded_cache_ids_are_the_table_ints(self, desk_build, desk_cfg):
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
         loaded = load_public_cache(dump_public_cache(cache), desk_build.t1,
-                                   desk_build.root, desk_build.class_ids)
+                                   desk_build.root, desk_build.class_id)
         own = {id(state_id) for state_id in loaded.ids.values()}
         dsts = [dst for e in loaded.expanded.values() for *_, dst in e.arcs]
         # ints above 256 are not cached by the interpreter, so only
@@ -504,12 +508,12 @@ class TestDeadEpsilonArcs:
     @given(acyclic_fst(), acyclic_fst(acceptor=True))
     @settings(max_examples=100, deadline=None)
     def test_random_graphs(self, t1, root):
-        cache = seal_public(bfs_precompose(PublicCache(t1, root, frozenset()),
+        cache = seal_public(bfs_precompose(PublicCache(t1, root, NO_CLASS),
                                            PrecomposeConfig(bfs_depth=64)))
         composed = composed_arcs(cache)
         self.check(cache, composed)
         text = dump_public_cache(cache)
-        loaded = load_public_cache(text, t1, root, frozenset())
+        loaded = load_public_cache(text, t1, root, NO_CLASS)
         assert loaded.keys == cache.keys
         assert loaded.expanded == cache.expanded
         assert census(loaded) == census(cache)
@@ -522,7 +526,7 @@ class TestDeadEpsilonArcs:
         assert self.check(cache, composed) == 1104 - 833
         text = dump_public_cache(cache)
         loaded = load_public_cache(text, desk_build.t1, desk_build.root,
-                                   desk_build.class_ids)
+                                   desk_build.class_id)
         assert self.check(loaded, composed) == 1104 - 833
         assert dump_public_cache(loaded) == text
 
@@ -531,7 +535,7 @@ class TestDeadEpsilonArcs:
         cache, _ = precompose_cache(desk_build, desk_cfg, method)
         text = dump_public_cache(cache)
         loaded = load_public_cache(text, desk_build.t1, desk_build.root,
-                                   desk_build.class_ids)
+                                   desk_build.class_id)
         assert loaded.keys == cache.keys
         assert loaded.expanded == cache.expanded
         assert census(loaded) == census(cache)
@@ -559,7 +563,7 @@ class TestLoadRejectsBadDumps:
 
     def load(self, lines, build):
         return load_public_cache(rechecksum("\n".join(lines) + "\n"),
-                                 build.t1, build.root, build.class_ids)
+                                 build.t1, build.root, build.class_id)
 
     def edit(self, lines, tag, field, value):
         """Copy of `lines` with `field` of the first `tag` row set."""
@@ -600,7 +604,7 @@ class TestLoadRejectsBadDumps:
                 if row.startswith("k ")]
         bridge = next(i for i, key in enumerate(keys)
                       if not is_precomposable(key, desk_build.root,
-                                              desk_build.class_ids))
+                                              desk_build.class_id))
         with pytest.raises(BuildError, match="non-shareable"):
             self.load(desk_dump + [f"s {bridge}"], desk_build)
 

@@ -361,6 +361,12 @@ class TestCommands:
         assert main(["stats", "--config", str(desk_root / "desk.json")]) == 0
         assert json.loads(capsys.readouterr().out)["utterances"] == 200
 
+    def test_written_config_is_the_checkouts_desk_json(self, tmp_path):
+        # out_dir too is a path the config names, not where it was made
+        write_desk_data(tmp_path)
+        checkout = Path(__file__).resolve().parent.parent / "desk.json"
+        assert (tmp_path / "desk.json").read_bytes() == checkout.read_bytes()
+
     def test_build_writes_artifacts(self, mini_config, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert main(["build", "--config", str(mini_config),
@@ -386,7 +392,7 @@ class TestCommands:
         stats = json.loads(capsys.readouterr().out)
         assert stats["method"] == "bfs" and stats["bfs_depth"] == 4
         cache = load_public_cache(dump.read_text(), desk_build.t1,
-                                  desk_build.root, desk_build.class_ids)
+                                  desk_build.root, desk_build.class_id)
         assert cache.num_expanded == stats["public_expanded"]
 
     def test_warmup_command_uses_warmup_method(self, mini_config, tmp_path,

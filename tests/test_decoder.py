@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import compose_static, lookup, oracle_beam_decode, oracle_decode
 from strategies import acyclic_fst
-from test_cache import build_machine, scenario, sealed_cache
+from test_cache import NO_CLASS, build_machine, scenario, sealed_cache
 from lazyfst import decoder
 from lazyfst.cache import (DEAD_END, CachedExpansion, PublicCache, Session,
                            end_session, seal_public)
@@ -19,13 +19,13 @@ from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ClassBinding, ReplaceView
+from lazyfst.replace import ReplaceView, empty_binding
 from lazyfst.semiring import ZERO
 
 
 def session_over(t1, root, depth=0):
-    cache = sealed_cache(t1, root, frozenset(), depth)
-    return Session(cache, ClassBinding(frozenset(), {}))
+    cache = sealed_cache(t1, root, NO_CLASS, depth)
+    return Session(cache, empty_binding(NO_CLASS))
 
 
 def hmm_t1():
@@ -280,13 +280,13 @@ class TestClosureContract:
         closure = decoder._eps_closure
 
         def checking_closure(tokens, session, cfg):
-            kept, floor = closure(tokens, session, cfg)
+            kept = closure(tokens, session, cfg)
             # the floor is the cheapest seed, kept or a dropped dead end
-            assert floor == min(tok[0] for tok in tokens.values())
+            floor = min(tok[0] for tok in tokens.values())
             assert all(floor <= tok[0] <= floor + cfg.beam
                        for tok in kept.values())
             handed.append(len(kept))
-            return kept, floor
+            return kept
 
         monkeypatch.setattr(decoder, "_eps_closure", checking_closure)
         for utt in [u for u in desk_build.utterances if u["user"] == user][:5]:
@@ -316,11 +316,11 @@ class TestClosureContract:
         handed = []
         prune = decoder._prune
 
-        def checking_prune(tokens, floor, cfg):
+        def checking_prune(tokens, cfg):
             for tok in tokens.values():
                 assert tok[2].arcs or tok[2].final != ZERO
             handed.append(len(tokens))
-            return prune(tokens, floor, cfg)
+            return prune(tokens, cfg)
 
         monkeypatch.setattr(decoder, "_prune", checking_prune)
         for utt in [u for u in desk_build.utterances if u["user"] == user][:5]:
@@ -410,7 +410,7 @@ class TestClosureContract:
         def checking_closure(tokens, session, cfg):
             built_dead.append(0)
             before = session.metrics.snapshot()
-            kept, floor = closure(tokens, session, cfg)
+            kept = closure(tokens, session, cfg)
             counted = session.metrics.delta(before)
             session.metrics, metrics = Metrics(), session.metrics
             for sid in kept:
@@ -420,7 +420,7 @@ class TestClosureContract:
             assert looked_up.private_hit == counted.private_hit \
                 + counted.otf_expansion - built_dead[-1]
             closures.append(counted)
-            return kept, floor
+            return kept
 
         monkeypatch.setattr(decoder, "expand", counting_expand)
         monkeypatch.setattr(decoder, "_eps_closure", checking_closure)
@@ -489,8 +489,8 @@ class TestAgainstOracle:
         survivors = []
         prune = decoder._prune
 
-        def counting_prune(tokens, floor, dec_cfg):
-            kept = prune(tokens, floor, dec_cfg)
+        def counting_prune(tokens, dec_cfg):
+            kept = prune(tokens, dec_cfg)
             survivors.append(len(kept))
             return kept
 
@@ -524,7 +524,7 @@ class TestSealedAgainstUnsealed:
         dec_cfg = DecodeConfig(beam=quarters * 0.25)
 
         def decoded(cache):
-            session = Session(cache, ClassBinding(frozenset(), {}))
+            session = Session(cache, empty_binding(NO_CLASS))
             out = []
             for scores in turns:
                 hyp = decode(scores, session, dec_cfg)
@@ -535,7 +535,7 @@ class TestSealedAgainstUnsealed:
             return out
 
         def cache():
-            return bfs_precompose(PublicCache(t1, root, frozenset()),
+            return bfs_precompose(PublicCache(t1, root, NO_CLASS),
                                   PrecomposeConfig(bfs_depth=depth))
 
         as_built = cache()

@@ -53,7 +53,7 @@ def test_precomposed_desk_cache_is_pinned(desk_build, desk_cfg, method):
     dump = dump_public_cache(cache)
     assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_DUMP[method]
     loaded = load_public_cache(dump, desk_build.t1, desk_build.root,
-                               desk_build.class_ids)
+                               desk_build.class_id)
     assert _pinned(loaded) == GOLDEN[method]
 
 

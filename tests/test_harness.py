@@ -64,8 +64,8 @@ class TestBuild:
 
     def test_binding_maps_the_class_to_the_users_contacts(self, desk_build):
         binding = binding_for(desk_build, "u03")
-        (class_id,) = desk_build.class_ids
-        assert binding.fst_for(class_id) is desk_build.contact_fsts["u03"]
+        assert binding.label == desk_build.class_id
+        assert binding.fst is desk_build.contact_fsts["u03"]
 
     def test_scores_reject_unknown_phones(self, desk_build, desk_cfg):
         utt = {"id": "x", "phones": ["NOT_A_PHONE"], "seed": 1}

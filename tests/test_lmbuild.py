@@ -230,9 +230,9 @@ class TestBigramRoot:
         lexicon, _, word_syms = tiny
         corpus = [["call", "@contact"]]
         cls = word_syms.id_of("@contact")
-        root = insert_epsilon_before_class(
-            train_bigram_root(corpus, lexicon, ["@contact"], word_syms),
-            frozenset({cls}))
+        raw = train_bigram_root(corpus, lexicon, ["@contact"], word_syms)
+        root = insert_epsilon_before_class(raw, cls)
+        assert root.num_states > raw.num_states
         # transformed: class arcs leave only single-arc bridge states
         for state in root.states():
             arcs = root.arcs_of(state)
@@ -244,8 +244,9 @@ class TestBigramRoot:
         lexicon, _, word_syms = tiny
         corpus = [["call", "@contact"], ["ab", "to"]]
         raw = train_bigram_root(corpus, lexicon, ["@contact"], word_syms)
-        cooked = insert_epsilon_before_class(
-            raw, frozenset({word_syms.id_of("@contact")}))
+        cooked = insert_epsilon_before_class(raw,
+                                             word_syms.id_of("@contact"))
+        assert cooked.num_states > raw.num_states
         a, b = shortest_path(raw), shortest_path(cooked)
         assert a.weight == b.weight
         assert [l for l in a.olabels] == [l for l in b.olabels]

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_precomposable
 from test_cache import fixed_scenario, scenario
-from lazyfst import cache as cache_module, decoder, precompose
-from lazyfst.cache import PublicCache, Session, is_precomposable, seal_public
-from lazyfst.compose import expand_pair_state
+from lazyfst import decoder
+from lazyfst.cache import PublicCache, Session, seal_public
+from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import ConfigurationError, InvariantError
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
@@ -22,7 +23,7 @@ def pre_cfg(depth, budget=1_000_000):
 
 def bfs(t1, root, depth, budget=1_000_000):
     """bfs_precompose into a fresh cache over (t1, root)."""
-    return bfs_precompose(PublicCache(t1, root, frozenset({CLS})),
+    return bfs_precompose(PublicCache(t1, root, CLS),
                           pre_cfg(depth, budget))
 
 
@@ -62,7 +63,7 @@ class TestBfs:
         for state_id in cache.expanded:
             key = cache.keys[state_id]
             assert key[1] < root.num_states
-            assert is_precomposable(key, root, frozenset({CLS}))
+            assert is_precomposable(key, root, CLS)
 
     @given(scenario())
     @settings(max_examples=40, deadline=None)
@@ -103,7 +104,7 @@ class TestBfs:
 
 
 def desk_cache(build):
-    return PublicCache(build.t1, build.root, build.class_ids)
+    return PublicCache(build.t1, build.root, build.class_id)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,7 @@ class TestWarmupOnDeskData:
         for state_id in cache.expanded:
             key = cache.keys[state_id]
             assert key[1] < desk_build.root.num_states
-            assert is_precomposable(key, desk_build.root, desk_build.class_ids)
+            assert is_precomposable(key, desk_build.root, desk_build.class_id)
         seal_public(cache)
 
     def test_extends_bfs_cache_to_a_superset(self, desk_build, desk_cfg):
@@ -187,25 +188,17 @@ class TestFilledFromTheRootAlone:
             for view in views:
                 assert expand_pair_state(key, cache.t1, view) == want
 
-    def test_promotion_rejects_a_bridge_state(self, desk_build, warm,
-                                              monkeypatch):
-        # admit every root-side key, bridge states included
-        monkeypatch.setattr(precompose, "is_precomposable",
-                            lambda key, root, classes:
-                            key[1] < root.num_states)
-        cfg, scores, _ = warm
+    def test_promotion_rejects_a_bridge_state(self, desk_build):
+        cache = desk_cache(desk_build)
+        key = (cache.t1.start, min(cache.bridges), int(FilterState.ANY))
         with pytest.raises(InvariantError, match="non-shareable"):
-            warmup_precompose(desk_cache(desk_build), cfg, scores,
-                              decode_config({}))
+            cache.fill(cache.intern(key))
 
     def test_promotion_compares_with_the_warmup_session(self, desk_build,
                                                         warm, monkeypatch):
-        # the same, with PublicCache.fill admitting bridge states too
-        def root_side(key, root, classes):
-            return key[1] < root.num_states
-
-        monkeypatch.setattr(precompose, "is_precomposable", root_side)
-        monkeypatch.setattr(cache_module, "is_precomposable", root_side)
+        # admit every root-side key, bridge states included
+        monkeypatch.setattr(PublicCache, "shareable",
+                            lambda self, key: key[1] < self.root.num_states)
         cfg, scores, _ = warm
         with pytest.raises(InvariantError, match="depends on the binding"):
             warmup_precompose(desk_cache(desk_build), cfg, scores,
@@ -216,9 +209,9 @@ class TestFilledFromTheRootAlone:
         handed = []
         prune = decoder._prune
 
-        def spy(tokens, floor, cfg):
+        def spy(tokens, cfg):
             handed.extend(tok[2] for tok in tokens.values())
-            return prune(tokens, floor, cfg)
+            return prune(tokens, cfg)
 
         monkeypatch.setattr(decoder, "_prune", spy)
         precompose_cache(desk_build, desk_cfg, "both")

@@ -7,7 +7,7 @@ from oracles import (acceptor_language, compose_static_full, composed_arc_key,
                      view_state_key)
 from strategies import acyclic_fst
 from lazyfst.compose import FilterState, expand_pair_state
-from lazyfst.errors import BuildError, ExpansionError
+from lazyfst.errors import BuildError
 from lazyfst.fst import EPS, FstBuilder
 from lazyfst.harness import binding_for
 from lazyfst.replace import (ClassBinding, ReplaceView, empty_binding,
@@ -40,19 +40,10 @@ def simple_class():
 
 
 class TestBindingValidation:
-    def test_undeclared_label_rejected(self, simple_class):
-        with pytest.raises(BuildError):
-            ClassBinding(frozenset({CLS}), {7: simple_class})
-
     def test_nested_class_rejected(self):
         nested = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
         with pytest.raises(BuildError):
-            ClassBinding(frozenset({CLS}), {CLS: nested})
-
-    def test_unbound_label_expands_to_error(self, simple_root):
-        view = ReplaceView(simple_root, ClassBinding(frozenset({CLS}), {}))
-        with pytest.raises(ExpansionError):
-            view.arcs_of(1)
+            ClassBinding(CLS, nested)
 
     def test_one_sided_class_label_rejected(self, simple_class):
         b = FstBuilder()
@@ -62,37 +53,37 @@ class TestBindingValidation:
         bad_root = b.freeze()
         with pytest.raises(BuildError):
             ReplaceView(bad_root,
-                        ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+                        ClassBinding(CLS, simple_class))
 
 
 class TestViewStructure:
     def test_class_arc_becomes_epsilon_entry(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
-                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+                           ClassBinding(CLS, simple_class))
         arcs = view.arcs_of(1)
         assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
         entries = [a for a in arcs if a.nextstate >= view.num_root]
         assert len(entries) == 1
         entry = entries[0]
         assert (entry.ilabel, entry.olabel, entry.weight) == (EPS, EPS, 0.25)
-        assert entry.nextstate == view.inside_id(CLS, simple_class.start, 2)
+        assert entry.nextstate == view.inside_id(simple_class.start, 2)
 
     def test_exit_carries_final_weight(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
-                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
-        arcs = view.arcs_of(view.inside_id(CLS, 2, ret=2))
+                           ClassBinding(CLS, simple_class))
+        arcs = view.arcs_of(view.inside_id(2, ret=2))
         exits = [a for a in arcs if a.nextstate < view.num_root]
         assert exits == [type(exits[0])(EPS, EPS, 1.0, 2)]
 
     def test_inside_states_are_never_final(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
-                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
-        assert view.final_weight(view.inside_id(CLS, 1, 2)) == float("inf")
+                           ClassBinding(CLS, simple_class))
+        assert view.final_weight(view.inside_id(1, 2)) == float("inf")
         assert view.final_weight(3) == 0.75
 
     def test_language_hand_computed(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
-                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+                           ClassBinding(CLS, simple_class))
         lang = acceptor_language(view)
         assert lang == {
             (1, 1): 0.5 + 1.0 + 0.75,
@@ -104,7 +95,7 @@ class TestViewStructure:
 class TestArcOrder:
     def test_root_arcs_pass_through_uncopied(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
-                           ClassBinding(frozenset({CLS}), {CLS: simple_class}))
+                           ClassBinding(CLS, simple_class))
         assert view.bridges == {1}
         for state in (0, 2, 3):
             assert view.arcs_of(state) is simple_root.arcs_of(state)
@@ -115,9 +106,9 @@ class TestArcOrder:
         inner = acceptor([(0, EPS, 1.0, 1), (0, EPS, 0.5, 1), (0, 3, 0.25, 1)],
                          {0: 1.0, 1: 0.0}, 2)
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
-        view = ReplaceView(root, ClassBinding(frozenset({CLS}), {CLS: inner}))
-        deeper = view.inside_id(CLS, 1, 1)
-        assert [tuple(a) for a in view.arcs_of(view.inside_id(CLS, 0, 1))] == [
+        view = ReplaceView(root, ClassBinding(CLS, inner))
+        deeper = view.inside_id(1, 1)
+        assert [tuple(a) for a in view.arcs_of(view.inside_id(0, 1))] == [
             (EPS, EPS, 0.5, deeper),
             (EPS, EPS, 1.0, 1),
             (EPS, EPS, 1.0, deeper),
@@ -125,7 +116,7 @@ class TestArcOrder:
         ]
         t1 = acceptor([(0, 3, 0.0, 1)], {1: 0.0}, 2)
         exp = expand_pair_state(
-            (0, view.inside_id(CLS, 0, 1), FilterState.ANY), t1, view)
+            (0, view.inside_id(0, 1), FilterState.ANY), t1, view)
         eps2 = FilterState.EPS2_ONLY
         assert [tuple(a) for a in exp.arcs] == [
             (EPS, EPS, 0.5, (0, deeper, eps2)),
@@ -139,14 +130,13 @@ class TestArcOrder:
         # state a class arc points to
         rets = {arc.nextstate for q in desk_build.root.states()
                 for arc in desk_build.root.arcs_of(q)
-                if arc.olabel in desk_build.class_ids}
-        (cls,) = desk_build.class_ids
+                if arc.olabel == desk_build.class_id}
         checked = 0
         for user, contacts in sorted(desk_build.contact_fsts.items()):
             view = ReplaceView(desk_build.root, binding_for(desk_build, user))
             for qp in contacts.states():
                 for ret in sorted(rets):
-                    arcs = list(view.arcs_of(view.inside_id(cls, qp, ret)))
+                    arcs = list(view.arcs_of(view.inside_id(qp, ret)))
                     assert arcs == sorted(
                         arcs, key=lambda a: view_arc_key(view, a))
                     checked += 1
@@ -158,9 +148,9 @@ class TestArcOrder:
         # random final states with out-arcs, epsilon arcs and dyadic
         # weights put the exit arc among ties, which desk contacts do not
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
-        view = ReplaceView(root, ClassBinding(frozenset({CLS}), {CLS: inner}))
+        view = ReplaceView(root, ClassBinding(CLS, inner))
         for qp in inner.states():
-            arcs = list(view.arcs_of(view.inside_id(CLS, qp, 1)))
+            arcs = list(view.arcs_of(view.inside_id(qp, 1)))
             assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
 
     def test_composed_arcs_are_in_composed_order_on_desk(self, desk_build):
@@ -179,35 +169,26 @@ class TestArcOrder:
 
 @st.composite
 def view_and_states(draw):
-    """A view over a root of random size with classes bound to FSTs of
-    random sizes, then random root states and (cls, qp, ret) triples."""
+    """A view over a root of random size with the class bound to an FST
+    of random size, then random root states and (qp, ret) pairs."""
     num_root = draw(st.integers(min_value=1, max_value=12))
-    sizes = draw(st.dictionaries(st.integers(min_value=10, max_value=40),
-                                 st.integers(min_value=1, max_value=6),
-                                 min_size=1, max_size=4))
-    unbound = draw(st.sets(st.integers(min_value=41, max_value=45),
-                           max_size=2))
-    binding = ClassBinding(frozenset(sizes) | unbound,
-                           {cls: acceptor([], {}, k) for cls, k in sizes.items()})
-    view = ReplaceView(acceptor([], {}, num_root), binding)
-    triple = st.sampled_from(sorted(sizes)).flatmap(
-        lambda cls: st.tuples(st.just(cls),
-                              st.integers(min_value=0, max_value=sizes[cls] - 1),
-                              st.integers(min_value=0, max_value=num_root - 1)))
+    size = draw(st.integers(min_value=1, max_value=6))
+    view = ReplaceView(acceptor([], {}, num_root),
+                       ClassBinding(CLS, acceptor([], {}, size)))
+    pair = st.tuples(st.integers(min_value=0, max_value=size - 1),
+                     st.integers(min_value=0, max_value=num_root - 1))
     roots = draw(st.lists(st.integers(min_value=0, max_value=num_root - 1),
                           max_size=6))
-    return view, roots, draw(st.lists(triple, min_size=1, max_size=24))
+    return view, roots, draw(st.lists(pair, min_size=1, max_size=24))
 
 
 class TestStateEncoding:
     @given(view_and_states())
     @settings(max_examples=200, deadline=None)
     def test_int_order_is_root_then_cls_qp_ret(self, case):
-        view, roots, triples = case
-        ids = roots + [view.inside_id(*t) for t in triples]
-        old = [(0, q) for q in roots] + [(2, *t) for t in triples]
-        for t in triples:
-            assert view.inside_of(view.inside_id(*t)) == t
+        view, roots, pairs = case
+        ids = roots + [view.inside_id(*t) for t in pairs]
+        old = [(0, q) for q in roots] + [(2, *t) for t in pairs]
         for a, key_a in zip(ids, old):
             assert view_state_key(view, a) == key_a
             for b, key_b in zip(ids, old):
@@ -223,7 +204,7 @@ class TestAgainstSubstitutionOracle:
     @settings(max_examples=80, deadline=None)
     def test_view_language_equals_substitution(self, root, class_fst):
         # root draws labels from {8, 9, 10}; 9 is the class label.
-        binding = ClassBinding(frozenset({CLS}), {CLS: class_fst})
+        binding = ClassBinding(CLS, class_fst)
         view = ReplaceView(root, binding)
         got = acceptor_language(view)
         want = substitute_language(
@@ -234,7 +215,7 @@ class TestAgainstSubstitutionOracle:
                        label_base=CLS - 1))
     @settings(max_examples=40, deadline=None)
     def test_empty_binding_prunes_class_strings(self, root):
-        view = ReplaceView(root, empty_binding(frozenset({CLS})))
+        view = ReplaceView(root, empty_binding(CLS))
         got = acceptor_language(view)
         want = {s: w for s, w in acceptor_language(root).items()
                 if CLS not in s}
@@ -246,23 +227,22 @@ class TestInsertEpsilonBeforeClass:
                        label_base=CLS - 1))
     @settings(max_examples=80, deadline=None)
     def test_language_preserved_exactly(self, root):
-        out = insert_epsilon_before_class(root, frozenset({CLS}))
+        out = insert_epsilon_before_class(root, CLS)
         assert enumerate_language(out) == enumerate_language(root)
 
     @given(acyclic_fst(num_labels=3, acceptor=True, allow_ieps=False,
                        label_base=CLS - 1))
     @settings(max_examples=80, deadline=None)
     def test_class_arcs_leave_only_bridge_states(self, root):
-        classes = frozenset({CLS})
-        out = insert_epsilon_before_class(root, classes)
+        out = insert_epsilon_before_class(root, CLS)
         # original states keep their ids; none may keep a class out-arc
         for state in range(root.num_states):
-            assert all(a.olabel not in classes for a in out.arcs_of(state))
+            assert all(a.olabel != CLS for a in out.arcs_of(state))
         # bridge states carry exactly one arc: the zero-weight class arc
         for state in range(root.num_states, out.num_states):
             arcs = out.arcs_of(state)
             assert len(arcs) == 1
-            assert arcs[0].olabel in classes and arcs[0].weight == 0.0
+            assert arcs[0].olabel == CLS and arcs[0].weight == 0.0
 
     def test_parallel_arcs_share_one_bridge(self):
         b = FstBuilder()
@@ -270,19 +250,19 @@ class TestInsertEpsilonBeforeClass:
         b.add_arc(0, CLS, CLS, 0.5, 1)
         b.add_arc(0, CLS, CLS, 1.5, 1)
         b.set_final(1)
-        out = insert_epsilon_before_class(b.freeze(), frozenset({CLS}))
+        out = insert_epsilon_before_class(b.freeze(), CLS)
         assert out.num_states == 3  # one shared bridge
         eps_arcs = [a for a in out.arcs_of(0) if a.olabel == EPS]
         assert sorted(a.weight for a in eps_arcs) == [0.5, 1.5]
 
     def test_root_without_class_arcs_unchanged(self):
         root = acceptor([(0, 1, 0.5, 1)], {1: 0.0}, 2)
-        out = insert_epsilon_before_class(root, frozenset({CLS}))
+        out = insert_epsilon_before_class(root, CLS)
         assert enumerate_language(out) == enumerate_language(root)
         assert out.num_states == root.num_states
 
 
 class TestHelperMachines:
     def test_empty_binding_accepts_nothing(self):
-        binding = empty_binding(frozenset({CLS}))
-        assert acceptor_language(binding.fst_for(CLS)) == {}
+        binding = empty_binding(CLS)
+        assert acceptor_language(binding.fst) == {}
