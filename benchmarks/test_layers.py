@@ -54,7 +54,9 @@ def test_arcs_of_bridge_state(benchmark, view):
 def test_arcs_of_inside_state(benchmark, desk, view):
     _, build = desk
     contacts = build.contact_fsts[USER]
-    benchmark(view.arcs_of, view.inside_id(contacts.start, build.root.start))
+    # the view's id for the contact FST's start, resuming at the root start
+    inside = (contacts.start + 1) * view.num_root + build.root.start
+    benchmark(view.arcs_of, inside)
 
 
 @pytest.mark.parametrize("t1_state", ["loop", "chain"])
@@ -67,7 +69,7 @@ def test_cache_expand_otf(benchmark, desk, t1_state):
 
     def fresh_session():
         session = Session(cache, binding_for(build, USER))
-        return (session.intern(key), session), {}
+        return (session.private.intern(key), session), {}
 
     made = benchmark.pedantic(expand, setup=fresh_session, rounds=2000)
     assert len(made.arcs) == (52 if t1_state == "loop" else 2)

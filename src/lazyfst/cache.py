@@ -1,28 +1,26 @@
 """Two-layer cached lazy composition: shared public cache, per-session private cache.
 
 The composed graph T1 o Replace(root, binding) is never built whole.
-Expansions live in two layers:
+Its expansions live in two layers, each one StateTable of `(q1, q2, f)`
+pair keys (see compose) with dense state ids and the expansions it built:
 
-* PublicCache: expansions that are provably binding-independent, computed
-  once offline (breadth-first or by warm-up decoding), then sealed and
-  shared read-only by every session.  A composed state may be cached here
-  only if its t2 side is a root state that is not a bridge (has no class
-  out-arc), so its arcs can never mention the class FST: the rule
-  PublicCache.shareable holds.
-* Session: everything else is expanded on demand into a private cache
-  that dies with the session.
+* PublicCache: binding-independent expansions, computed once offline
+  (breadth-first or by warm-up decoding), then sealed and shared
+  read-only by every session.  Only a state whose t2 side is a root
+  state that is not a bridge (has no class out-arc) may be cached here,
+  so its arcs never mention the class FST: PublicCache.shareable.
+* Session.private: everything else, expanded on demand into a table
+  over the sealed public one that dies with the session.
 
-Both layers share one state-id space over `(q1, q2, f)` pair keys (see
-compose): the sealed public state table owns dense ids [0, N_pub) and
-each session, opened only over a sealed cache, appends its own keys at
-ids >= N_pub.  Public expansions may
-therefore be referenced directly by private arcs, and a public id that
-was interned but never expanded offline (a frontier destination) is
-simply expanded into the private layer on first use.  Each layer interns
-all destinations of one expansion in one call (PublicCache.intern_arcs,
-Session.intern_arcs, which hold the public and the private-first rule),
-and that pass also builds the cached arcs, plain `(ilabel, olabel,
-weight, nextstate)` tuples.
+The sealed public table owns ids [0, N_pub), and a session's table
+numbers its own keys from N_pub on (StateTable.first), so private arcs
+may point at public states, and a public id interned but never expanded
+offline (a frontier destination) is expanded privately on first use.
+One rule interns for both layers (StateTable.intern_arcs), all
+destinations of one expansion in one pass that also builds the cached
+arcs, plain `(ilabel, olabel, weight, nextstate)` tuples; one step
+expands, interns and stores (StateTable.build), and one formula charges
+modeled bytes (StateTable.bytes_estimate).
 
 The rule for reading the two layers lives in the decoder's epsilon
 closure (decoder._eps_closure), which counts the hits; expand is the
@@ -39,10 +37,10 @@ arc and per distinct arc sequence, and one CachedExpansion per distinct
 weight's key is its value and its sign: 0.0 and -0.0 are equal floats
 but not the same weight, so they are never merged.  In both layers
 every state with no arcs that is not final, a dead end, gets the one
-DEAD_END expansion: interned() holds that rule for every expansion
-built.  Sealing also drops each public epsilon arc into a public dead
-end, unless its state has nothing else (_share_equal_parts).  A dump
-names the expanded states, and loading fills them again.
+DEAD_END expansion (StateTable.build).  Sealing also drops each public
+epsilon arc into a public dead end, unless its state has nothing else
+(_share_equal_parts).  A dump names the expanded states, and loading
+fills them again.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from functools import cached_property
 from math import copysign
 from typing import Iterable, Optional
 
-from .compose import Expansion, FilterState, expand_pair_state
+from .compose import FilterState, expand_pair_state
 from .errors import BuildError, ConfigurationError, InvariantError
 from .fst import EPS, Fst, write_text_fst
 from .metrics import Metrics
@@ -91,43 +89,92 @@ class CachedExpansion:
             n_eps += 1
         self.n_eps = n_eps
 
-    def __eq__(self, other):
-        if not isinstance(other, CachedExpansion):
-            return NotImplemented
-        return self.arcs == other.arcs and self.final == other.final
-
-    def __repr__(self):
-        return f"CachedExpansion(arcs={self.arcs!r}, final={self.final!r})"
-
 
 # The expansion of every state with no arcs that is not final, in both
 # layers: a third of the desk public layer is such dead ends.
 DEAD_END = CachedExpansion((), ZERO)
 
 
-def interned(raw: Expansion, layer) -> CachedExpansion:
-    """`raw` with its destinations interned by `layer` (a PublicCache or
-    a Session): DEAD_END when it has no arcs and is not final, so both
-    layers hold every dead end as that one expansion."""
-    if not raw.arcs and raw.final == ZERO:
-        return DEAD_END
-    return CachedExpansion(layer.intern_arcs(raw.arcs), raw.final)
+class StateTable:
+    """One cache layer: `(q1, q2, f)` pair keys with dense state ids from
+    `first` on, and the expansions it built, by state id.  A table over a
+    sealed table `below` numbers its keys after it: a key keeps this
+    table's id, else the id the table below holds for it, else takes the
+    next id, and as the table below is sealed and lacks this table's keys,
+    the order of the two checks cannot change an id."""
 
+    # Class-level defaults, so a public cache carries no field for them.
+    first = 0
+    below: Optional[StateTable] = None
+    sealed = False
 
-def _bytes_estimate(num_keys: int, num_expanded: int, num_arcs: int) -> int:
-    return num_arcs * ARC_BYTES + num_expanded * STATE_BYTES + num_keys * KEY_BYTES
-
-
-class PublicCache:
-    """Sealed, shared layer of the two-layer graph for one (t1, root) pair."""
-
-    def __init__(self, t1: Fst, root: Fst, label: int):
-        self.t1 = t1
-        self.root = root
-        self.label = label
+    def __init__(self, below: Optional[StateTable] = None):
         self.keys: list[tuple[int, int, int]] = []
         self.ids: dict[tuple[int, int, int], int] = {}
         self.expanded: dict[int, CachedExpansion] = {}
+        if below is not None:
+            self.below = below
+            self.first = len(below.keys)
+
+    def key_of(self, state_id: int) -> tuple[int, int, int]:
+        if state_id < self.first:
+            return self.below.key_of(state_id)
+        return self.keys[state_id - self.first]
+
+    def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
+        """Intern every destination key of `arcs` in one pass, by the
+        rule above; return the arcs with ids for keys."""
+        if self.sealed:
+            raise ConfigurationError("state table is sealed")
+        ids = self.ids
+        below_ids = self.below.ids if self.below is not None else {}
+        first = self.first
+        keys = self.keys
+        out = []
+        for il, ol, w, key in arcs:
+            got = ids.get(key)
+            if got is None:
+                got = below_ids.get(key)
+                if got is None:
+                    # len() makes a 28-B int, a sum a 32-B one: a table
+                    # numbered from 0, the public one, takes len(keys)
+                    got = ids[key] = len(keys) + first if first else len(keys)
+                    keys.append(key)
+            out.append((il, ol, w, got))
+        return tuple(out)
+
+    def intern(self, key: tuple[int, int, int]) -> int:
+        """The id of one key, by intern_arcs' rule."""
+        ((_, _, _, state_id),) = self.intern_arcs(((EPS, EPS, ZERO, key),))
+        return state_id
+
+    def build(self, state_id: int, t1: Fst, t2) -> CachedExpansion:
+        """Expand the state `state_id` against `t1` and `t2` (the root or
+        a replace view), intern its destinations, store and return it:
+        DEAD_END when it has no arcs and is not final, so both layers
+        hold every dead end as that one expansion."""
+        raw = expand_pair_state(self.key_of(state_id), t1, t2)
+        if not raw.arcs and raw.final == ZERO:
+            made = DEAD_END
+        else:
+            made = CachedExpansion(self.intern_arcs(raw.arcs), raw.final)
+        self.expanded[state_id] = made
+        return made
+
+    def bytes_estimate(self) -> int:
+        arcs = sum(len(e.arcs) for e in self.expanded.values())
+        return (arcs * ARC_BYTES + len(self.expanded) * STATE_BYTES
+                + len(self.keys) * KEY_BYTES)
+
+
+class PublicCache(StateTable):
+    """Sealed, shared layer of the two-layer graph for one (t1, root) pair."""
+
+    def __init__(self, t1: Fst, root: Fst, label: int):
+        super().__init__()
+        self.t1 = t1
+        self.root = root
+        self.label = label
         self.sealed = False
         self._fingerprint: Optional[str] = None
 
@@ -157,28 +204,6 @@ class PublicCache:
         against any view."""
         return key[1] < self.root.num_states and key[1] not in self.bridges
 
-    def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
-        """Intern every destination key of `arcs` in one pass, a known key
-        keeping its id and a new one taking the next; return the arcs with
-        ids for keys."""
-        if self.sealed:
-            raise ConfigurationError("public state table is sealed")
-        ids = self.ids
-        keys = self.keys
-        out = []
-        for il, ol, w, key in arcs:
-            got = ids.get(key)
-            if got is None:
-                got = ids[key] = len(keys)
-                keys.append(key)
-            out.append((il, ol, w, got))
-        return tuple(out)
-
-    def intern(self, key: tuple[int, int, int]) -> int:
-        """The id of one key, by intern_arcs' rule."""
-        ((_, _, _, state_id),) = self.intern_arcs(((EPS, EPS, ZERO, key),))
-        return state_id
-
     def fill(self, state_id: int) -> CachedExpansion:
         """Expand the state `state_id` against the root, store and return
         it: the one writer of the public layer.  Refuses a sealed cache,
@@ -189,13 +214,7 @@ class PublicCache:
         if not self.shareable(key):
             raise InvariantError(f"public cache refuses non-shareable "
                                  f"state {key} (id {state_id})")
-        made = interned(expand_pair_state(key, self.t1, self.root), self)
-        self.expanded[state_id] = made
-        return made
-
-    def bytes_estimate(self) -> int:
-        arcs = sum(len(e.arcs) for e in self.expanded.values())
-        return _bytes_estimate(len(self.keys), len(self.expanded), arcs)
+        return self.build(state_id, self.t1, self.root)
 
     def fingerprint(self) -> str:
         """Digest of the graphs this cache was computed against."""
@@ -258,7 +277,9 @@ def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
 
 
 class Session:
-    """One decoding session: a binding plus the private half of the graph."""
+    """One decoding session: a view of the root under a binding, and the
+    private layer of the graph, a state table over the sealed public
+    cache."""
 
     def __init__(self, cache: PublicCache, binding: ClassBinding):
         if not cache.sealed:
@@ -266,54 +287,17 @@ class Session:
         if binding.label != cache.label:
             raise ConfigurationError("binding is for a different class label")
         self.cache = cache
-        self.binding = binding
         self.view = ReplaceView(cache.root, binding, cache.bridges)
-        self.num_public = cache.num_public
-        self.private_keys: list[tuple[int, int, int]] = []
-        self.private_ids: dict[tuple[int, int, int], int] = {}
-        self.private_exp: dict[int, CachedExpansion] = {}
+        self.private = StateTable(cache)
         self.metrics = Metrics()
         self.ended = False
 
-    def key_of(self, state_id: int) -> tuple[int, int, int]:
-        if state_id < self.num_public:
-            return self.cache.keys[state_id]
-        return self.private_keys[state_id - self.num_public]
-
-    def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
-        """Intern every destination key of `arcs` in one pass; return the
-        arcs with ids for keys.
-
-        Private first: a key is interned privately only when the sealed
-        public table lacks it, so the order of the two checks cannot
-        change an id.  A new key takes the next private id."""
-        private_ids = self.private_ids
-        public_ids = self.cache.ids
-        num_public = self.num_public
-        keys = self.private_keys
-        out = []
-        for il, ol, w, key in arcs:
-            got = private_ids.get(key)
-            if got is None:
-                got = public_ids.get(key)
-                if got is None:
-                    got = private_ids[key] = num_public + len(keys)
-                    keys.append(key)
-            out.append((il, ol, w, got))
-        return tuple(out)
-
-    def intern(self, key: tuple[int, int, int]) -> int:
-        """The id of one key, by intern_arcs' rule."""
-        ((_, _, _, state_id),) = self.intern_arcs(((EPS, EPS, ZERO, key),))
-        return state_id
-
     def start_id(self) -> int:
-        return self.intern(self.cache.start_key())
+        return self.private.intern(self.cache.start_key())
 
     @property
     def bytes_private(self) -> int:
-        arcs = sum(len(e.arcs) for e in self.private_exp.values())
-        return _bytes_estimate(len(self.private_keys), len(self.private_exp), arcs)
+        return self.private.bytes_estimate()
 
 
 def expand(state_id: int, session: Session) -> CachedExpansion:
@@ -323,10 +307,7 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
     only for a state that neither holds."""
     if session.ended:
         raise ConfigurationError("session already ended")
-    made = interned(expand_pair_state(session.key_of(state_id),
-                                      session.cache.t1, session.view),
-                    session)
-    session.private_exp[state_id] = made
+    made = session.private.build(state_id, session.cache.t1, session.view)
     session.metrics.otf_expansion += 1
     return made
 
@@ -337,9 +318,7 @@ def end_session(session: Session) -> Metrics:
         raise ConfigurationError("session already ended")
     session.metrics.bytes_private = session.bytes_private
     final = session.metrics.snapshot()
-    session.private_keys.clear()
-    session.private_ids.clear()
-    session.private_exp.clear()
+    session.private = StateTable(session.cache)
     session.ended = True
     return final
 

@@ -130,14 +130,17 @@ def cmd_precompose(args) -> int:
 def cmd_decode(args) -> int:
     cfg = _config(args)
     build = build_graphs(cfg)
-    utt = None
     if args.utt is not None:
         utt = next((u for u in build.utterances if u["id"] == args.utt), None)
         if utt is None:
             raise LazyFstError(f"unknown utterance id {args.utt!r}")
     else:
-        user = args.user or build.utterances[0]["user"]
-        utt = next(u for u in build.utterances if u["user"] == user)
+        utt = next((u for u in build.utterances
+                    if args.user is None or u["user"] == args.user), None)
+        if utt is None:
+            of_user = "" if args.user is None else f" of user {args.user!r}"
+            raise LazyFstError(f"{cfg['utterances']} holds no utterance"
+                               f"{of_user} to decode")
     cache = _cache_from_file(args, build)
     if cache is None:
         cache, _ = precompose_cache(build, cfg, args.method or "none")

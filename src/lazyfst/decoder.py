@@ -188,10 +188,10 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
 
     This is the one reader of the two cache layers.  Every state kept is
     resolved once: a seed or a newly reached state from the public layer
-    when its id is below session.num_public (ids at or above it are
-    private) and the public layer holds it, else from the private layer,
-    and a state neither layer holds through cache.expand when it is
-    settled.  Each state kept counts one public_hit, private_hit or
+    (session.cache.expanded) when its id is below session.private.first,
+    where the private table's own ids start, and the public layer holds
+    it, else from the private layer (session.private.expanded), and a
+    state neither layer holds through cache.expand when it is settled.  Each state kept counts one public_hit, private_hit or
     otf_expansion; the hits are added to session.metrics once, when the
     closure ends.
 
@@ -215,8 +215,8 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
             floor = tok[0]
     limit = floor + cfg.beam
     public = session.cache.expanded
-    private = session.private_exp
-    num_public = session.num_public
+    private = session.private.expanded
+    num_public = session.private.first
     public_hits = private_hits = 0
     best: dict[int, _Token] = {}
     heap: list[tuple[float, int]] = []

@@ -148,7 +148,8 @@ UTTERANCE_FIELDS = (("id", str), ("user", str), ("words", list),
 def parse_utterances(text: str, path: str,
                      users: dict[str, list[str]]) -> list[dict]:
     """One JSON object per non-blank line, each with every field in
-    UTTERANCE_FIELDS (word and phone lists of strings) and a known user."""
+    UTTERANCE_FIELDS (word and phone lists of strings, a seed that is an
+    int and not a bool) and a known user."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -162,7 +163,7 @@ def parse_utterances(text: str, path: str,
             raise BuildError(f"{where}: utterance row is not a JSON object")
         for name, kind in UTTERANCE_FIELDS:
             value = row.get(name)
-            if not isinstance(value, kind) or (
+            if not isinstance(value, kind) or isinstance(value, bool) or (
                     kind is list and not all(isinstance(v, str) for v in value)):
                 raise BuildError(f"{where}: utterance {row.get('id')!r} lacks "
                                  f"a valid {name!r} field")

@@ -71,7 +71,11 @@ class ContactEntry:
 
 
 def parse_contacts_jsonl(text: str, path: str = "<contacts>") -> list[ContactEntry]:
+    """One JSON object per non-blank line: a non-empty string `name`
+    that no other row has, and `pronunciations`, a non-empty list of
+    non-empty lists of phone strings."""
     entries: list[ContactEntry] = []
+    names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -79,12 +83,19 @@ def parse_contacts_jsonl(text: str, path: str = "<contacts>") -> list[ContactEnt
             obj = json.loads(raw)
         except json.JSONDecodeError as err:
             raise ParseError(path, lineno, f"bad JSON: {err}") from None
-        name = obj.get("name")
-        prons = obj.get("pronunciations")
-        if not name or not prons or not all(p for p in prons):
-            raise ParseError(path, lineno,
-                             "need a name and non-empty pronunciations")
-        entries.append(ContactEntry(name, [list(p) for p in prons]))
+        obj = obj if isinstance(obj, dict) else {}
+        name, prons = obj.get("name"), obj.get("pronunciations")
+        if not (name and isinstance(name, str) and prons
+                and isinstance(prons, list) and all(
+                    p and isinstance(p, list)
+                    and all(isinstance(ph, str) for ph in p) for p in prons)):
+            raise ParseError(path, lineno, "need a JSON object with a string "
+                             "name and a non-empty list of non-empty phone "
+                             "lists")
+        if name in names:
+            raise ParseError(path, lineno, f"contact {name!r} is repeated")
+        names.add(name)
+        entries.append(ContactEntry(name, prons))
     return entries
 
 

@@ -101,8 +101,9 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
         except LazyFstError as err:
             logger.warning("warm-up utterance %d failed to decode: %s",
                            utt_index, err)
-    for state_id in sorted(session.private_exp):
-        key = session.key_of(state_id)
+    private = session.private
+    for state_id in sorted(private.expanded):
+        key = private.key_of(state_id)
         if not cache.shareable(key):
             continue
         if cache.ids.get(key) in cache.expanded:
@@ -112,8 +113,8 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
                            "coverage is partial", cfg.state_budget)
             break
         filled = cache.fill(cache.intern(key))
-        if _by_key(session.private_exp[state_id], session.key_of) != \
-                _by_key(filled, cache.keys.__getitem__):
+        if _by_key(private.expanded[state_id], private.key_of) != \
+                _by_key(filled, cache.key_of):
             raise InvariantError(
                 f"warm-up expansion of {key} depends on the binding")
     return cache

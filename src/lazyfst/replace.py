@@ -83,28 +83,23 @@ class ReplaceView:
         self.bridges = bridges
         self.num_root = root.num_states
 
-    def inside_id(self, qp: int, ret: int) -> int:
-        """The view state at `qp` of the bound FST, resuming at root state
-        `ret` when that FST accepts."""
-        return (qp + 1) * self.num_root + ret
-
     def arcs_of(self, state: int) -> Sequence[Arc]:
         n = self.num_root
         if state < n:
             if state not in self.bridges:
                 return self.root.arcs_of(state)
-            entry = (self.fst.start + 1) * n  # inside_id(start, 0)
+            entry = (self.fst.start + 1) * n  # inside state (start, 0)
             out = [Arc(EPS, EPS, arc.weight, entry + arc.nextstate)
                    if arc.olabel == self.label else arc
                    for arc in self.root.arcs_of(state)]
             out.sort()
             return out
-        # qp -> inside_id(qp, ret) keeps the bound FST's sorted order, so
+        # qp -> (qp + 1) * n + ret keeps the bound FST's sorted order, so
         # only the exit arc needs placing: its destination `ret` is a root
         # id, below every inside id, so it goes ahead of its ties.
         qp, ret = divmod(state, n)
         qp -= 1
-        at_start = n + ret  # inside_id(0, ret)
+        at_start = n + ret  # inside state (0, ret)
         out = [Arc(il, ol, w, at_start + d * n)
                for il, ol, w, d in self.fst.arcs_of(qp)]
         exit_w = self.fst.final_weight(qp)

@@ -15,6 +15,8 @@ evidence rather than tautology.  It holds:
 * is_precomposable, the shareable rule re-derived by scanning a root
   state's arcs for the class label, independent of
   PublicCache.shareable and its bridge set;
+* inside_id, the replace view's id of a state inside the bound FST;
+* expansions, a cache layer's expansions as comparable values;
 * lookup, the one-state form of the rule decoder._eps_closure applies
   to read the two cache layers, counting the hit it finds;
 * materialize, the whole lazy graph of a session through lookup and
@@ -438,16 +440,28 @@ def is_precomposable(key: tuple[int, int, int], root: Fst, label: int) -> bool:
     return all(arc.olabel != label for arc in root.arcs_of(q2))
 
 
+def inside_id(view, qp: int, ret: int) -> int:
+    """The id `view` (a ReplaceView) gives the state at `qp` of the bound
+    FST, resuming at root state `ret` when that FST accepts."""
+    return (qp + 1) * view.num_root + ret
+
+
+def expansions(layer) -> dict[int, tuple]:
+    """`layer.expanded` (a PublicCache or a session's private table) as
+    {state id: (arcs, final weight)}, which compare by value."""
+    return {sid: (e.arcs, e.final) for sid, e in layer.expanded.items()}
+
+
 def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:
     """The stored expansion of `state_id`, public layer first, counting
     the hit; None when neither layer holds it.  The public layer is read
-    only below session.num_public: ids at or above it are private."""
-    if state_id < session.num_public:
+    only below session.private.first: ids at or above it are private."""
+    if state_id < session.private.first:
         cached = session.cache.expanded.get(state_id)
         if cached is not None:
             session.metrics.public_hit += 1
             return cached
-    cached = session.private_exp.get(state_id)
+    cached = session.private.expanded.get(state_id)
     if cached is not None:
         session.metrics.private_hit += 1
     return cached

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_static, is_precomposable, materialize
+from oracles import (compose_static, expansions, inside_id,
+                     is_precomposable, materialize)
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
                            PublicCache, Session, dump_public_cache,
@@ -102,7 +103,8 @@ class TestIsPrecomposable:
     def test_inside_state_never(self):
         _, root, binding = fixed_scenario()
         view = ReplaceView(root, binding)
-        assert not self.shareable((0, view.inside_id(0, 2), FilterState.ANY))
+        inside = inside_id(view, 0, 2)
+        assert not self.shareable((0, inside, FilterState.ANY))
 
 
 class TestLifecycle:
@@ -160,7 +162,8 @@ class TestSealPurity:
 
 
 class PublicFirstIds:
-    """Session.intern as it read with the public table checked first."""
+    """Session.private.intern as it read with the public table checked
+    first."""
 
     def __init__(self, session):
         self.session = session
@@ -168,10 +171,10 @@ class PublicFirstIds:
 
     def intern(self, key):
         got = self.session.cache.ids.get(key)
-        if got is not None and got < self.session.num_public:
+        if got is not None and got < self.session.private.first:
             return got
         return self.private.setdefault(
-            key, self.session.num_public + len(self.private))
+            key, self.session.private.first + len(self.private))
 
 
 def desk_session_keys(build, cfg, session, user):
@@ -180,8 +183,8 @@ def desk_session_keys(build, cfg, session, user):
     repeats."""
     for utt in [u for u in build.utterances if u["user"] == user][:5]:
         decode(scores_for(build, cfg, utt), session, decode_config(cfg))
-    keys = list(session.private_keys)
-    keys += session.cache.keys[:session.num_public:7]
+    keys = list(session.private.keys)
+    keys += session.cache.keys[:session.private.first:7]
     keys += keys[::3]
     random.Random(0).shuffle(keys)
     return keys
@@ -193,17 +196,18 @@ class TestIdSpace:
         cache = sealed_cache(t1, root, depth=3)
         assert cache.num_public > 0
         session = Session(cache, binding)
-        inside = session.view.inside_id(0, 2)
-        fresh = session.intern((3, inside, FilterState.ANY))
-        assert fresh >= session.num_public
-        assert session.key_of(fresh) == (3, inside, FilterState.ANY)
+        inside = inside_id(session.view, 0, 2)
+        fresh = session.private.intern((3, inside, FilterState.ANY))
+        assert fresh >= session.private.first
+        assert session.private.key_of(fresh) == (3, inside, FilterState.ANY)
 
     def test_public_key_interns_to_public_id(self):
         t1, root, binding = fixed_scenario()
         cache = sealed_cache(t1, root, depth=3)
         session = Session(cache, binding)
-        assert session.intern(cache.start_key()) == cache.ids[cache.start_key()]
-        assert session.start_id() < session.num_public
+        start = cache.start_key()
+        assert session.private.intern(start) == cache.ids[start]
+        assert session.start_id() < session.private.first
 
     def test_expand_increments_exactly_one_counter(self):
         t1, root, binding = fixed_scenario()
@@ -221,7 +225,7 @@ class TestIdSpace:
         while stack:
             cur = stack.pop()
             for _, _, _, dst in cache.expanded[cur].arcs:
-                if dst >= session.num_public or dst not in cache.expanded:
+                if dst >= session.private.first or dst not in cache.expanded:
                     frontier = dst
                     stack.clear()
                     break
@@ -232,7 +236,7 @@ class TestIdSpace:
         assert counts() == (0, 0, 0)
         made = expand(frontier, session)
         assert counts() == (0, 0, 1)          # built, never looked up
-        assert session.private_exp[frontier] is made
+        assert session.private.expanded[frontier] is made
         # a beam below its one epsilon arc's weight keeps the closure to it
         assert made.n_eps == 1 and made.arcs[0][2] == 0.5
         kept = _eps_closure({frontier: (0.0, None)}, session,
@@ -249,7 +253,7 @@ class TestIdSpace:
         session = Session(cache, binding_for(desk_build, user))
         oracle = PublicFirstIds(session)
         assert len(keys) > 100
-        assert [session.intern(k) for k in keys] == \
+        assert [session.private.intern(k) for k in keys] == \
             [oracle.intern(k) for k in keys]
 
 
@@ -288,9 +292,10 @@ class TestBytesModel:
         session = Session(cache, binding)
         assert session.bytes_private == 0
         materialize(session)
-        arcs = sum(len(e.arcs) for e in session.private_exp.values())
-        want = (arcs * ARC_BYTES + len(session.private_exp) * STATE_BYTES
-                + len(session.private_keys) * KEY_BYTES)
+        arcs = sum(len(e.arcs) for e in session.private.expanded.values())
+        private = session.private
+        want = (arcs * ARC_BYTES + len(private.expanded) * STATE_BYTES
+                + len(private.keys) * KEY_BYTES)
         assert session.bytes_private == want
         assert end_session(session).bytes_private == want
 
@@ -303,7 +308,7 @@ class TestDumpLoad:
         loaded = load_public_cache(text, t1, root, CLS)
         assert loaded.sealed
         assert loaded.keys == cache.keys
-        assert loaded.expanded == cache.expanded
+        assert expansions(loaded) == expansions(cache)
         assert dump_public_cache(loaded) == text
         # a loaded cache serves sessions identically
         static = write_text_fst(compose_static(t1, ReplaceView(root, binding)))
@@ -457,14 +462,15 @@ class TestSharing:
         session = Session(cache, binding_for(desk_build, utt["user"]))
         decode(scores_for(desk_build, desk_cfg, utt), session,
                decode_config(desk_cfg))
-        dead = [e for e in session.private_exp.values()
+        dead = [e for e in session.private.expanded.values()
                 if not e.arcs and e.final == ZERO]
         assert len(dead) >= 2 and all(e is DEAD_END for e in dead)
         # a state with no arcs that is final keeps its own final weight
         t1, root, binding = fixed_scenario()
         session = Session(sealed_cache(t1, root), binding)
         materialize(session)
-        final_end = session.private_exp[session.intern((3, 3, FilterState.ANY))]
+        final_end = session.private.expanded[
+            session.private.intern((3, 3, FilterState.ANY))]
         assert final_end.arcs == () and final_end.final == 0.25
 
 
@@ -515,7 +521,7 @@ class TestDeadEpsilonArcs:
         text = dump_public_cache(cache)
         loaded = load_public_cache(text, t1, root, NO_CLASS)
         assert loaded.keys == cache.keys
-        assert loaded.expanded == cache.expanded
+        assert expansions(loaded) == expansions(cache)
         assert census(loaded) == census(cache)
         self.check(loaded, composed)
         assert dump_public_cache(loaded) == text
@@ -537,7 +543,7 @@ class TestDeadEpsilonArcs:
         loaded = load_public_cache(text, desk_build.t1, desk_build.root,
                                    desk_build.class_id)
         assert loaded.keys == cache.keys
-        assert loaded.expanded == cache.expanded
+        assert expansions(loaded) == expansions(cache)
         assert census(loaded) == census(cache)
         assert self.check(loaded, composed_arcs(loaded)) == \
             self.check(cache, composed_arcs(cache))

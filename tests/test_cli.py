@@ -67,6 +67,24 @@ class TestDataErrors:
         assert main(["decode", "--config", str(mini_config),
                      "--utt", "no-such-id"]) == 2
 
+    @pytest.mark.parametrize("user", ["nobody", "u01"],
+                             ids=["unknown-user", "user-without-utterances"])
+    def test_decode_user_without_utterances_exits_2(self, user, mini_config,
+                                                    capsys):
+        assert main(["decode", "--config", str(mini_config),
+                     "--user", user]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert repr(user) in err
+
+    def test_decode_without_utterances_exits_2(self, tmp_path, capsys):
+        cfg = write_desk_data(tmp_path)
+        (tmp_path / "data" / "desk" / cfg["utterances"]).write_text("")
+        assert main(["decode", "--config", str(tmp_path / "desk.json")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{cfg['utterances']} holds no utterance" in err
+
     def test_unreadable_report_exits_2(self, mini_config, tmp_path, capsys):
         assert main(["score", "--config", str(mini_config),
                      "--report", str(tmp_path / "missing.json")]) == 2
@@ -116,7 +134,10 @@ class TestDataErrors:
         {"id": "bad-3", "user": "nobody", "words": ["hello"],
          "phones": ["hh"], "seed": 1},
         "not json {",
-    ], ids=["no-phones", "words-not-list", "unknown-user", "bad-json"])
+        {"id": "bad-4", "user": "u05", "words": ["hello"], "phones": ["hh"],
+         "seed": True},
+    ], ids=["no-phones", "words-not-list", "unknown-user", "bad-json",
+            "bool-seed"])
     def test_malformed_utterance_row_exits_2(self, row, tmp_path, capsys):
         cfg = write_desk_data(tmp_path)
         path = tmp_path / "data" / "desk" / cfg["utterances"]
@@ -195,6 +216,21 @@ class TestInputShapes:
         self.run(["score", "--config", str(mini_config), "--report",
                   str(path)], capsys, str(path))
 
+    @pytest.mark.parametrize("row", [
+        [1, 2], {"name": ["ana"], "pronunciations": [["aa", "n", "ah"]]},
+        {"name": "kel", "pronunciations": ["k", "l"]},
+        {"name": "kel", "pronunciations": "k"},
+        {"name": "ana", "pronunciations": [["k", "l"]]},
+    ], ids=["list-row", "list-name", "string-pronunciations",
+            "string-pronunciation", "repeated-name"])
+    def test_bad_contact_row(self, row, tmp_path, capsys):
+        path, cfg = desk_copy(tmp_path)
+        contacts = Path(cfg["data_dir"]) / cfg["contacts"]
+        rows = contacts.read_text().splitlines() + [json.dumps(row)]
+        contacts.write_text("\n".join(rows) + "\n")
+        self.run(["stats", "--config", str(path)], capsys,
+                 f"{contacts}:{len(rows)}")
+
     def test_report_not_utf8(self, mini_config, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_bytes(b'{"hypotheses": {"\xff": []}}')
@@ -233,51 +269,78 @@ def mutate(value, how: str, data) -> bytes:
     return text[:cut] + b"\xff" + text[cut:]
 
 
+def jsonl_rows(path: Path) -> list:
+    """The rows of a JSON-lines file."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory, desk_build):
-    """A desk dataset, its config, its users and a report of its first
-    utterances."""
+    """A desk dataset and its config, with the values of the files the
+    sweep mutates: users.json, the rows of contacts.jsonl and of
+    utterances.jsonl, and a report of the first utterances."""
     root = tmp_path_factory.mktemp("sweep")
     cfg = write_desk_data(root)
+    data_dir = Path(cfg["data_dir"])
     report = {"hypotheses": {utt["id"]: utt["words"]
                              for utt in desk_build.utterances[:5]}}
-    return root, cfg, desk_build.users, report
+    values = {"users": desk_build.users,
+              "contacts": jsonl_rows(data_dir / cfg["contacts"]),
+              "utterances": jsonl_rows(data_dir / cfg["utterances"]),
+              "report": report}
+    return root, cfg, values
 
 
 class TestInputSweep:
-    """One config field, users.json or the report mutated one way: stats
-    and score exit 0 or 2, never with a traceback."""
+    """One config field, users.json, one row of contacts.jsonl or of
+    utterances.jsonl, or the report mutated one way: stats, decode,
+    precompose and score exit 0 or 2, never with a traceback."""
 
     PLACEHOLDER = "@mutated@"
+    COMMANDS = ["stats", "decode", "precompose", "score"]
+    FILES = ["users", "contacts", "utterances"]
 
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_one_mutation_exits_0_or_2(self, sweep_inputs, data):
-        root, cfg, users, report = sweep_inputs
-        command = data.draw(st.sampled_from(["stats", "score"]))
-        target = data.draw(st.sampled_from(
-            sorted(cfg) + ["users.json"]
-            + (["report"] if command == "score" else [])))
+        root, cfg, values = sweep_inputs
+        command = data.draw(st.sampled_from(self.COMMANDS))
+        # a config field about half the time, else one of the files
+        target = data.draw(st.one_of(st.just("config"), st.sampled_from(
+            self.FILES + (["report"] if command == "score" else []))))
         how = data.draw(st.sampled_from(["type", "truncate", "not-utf8",
                                          "empty"]))
-        users_path = Path(cfg["data_dir"]) / "sweep-users.json"
-        cfg = dict(cfg, users=users_path.name)
-        values = {"users.json": users, "report": report}
-        files = {name: json.dumps(value).encode()
-                 for name, value in values.items()}
-        if target in files:
-            files[target] = mutate(values[target], how, data)
-            config = json.dumps(cfg).encode()
-        else:
-            config = json.dumps({**cfg, target: self.PLACEHOLDER}).encode()
+        data_dir = Path(cfg["data_dir"])
+        paths = {name: data_dir / f"sweep-{cfg[name]}" for name in self.FILES}
+        paths["report"] = root / "sweep-report.json"
+        cfg = dict(cfg, **{name: paths[name].name for name in self.FILES})
+        files = {}
+        for name, value in values.items():
+            if name in ("contacts", "utterances"):
+                rows = [json.dumps(row).encode() for row in value]
+                if target == name:
+                    at = data.draw(st.integers(0, len(rows) - 1))
+                    rows[at] = mutate(value[at], how, data)
+                files[name] = b"".join(row + b"\n" for row in rows)
+            elif target == name:
+                files[name] = mutate(value, how, data)
+            else:
+                files[name] = json.dumps(value).encode()
+        if target == "config":
+            field = data.draw(st.sampled_from(sorted(cfg)))
+            config = json.dumps({**cfg, field: self.PLACEHOLDER}).encode()
             config = config.replace(json.dumps(self.PLACEHOLDER).encode(),
-                                    mutate(cfg[target], how, data))
+                                    mutate(cfg[field], how, data))
+        else:
+            config = json.dumps(cfg).encode()
         (root / "sweep.json").write_bytes(config)
-        users_path.write_bytes(files["users.json"])
-        (root / "sweep-report.json").write_bytes(files["report"])
+        for name, path in paths.items():
+            path.write_bytes(files[name])
         argv = [command, "--config", str(root / "sweep.json")]
         if command == "score":
-            argv += ["--report", str(root / "sweep-report.json")]
+            argv += ["--report", str(paths["report"])]
+        if command == "precompose":
+            argv += ["--out", str(root / "sweep-cache.txt")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):

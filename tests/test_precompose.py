@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_precomposable
+from oracles import expansions, is_precomposable
 from test_cache import fixed_scenario, scenario
 from lazyfst import decoder
 from lazyfst.cache import PublicCache, Session, seal_public
@@ -100,7 +100,7 @@ class TestBfs:
         t1, root, _ = fixed_scenario()
         a = bfs(t1, root, 5)
         b = bfs(t1, root, 5)
-        assert a.keys == b.keys and a.expanded == b.expanded
+        assert a.keys == b.keys and expansions(a) == expansions(b)
 
 
 def desk_cache(build):
@@ -149,7 +149,7 @@ class TestWarmupOnDeskData:
         expand = decoder.expand
 
         def spy(state_id, session):
-            keys.append(session.key_of(state_id))
+            keys.append(session.private.key_of(state_id))
             return expand(state_id, session)
 
         monkeypatch.setattr(decoder, "expand", spy)
@@ -162,7 +162,7 @@ class TestWarmupOnDeskData:
                                   decode_config({"beam": 10.0,
                                                  "max_active": 2000}))
         assert again.keys == cache.keys
-        assert again.expanded == cache.expanded
+        assert expansions(again) == expansions(cache)
 
     def test_budget_limits_promotion(self, desk_build, warm):
         cfg, scores, full = warm

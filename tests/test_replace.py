@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (acceptor_language, compose_static_full, composed_arc_key,
-                     enumerate_language, substitute_language, view_arc_key,
-                     view_state_key)
+                     enumerate_language, inside_id, substitute_language,
+                     view_arc_key, view_state_key)
 from strategies import acyclic_fst
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError
@@ -66,19 +66,19 @@ class TestViewStructure:
         assert len(entries) == 1
         entry = entries[0]
         assert (entry.ilabel, entry.olabel, entry.weight) == (EPS, EPS, 0.25)
-        assert entry.nextstate == view.inside_id(simple_class.start, 2)
+        assert entry.nextstate == inside_id(view, simple_class.start, 2)
 
     def test_exit_carries_final_weight(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
                            ClassBinding(CLS, simple_class))
-        arcs = view.arcs_of(view.inside_id(2, ret=2))
+        arcs = view.arcs_of(inside_id(view, 2, ret=2))
         exits = [a for a in arcs if a.nextstate < view.num_root]
         assert exits == [type(exits[0])(EPS, EPS, 1.0, 2)]
 
     def test_inside_states_are_never_final(self, simple_root, simple_class):
         view = ReplaceView(simple_root,
                            ClassBinding(CLS, simple_class))
-        assert view.final_weight(view.inside_id(1, 2)) == float("inf")
+        assert view.final_weight(inside_id(view, 1, 2)) == float("inf")
         assert view.final_weight(3) == 0.75
 
     def test_language_hand_computed(self, simple_root, simple_class):
@@ -107,8 +107,8 @@ class TestArcOrder:
                          {0: 1.0, 1: 0.0}, 2)
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
         view = ReplaceView(root, ClassBinding(CLS, inner))
-        deeper = view.inside_id(1, 1)
-        assert [tuple(a) for a in view.arcs_of(view.inside_id(0, 1))] == [
+        deeper = inside_id(view, 1, 1)
+        assert [tuple(a) for a in view.arcs_of(inside_id(view, 0, 1))] == [
             (EPS, EPS, 0.5, deeper),
             (EPS, EPS, 1.0, 1),
             (EPS, EPS, 1.0, deeper),
@@ -116,7 +116,7 @@ class TestArcOrder:
         ]
         t1 = acceptor([(0, 3, 0.0, 1)], {1: 0.0}, 2)
         exp = expand_pair_state(
-            (0, view.inside_id(0, 1), FilterState.ANY), t1, view)
+            (0, inside_id(view, 0, 1), FilterState.ANY), t1, view)
         eps2 = FilterState.EPS2_ONLY
         assert [tuple(a) for a in exp.arcs] == [
             (EPS, EPS, 0.5, (0, deeper, eps2)),
@@ -136,7 +136,7 @@ class TestArcOrder:
             view = ReplaceView(desk_build.root, binding_for(desk_build, user))
             for qp in contacts.states():
                 for ret in sorted(rets):
-                    arcs = list(view.arcs_of(view.inside_id(qp, ret)))
+                    arcs = list(view.arcs_of(inside_id(view, qp, ret)))
                     assert arcs == sorted(
                         arcs, key=lambda a: view_arc_key(view, a))
                     checked += 1
@@ -150,7 +150,7 @@ class TestArcOrder:
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
         view = ReplaceView(root, ClassBinding(CLS, inner))
         for qp in inner.states():
-            arcs = list(view.arcs_of(view.inside_id(qp, 1)))
+            arcs = list(view.arcs_of(inside_id(view, qp, 1)))
             assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
 
     def test_composed_arcs_are_in_composed_order_on_desk(self, desk_build):
@@ -187,7 +187,7 @@ class TestStateEncoding:
     @settings(max_examples=200, deadline=None)
     def test_int_order_is_root_then_cls_qp_ret(self, case):
         view, roots, pairs = case
-        ids = roots + [view.inside_id(*t) for t in pairs]
+        ids = roots + [inside_id(view, *t) for t in pairs]
         old = [(0, q) for q in roots] + [(2, *t) for t in pairs]
         for a, key_a in zip(ids, old):
             assert view_state_key(view, a) == key_a
