@@ -1,5 +1,5 @@
 """Microbenchmarks of one on-the-fly expansion, layer by layer, on fixed
-desk states.  Run with
+desk states, and of compiling the desk contact lists.  Run with
 
     python -m pytest benchmarks --benchmark-only
 
@@ -9,6 +9,8 @@ bridge state (a root state with a class out-arc) and one state inside a
 user's contact FST.  `test_cache_expand_otf` times one cold
 `cache.expand` (kernel, interning and the cached arcs) in a fresh session
 per round, at the lexicon loop state and at a chain state.
+`test_build_contact_fst_desk` compiles every desk user's contact list
+once per round, the part of `build_graphs` that grows with the users.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from lazyfst.cache import Session, expand
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.harness import binding_for, precompose_cache
+from lazyfst.lmbuild import build_contact_fst
 from lazyfst.replace import ReplaceView
 
 USER = "u01"
@@ -53,9 +56,8 @@ def test_arcs_of_bridge_state(benchmark, view):
 
 def test_arcs_of_inside_state(benchmark, desk, view):
     _, build = desk
-    contacts = build.contact_fsts[USER]
     # the view's id for the contact FST's start, resuming at the root start
-    inside = (contacts.start + 1) * view.num_root + build.root.start
+    inside = (view.fst.start + 1) * view.num_root + build.root.start
     benchmark(view.arcs_of, inside)
 
 
@@ -74,3 +76,17 @@ def test_cache_expand_otf(benchmark, desk, t1_state):
     made = benchmark.pedantic(expand, setup=fresh_session, rounds=2000)
     assert len(made.arcs) == (52 if t1_state == "loop" else 2)
 
+
+def test_build_contact_fst_desk(benchmark, desk):
+    _, build = desk
+    by_name = {c.name: c for c in build.contacts}
+    lists = [[by_name[n] for n in names]
+             for _, names in sorted(build.users.items())]
+
+    def compile_all():
+        return [build_contact_fst(contacts, build.word_syms)
+                for contacts in lists]
+
+    fsts = benchmark(compile_all)
+    assert [fst.num_states for fst in fsts] == [
+        build.bindings[user].fst.num_states for user in sorted(build.users)]

@@ -18,7 +18,7 @@ from .errors import (BuildError, CompositionSizeError, ConfigurationError,
 from .fst import (EPS, Arc, Fst, FstBuilder, SymbolTable, write_symbols,
                   write_text_fst)
 from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
-                      build_lexicon_fst, build_symbol_tables, minimize_acyclic,
+                      build_lexicon_fst, build_symbol_tables,
                       parse_contacts_jsonl, parse_corpus, parse_lexicon,
                       train_bigram_root)
 from .metrics import Metrics
@@ -43,7 +43,7 @@ __all__ = [
     "decode",
     "dump_public_cache", "empty_binding", "end_session",
     "expand_pair_state", "insert_epsilon_before_class",
-    "load_public_cache", "minimize_acyclic",
+    "load_public_cache",
     "parse_contacts_jsonl", "parse_corpus", "parse_lexicon",
     "rtf", "seal_public",
     "simulate_scores", "train_bigram_root", "warmup_precompose",

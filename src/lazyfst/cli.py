@@ -134,6 +134,9 @@ def cmd_decode(args) -> int:
         utt = next((u for u in build.utterances if u["id"] == args.utt), None)
         if utt is None:
             raise LazyFstError(f"unknown utterance id {args.utt!r}")
+        if args.user not in (None, utt["user"]):
+            raise LazyFstError(f"utterance {args.utt!r} belongs to user "
+                               f"{utt['user']!r}, not {args.user!r}")
     else:
         utt = next((u for u in build.utterances
                     if args.user is None or u["user"] == args.user), None)

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .semiring import ZERO, is_member
 
 EPS = 0
+EPS_SYMBOL = "<eps>"
 
 
 class Arc(NamedTuple):
@@ -29,8 +30,8 @@ class SymbolTable:
     """Bidirectional string <-> label id map; id 0 is always "<eps>"."""
 
     def __init__(self, symbols: Optional[Iterable[str]] = None):
-        self._syms: list[str] = ["<eps>"]
-        self._ids: dict[str, int] = {"<eps>": 0}
+        self._syms: list[str] = [EPS_SYMBOL]
+        self._ids: dict[str, int] = {EPS_SYMBOL: EPS}
         if symbols is not None:
             for s in symbols:
                 self.add(s)

@@ -70,7 +70,6 @@ class Build:
     class_id: int
     contacts: list[ContactEntry]
     users: dict[str, list[str]]
-    contact_fsts: dict[str, Fst]
     bindings: dict[str, ClassBinding]   # per user, built once
     utterances: list[dict] = field(default_factory=list)
 
@@ -105,7 +104,7 @@ def build_graphs(cfg: dict) -> Build:
         corpus, lexicon, class_names, word_syms,
         backoff_penalty=_penalty(cfg, "backoff_penalty", math.log(10.0))),
         class_id)
-    contacts = parse_contacts_jsonl(read("contacts"),
+    contacts = parse_contacts_jsonl(read("contacts"), set(lexicon.phones),
                                     str(data / cfg["contacts"]))
     by_name = {c.name: c for c in contacts}
     users_path = data / cfg["users"]
@@ -116,20 +115,18 @@ def build_graphs(cfg: dict) -> Build:
     if not is_string_lists(users):
         raise BuildError(f"{users_path} must be a JSON object mapping each "
                          f"user to a list of contact names")
-    contact_fsts: dict[str, Fst] = {}
+    bindings: dict[str, ClassBinding] = {}
     for user, names in users.items():
         missing = [n for n in names if n not in by_name]
         if missing:
             raise BuildError(f"user {user} references unknown contacts "
                              f"{missing}")
-        contact_fsts[user] = build_contact_fst([by_name[n] for n in names],
-                                               word_syms)
+        bindings[user] = ClassBinding(class_id, build_contact_fst(
+            [by_name[n] for n in names], word_syms))
     utterances = parse_utterances(read("utterances"),
                                   str(data / cfg["utterances"]), users)
-    bindings = {user: ClassBinding(class_id, fst)
-                for user, fst in contact_fsts.items()}
     return Build(lexicon, phone_syms, word_syms, t1, root, class_id,
-                 contacts, users, contact_fsts, bindings, utterances)
+                 contacts, users, bindings, utterances)
 
 
 def _penalty(cfg: dict, name: str, default: float) -> float:
@@ -183,8 +180,9 @@ def write_build(build: Build, out_dir: str | Path) -> None:
     (out / "words.syms").write_text(write_symbols(build.word_syms))
     (out / "t1.fst.txt").write_text(write_text_fst(build.t1))
     (out / "root.fst.txt").write_text(write_text_fst(build.root))
-    for user, fst in build.contact_fsts.items():
-        (out / "contacts" / f"{user}.fst.txt").write_text(write_text_fst(fst))
+    for user, binding in build.bindings.items():
+        (out / "contacts" / f"{user}.fst.txt").write_text(
+            write_text_fst(binding.fst))
 
 
 def binding_for(build: Build, user: str) -> ClassBinding:
@@ -410,8 +408,8 @@ def graph_stats(build: Build) -> dict:
                  "arcs": build.root.num_arcs,
                  "class_arcs": root_class_arcs},
         "users": {user: {"contacts": len(names),
-                         "fst_states": build.contact_fsts[user].num_states,
-                         "fst_arcs": build.contact_fsts[user].num_arcs}
+                         "fst_states": build.bindings[user].fst.num_states,
+                         "fst_arcs": build.bindings[user].fst.num_arcs}
                   for user, names in sorted(build.users.items())},
         "utterances": len(build.utterances),
     }

@@ -1,25 +1,25 @@
 """Desk-scale graph builders: lexicon transducer, backoff bigram root,
 and the monophone contact acceptor.
 
-The contact pipeline mirrors how out-of-vocabulary names reach the
+The contact compiler mirrors how out-of-vocabulary names reach the
 decoder: every inventory phone is promoted to a "monophone word", a
 contact's pronunciation is spelled as a sequence of those words closed by
-one SIL word, homophones get auxiliary "#1", "#2", ... labels (ids above
-the shared word table, never registered in it) so every string is
-distinct, the strings are laid into a prefix tree, which is deterministic
-by construction, and the auxiliary labels are epsilon-erased after
-minimization.
-"""
+one SIL word, and homophones get auxiliary "#1", "#2", ... labels (ids
+above the shared word table, never registered in it) so every string is
+distinct.  build_contact_fst then makes one pass: the sorted strings go
+into a trie, the trie's nodes merge bottom-up into their equivalence
+classes, and one builder writes the classes with the auxiliary labels
+erased."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection
 
 from .errors import BuildError, ParseError
-from .fst import EPS, Arc, Fst, FstBuilder, SymbolTable
+from .fst import EPS, EPS_SYMBOL, Fst, FstBuilder, SymbolTable
 
 SIL = "SIL"
 
@@ -54,6 +54,9 @@ def parse_lexicon(text: str, path: str = "<lexicon>") -> Lexicon:
         pron = pron_str.split()
         if not word or not pron:
             raise ParseError(path, lineno, "empty word or pronunciation")
+        if EPS_SYMBOL in (word, *pron):
+            raise ParseError(path, lineno, f"{EPS_SYMBOL!r} is reserved for "
+                             "the epsilon label")
         words.setdefault(word, []).append(pron)
     if not words:
         raise BuildError(f"{path}: empty lexicon")
@@ -70,10 +73,12 @@ class ContactEntry:
     prons: list[list[str]]
 
 
-def parse_contacts_jsonl(text: str, path: str = "<contacts>") -> list[ContactEntry]:
+def parse_contacts_jsonl(text: str, phones: Collection[str],
+                         path: str = "<contacts>") -> list[ContactEntry]:
     """One JSON object per non-blank line: a non-empty string `name`
     that no other row has, and `pronunciations`, a non-empty list of
-    non-empty lists of phone strings."""
+    non-empty lists of phone strings, each one of `phones`, the
+    lexicon's inventory."""
     entries: list[ContactEntry] = []
     names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,6 +99,11 @@ def parse_contacts_jsonl(text: str, path: str = "<contacts>") -> list[ContactEnt
                              "lists")
         if name in names:
             raise ParseError(path, lineno, f"contact {name!r} is repeated")
+        unknown = next((ph for p in prons for ph in p if ph not in phones),
+                       None)
+        if unknown is not None:
+            raise ParseError(path, lineno, f"contact {name!r} uses "
+                             f"{unknown!r}, which is not an inventory phone")
         names.add(name)
         entries.append(ContactEntry(name, prons))
     return entries
@@ -290,117 +300,55 @@ def contact_strings(contacts: list[ContactEntry], word_syms: SymbolTable
     return strings, frozenset(aux_ids)
 
 
-def prefix_tree(strings: dict[tuple[int, ...], float]) -> Fst:
-    """The acceptor of `strings` as a prefix tree, states numbered as the
-    strings are laid in sorted order, each string's weight on its final
-    state and every arc weighing 0.  It carries no symbol tables: the
-    auxiliary labels lie outside the word table (remove_disambig attaches
-    them)."""
-    builder = FstBuilder()
-    root = builder.add_state()
-    children: dict[tuple[int, int], int] = {}
-    for string in sorted(strings):
-        src = root
-        for label in string:
-            dst = children.get((src, label))
-            if dst is None:
-                dst = children[src, label] = builder.add_state()
-                builder.add_arc(src, label, label, 0.0, dst)
-            src = dst
-        builder.set_final(src, strings[string])
-    return builder.freeze(start=root)
-
-
-def _check_acyclic_acceptor(fst: Fst, op: str) -> None:
-    for state in fst.states():
-        for arc in fst.arcs_of(state):
-            if arc.ilabel != arc.olabel:
-                raise BuildError(f"{op} expects an acceptor")
-    color = [0] * fst.num_states  # 0 unseen, 1 on stack, 2 done
-    stack: list[tuple[int, int]] = [(fst.start, 0)]
-    color[fst.start] = 1
-    while stack:
-        state, idx = stack[-1]
-        arcs = fst.arcs_of(state)
-        if idx == len(arcs):
-            color[state] = 2
-            stack.pop()
-            continue
-        stack[-1] = (state, idx + 1)
-        nxt = arcs[idx].nextstate
-        if color[nxt] == 1:
-            raise BuildError(f"{op} requires an acyclic input")
-        if color[nxt] == 0:
-            color[nxt] = 1
-            stack.append((nxt, 0))
-
-
-def minimize_acyclic(fst: Fst) -> Fst:
-    """Merge states with identical onward behavior, leaves first."""
-    _check_acyclic_acceptor(fst, "minimize_acyclic")
-    order: list[int] = []
-    seen = [False] * fst.num_states
-    stack: list[tuple[int, int]] = [(fst.start, 0)]
-    seen[fst.start] = True
-    while stack:
-        state, idx = stack[-1]
-        arcs = fst.arcs_of(state)
-        if idx == len(arcs):
-            order.append(state)
-            stack.pop()
-            continue
-        stack[-1] = (state, idx + 1)
-        nxt = arcs[idx].nextstate
-        if not seen[nxt]:
-            seen[nxt] = True
-            stack.append((nxt, 0))
-
-    rep_of_sig: dict[tuple, int] = {}
-    rep: dict[int, int] = {}
-    for state in order:  # postorder: successors already classified
-        sig = (fst.finals.get(state),
-               tuple((a.ilabel, a.olabel, a.weight, rep[a.nextstate])
-                     for a in fst.arcs_of(state)))
-        rep[state] = rep_of_sig.setdefault(sig, state)
-
-    keep = sorted({rep[s] for s in rep})
-    renum = {old: new for new, old in enumerate(keep)}
-    builder = FstBuilder(fst.isyms, fst.osyms)
-    builder.ensure_state(len(keep) - 1)
-    for old in keep:
-        for arc in fst.arcs_of(old):
-            builder.add_arc(renum[old], arc.ilabel, arc.olabel, arc.weight,
-                            renum[rep[arc.nextstate]])
-        if old in fst.finals:
-            builder.set_final(renum[old], fst.finals[old])
-    return builder.freeze(start=renum[rep[fst.start]])
-
-
-def remove_disambig(fst: Fst, disambig_ids: frozenset[int],
-                    syms: Optional[SymbolTable] = None) -> Fst:
-    """Replace auxiliary labels by epsilon; exact duplicates collapse.
-    The result carries `syms` as both symbol tables: the auxiliary labels
-    lie outside the word table, so the input carries none."""
-    builder = FstBuilder(syms, syms)
-    builder.ensure_state(fst.num_states - 1)
-    for state in fst.states():
-        emitted: set[Arc] = set()
-        for arc in fst.arcs_of(state):
-            il = EPS if arc.ilabel in disambig_ids else arc.ilabel
-            ol = EPS if arc.olabel in disambig_ids else arc.olabel
-            new = Arc(il, ol, arc.weight, arc.nextstate)
-            if new not in emitted:
-                emitted.add(new)
-                builder.add_arc(state, il, ol, arc.weight, arc.nextstate)
-    for state, w in fst.finals.items():
-        builder.set_final(state, w)
-    return builder.freeze(start=fst.start)
-
-
 def build_contact_fst(contacts: list[ContactEntry],
                       word_syms: SymbolTable) -> Fst:
-    """Full contact pipeline: the disambiguated strings, their prefix
-    tree, minimized, with the auxiliary labels erased."""
+    """The minimal acceptor of contact_strings(contacts, word_syms) with
+    the auxiliary labels erased, compiled in one bottom-up pass (Revuz
+    1992, "Minimisation of acyclic deterministic automata in linear
+    time").
+
+    The sorted strings are laid into a trie whose nodes are numbered in
+    creation order, which is preorder, and whose labels enter each node
+    in ascending order.  Walking the nodes in descending id classifies
+    each node after its children, by its final weight and its (label,
+    child class) pairs.  The lowest id in a class represents it, and the
+    representatives, in ascending id, are the states.  Two members of a
+    class are never ancestor and descendant, so the lowest id is also
+    the first member a DFS postorder meets: the states are numbered as
+    minimizing the trie by postorder would number them."""
     strings, aux_ids = contact_strings(contacts, word_syms)
-    return remove_disambig(minimize_acyclic(prefix_tree(strings)), aux_ids,
-                           word_syms)
+    children: list[dict[int, int]] = [{}]   # node -> {label: child}
+    finals: dict[int, float] = {}
+    for string in sorted(strings):
+        node = 0
+        for label in string:
+            child = children[node].get(label)
+            if child is None:
+                child = children[node][label] = len(children)
+                children.append({})
+            node = child
+        finals[node] = strings[string]
+
+    class_of = [0] * len(children)
+    class_ids: dict[tuple, int] = {}
+    for node in range(len(children) - 1, -1, -1):
+        edges = children[node].items()
+        key = (finals.get(node),
+               tuple((label, class_of[child]) for label, child in edges))
+        class_of[node] = class_ids.setdefault(key, len(class_ids))
+
+    state_of: dict[int, int] = {}           # class -> state
+    reps: list[int] = []                    # state -> its lowest node
+    for node, cls in enumerate(class_of):
+        if state_of.setdefault(cls, len(reps)) == len(reps):
+            reps.append(node)
+    builder = FstBuilder(word_syms, word_syms)
+    builder.ensure_state(len(reps) - 1)
+    for state, node in enumerate(reps):
+        arcs = {(EPS if label in aux_ids else label, state_of[class_of[child]])
+                for label, child in children[node].items()}
+        for label, dst in arcs:
+            builder.add_arc(state, label, label, 0.0, dst)
+        if node in finals:
+            builder.set_final(state, finals[node])
+    return builder.freeze()

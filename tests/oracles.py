@@ -21,6 +21,10 @@ evidence rather than tautology.  It holds:
   to read the two cache layers, counting the hit it finds;
 * materialize, the whole lazy graph of a session through lookup and
   cache.expand, numbered the way compose_static numbers its states;
+* the staged contact compiler, the independent re-derivation of
+  lmbuild.build_contact_fst: prefix_tree, minimize_acyclic (a DFS
+  postorder minimizer for any acyclic acceptor) and remove_disambig,
+  chained by staged_contact_fst;
 * dump_public_cache_v1, the first public cache dump format, which wrote
   every sealed arc and weight, for the determinism digests;
 * shortest_path, a tropical single shortest path;
@@ -43,8 +47,9 @@ from typing import NamedTuple, Optional
 
 from lazyfst.cache import CachedExpansion, PublicCache, Session, expand
 from lazyfst.compose import FilterState
-from lazyfst.errors import CompositionSizeError
+from lazyfst.errors import BuildError, CompositionSizeError
 from lazyfst.fst import EPS, Arc, Fst, FstBuilder, SymbolTable
+from lazyfst.lmbuild import contact_strings
 from lazyfst.semiring import ZERO
 
 MAX_PATHS = 200_000
@@ -501,6 +506,121 @@ def materialize(session: Session, max_states: int = 1_000_000) -> Fst:
         if exp.final != ZERO:
             builder.set_final(order[sid], exp.final)
     return builder.freeze(start=0)
+
+
+def prefix_tree(strings: dict[tuple[int, ...], float]) -> Fst:
+    """The acceptor of `strings` as a prefix tree, states numbered as the
+    strings are laid in sorted order, each string's weight on its final
+    state and every arc weighing 0.  It carries no symbol tables: the
+    auxiliary labels lie outside the word table (remove_disambig attaches
+    them)."""
+    builder = FstBuilder()
+    root = builder.add_state()
+    children: dict[tuple[int, int], int] = {}
+    for string in sorted(strings):
+        src = root
+        for label in string:
+            dst = children.get((src, label))
+            if dst is None:
+                dst = children[src, label] = builder.add_state()
+                builder.add_arc(src, label, label, 0.0, dst)
+            src = dst
+        builder.set_final(src, strings[string])
+    return builder.freeze(start=root)
+
+
+def _check_acyclic_acceptor(fst: Fst, op: str) -> None:
+    for state in fst.states():
+        for arc in fst.arcs_of(state):
+            if arc.ilabel != arc.olabel:
+                raise BuildError(f"{op} expects an acceptor")
+    color = [0] * fst.num_states  # 0 unseen, 1 on stack, 2 done
+    stack: list[tuple[int, int]] = [(fst.start, 0)]
+    color[fst.start] = 1
+    while stack:
+        state, idx = stack[-1]
+        arcs = fst.arcs_of(state)
+        if idx == len(arcs):
+            color[state] = 2
+            stack.pop()
+            continue
+        stack[-1] = (state, idx + 1)
+        nxt = arcs[idx].nextstate
+        if color[nxt] == 1:
+            raise BuildError(f"{op} requires an acyclic input")
+        if color[nxt] == 0:
+            color[nxt] = 1
+            stack.append((nxt, 0))
+
+
+def minimize_acyclic(fst: Fst) -> Fst:
+    """Merge states with identical onward behavior, leaves first."""
+    _check_acyclic_acceptor(fst, "minimize_acyclic")
+    order: list[int] = []
+    seen = [False] * fst.num_states
+    stack: list[tuple[int, int]] = [(fst.start, 0)]
+    seen[fst.start] = True
+    while stack:
+        state, idx = stack[-1]
+        arcs = fst.arcs_of(state)
+        if idx == len(arcs):
+            order.append(state)
+            stack.pop()
+            continue
+        stack[-1] = (state, idx + 1)
+        nxt = arcs[idx].nextstate
+        if not seen[nxt]:
+            seen[nxt] = True
+            stack.append((nxt, 0))
+
+    rep_of_sig: dict[tuple, int] = {}
+    rep: dict[int, int] = {}
+    for state in order:  # postorder: successors already classified
+        sig = (fst.finals.get(state),
+               tuple((a.ilabel, a.olabel, a.weight, rep[a.nextstate])
+                     for a in fst.arcs_of(state)))
+        rep[state] = rep_of_sig.setdefault(sig, state)
+
+    keep = sorted({rep[s] for s in rep})
+    renum = {old: new for new, old in enumerate(keep)}
+    builder = FstBuilder(fst.isyms, fst.osyms)
+    builder.ensure_state(len(keep) - 1)
+    for old in keep:
+        for arc in fst.arcs_of(old):
+            builder.add_arc(renum[old], arc.ilabel, arc.olabel, arc.weight,
+                            renum[rep[arc.nextstate]])
+        if old in fst.finals:
+            builder.set_final(renum[old], fst.finals[old])
+    return builder.freeze(start=renum[rep[fst.start]])
+
+
+def remove_disambig(fst: Fst, disambig_ids: frozenset[int],
+                    syms: Optional[SymbolTable] = None) -> Fst:
+    """Replace auxiliary labels by epsilon; exact duplicates collapse.
+    The result carries `syms` as both symbol tables: the auxiliary labels
+    lie outside the word table, so the input carries none."""
+    builder = FstBuilder(syms, syms)
+    builder.ensure_state(fst.num_states - 1)
+    for state in fst.states():
+        emitted: set[Arc] = set()
+        for arc in fst.arcs_of(state):
+            il = EPS if arc.ilabel in disambig_ids else arc.ilabel
+            ol = EPS if arc.olabel in disambig_ids else arc.olabel
+            new = Arc(il, ol, arc.weight, arc.nextstate)
+            if new not in emitted:
+                emitted.add(new)
+                builder.add_arc(state, il, ol, arc.weight, arc.nextstate)
+    for state, w in fst.finals.items():
+        builder.set_final(state, w)
+    return builder.freeze(start=fst.start)
+
+
+def staged_contact_fst(contacts, word_syms: SymbolTable) -> Fst:
+    """The contact FST in stages: the disambiguated strings, their prefix
+    tree, minimized, with the auxiliary labels erased."""
+    strings, aux_ids = contact_strings(contacts, word_syms)
+    return remove_disambig(minimize_acyclic(prefix_tree(strings)), aux_ids,
+                           word_syms)
 
 
 def dump_public_cache_v1(cache: PublicCache) -> str:

@@ -307,7 +307,7 @@ def test_contact_list_decodes_and_round_trips(desk_build, desk_cfg):
                 weight = math.log(len(entry.prons))
                 if weight < expected.get(key, math.inf):
                     expected[key] = weight
-        assert acceptor_language(desk_build.contact_fsts["u01"]) == expected
+        assert acceptor_language(desk_build.bindings["u01"].fst) == expected
 
         quiet_cfg = dict(desk_cfg, noise=0.0)
         session = _dynamic_session(desk_build, "u01")

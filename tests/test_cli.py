@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,14 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert repr(user) in err
+
+    def test_decode_utterance_of_another_user_exits_2(self, desk_root,
+                                                      capsys):
+        assert main(["decode", "--config", str(desk_root / "desk.json"),
+                     "--utt", "u01-s1-t1", "--user", "u05"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "'u01-s1-t1'" in err and "'u01'" in err and "'u05'" in err
 
     def test_decode_without_utterances_exits_2(self, tmp_path, capsys):
         cfg = write_desk_data(tmp_path)
@@ -221,8 +230,11 @@ class TestInputShapes:
         {"name": "kel", "pronunciations": ["k", "l"]},
         {"name": "kel", "pronunciations": "k"},
         {"name": "ana", "pronunciations": [["k", "l"]]},
+        {"name": "kel", "pronunciations": [["call"]]},
+        {"name": "kel", "pronunciations": [["k", "eh", "l"], ["@contact"]]},
     ], ids=["list-row", "list-name", "string-pronunciations",
-            "string-pronunciation", "repeated-name"])
+            "string-pronunciation", "repeated-name", "word-symbol",
+            "class-symbol"])
     def test_bad_contact_row(self, row, tmp_path, capsys):
         path, cfg = desk_copy(tmp_path)
         contacts = Path(cfg["data_dir"]) / cfg["contacts"]
@@ -230,6 +242,15 @@ class TestInputShapes:
         contacts.write_text("\n".join(rows) + "\n")
         self.run(["stats", "--config", str(path)], capsys,
                  f"{contacts}:{len(rows)}")
+
+    def test_lexicon_line_naming_eps(self, tmp_path, capsys):
+        # "<eps>" is label 0 in every symbol table, never a word or phone
+        path, cfg = desk_copy(tmp_path)
+        lexicon = Path(cfg["data_dir"]) / cfg["lexicon"]
+        rows = lexicon.read_text().splitlines() + ["zz\t<eps>"]
+        lexicon.write_text("\n".join(rows) + "\n")
+        self.run(["stats", "--config", str(path)], capsys,
+                 f"{lexicon}:{len(rows)}", "'<eps>'")
 
     def test_report_not_utf8(self, mini_config, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -255,18 +276,39 @@ def retype(value, data):
         [v for v in JSON_VALUES if type(v) is not type(value)]))
 
 
+def damage(text: str, how: str, data) -> bytes:
+    """`text` as UTF-8, cut short, not UTF-8, or empty."""
+    raw = text.encode()
+    if how == "empty":
+        return b""
+    cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    if how == "truncate":
+        return raw[:cut]
+    return raw[:cut] + b"\xff" + raw[cut:]
+
+
 def mutate(value, how: str, data) -> bytes:
     """`value` as JSON text, mutated one way: the wrong JSON type
     somewhere in it, cut short, not UTF-8, or empty."""
     if how == "type":
         return json.dumps(retype(value, data)).encode()
-    text = json.dumps(value).encode()
-    if how == "empty":
-        return b""
-    cut = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
-    if how == "truncate":
-        return text[:cut]
-    return text[:cut] + b"\xff" + text[cut:]
+    return damage(json.dumps(value), how, data)
+
+
+# What a swapped token of lexicon.txt or corpus.txt becomes: the epsilon
+# symbol, the class label, or a word no other line names
+SWAPS = ("<eps>", "@contact", "zzunknown")
+
+
+def mutate_line(line: str, how: str, data) -> bytes:
+    """One line of a text data file, mutated one way: one token swapped
+    for one of SWAPS, cut short, not UTF-8, or empty."""
+    if how != "type":
+        return damage(line, how, data)
+    parts = re.split(r"(\s+)", line)   # tokens at the even indices
+    at = data.draw(st.sampled_from(range(0, len(parts), 2)))
+    parts[at] = data.draw(st.sampled_from(SWAPS))
+    return "".join(parts).encode()
 
 
 def jsonl_rows(path: Path) -> list:
@@ -278,7 +320,8 @@ def jsonl_rows(path: Path) -> list:
 def sweep_inputs(tmp_path_factory, desk_build):
     """A desk dataset and its config, with the values of the files the
     sweep mutates: users.json, the rows of contacts.jsonl and of
-    utterances.jsonl, and a report of the first utterances."""
+    utterances.jsonl, the lines of lexicon.txt and of corpus.txt, and a
+    report of the first utterances."""
     root = tmp_path_factory.mktemp("sweep")
     cfg = write_desk_data(root)
     data_dir = Path(cfg["data_dir"])
@@ -287,18 +330,21 @@ def sweep_inputs(tmp_path_factory, desk_build):
     values = {"users": desk_build.users,
               "contacts": jsonl_rows(data_dir / cfg["contacts"]),
               "utterances": jsonl_rows(data_dir / cfg["utterances"]),
+              "lexicon": (data_dir / cfg["lexicon"]).read_text().splitlines(),
+              "corpus": (data_dir / cfg["corpus"]).read_text().splitlines(),
               "report": report}
     return root, cfg, values
 
 
 class TestInputSweep:
     """One config field, users.json, one row of contacts.jsonl or of
-    utterances.jsonl, or the report mutated one way: stats, decode,
-    precompose and score exit 0 or 2, never with a traceback."""
+    utterances.jsonl, one line of lexicon.txt or of corpus.txt, or the
+    report mutated one way: stats, decode, precompose and score exit 0
+    or 2, never with a traceback."""
 
     PLACEHOLDER = "@mutated@"
     COMMANDS = ["stats", "decode", "precompose", "score"]
-    FILES = ["users", "contacts", "utterances"]
+    FILES = ["users", "contacts", "utterances", "lexicon", "corpus"]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -316,11 +362,14 @@ class TestInputSweep:
         cfg = dict(cfg, **{name: paths[name].name for name in self.FILES})
         files = {}
         for name, value in values.items():
-            if name in ("contacts", "utterances"):
-                rows = [json.dumps(row).encode() for row in value]
+            if name in ("contacts", "utterances", "lexicon", "corpus"):
+                text = name in ("lexicon", "corpus")
+                rows = [(row if text else json.dumps(row)).encode()
+                        for row in value]
                 if target == name:
                     at = data.draw(st.integers(0, len(rows) - 1))
-                    rows[at] = mutate(value[at], how, data)
+                    rows[at] = (mutate_line if text else mutate)(
+                        value[at], how, data)
                 files[name] = b"".join(row + b"\n" for row in rows)
             elif target == name:
                 files[name] = mutate(value, how, data)

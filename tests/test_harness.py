@@ -16,6 +16,7 @@ from lazyfst.harness import (_chunk, _percentile, binding_for, build_graphs,
                              decode_config, graph_stats, levenshtein,
                              load_config, precompose_cache, run_bench,
                              score_report, scores_for, write_build)
+from lazyfst.lmbuild import build_contact_fst
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
 
@@ -64,8 +65,12 @@ class TestBuild:
 
     def test_binding_maps_the_class_to_the_users_contacts(self, desk_build):
         binding = binding_for(desk_build, "u03")
+        assert binding is desk_build.bindings["u03"]
         assert binding.label == desk_build.class_id
-        assert binding.fst is desk_build.contact_fsts["u03"]
+        by_name = {c.name: c for c in desk_build.contacts}
+        contacts = [by_name[n] for n in desk_build.users["u03"]]
+        assert write_text_fst(binding.fst) == write_text_fst(
+            build_contact_fst(contacts, desk_build.word_syms))
 
     def test_scores_reject_unknown_phones(self, desk_build, desk_cfg):
         utt = {"id": "x", "phones": ["NOT_A_PHONE"], "seed": 1}
@@ -96,8 +101,8 @@ class TestBuild:
     def test_desk_graphs_are_pinned(self, desk_build):
         # sha256 of the root, and of the contact FSTs in sorted user order
         root = write_text_fst(desk_build.root)
-        contacts = "".join(write_text_fst(desk_build.contact_fsts[user])
-                           for user in sorted(desk_build.contact_fsts))
+        contacts = "".join(write_text_fst(desk_build.bindings[user].fst)
+                           for user in sorted(desk_build.bindings))
         assert hashlib.sha256(root.encode()).hexdigest() == (
             "9c1ce88c5e395aa312e1586bd553b8da"
             "ef201a3d0d6d508586ebf90a0ff9592c")
@@ -129,10 +134,10 @@ class TestBuild:
         assert words.symbols() == desk_build.word_syms.symbols()
         graphs = {"t1.fst.txt": (desk_build.t1, phones, words),
                   "root.fst.txt": (desk_build.root, words, words)}
-        for user, fst in desk_build.contact_fsts.items():
-            graphs[f"contacts/{user}.fst.txt"] = (fst, words, words)
+        for user, binding in desk_build.bindings.items():
+            graphs[f"contacts/{user}.fst.txt"] = (binding.fst, words, words)
         assert len(list((tmp_path / "contacts").iterdir())) == \
-            len(desk_build.contact_fsts)
+            len(desk_build.bindings)
         back = {}
         for name, (fst, isyms, osyms) in graphs.items():
             text = (tmp_path / name).read_text()

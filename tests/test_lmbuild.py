@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import acceptor_language, compose_static, shortest_path
+from oracles import (acceptor_language, compose_static, minimize_acyclic,
+                     prefix_tree, remove_disambig, shortest_path,
+                     staged_contact_fst)
 from strategies import dyadic_weights
 from lazyfst.errors import BuildError, ParseError
 from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                              build_lexicon_fst, build_symbol_tables,
-                             contact_strings, minimize_acyclic, parse_corpus,
-                             parse_contacts_jsonl, parse_lexicon, prefix_tree,
-                             remove_disambig, train_bigram_root)
+                             contact_strings, parse_corpus,
+                             parse_contacts_jsonl, parse_lexicon,
+                             train_bigram_root)
 from lazyfst.replace import insert_epsilon_before_class
 
 
@@ -38,6 +40,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_lexicon("a\t\n")
 
+    @pytest.mark.parametrize("line", ["zz\t<eps>", "<eps>\tX", "zz\tX <eps>"])
+    def test_lexicon_reserves_eps(self, line):
+        # SymbolTable folds "<eps>" into label 0
+        with pytest.raises(ParseError) as err:
+            parse_lexicon(f"a\tX\n{line}\n", path="lex.txt")
+        assert "lex.txt:2" in str(err.value)
+        assert "'<eps>'" in str(err.value)
+
     def test_empty_lexicon(self):
         with pytest.raises(BuildError):
             parse_lexicon("\n\n")
@@ -52,18 +62,30 @@ class TestParsing:
     def test_contacts_jsonl(self):
         text = ('{"name": "ana", "pronunciations": [["AA", "N", "AA"]]}\n'
                 '{"name": "bo", "pronunciations": [["B", "OW"], ["B", "AO"]]}\n')
-        entries = parse_contacts_jsonl(text)
+        entries = parse_contacts_jsonl(text, {"AA", "AO", "B", "N", "OW"})
         assert [e.name for e in entries] == ["ana", "bo"]
         assert entries[1].prons == [["B", "OW"], ["B", "AO"]]
 
     def test_contacts_bad_json(self):
         with pytest.raises(ParseError) as err:
-            parse_contacts_jsonl("{oops\n", path="c.jsonl")
+            parse_contacts_jsonl("{oops\n", {"AA"}, path="c.jsonl")
         assert "c.jsonl:1" in str(err.value)
 
     def test_contacts_missing_fields(self):
         with pytest.raises(ParseError):
-            parse_contacts_jsonl('{"name": "x", "pronunciations": [[]]}\n')
+            parse_contacts_jsonl('{"name": "x", "pronunciations": [[]]}\n',
+                                 {"AA"})
+
+    @pytest.mark.parametrize("symbol", ["call", "@contact", "<eps>", "aa"])
+    def test_contact_symbols_are_inventory_phones(self, symbol):
+        # a word, the class label, epsilon and a phone in the wrong case
+        text = ('{"name": "ana", "pronunciations": [["AA", "N"]]}\n'
+                '{"name": "kel", "pronunciations": [["AA"], ["AA", "%s"]]}\n'
+                % symbol)
+        with pytest.raises(ParseError) as err:
+            parse_contacts_jsonl(text, {"AA", "N"}, path="c.jsonl")
+        assert "c.jsonl:2" in str(err.value)
+        assert "'kel'" in str(err.value) and repr(symbol) in str(err.value)
 
 
 class TestSymbolTables:
@@ -267,7 +289,9 @@ def assert_input_deterministic(fst):
 
 
 class TestDeterminizeMinimize:
-    """prefix_tree is the determinized acceptor of its strings."""
+    """The staged oracle: prefix_tree is the determinized acceptor of its
+    strings, and minimize_acyclic keeps the language of any acyclic
+    acceptor."""
 
     @given(string_dicts())
     @settings(max_examples=80, deadline=None)
@@ -310,15 +334,27 @@ class TestDeterminizeMinimize:
             minimize_acyclic(b.freeze())
 
 
-class TestContactPipeline:
-    def syms(self):
-        lexicon = parse_lexicon("call\tK O L\n")
-        extra = Lexicon({"call": [["K", "O", "L"]]},
-                        phones=["AA", "B", "K", "L", "N", "O", "SIL"])
-        return build_symbol_tables(extra, ["@contact"])[1]
+def contact_syms():
+    extra = Lexicon({"call": [["K", "O", "L"]]},
+                    phones=["AA", "B", "K", "L", "N", "O", "SIL"])
+    return build_symbol_tables(extra, ["@contact"])[1]
 
+
+def expected_language(contacts, word_syms):
+    want = {}
+    sil = word_syms.id_of("SIL")
+    for entry in contacts:
+        w = math.log(len(entry.prons))
+        for pron in entry.prons:
+            key = tuple(word_syms.id_of(p) for p in pron) + (sil,)
+            if w < want.get(key, math.inf):
+                want[key] = w
+    return want
+
+
+class TestContactPipeline:
     def test_union_weights_and_disambig(self):
-        word_syms = self.syms()
+        word_syms = contact_syms()
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]]),
                     ContactEntry("bo", [["B", "O"], ["B", "AA"]])]
@@ -333,16 +369,14 @@ class TestContactPipeline:
                            (aa, n, second, sil): 0.0,
                            (b, o, sil): math.log(2.0),
                            (b, aa, sil): math.log(2.0)}
-        # the prefix tree is deterministic; remove_disambig erases them
-        tree = prefix_tree(strings)
-        assert_input_deterministic(tree)
-        erased = remove_disambig(tree, disambig)
-        assert not {label for q in erased.states()
-                    for a in erased.arcs_of(q)
+        # their prefix tree is deterministic; the compiler erases them
+        assert_input_deterministic(prefix_tree(strings))
+        fst = build_contact_fst(contacts, word_syms)
+        assert not {label for q in fst.states() for a in fst.arcs_of(q)
                     for label in (a.ilabel, a.olabel)} & disambig
 
     def test_contact_compilation_leaves_word_table_unchanged(self):
-        word_syms = self.syms()
+        word_syms = contact_syms()
         size, before = len(word_syms), word_syms.symbols()
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]]),
@@ -354,7 +388,7 @@ class TestContactPipeline:
         assert [word_syms.id_of(sym) for sym in before] == list(range(size))
 
     def test_unknown_phone_and_empty_list(self):
-        word_syms = self.syms()
+        word_syms = contact_syms()
         with pytest.raises(BuildError):
             contact_strings([ContactEntry("x", [["ZZ"]])], word_syms)
         with pytest.raises(BuildError):
@@ -370,32 +404,31 @@ class TestContactPipeline:
         assert len(out.arcs_of(0)) == 1
         assert out.arcs_of(0)[0].ilabel == EPS
 
-    def expected_language(self, contacts, word_syms):
-        want = {}
-        sil = word_syms.id_of("SIL")
-        for entry in contacts:
-            w = math.log(len(entry.prons))
-            for pron in entry.prons:
-                key = tuple(word_syms.id_of(p) for p in pron) + (sil,)
-                if w < want.get(key, math.inf):
-                    want[key] = w
-        return want
+    def test_homophones_leave_one_epsilon_arc(self):
+        word_syms = contact_syms()
+        contacts = [ContactEntry("ana", [["AA", "N"]]),
+                    ContactEntry("anna", [["AA", "N"]]),
+                    ContactEntry("nana", [["AA", "N"]])]
+        fst = build_contact_fst(contacts, word_syms)
+        (aa,) = fst.arcs_of(fst.start)
+        (n,) = fst.arcs_of(aa.nextstate)
+        assert [a.ilabel for a in fst.arcs_of(n.nextstate)] == [EPS]
 
     def test_pipeline_language_matches_direct_expansion(self):
-        word_syms = self.syms()
+        word_syms = contact_syms()
         contacts = [ContactEntry("ana", [["AA", "N", "AA"]]),
                     ContactEntry("anna", [["AA", "N", "AA"]]),
                     ContactEntry("bo", [["B", "O"], ["B", "AA"]]),
                     ContactEntry("nab", [["N", "AA", "B"]])]
         fst = build_contact_fst(contacts, word_syms)
-        assert acceptor_language(fst) == self.expected_language(contacts,
-                                                                word_syms)
+        assert acceptor_language(fst) == expected_language(contacts,
+                                                           word_syms)
 
     def test_every_stage_can_be_written(self):
-        # The auxiliary labels lie outside the word table, so the stages
-        # that still carry them have no symbol table and write numbers;
-        # only remove_disambig's result names its labels.
-        word_syms = self.syms()
+        # The auxiliary labels lie outside the word table, so the oracle's
+        # stages that still carry them have no symbol table and write
+        # numbers; only remove_disambig's result names its labels.
+        word_syms = contact_syms()
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]])]
         strings, disambig = contact_strings(contacts, word_syms)
@@ -411,12 +444,66 @@ class TestContactPipeline:
             write_text_fst(final)
 
     def test_pipeline_collapses_shared_suffixes(self):
-        word_syms = self.syms()
+        word_syms = contact_syms()
         contacts = [ContactEntry("an", [["AA", "N"]]),
                     ContactEntry("ban", [["B", "AA", "N"]]),
                     ContactEntry("kan", [["K", "AA", "N"]])]
         fst = build_contact_fst(contacts, word_syms)
         tree = prefix_tree(contact_strings(contacts, word_syms)[0])
         assert fst.num_states < tree.num_states
-        assert acceptor_language(fst) == self.expected_language(contacts,
-                                                                word_syms)
+        assert acceptor_language(fst) == expected_language(contacts,
+                                                           word_syms)
+
+
+PHONES = ["AA", "B", "N", "SIL"]
+
+
+@st.composite
+def contact_lists(draw, distinct: bool = False):
+    """Contacts c0, c1, ... with one to three pronunciations each, over a
+    four-phone alphabet, so homophones are common; with `distinct`, no
+    pronunciation occurs twice in the list."""
+    pron = st.lists(st.sampled_from(PHONES), min_size=1, max_size=4)
+    prons = draw(st.lists(pron, min_size=1, max_size=12,
+                          unique_by=tuple if distinct else None))
+    contacts = []
+    while prons:
+        size = draw(st.integers(1, 3))
+        contacts.append(ContactEntry(f"c{len(contacts)}", prons[:size]))
+        prons = prons[size:]
+    return contacts
+
+
+class TestContactCompiler:
+    """build_contact_fst against the staged oracle, and its language,
+    determinism and minimality on its own."""
+
+    word_syms = contact_syms()
+
+    @given(contact_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_staged_oracle(self, contacts):
+        assert write_text_fst(build_contact_fst(contacts, self.word_syms)) \
+            == write_text_fst(staged_contact_fst(contacts, self.word_syms))
+
+    def test_matches_the_staged_oracle_on_desk(self, desk_build):
+        by_name = {c.name: c for c in desk_build.contacts}
+        for user, names in sorted(desk_build.users.items()):
+            contacts = [by_name[n] for n in names]
+            fst = desk_build.bindings[user].fst
+            assert write_text_fst(fst) == write_text_fst(
+                staged_contact_fst(contacts, desk_build.word_syms)), user
+
+    @given(contact_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_language_is_the_union(self, contacts):
+        fst = build_contact_fst(contacts, self.word_syms)
+        assert acceptor_language(fst) == expected_language(contacts,
+                                                           self.word_syms)
+
+    @given(contact_lists(distinct=True))
+    @settings(max_examples=80, deadline=None)
+    def test_without_homophones_deterministic_and_minimal(self, contacts):
+        fst = build_contact_fst(contacts, self.word_syms)
+        assert_input_deterministic(fst)
+        assert write_text_fst(minimize_acyclic(fst)) == write_text_fst(fst)

@@ -132,15 +132,15 @@ class TestArcOrder:
                 for arc in desk_build.root.arcs_of(q)
                 if arc.olabel == desk_build.class_id}
         checked = 0
-        for user, contacts in sorted(desk_build.contact_fsts.items()):
+        for user in sorted(desk_build.bindings):
             view = ReplaceView(desk_build.root, binding_for(desk_build, user))
-            for qp in contacts.states():
+            for qp in view.fst.states():
                 for ret in sorted(rets):
                     arcs = list(view.arcs_of(inside_id(view, qp, ret)))
                     assert arcs == sorted(
                         arcs, key=lambda a: view_arc_key(view, a))
                     checked += 1
-        assert checked > len(desk_build.contact_fsts)
+        assert checked > len(desk_build.bindings)
 
     @given(acyclic_fst(num_labels=2, acceptor=True, label_base=3))
     @settings(max_examples=60, deadline=None)
@@ -156,7 +156,7 @@ class TestArcOrder:
     def test_composed_arcs_are_in_composed_order_on_desk(self, desk_build):
         # every composed state reachable from the start, for every user
         inside = 0
-        for user in sorted(desk_build.contact_fsts):
+        for user in sorted(desk_build.bindings):
             view = ReplaceView(desk_build.root, binding_for(desk_build, user))
             reachable = compose_static_full(desk_build.t1, view).state_of
             for key in reachable:
@@ -164,7 +164,7 @@ class TestArcOrder:
                 order = [composed_arc_key(view, a) for a in exp.arcs]
                 assert order == sorted(order)
                 inside += key[1] >= view.num_root
-        assert inside > len(desk_build.contact_fsts)
+        assert inside > len(desk_build.bindings)
 
 
 @st.composite
