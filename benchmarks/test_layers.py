@@ -82,9 +82,10 @@ def test_build_contact_fst_desk(benchmark, desk):
     by_name = {c.name: c for c in build.contacts}
     lists = [[by_name[n] for n in names]
              for _, names in sorted(build.users.items())]
+    phones = set(build.lexicon.phones)
 
     def compile_all():
-        return [build_contact_fst(contacts, build.word_syms)
+        return [build_contact_fst(contacts, phones, build.word_syms)
                 for contacts in lists]
 
     fsts = benchmark(compile_all)

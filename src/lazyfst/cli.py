@@ -12,11 +12,10 @@ import sys
 from pathlib import Path
 
 from .cache import dump_public_cache, load_public_cache
-from .errors import (BuildError, ConfigurationError, InvariantError,
-                     LazyFstError)
+from .errors import ConfigurationError, InvariantError, LazyFstError
 from .harness import (METHODS, build_graphs, decode_config, graph_stats,
-                      is_string_lists, load_config, precompose_cache,
-                      run_bench, run_session, score_report, write_build)
+                      load_config, precompose_cache, run_bench, run_session,
+                      score_report, write_build)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +84,7 @@ def _config(args) -> dict:
 def _dump_cache(cache, cfg, args) -> str:
     out = args.out
     if out is None:
-        out_dir = Path(cfg.get("out_dir", "build"))
+        out_dir = Path(cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         out = str(out_dir / f"cache_{args.method}.txt")
     Path(out).write_text(dump_public_cache(cache))
@@ -112,8 +111,7 @@ def _cache_from_file(args, build):
 def cmd_build(args) -> int:
     cfg = _config(args)
     build = build_graphs(cfg)
-    out = args.out or cfg.get("out_dir", "build")
-    write_build(build, out)
+    write_build(build, args.out or cfg["out_dir"])
     print(json.dumps(graph_stats(build), indent=2))
     return 0
 
@@ -182,11 +180,8 @@ def cmd_score(args) -> int:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise LazyFstError(f"cannot read report {args.report}: {err}") from None
-    if not (isinstance(report, dict)
-            and is_string_lists(report.get("hypotheses"))):
-        raise BuildError(f"report {args.report} must be a JSON object whose "
-                         f"'hypotheses' maps utterance ids to word lists")
-    print(json.dumps(score_report(report, build), indent=2))
+    print(json.dumps(score_report(report, build, f"report {args.report}"),
+                     indent=2))
     return 0
 
 
@@ -196,6 +191,21 @@ def cmd_stats(args) -> int:
     return 0
 
 
+COMMANDS = {"build": cmd_build, "precompose": cmd_precompose,
+            "decode": cmd_decode, "bench": cmd_bench, "score": cmd_score,
+            "stats": cmd_stats}
+
+
+def _run(args) -> int:
+    """The command's exit code.  Every read maps its own errors, so an
+    OSError here is a failed write of an output path the user named:
+    `--out`, `--report` or the config's `out_dir`."""
+    try:
+        return COMMANDS[args.command](args)
+    except OSError as err:
+        raise LazyFstError(f"cannot write output: {err}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -203,26 +213,13 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 1
     try:
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "precompose":
-            return cmd_precompose(args)
-        if args.command == "decode":
-            return cmd_decode(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "score":
-            return cmd_score(args)
-        if args.command == "stats":
-            return cmd_stats(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _run(args)
     except InvariantError as err:
         print(f"lazyfst: invariant violation: {err}", file=sys.stderr)
         return 3
     except LazyFstError as err:
         print(f"lazyfst: error: {err}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -109,13 +109,9 @@ class ScoreMatrix:
     def num_frames(self) -> int:
         return int(self._m.shape[0])
 
-    @property
-    def num_labels(self) -> int:
-        return int(self._m.shape[1])
-
     def row(self, frame: int) -> list[float]:
-        """One frame's costs indexed by input label; a label at or past
-        num_labels has no entry and costs ZERO."""
+        """One frame's costs indexed by input label; a label past the
+        row's end has no entry and costs ZERO."""
         return self._m[frame].tolist()
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 from pathlib import Path
 
-SIL = "SIL"
+from .lmbuild import SIL
 
 # word -> pronunciations. The first pronunciation is the reference one
 # used when synthesizing utterance phone strings.
@@ -300,7 +300,7 @@ def desk_config() -> dict:
         "out_dir": "build/desk",
         "lexicon": "lexicon.txt",
         "corpus": "corpus.txt",
-        "classes": ["@contact"],
+        "class": "@contact",
         "contacts": "contacts.jsonl",
         "users": "users.json",
         "utterances": "utterances.jsonl",

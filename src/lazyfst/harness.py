@@ -33,29 +33,34 @@ PATH_FIELDS = ("data_dir", "lexicon", "corpus", "contacts", "users",
 
 
 def load_config(path: str | Path) -> dict:
-    """The JSON object in the UTF-8 file `path`, which must hold `classes`
-    and every field of PATH_FIELDS, the latter as strings.  A relative
-    `data_dir` is taken from the config file's directory."""
+    """The JSON object in the UTF-8 file `path`, which must hold `class`,
+    the class label, and every field of PATH_FIELDS, and may hold
+    `out_dir` (default "build"), each a string with no NUL character,
+    which no file name holds.  A relative `data_dir` is taken from the
+    config file's directory."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigurationError(f"cannot read config {path}: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config {path} is not a JSON object")
-    for key in ("classes",) + PATH_FIELDS:
+    cfg.setdefault("out_dir", "build")
+    for key in ("class", "out_dir") + PATH_FIELDS:
         if key not in cfg:
             raise ConfigurationError(f"config {path} lacks {key!r}")
-        if key in PATH_FIELDS and not isinstance(cfg[key], str):
+        if not isinstance(cfg[key], str) or "\0" in cfg[key]:
             raise ConfigurationError(f"config {path}: {key} must be a "
-                                     f"string, not {cfg[key]!r}")
+                                     f"string with no NUL, not {cfg[key]!r}")
     cfg["data_dir"] = str(Path(path).parent / cfg["data_dir"])
     return cfg
 
 
 def is_string_lists(value) -> bool:
-    """True for a JSON object that maps every key to a list of strings."""
+    """True for a dict that maps every key to a list (or, as run_bench
+    reports hypotheses, a tuple) of strings."""
     return isinstance(value, dict) and all(
-        isinstance(names, list) and all(isinstance(n, str) for n in names)
+        isinstance(names, (list, tuple))
+        and all(isinstance(n, str) for n in names)
         for names in value.values())
 
 
@@ -84,27 +89,19 @@ def build_graphs(cfg: dict) -> Build:
         except (OSError, UnicodeDecodeError) as err:
             raise BuildError(f"cannot read data file {path}: {err}") from None
 
-    class_names = cfg["classes"]
-    if not (isinstance(class_names, list)
-            and all(isinstance(name, str) for name in class_names)):
-        raise ConfigurationError(
-            f"classes must be a list of strings, not {class_names!r}")
     lexicon = parse_lexicon(read("lexicon"), str(data / cfg["lexicon"]))
-    phone_syms, word_syms = build_symbol_tables(lexicon, class_names)
-    class_ids = frozenset(word_syms.id_of(c) for c in class_names)
-    if len(class_ids) != 1:
-        raise BuildError(f"contacts bind to exactly one class label, but "
-                         f"{len(class_ids)} are declared")
-    (class_id,) = class_ids
+    phone_syms, word_syms = build_symbol_tables(lexicon, cfg["class"])
+    class_id = word_syms.id_of(cfg["class"])
     t1 = build_lexicon_fst(
         lexicon, phone_syms, word_syms,
         sil_penalty=_penalty(cfg, "sil_penalty", math.log(2.0)))
     corpus = parse_corpus(read("corpus"))
     root = insert_epsilon_before_class(train_bigram_root(
-        corpus, lexicon, class_names, word_syms,
+        corpus, lexicon, cfg["class"], word_syms,
         backoff_penalty=_penalty(cfg, "backoff_penalty", math.log(10.0))),
         class_id)
-    contacts = parse_contacts_jsonl(read("contacts"), set(lexicon.phones),
+    phones = set(lexicon.phones)
+    contacts = parse_contacts_jsonl(read("contacts"), phones,
                                     str(data / cfg["contacts"]))
     by_name = {c.name: c for c in contacts}
     users_path = data / cfg["users"]
@@ -122,7 +119,7 @@ def build_graphs(cfg: dict) -> Build:
             raise BuildError(f"user {user} references unknown contacts "
                              f"{missing}")
         bindings[user] = ClassBinding(class_id, build_contact_fst(
-            [by_name[n] for n in names], word_syms))
+            [by_name[n] for n in names], phones, word_syms))
     utterances = parse_utterances(read("utterances"),
                                   str(data / cfg["utterances"]), users)
     return Build(lexicon, phone_syms, word_syms, t1, root, class_id,
@@ -379,13 +376,19 @@ def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
     return report
 
 
-def score_report(report: dict, build: Build) -> dict:
-    """Recompute WER for a report's hypotheses against the references."""
+def score_report(report: dict, build: Build, name: str = "report") -> dict:
+    """Recompute WER for a report's hypotheses against the references.
+    The report must be a dict whose `hypotheses` maps utterance ids to
+    word lists; `name` names it in the error otherwise."""
+    if not (isinstance(report, dict)
+            and is_string_lists(report.get("hypotheses"))):
+        raise BuildError(f"{name} must be a JSON object whose 'hypotheses' "
+                         f"maps utterance ids to word lists")
     refs = {utt["id"]: utt["words"] for utt in build.utterances}
     errors = 0
     total = 0
     missing = []
-    for utt_id, hyp in report.get("hypotheses", {}).items():
+    for utt_id, hyp in report["hypotheses"].items():
         if utt_id not in refs:
             missing.append(utt_id)
             continue

@@ -7,9 +7,9 @@ contact's pronunciation is spelled as a sequence of those words closed by
 one SIL word, and homophones get auxiliary "#1", "#2", ... labels (ids
 above the shared word table, never registered in it) so every string is
 distinct.  build_contact_fst then makes one pass: the sorted strings go
-into a trie, the trie's nodes merge bottom-up into their equivalence
-classes, and one builder writes the classes with the auxiliary labels
-erased."""
+into a trie, the trie's nodes that accept the same suffixes merge
+bottom-up, and one builder writes the merged nodes with the auxiliary
+labels erased."""
 
 from __future__ import annotations
 
@@ -110,19 +110,19 @@ def parse_contacts_jsonl(text: str, phones: Collection[str],
 
 
 def build_symbol_tables(lexicon: Lexicon,
-                        class_names: list[str]) -> tuple[SymbolTable, SymbolTable]:
+                        class_name: str) -> tuple[SymbolTable, SymbolTable]:
     """Phone table from the inventory; word table holding real words,
-    monophone words (named after their phones) and class labels."""
+    monophone words (named after their phones) and, last, the class
+    label."""
     phone_syms = SymbolTable(lexicon.phones)
     word_syms = SymbolTable()
     for word in lexicon.words:
         word_syms.add(word)
     for phone in lexicon.phones:
         word_syms.add(phone)
-    for name in class_names:
-        if name in word_syms:
-            raise BuildError(f"class label {name!r} collides with a word")
-        word_syms.add(name)
+    if class_name in word_syms:
+        raise BuildError(f"class label {class_name!r} collides with a word")
+    word_syms.add(class_name)
     return phone_syms, word_syms
 
 
@@ -179,7 +179,7 @@ def build_lexicon_fst(lexicon: Lexicon, phone_syms: SymbolTable,
 
 
 def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
-                      class_names: list[str], word_syms: SymbolTable,
+                      class_name: str, word_syms: SymbolTable,
                       backoff_penalty: float = math.log(10.0)) -> Fst:
     """Backoff bigram acceptor over the corpus.
 
@@ -187,15 +187,15 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
     unigram backoff state.  Seen bigrams cost their negative log relative
     frequency; every history state has an epsilon backoff arc (fixed
     penalty) to the unigram state; sentence ends become final weights.
-    Class tokens train like ordinary words except that the unigram state
-    carries no class arcs: a non-terminal is only enterable from contexts
-    that actually license it, never through backoff.  Class arcs leave
-    their history states directly; harness.build_graphs passes the result
-    through replace.insert_epsilon_before_class.
+    The class token trains like an ordinary word except that the unigram
+    state carries no class arc: a non-terminal is only enterable from
+    contexts that actually license it, never through backoff.  Class arcs
+    leave their history states directly; harness.build_graphs passes the
+    result through replace.insert_epsilon_before_class.
     """
     if not corpus:
         raise BuildError("empty corpus")
-    allowed = set(lexicon.words) | set(class_names)
+    allowed = set(lexicon.words) | {class_name}
     unigram: dict[str, int] = {}
     bigram: dict[tuple[str, str], int] = {}
     end_count: dict[str, int] = {}
@@ -235,9 +235,8 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
                             hist[w])
     builder.add_arc(start, EPS, EPS, backoff_penalty, uni_state)
 
-    class_set = set(class_names)
     for w in vocab:
-        if w in class_set:
+        if w == class_name:
             continue
         builder.add_arc(uni_state, word_syms.id_of(w), word_syms.id_of(w),
                         -math.log(unigram[w] / total_tokens), hist[w])
@@ -256,9 +255,11 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
     return builder.freeze(start=start)
 
 
-def contact_strings(contacts: list[ContactEntry], word_syms: SymbolTable
+def contact_strings(contacts: list[ContactEntry], phones: Collection[str],
+                    word_syms: SymbolTable
                     ) -> tuple[dict[tuple[int, ...], float], frozenset[int]]:
-    """Every pronunciation of `contacts` as a string of monophone words
+    """Every pronunciation of `contacts`, each symbol one of `phones`,
+    the lexicon's inventory, as a string of monophone words
     closed by one SIL word, weighted log(k) for a contact with k
     pronunciations, with an auxiliary "#j" label inserted before SIL on
     the j-th occurrence of any duplicated pronunciation, so no two strings
@@ -279,10 +280,10 @@ def contact_strings(contacts: list[ContactEntry], word_syms: SymbolTable
         for pron in entry.prons:
             ids = []
             for phone in pron:
-                pid = word_syms.id_of(phone)
+                pid = word_syms.id_of(phone) if phone in phones else None
                 if pid is None:
-                    raise BuildError(f"contact {entry.name!r} uses {phone!r} "
-                                     "which is not a monophone word")
+                    raise BuildError(f"contact {entry.name!r} uses {phone!r}, "
+                                     "which is not an inventory phone")
                 ids.append(pid)
             key = tuple(ids)
             group_count[key] = group_count.get(key, 0) + 1
@@ -300,12 +301,12 @@ def contact_strings(contacts: list[ContactEntry], word_syms: SymbolTable
     return strings, frozenset(aux_ids)
 
 
-def build_contact_fst(contacts: list[ContactEntry],
+def build_contact_fst(contacts: list[ContactEntry], phones: Collection[str],
                       word_syms: SymbolTable) -> Fst:
-    """The minimal acceptor of contact_strings(contacts, word_syms) with
-    the auxiliary labels erased, compiled in one bottom-up pass (Revuz
-    1992, "Minimisation of acyclic deterministic automata in linear
-    time").
+    """The minimal acceptor of contact_strings(contacts, phones, word_syms)
+    with the auxiliary labels erased, compiled in one bottom-up pass
+    (Revuz 1992, "Minimisation of acyclic deterministic automata in
+    linear time").
 
     The sorted strings are laid into a trie whose nodes are numbered in
     creation order, which is preorder, and whose labels enter each node
@@ -316,7 +317,7 @@ def build_contact_fst(contacts: list[ContactEntry],
     class are never ancestor and descendant, so the lowest id is also
     the first member a DFS postorder meets: the states are numbered as
     minimizing the trie by postorder would number them."""
-    strings, aux_ids = contact_strings(contacts, word_syms)
+    strings, aux_ids = contact_strings(contacts, phones, word_syms)
     children: list[dict[int, int]] = [{}]   # node -> {label: child}
     finals: dict[int, float] = {}
     for string in sorted(strings):

@@ -75,9 +75,6 @@ class ReplaceView:
         self.root = root
         self.label = binding.label
         self.fst = binding.fst
-        self.isyms = root.isyms
-        self.osyms = root.osyms
-        self.start = root.start
         if bridges is None:
             bridges = bridge_states(root, self.label)
         self.bridges = bridges

@@ -55,6 +55,11 @@ from lazyfst.semiring import ZERO
 MAX_PATHS = 200_000
 
 
+def start_of(machine) -> int:
+    """An Fst's start state; a ReplaceView starts where its root does."""
+    return getattr(machine, "root", machine).start
+
+
 def enumerate_language(machine, start=None, max_arcs: int = 64) -> dict:
     """Weighted language {(ilabels, olabels): min weight} by path DFS.
 
@@ -64,7 +69,7 @@ def enumerate_language(machine, start=None, max_arcs: int = 64) -> dict:
     paths all fit (acyclic ones in particular).
     """
     if start is None:
-        start = machine.start
+        start = start_of(machine)
     lang: dict[tuple, float] = {}
     budget = [MAX_PATHS]
 
@@ -376,10 +381,10 @@ def compose_static_full(t1: Fst, t2, max_states: int = 1_000_000) -> StaticCompo
     CompositionSizeError when more than `max_states` composed states
     appear.
     """
-    start = (t1.start, t2.start, int(FilterState.ANY))
+    start = (t1.start, start_of(t2), int(FilterState.ANY))
     state_of: dict[tuple[int, int, int], int] = {start: 0}
     queue = [start]
-    builder = FstBuilder(t1.isyms, getattr(t2, "osyms", None))
+    builder = FstBuilder(t1.isyms, getattr(t2, "root", t2).osyms)
     builder.add_state()
     head = 0
     while head < len(queue):
@@ -615,10 +620,10 @@ def remove_disambig(fst: Fst, disambig_ids: frozenset[int],
     return builder.freeze(start=fst.start)
 
 
-def staged_contact_fst(contacts, word_syms: SymbolTable) -> Fst:
+def staged_contact_fst(contacts, phones, word_syms: SymbolTable) -> Fst:
     """The contact FST in stages: the disambiguated strings, their prefix
     tree, minimized, with the auxiliary labels erased."""
-    strings, aux_ids = contact_strings(contacts, word_syms)
+    strings, aux_ids = contact_strings(contacts, phones, word_syms)
     return remove_disambig(minimize_acyclic(prefix_tree(strings)), aux_ids,
                            word_syms)
 

@@ -121,8 +121,8 @@ class TestDataErrors:
         ("warmup_count", "x"), ("warmup_count", -5), ("seed", "x"),
         ("seed", 1.5), ("sil_penalty", "x"), ("sil_penalty", -0.5),
         ("backoff_penalty", -1), ("backoff_penalty", float("inf")),
-        ("classes", 5), ("classes", "classes.txt"), ("classes", None),
-        ("classes", ["@contact", 1]), ("classes", {"@contact": 1})])
+        ("class", 5), ("class", "call"), ("class", None),
+        ("class", ["@contact"]), ("class", {"@contact": 1})])
     def test_bad_precompose_setting_exits_2(self, field, value, tmp_path,
                                             capsys):
         write_desk_data(tmp_path)
@@ -191,7 +191,7 @@ class TestInputShapes:
         assert "unknown contacts" not in err
 
     @pytest.mark.parametrize("field", ["data_dir", "lexicon", "users"])
-    @pytest.mark.parametrize("value", [5, None, ["lexicon.txt"]])
+    @pytest.mark.parametrize("value", [5, None, ["lexicon.txt"], "a\0b"])
     def test_path_field_must_be_a_string(self, field, value, tmp_path,
                                          capsys):
         path, _ = desk_copy(tmp_path, field, value)
@@ -243,6 +243,12 @@ class TestInputShapes:
         self.run(["stats", "--config", str(path)], capsys,
                  f"{contacts}:{len(rows)}")
 
+    def test_classes_list_without_class(self, tmp_path, capsys):
+        path, cfg = desk_copy(tmp_path)
+        cfg["classes"] = [cfg.pop("class")]
+        path.write_text(json.dumps(cfg))
+        self.run(["stats", "--config", str(path)], capsys, "lacks 'class'")
+
     def test_lexicon_line_naming_eps(self, tmp_path, capsys):
         # "<eps>" is label 0 in every symbol table, never a word or phone
         path, cfg = desk_copy(tmp_path)
@@ -257,6 +263,41 @@ class TestInputShapes:
         path.write_bytes(b'{"hypotheses": {"\xff": []}}')
         self.run(["score", "--config", str(mini_config), "--report",
                   str(path)], capsys, str(path))
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 and names the path
+    or the field, never with a traceback."""
+
+    def run(self, argv, capsys, name):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert name in err
+
+    @pytest.mark.parametrize("command", ["build", "precompose"])
+    @pytest.mark.parametrize("value", [5, None, "a\0b"])
+    def test_out_dir_must_be_a_string(self, command, value, mini_config,
+                                      tmp_path, capsys):
+        cfg = json.loads(mini_config.read_text())
+        cfg["out_dir"] = value
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(cfg))
+        self.run([command, "--config", str(path)], capsys, "out_dir")
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("precompose", "--out", "nodir/x/cache.txt"),
+        ("precompose", "--out", "."),
+        ("bench", "--report", "nodir/report.json"),
+        ("build", "--out", "file.txt"),
+    ], ids=["precompose-missing-dir", "precompose-directory",
+            "bench-missing-dir", "build-file"])
+    def test_unwritable_path_exits_2(self, command, flag, target,
+                                     mini_config, tmp_path, capsys):
+        (tmp_path / "file.txt").write_text("")
+        out = str(tmp_path / target)
+        self.run([command, "--config", str(mini_config), flag, out], capsys,
+                 out)
 
 
 # JSON values of every type, for replacing a value with one of another
@@ -339,11 +380,12 @@ def sweep_inputs(tmp_path_factory, desk_build):
 class TestInputSweep:
     """One config field, users.json, one row of contacts.jsonl or of
     utterances.jsonl, one line of lexicon.txt or of corpus.txt, or the
-    report mutated one way: stats, decode, precompose and score exit 0
-    or 2, never with a traceback."""
+    report mutated one way: every command exits 0 or 2, never with a
+    traceback.  build writes to the config's out_dir, a directory of the
+    sweep's own."""
 
     PLACEHOLDER = "@mutated@"
-    COMMANDS = ["stats", "decode", "precompose", "score"]
+    COMMANDS = ["stats", "decode", "precompose", "score", "build", "bench"]
     FILES = ["users", "contacts", "utterances", "lexicon", "corpus"]
 
     @given(st.data())
@@ -351,6 +393,8 @@ class TestInputSweep:
     def test_one_mutation_exits_0_or_2(self, sweep_inputs, data):
         root, cfg, values = sweep_inputs
         command = data.draw(st.sampled_from(self.COMMANDS))
+        if command == "bench":   # a handful of utterances keeps it quick
+            values = dict(values, utterances=values["utterances"][:4])
         # a config field about half the time, else one of the files
         target = data.draw(st.one_of(st.just("config"), st.sampled_from(
             self.FILES + (["report"] if command == "score" else []))))
@@ -359,7 +403,8 @@ class TestInputSweep:
         data_dir = Path(cfg["data_dir"])
         paths = {name: data_dir / f"sweep-{cfg[name]}" for name in self.FILES}
         paths["report"] = root / "sweep-report.json"
-        cfg = dict(cfg, **{name: paths[name].name for name in self.FILES})
+        cfg = dict(cfg, out_dir=str(root / "sweep-out"),
+                   **{name: paths[name].name for name in self.FILES})
         files = {}
         for name, value in values.items():
             if name in ("contacts", "utterances", "lexicon", "corpus"):
@@ -385,11 +430,39 @@ class TestInputSweep:
         (root / "sweep.json").write_bytes(config)
         for name, path in paths.items():
             path.write_bytes(files[name])
-        argv = [command, "--config", str(root / "sweep.json")]
+        self.check(command, root / "sweep.json", paths["report"])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_config_field_retyped_exits_0_or_2(self, sweep_inputs,
+                                                    command):
+        """Each config field in turn set to the first of JSON_VALUES of
+        another type, so every command meets every field's wrong type
+        (the random draw above reaches a given field and command in about
+        one example in a thousand)."""
+        root, cfg, values = sweep_inputs
+        few = Path(cfg["data_dir"]) / "retype-utterances.jsonl"
+        few.write_text("".join(json.dumps(row) + "\n"
+                               for row in values["utterances"][:4]))
+        report = root / "retype-report.json"
+        report.write_text(json.dumps(values["report"]))
+        cfg = dict(cfg, utterances=few.name, out_dir=str(root / "retype-out"))
+        for field in sorted(cfg):
+            value = next(v for v in JSON_VALUES
+                         if type(v) is not type(cfg[field]))
+            config = root / "retype.json"
+            config.write_text(json.dumps({**cfg, field: value}))
+            self.check(command, config, report)
+
+    @staticmethod
+    def check(command: str, config: Path, report: Path) -> None:
+        """Run `command` on `config` (and `report`, for score): it exits 0
+        or 2, never with a traceback.  precompose writes next to the
+        config."""
+        argv = [command, "--config", str(config)]
         if command == "score":
-            argv += ["--report", str(paths["report"])]
+            argv += ["--report", str(report)]
         if command == "precompose":
-            argv += ["--out", str(root / "sweep-cache.txt")]
+            argv += ["--out", str(config.parent / "sweep-cache.txt")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):

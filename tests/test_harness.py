@@ -70,7 +70,8 @@ class TestBuild:
         by_name = {c.name: c for c in desk_build.contacts}
         contacts = [by_name[n] for n in desk_build.users["u03"]]
         assert write_text_fst(binding.fst) == write_text_fst(
-            build_contact_fst(contacts, desk_build.word_syms))
+            build_contact_fst(contacts, desk_build.lexicon.phones,
+                              desk_build.word_syms))
 
     def test_scores_reject_unknown_phones(self, desk_build, desk_cfg):
         utt = {"id": "x", "phones": ["NOT_A_PHONE"], "seed": 1}
@@ -267,6 +268,15 @@ class TestBench:
         assert rescored["errors"] == report["totals"]["errors"]
         assert rescored["ref_words"] == report["totals"]["ref_words"]
         assert rescored["unknown_utterances"] == []
+
+    @pytest.mark.parametrize("bad", [
+        [], {}, {"hypotheses": []}, {"hypotheses": {"u05-s1-t1": "call"}},
+        {"hypotheses": {"u05-s1-t1": ["call", 5]}},
+    ], ids=["list", "no-hypotheses", "hypotheses-list", "string-hypothesis",
+            "int-word"])
+    def test_score_report_rejects_a_bad_report(self, desk_build, bad):
+        with pytest.raises(BuildError, match="'hypotheses'"):
+            score_report(bad, desk_build)
 
     def test_score_report_flags_unknown_ids(self, desk_build, report):
         doctored = copy.deepcopy(report)

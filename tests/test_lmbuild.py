@@ -21,7 +21,7 @@ from lazyfst.replace import insert_epsilon_before_class
 @pytest.fixture
 def tiny():
     lexicon = parse_lexicon("ab\tA B\nto\tT O\nto\tT A\ncall\tK O L\n")
-    phone_syms, word_syms = build_symbol_tables(lexicon, ["@contact"])
+    phone_syms, word_syms = build_symbol_tables(lexicon, "@contact")
     return lexicon, phone_syms, word_syms
 
 
@@ -93,7 +93,7 @@ class TestSymbolTables:
         lexicon, phone_syms, word_syms = tiny
         assert phone_syms.sym_of(0) == "<eps>" or phone_syms.sym_of(0)
         # words first (insertion order), then monophone words, then the
-        # class labels
+        # class label
         names = [word_syms.sym_of(i) for i in range(1, len(word_syms))]
         n_words = len(lexicon.words)
         assert names[:n_words] == ["ab", "to", "call"]
@@ -103,9 +103,9 @@ class TestSymbolTables:
     def test_class_label_collision(self, tiny):
         lexicon = tiny[0]
         with pytest.raises(BuildError):
-            build_symbol_tables(lexicon, ["ab"])
+            build_symbol_tables(lexicon, "ab")
         with pytest.raises(BuildError):
-            build_symbol_tables(lexicon, ["SIL"])
+            build_symbol_tables(lexicon, "SIL")
 
 
 class TestLexiconFst:
@@ -208,7 +208,7 @@ class TestBigramRoot:
         lexicon, phone_syms, word_syms = tiny
         corpus = [["ab", "to"], ["ab", "to"], ["ab", "call"]]
         penalty = math.log(10.0)
-        root = train_bigram_root(corpus, lexicon, [], word_syms,
+        root = train_bigram_root(corpus, lexicon, "@contact", word_syms,
                                  backoff_penalty=penalty)
         # states: 0 start, 1 unigram, then one history per vocab word in
         # word-id order (ab, to, call)
@@ -239,20 +239,20 @@ class TestBigramRoot:
     def test_unknown_token_rejected(self, tiny):
         lexicon, _, word_syms = tiny
         with pytest.raises(BuildError):
-            train_bigram_root([["ab", "nope"]], lexicon, [], word_syms)
+            train_bigram_root([["ab", "nope"]], lexicon, "@contact", word_syms)
 
     def test_empty_corpus_rejected(self, tiny):
         lexicon, _, word_syms = tiny
         with pytest.raises(BuildError):
-            train_bigram_root([], lexicon, [], word_syms)
+            train_bigram_root([], lexicon, "@contact", word_syms)
         with pytest.raises(BuildError):
-            train_bigram_root([[]], lexicon, [], word_syms)
+            train_bigram_root([[]], lexicon, "@contact", word_syms)
 
     def test_class_tokens_train_like_words(self, tiny):
         lexicon, _, word_syms = tiny
         corpus = [["call", "@contact"]]
         cls = word_syms.id_of("@contact")
-        raw = train_bigram_root(corpus, lexicon, ["@contact"], word_syms)
+        raw = train_bigram_root(corpus, lexicon, "@contact", word_syms)
         root = insert_epsilon_before_class(raw, cls)
         assert root.num_states > raw.num_states
         # transformed: class arcs leave only single-arc bridge states
@@ -265,7 +265,7 @@ class TestBigramRoot:
     def test_class_transform_preserves_best_path(self, tiny):
         lexicon, _, word_syms = tiny
         corpus = [["call", "@contact"], ["ab", "to"]]
-        raw = train_bigram_root(corpus, lexicon, ["@contact"], word_syms)
+        raw = train_bigram_root(corpus, lexicon, "@contact", word_syms)
         cooked = insert_epsilon_before_class(raw,
                                              word_syms.id_of("@contact"))
         assert cooked.num_states > raw.num_states
@@ -334,10 +334,12 @@ class TestDeterminizeMinimize:
             minimize_acyclic(b.freeze())
 
 
+CONTACT_PHONES = ["AA", "B", "K", "L", "N", "O", "SIL"]
+
+
 def contact_syms():
-    extra = Lexicon({"call": [["K", "O", "L"]]},
-                    phones=["AA", "B", "K", "L", "N", "O", "SIL"])
-    return build_symbol_tables(extra, ["@contact"])[1]
+    extra = Lexicon({"call": [["K", "O", "L"]]}, phones=CONTACT_PHONES)
+    return build_symbol_tables(extra, "@contact")[1]
 
 
 def expected_language(contacts, word_syms):
@@ -358,7 +360,8 @@ class TestContactPipeline:
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]]),
                     ContactEntry("bo", [["B", "O"], ["B", "AA"]])]
-        strings, disambig = contact_strings(contacts, word_syms)
+        strings, disambig = contact_strings(contacts, CONTACT_PHONES,
+                                            word_syms)
         # "#1" and "#2": the two ids just above the word table, one per
         # occurrence of the duplicated pronunciation
         aa, n, b, o, sil = (word_syms.id_of(p)
@@ -371,7 +374,7 @@ class TestContactPipeline:
                            (b, aa, sil): math.log(2.0)}
         # their prefix tree is deterministic; the compiler erases them
         assert_input_deterministic(prefix_tree(strings))
-        fst = build_contact_fst(contacts, word_syms)
+        fst = build_contact_fst(contacts, CONTACT_PHONES, word_syms)
         assert not {label for q in fst.states() for a in fst.arcs_of(q)
                     for label in (a.ilabel, a.olabel)} & disambig
 
@@ -382,17 +385,26 @@ class TestContactPipeline:
                     ContactEntry("anna", [["AA", "N"]]),
                     ContactEntry("nana", [["AA", "N"]]),
                     ContactEntry("bo", [["B", "O"], ["B", "AA"]])]
-        build_contact_fst(contacts, word_syms)
-        build_contact_fst(contacts[1:], word_syms)
+        build_contact_fst(contacts, CONTACT_PHONES, word_syms)
+        build_contact_fst(contacts[1:], CONTACT_PHONES, word_syms)
         assert len(word_syms) == size
         assert [word_syms.id_of(sym) for sym in before] == list(range(size))
 
     def test_unknown_phone_and_empty_list(self):
         word_syms = contact_syms()
         with pytest.raises(BuildError):
-            contact_strings([ContactEntry("x", [["ZZ"]])], word_syms)
+            contact_strings([ContactEntry("x", [["ZZ"]])], CONTACT_PHONES,
+                            word_syms)
         with pytest.raises(BuildError):
-            contact_strings([], word_syms)
+            contact_strings([], CONTACT_PHONES, word_syms)
+
+    @pytest.mark.parametrize("symbol", ["call", "@contact", "<eps>"])
+    def test_only_inventory_phones_spell_a_contact(self, symbol, desk_build):
+        # a lexicon word, the class label and epsilon all have word ids,
+        # but a contact is spelled in monophone words only
+        with pytest.raises(BuildError, match="not an inventory phone"):
+            build_contact_fst([ContactEntry("x", [[symbol]])],
+                              desk_build.lexicon.phones, desk_build.word_syms)
 
     def test_remove_disambig_collapses_exact_duplicates(self):
         b = FstBuilder()
@@ -409,7 +421,7 @@ class TestContactPipeline:
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]]),
                     ContactEntry("nana", [["AA", "N"]])]
-        fst = build_contact_fst(contacts, word_syms)
+        fst = build_contact_fst(contacts, CONTACT_PHONES, word_syms)
         (aa,) = fst.arcs_of(fst.start)
         (n,) = fst.arcs_of(aa.nextstate)
         assert [a.ilabel for a in fst.arcs_of(n.nextstate)] == [EPS]
@@ -420,7 +432,7 @@ class TestContactPipeline:
                     ContactEntry("anna", [["AA", "N", "AA"]]),
                     ContactEntry("bo", [["B", "O"], ["B", "AA"]]),
                     ContactEntry("nab", [["N", "AA", "B"]])]
-        fst = build_contact_fst(contacts, word_syms)
+        fst = build_contact_fst(contacts, CONTACT_PHONES, word_syms)
         assert acceptor_language(fst) == expected_language(contacts,
                                                            word_syms)
 
@@ -431,7 +443,8 @@ class TestContactPipeline:
         word_syms = contact_syms()
         contacts = [ContactEntry("ana", [["AA", "N"]]),
                     ContactEntry("anna", [["AA", "N"]])]
-        strings, disambig = contact_strings(contacts, word_syms)
+        strings, disambig = contact_strings(contacts, CONTACT_PHONES,
+                                            word_syms)
         tree = prefix_tree(strings)
         mini = minimize_acyclic(tree)
         for stage in (tree, mini):
@@ -440,16 +453,17 @@ class TestContactPipeline:
         final = remove_disambig(mini, disambig, word_syms)
         assert final.isyms is word_syms and final.osyms is word_syms
         assert "SIL" in write_text_fst(final)
-        assert write_text_fst(build_contact_fst(contacts, word_syms)) == \
-            write_text_fst(final)
+        assert write_text_fst(build_contact_fst(
+            contacts, CONTACT_PHONES, word_syms)) == write_text_fst(final)
 
     def test_pipeline_collapses_shared_suffixes(self):
         word_syms = contact_syms()
         contacts = [ContactEntry("an", [["AA", "N"]]),
                     ContactEntry("ban", [["B", "AA", "N"]]),
                     ContactEntry("kan", [["K", "AA", "N"]])]
-        fst = build_contact_fst(contacts, word_syms)
-        tree = prefix_tree(contact_strings(contacts, word_syms)[0])
+        fst = build_contact_fst(contacts, CONTACT_PHONES, word_syms)
+        tree = prefix_tree(
+            contact_strings(contacts, CONTACT_PHONES, word_syms)[0])
         assert fst.num_states < tree.num_states
         assert acceptor_language(fst) == expected_language(contacts,
                                                            word_syms)
@@ -483,8 +497,9 @@ class TestContactCompiler:
     @given(contact_lists())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_staged_oracle(self, contacts):
-        assert write_text_fst(build_contact_fst(contacts, self.word_syms)) \
-            == write_text_fst(staged_contact_fst(contacts, self.word_syms))
+        args = (contacts, CONTACT_PHONES, self.word_syms)
+        assert write_text_fst(build_contact_fst(*args)) \
+            == write_text_fst(staged_contact_fst(*args))
 
     def test_matches_the_staged_oracle_on_desk(self, desk_build):
         by_name = {c.name: c for c in desk_build.contacts}
@@ -492,18 +507,19 @@ class TestContactCompiler:
             contacts = [by_name[n] for n in names]
             fst = desk_build.bindings[user].fst
             assert write_text_fst(fst) == write_text_fst(
-                staged_contact_fst(contacts, desk_build.word_syms)), user
+                staged_contact_fst(contacts, desk_build.lexicon.phones,
+                                   desk_build.word_syms)), user
 
     @given(contact_lists())
     @settings(max_examples=80, deadline=None)
     def test_language_is_the_union(self, contacts):
-        fst = build_contact_fst(contacts, self.word_syms)
+        fst = build_contact_fst(contacts, CONTACT_PHONES, self.word_syms)
         assert acceptor_language(fst) == expected_language(contacts,
                                                            self.word_syms)
 
     @given(contact_lists(distinct=True))
     @settings(max_examples=80, deadline=None)
     def test_without_homophones_deterministic_and_minimal(self, contacts):
-        fst = build_contact_fst(contacts, self.word_syms)
+        fst = build_contact_fst(contacts, CONTACT_PHONES, self.word_syms)
         assert_input_deterministic(fst)
         assert write_text_fst(minimize_acyclic(fst)) == write_text_fst(fst)
