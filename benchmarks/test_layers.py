@@ -21,7 +21,7 @@ from lazyfst.cache import Session, expand
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.harness import binding_for, precompose_cache
 from lazyfst.lmbuild import build_contact_fst
-from lazyfst.replace import ReplaceView
+from lazyfst.replace import ReplaceView, bridge_states
 
 USER = "u01"
 
@@ -29,7 +29,8 @@ USER = "u01"
 @pytest.fixture(scope="module")
 def view(desk):
     _, build = desk
-    return ReplaceView(build.root, binding_for(build, USER))
+    return ReplaceView(build.root, binding_for(build, USER),
+                       bridge_states(build.root, build.class_id))
 
 
 def backoff_state(root) -> int:

@@ -81,6 +81,14 @@ def _config(args) -> dict:
     return cfg
 
 
+def _check_output(path: str | None) -> None:
+    """LazyFstError unless `path`, when given, names a file in an existing
+    directory; checked before the work, leaving the file untouched."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise LazyFstError(f"cannot write output {path}: it is a directory "
+                           f"or its directory does not exist")
+
+
 def _dump_cache(cache, cfg, args) -> str:
     out = args.out
     if out is None:
@@ -118,6 +126,7 @@ def cmd_build(args) -> int:
 
 def cmd_precompose(args) -> int:
     cfg = _config(args)
+    _check_output(args.out)
     build = build_graphs(cfg)
     cache, stats = precompose_cache(build, cfg, args.method)
     stats["dump"] = _dump_cache(cache, cfg, args)
@@ -158,6 +167,7 @@ def cmd_decode(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config(args)
+    _check_output(args.report)
     build = build_graphs(cfg)
     cache = _cache_from_file(args, build)
     method = "loaded" if cache is not None else args.method or "none"

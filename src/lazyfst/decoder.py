@@ -41,32 +41,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from numbers import Integral, Real
 from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cache import DEAD_END, Session, expand
-from .errors import CompositionSizeError, ConfigurationError
+from .errors import (CompositionSizeError, ConfigurationError, is_real,
+                     require_int, require_real)
 from .fst import EPS
 from .metrics import Metrics
 from .semiring import ZERO
 
-
-def is_real(value) -> bool:
-    """A real number, numpy's included; a bool is not one."""
-    return not isinstance(value, bool) and isinstance(value, Real)
-
-
-def require_int(name: str, value, least: Optional[int] = None) -> None:
-    """ConfigurationError unless `value` is an integer, numpy's included,
-    and at least `least` when one is given; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, Integral) \
-            or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigurationError(
-            f"{name} must be an integer{bound}, not {value!r}")
+FRAME_SECONDS = 0.01  # default frame length of ScoreMatrix and simulate_scores
 
 
 @dataclass
@@ -92,7 +79,8 @@ class ScoreMatrix:
     The costs are copied, so the caller's array is never written.  A cost
     may be any float but NaN or -inf."""
 
-    def __init__(self, costs: np.ndarray, frame_seconds: float = 0.01):
+    def __init__(self, costs: np.ndarray,
+                 frame_seconds: float = FRAME_SECONDS):
         self._m = np.array(costs, dtype=np.float64)
         if self._m.ndim != 2:
             raise ConfigurationError("score matrix must be frames x labels")
@@ -116,32 +104,28 @@ class ScoreMatrix:
 
 
 def simulate_scores(ref_labels: Sequence[int], num_labels: int, *,
-                    frames_per_label: int = 3, margin: float = 4.0,
+                    frames_per_phone: int = 3, margin: float = 4.0,
                     noise: float = 0.0, seed: int = 0,
-                    frame_seconds: float = 0.01) -> ScoreMatrix:
+                    frame_seconds: float = FRAME_SECONDS) -> ScoreMatrix:
     """Fabricate acoustic costs for a reference label sequence.
 
-    Each reference label occupies `frames_per_label` frames.  On its
-    frames the correct label costs noise*u and every other label costs
-    margin + noise*u with u ~ U[0,1) from a seeded generator, so at zero
-    noise the per-frame argmin is exactly the reference.  A
-    frames_per_label that is not an integer >= 1, a margin that is not a
+    Each reference label, a phone, occupies `frames_per_phone` frames.
+    On its frames the correct label costs noise*u and every other label
+    costs margin + noise*u with u ~ U[0,1) from a seeded generator, so at
+    zero noise the per-frame argmin is exactly the reference.  A
+    frames_per_phone that is not an integer >= 1, a margin that is not a
     finite number or a noise that is not a finite number >= 0 is a
     ConfigurationError.
     """
-    require_int("frames_per_label", frames_per_label, 1)
-    if not (is_real(margin) and -np.inf < margin < np.inf):
-        raise ConfigurationError(
-            f"margin must be a finite number, not {margin!r}")
-    if not (is_real(noise) and 0 <= noise < np.inf):
-        raise ConfigurationError(
-            f"noise must be a finite number >= 0, not {noise!r}")
+    require_int("frames_per_phone", frames_per_phone, 1)
+    require_real("margin", margin)
+    require_real("noise", noise, 0)
     rng = np.random.default_rng(seed)
-    frames = len(ref_labels) * frames_per_label
+    frames = len(ref_labels) * frames_per_phone
     u = rng.random((frames, num_labels))
     m = margin + noise * u
     for i, label in enumerate(ref_labels):
-        for t in range(i * frames_per_label, (i + 1) * frames_per_label):
+        for t in range(i * frames_per_phone, (i + 1) * frames_per_phone):
             m[t, label] = noise * u[t, label]
     return ScoreMatrix(m, frame_seconds=frame_seconds)
 

@@ -232,19 +232,16 @@ def user_contacts() -> dict[str, list[str]]:
     return assignment
 
 
-def _contact_words(name: str) -> list[str]:
-    return list(CONTACTS[name][0]) + [SIL]
-
-
 def _expand_turn(template: str, a: str, b: str) -> tuple[list[str], list[str]]:
     """Return (reference words, reference phones) for one turn."""
     words: list[str] = []
     phones: list[str] = []
     for token in template.split():
         if token == "{A}" or token == "{B}":
-            name = a if token == "{A}" else b
-            words.extend(_contact_words(name))
-            phones.extend(CONTACTS[name][0] + [SIL])
+            # a contact's words are its phones' monophone words
+            spelled = CONTACTS[a if token == "{A}" else b][0] + [SIL]
+            words.extend(spelled)
+            phones.extend(spelled)
         else:
             words.append(token)
             phones.extend(LEXICON[token][0])
@@ -333,10 +330,8 @@ def write_desk_data(root: str | Path) -> dict:
     (data_dir / "contacts.jsonl").write_text(contacts_jsonl())
     users = user_contacts()
     (data_dir / "users.json").write_text(json.dumps(users, indent=2) + "\n")
-    utts = desk_utterances(users)
-    with open(data_dir / "utterances.jsonl", "w") as fh:
-        for utt in utts:
-            fh.write(json.dumps(utt) + "\n")
+    (data_dir / "utterances.jsonl").write_text(
+        "".join(json.dumps(utt) + "\n" for utt in desk_utterances(users)))
     cfg = desk_config()
     (root / "desk.json").write_text(json.dumps(cfg, indent=2) + "\n")
     return dict(cfg, data_dir=str(data_dir))

@@ -189,10 +189,6 @@ class FstBuilder:
                    self.isyms, self.osyms)
 
 
-def _fmt_weight(w: float) -> str:
-    return repr(w)
-
-
 def write_text_fst(fst: Fst) -> str:
     """Serialize in the text format, start state's block first.
 
@@ -209,9 +205,9 @@ def write_text_fst(fst: Fst) -> str:
     def emit(state: int) -> None:
         for arc in fst.arcs_of(state):
             lines.append(f"{state} {arc.nextstate} {sym(arc.ilabel, fst.isyms)} "
-                         f"{sym(arc.olabel, fst.osyms)} {_fmt_weight(arc.weight)}")
+                         f"{sym(arc.olabel, fst.osyms)} {arc.weight!r}")
         if state in fst.finals:
-            lines.append(f"{state} {_fmt_weight(fst.finals[state])}")
+            lines.append(f"{state} {fst.finals[state]!r}")
 
     emit(fst.start)
     for state in fst.states():

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import PublicCache, Session, end_session, seal_public
-from .decoder import (DecodeConfig, decode, is_real, require_int, rtf,
-                      simulate_scores)
-from .errors import BuildError, ConfigurationError
+from .decoder import DecodeConfig, decode, rtf, simulate_scores
+from .errors import BuildError, ConfigurationError, require_int
 from .fst import Fst, SymbolTable, write_symbols, write_text_fst
 from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                       build_lexicon_fst, build_symbol_tables,
@@ -92,14 +91,12 @@ def build_graphs(cfg: dict) -> Build:
     lexicon = parse_lexicon(read("lexicon"), str(data / cfg["lexicon"]))
     phone_syms, word_syms = build_symbol_tables(lexicon, cfg["class"])
     class_id = word_syms.id_of(cfg["class"])
-    t1 = build_lexicon_fst(
-        lexicon, phone_syms, word_syms,
-        sil_penalty=_penalty(cfg, "sil_penalty", math.log(2.0)))
+    t1 = build_lexicon_fst(lexicon, phone_syms, word_syms,
+                           **_settings(cfg, ("sil_penalty",)))
     corpus = parse_corpus(read("corpus"))
     root = insert_epsilon_before_class(train_bigram_root(
         corpus, lexicon, cfg["class"], word_syms,
-        backoff_penalty=_penalty(cfg, "backoff_penalty", math.log(10.0))),
-        class_id)
+        **_settings(cfg, ("backoff_penalty",))), class_id)
     phones = set(lexicon.phones)
     contacts = parse_contacts_jsonl(read("contacts"), phones,
                                     str(data / cfg["contacts"]))
@@ -114,6 +111,9 @@ def build_graphs(cfg: dict) -> Build:
                          f"user to a list of contact names")
     bindings: dict[str, ClassBinding] = {}
     for user, names in users.items():
+        if user in ("", ".", "..") or "/" in user or "\0" in user:
+            raise BuildError(f"{users_path}: user id {user!r} cannot be "
+                             f"a file name")
         missing = [n for n in names if n not in by_name]
         if missing:
             raise BuildError(f"user {user} references unknown contacts "
@@ -124,15 +124,6 @@ def build_graphs(cfg: dict) -> Build:
                                   str(data / cfg["utterances"]), users)
     return Build(lexicon, phone_syms, word_syms, t1, root, class_id,
                  contacts, users, bindings, utterances)
-
-
-def _penalty(cfg: dict, name: str, default: float) -> float:
-    """cfg[name], or `default` when absent: a finite number >= 0."""
-    value = cfg.get(name, default)
-    if not (is_real(value) and 0 <= value < math.inf):
-        raise ConfigurationError(
-            f"{name} must be a finite number >= 0, not {value!r}")
-    return value
 
 
 UTTERANCE_FIELDS = (("id", str), ("user", str), ("words", list),
@@ -192,20 +183,17 @@ def binding_for(build: Build, user: str) -> ClassBinding:
 
 def scores_for(build: Build, cfg: dict, utt: dict):
     """The utterance's simulated scores: simulate_scores with the score
-    settings cfg holds (`frames_per_phone` is its `frames_per_label`) and
-    its own default for the rest, so a config without `noise` is
-    noise-free."""
+    settings cfg holds and its own default for the rest, so a config
+    without `noise` is noise-free."""
     ref = [build.phone_syms.id_of(p) for p in utt["phones"]]
     if any(p is None for p in ref):
         raise BuildError(f"utterance {utt['id']} uses unknown phones")
     cfg_seed = cfg.get("seed", 0)
     require_int("seed", cfg_seed)
     seed = (utt["seed"] * 1000003 + cfg_seed) & 0x7FFFFFFF
-    settings = _settings(cfg, ("margin", "noise", "frame_seconds"))
-    if "frames_per_phone" in cfg:
-        require_int("frames_per_phone", cfg["frames_per_phone"], 1)
-        settings["frames_per_label"] = cfg["frames_per_phone"]
-    return simulate_scores(ref, len(build.phone_syms), seed=seed, **settings)
+    return simulate_scores(ref, len(build.phone_syms), seed=seed,
+                           **_settings(cfg, ("frames_per_phone", "margin",
+                                             "noise", "frame_seconds")))
 
 
 def _settings(cfg: dict, names: tuple[str, ...]) -> dict:
@@ -224,18 +212,16 @@ def precompose_cache(build: Build, cfg: dict,
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; "
                                  f"expected one of {METHODS}")
-    pre_cfg = PrecomposeConfig(**_settings(cfg, ("bfs_depth",
-                                                 "state_budget")))
+    pre_cfg = PrecomposeConfig(**_settings(
+        cfg, ("bfs_depth", "state_budget", "warmup_count")))
     cache = PublicCache(build.t1, build.root, build.class_id)
     stats = {"method": method, "bfs_depth": pre_cfg.bfs_depth}
     if method in ("bfs", "both"):
         bfs_precompose(cache, pre_cfg)
         stats["after_bfs"] = cache.num_expanded
     if method in ("warmup", "both"):
-        count = cfg.get("warmup_count", 60)
-        require_int("warmup_count", count, 0)
         score_list = [scores_for(build, cfg, utt)
-                      for utt in build.utterances[:count]]
+                      for utt in build.utterances[:pre_cfg.warmup_count]]
         warmup_precompose(cache, pre_cfg, score_list, decode_config(cfg))
         stats["after_warmup"] = cache.num_expanded
     seal_public(cache)

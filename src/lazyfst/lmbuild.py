@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection
 
-from .errors import BuildError, ParseError
+from .errors import BuildError, ParseError, require_real
 from .fst import EPS, EPS_SYMBOL, Fst, FstBuilder, SymbolTable
 
 SIL = "SIL"
@@ -134,7 +134,7 @@ def build_lexicon_fst(lexicon: Lexicon, phone_syms: SymbolTable,
     One loop state; each word contributes a phone chain emitting the word
     on its first arc with weight -log(1/k) for k pronunciations.  Every
     inventory phone also maps to itself as a monophone word, and SIL can
-    be consumed silently between words for `sil_penalty`.
+    be consumed silently between words for `sil_penalty`, finite and >= 0.
 
     Each phone occurrence owns one state carrying a phone:eps self-loop,
     so a phone may span any number of consecutive acoustic frames; the
@@ -143,6 +143,7 @@ def build_lexicon_fst(lexicon: Lexicon, phone_syms: SymbolTable,
     The result is composition's left operand, so its OLabelIndex is built
     here, with the graph, rather than on the first expansion.
     """
+    require_real("sil_penalty", sil_penalty, 0)
     builder = FstBuilder(phone_syms, word_syms)
     loop = builder.add_state()
     builder.set_final(loop, 0.0)
@@ -185,14 +186,16 @@ def train_bigram_root(corpus: list[list[str]], lexicon: Lexicon,
 
     One history state per seen word plus a sentence-start history and a
     unigram backoff state.  Seen bigrams cost their negative log relative
-    frequency; every history state has an epsilon backoff arc (fixed
-    penalty) to the unigram state; sentence ends become final weights.
+    frequency; every history state has an epsilon backoff arc (cost
+    `backoff_penalty`, finite and >= 0) to the unigram state; sentence
+    ends become final weights.
     The class token trains like an ordinary word except that the unigram
     state carries no class arc: a non-terminal is only enterable from
     contexts that actually license it, never through backoff.  Class arcs
     leave their history states directly; harness.build_graphs passes the
     result through replace.insert_epsilon_before_class.
     """
+    require_real("backoff_penalty", backoff_penalty, 0)
     if not corpus:
         raise BuildError("empty corpus")
     allowed = set(lexicon.words) | {class_name}

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cache import PublicCache, Session, seal_public
-from .decoder import DecodeConfig, ScoreMatrix, decode, require_int
-from .errors import ConfigurationError, InvariantError, LazyFstError
+from .decoder import DecodeConfig, ScoreMatrix, decode
+from .errors import (ConfigurationError, InvariantError, LazyFstError,
+                     require_int)
 from .replace import empty_binding
 
 logger = logging.getLogger(__name__)
@@ -33,9 +34,10 @@ __all__ = ["PrecomposeConfig", "bfs_precompose", "warmup_precompose"]
 class PrecomposeConfig:
     bfs_depth: int = 5
     state_budget: int = 200_000
+    warmup_count: int = 60   # utterances harness.precompose_cache warms on
 
     def __post_init__(self):
-        for name in ("bfs_depth", "state_budget"):
+        for name in ("bfs_depth", "state_budget", "warmup_count"):
             require_int(name, getattr(self, name), 0)
 
 

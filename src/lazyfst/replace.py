@@ -65,18 +65,14 @@ def bridge_states(root: Fst, label: int) -> frozenset[int]:
 
 
 class ReplaceView:
-    """Fst-like lazy view of the root with the class label substituted.
-
-    `bridges`, when given, is bridge_states(root, binding.label), already
-    computed; otherwise the view computes it."""
+    """Fst-like lazy view of the root with the class label substituted;
+    `bridges` is bridge_states(root, binding.label)."""
 
     def __init__(self, root: Fst, binding: ClassBinding,
-                 bridges: Optional[frozenset[int]] = None):
+                 bridges: frozenset[int]):
         self.root = root
         self.label = binding.label
         self.fst = binding.fst
-        if bridges is None:
-            bridges = bridge_states(root, self.label)
         self.bridges = bridges
         self.num_root = root.num_states
 

@@ -15,7 +15,8 @@ evidence rather than tautology.  It holds:
 * is_precomposable, the shareable rule re-derived by scanning a root
   state's arcs for the class label, independent of
   PublicCache.shareable and its bridge set;
-* inside_id, the replace view's id of a state inside the bound FST;
+* replace_view, a ReplaceView over its own bridge_states, and inside_id,
+  the view's id of a state inside the bound FST;
 * expansions, a cache layer's expansions as comparable values;
 * lookup, the one-state form of the rule decoder._eps_closure applies
   to read the two cache layers, counting the hit it finds;
@@ -50,6 +51,7 @@ from lazyfst.compose import FilterState
 from lazyfst.errors import BuildError, CompositionSizeError
 from lazyfst.fst import EPS, Arc, Fst, FstBuilder, SymbolTable
 from lazyfst.lmbuild import contact_strings
+from lazyfst.replace import ClassBinding, ReplaceView, bridge_states
 from lazyfst.semiring import ZERO
 
 MAX_PATHS = 200_000
@@ -448,6 +450,12 @@ def is_precomposable(key: tuple[int, int, int], root: Fst, label: int) -> bool:
     if q2 >= root.num_states:
         return False
     return all(arc.olabel != label for arc in root.arcs_of(q2))
+
+
+def replace_view(root: Fst, binding: ClassBinding) -> ReplaceView:
+    """The view of `root` under `binding`, with the bridges it takes
+    computed here, as a public cache computes them for its sessions."""
+    return ReplaceView(root, binding, bridge_states(root, binding.label))
 
 
 def inside_id(view, qp: int, ret: int) -> int:

@@ -14,7 +14,7 @@ import pytest
 
 import criteria
 from oracles import (acceptor_language, compose_static, is_precomposable,
-                     materialize, oracle_decode, shortest_path)
+                     materialize, oracle_decode, replace_view, shortest_path)
 from test_cache import build_machine
 
 from lazyfst.cache import PublicCache, Session, seal_public
@@ -24,8 +24,7 @@ from lazyfst.fst import write_text_fst
 from lazyfst.harness import (binding_for, decode_config, levenshtein,
                              precompose_cache, run_bench, scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import (ClassBinding, ReplaceView,
-                             insert_epsilon_before_class)
+from lazyfst.replace import ClassBinding, insert_epsilon_before_class
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +107,7 @@ def test_lazy_composition_matches_static_composition():
         started = time.perf_counter()
         for _ in range(200):
             t1, root, binding = _random_triple(rng)
-            static = compose_static(t1, ReplaceView(root, binding))
+            static = compose_static(t1, replace_view(root, binding))
             cache = seal_public(PublicCache(t1, root, binding.label))
             lazy = materialize(Session(cache, binding))
             assert write_text_fst(lazy) == write_text_fst(static)
@@ -164,9 +163,9 @@ def test_epsilon_insertion_unlocks_start_state(desk_build, desk_cfg):
 
         binding = binding_for(desk_build, "u01")
         raw_best = shortest_path(
-            compose_static(desk_build.t1, ReplaceView(raw, binding)))
+            compose_static(desk_build.t1, replace_view(raw, binding)))
         new_best = shortest_path(
-            compose_static(desk_build.t1, ReplaceView(transformed, binding)))
+            compose_static(desk_build.t1, replace_view(transformed, binding)))
         assert raw_best is not None
         assert new_best.weight == raw_best.weight
 
@@ -336,8 +335,8 @@ def test_unpruned_decode_matches_exhaustive_search(desk_build, desk_cfg):
         for user in desk_build.users:
             binding = binding_for(desk_build, user)
             statics[user] = compose_static(desk_build.t1,
-                                           ReplaceView(desk_build.root,
-                                                       binding))
+                                           replace_view(desk_build.root,
+                                                        binding))
             sessions[user] = _dynamic_session(desk_build, user)
 
         wide = DecodeConfig(beam=1e9, max_active=10 ** 9,

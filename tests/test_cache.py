@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (compose_static, expansions, inside_id,
-                     is_precomposable, materialize)
+                     is_precomposable, materialize, replace_view)
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
                            PublicCache, Session, dump_public_cache,
@@ -20,7 +20,7 @@ from lazyfst.decoder import DecodeConfig, _eps_closure, decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ClassBinding, ReplaceView, empty_binding
+from lazyfst.replace import ClassBinding, empty_binding
 from lazyfst.semiring import ZERO
 
 CLS = 9
@@ -102,7 +102,7 @@ class TestIsPrecomposable:
 
     def test_inside_state_never(self):
         _, root, binding = fixed_scenario()
-        view = ReplaceView(root, binding)
+        view = replace_view(root, binding)
         inside = inside_id(view, 0, 2)
         assert not self.shareable((0, inside, FilterState.ANY))
 
@@ -260,7 +260,7 @@ class TestIdSpace:
 
 class TestMaterializeMatchesStatic:
     def check(self, t1, root, binding, depth):
-        static = compose_static(t1, ReplaceView(root, binding))
+        static = compose_static(t1, replace_view(root, binding))
         cache = sealed_cache(t1, root, depth=depth)
         session = Session(cache, binding)
         assert write_text_fst(materialize(session)) == write_text_fst(static)
@@ -311,7 +311,7 @@ class TestDumpLoad:
         assert expansions(loaded) == expansions(cache)
         assert dump_public_cache(loaded) == text
         # a loaded cache serves sessions identically
-        static = write_text_fst(compose_static(t1, ReplaceView(root, binding)))
+        static = write_text_fst(compose_static(t1, replace_view(root, binding)))
         assert write_text_fst(materialize(Session(loaded, binding))) == static
 
     def test_roundtrip_shallow_and_deep(self):

@@ -209,6 +209,21 @@ class TestInputShapes:
         data_file.write_bytes(data_file.read_bytes() + b"\xfe\xff\n")
         self.run(["stats", "--config", str(path)], capsys, str(data_file))
 
+    @pytest.mark.parametrize("user", ["", ".", "..", "../../escaped", "a\0b"],
+                             ids=["empty", "dot", "dotdot", "slash", "nul"])
+    def test_user_id_that_cannot_be_a_file_name(self, user, tmp_path,
+                                                capsys):
+        # build writes contacts/<user>.fst.txt for every user
+        path, cfg = desk_copy(tmp_path)
+        users_file = Path(cfg["data_dir"]) / cfg["users"]
+        users = json.loads(users_file.read_text())
+        users[user] = users["u01"]
+        users_file.write_text(json.dumps(users))
+        self.run(["build", "--config", str(path),
+                  "--out", str(tmp_path / "out" / "a")], capsys,
+                 "users.json", repr(user))
+        assert not (tmp_path / "out").exists()
+
     def test_path_field_naming_a_directory(self, tmp_path, capsys):
         path, cfg = desk_copy(tmp_path, "lexicon", "")
         self.run(["stats", "--config", str(path)], capsys, cfg["data_dir"])
@@ -295,6 +310,21 @@ class TestOutputPaths:
     def test_unwritable_path_exits_2(self, command, flag, target,
                                      mini_config, tmp_path, capsys):
         (tmp_path / "file.txt").write_text("")
+        out = str(tmp_path / target)
+        self.run([command, "--config", str(mini_config), flag, out], capsys,
+                 out)
+
+    @pytest.mark.parametrize("command, flag, work", [
+        ("precompose", "--out", "precompose_cache"),
+        ("bench", "--report", "run_bench")])
+    @pytest.mark.parametrize("target", ["nodir/out.json", "."],
+                             ids=["missing-dir", "directory"])
+    def test_output_path_is_checked_before_the_work(
+            self, command, flag, work, target, mini_config, tmp_path,
+            capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            pytest.fail(f"{work} ran before {flag} was checked")
+        monkeypatch.setattr(f"lazyfst.cli.{work}", no_work)
         out = str(tmp_path / target)
         self.run([command, "--config", str(mini_config), flag, out], capsys,
                  out)
@@ -547,10 +577,17 @@ class TestCommands:
         assert json.loads(capsys.readouterr().out)["utterances"] == 200
 
     def test_written_config_is_the_checkouts_desk_json(self, tmp_path):
-        # out_dir too is a path the config names, not where it was made
-        write_desk_data(tmp_path)
-        checkout = Path(__file__).resolve().parent.parent / "desk.json"
-        assert (tmp_path / "desk.json").read_bytes() == checkout.read_bytes()
+        # out_dir too is a path the config names, not where it was made;
+        # the checked-in data files, which perfbench and benchmarks/ read,
+        # are the generator's too
+        cfg = write_desk_data(tmp_path)
+        checkout = Path(__file__).resolve().parent.parent
+        names = ["desk.json"] + [f"data/desk/{cfg[field]}" for field in
+                                 ("lexicon", "corpus", "contacts", "users",
+                                  "utterances")]
+        for name in names:
+            assert (tmp_path / name).read_bytes() == \
+                (checkout / name).read_bytes(), name
 
     def test_build_writes_artifacts(self, mini_config, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compose_static, lookup, oracle_beam_decode, oracle_decode
+from oracles import (compose_static, lookup, oracle_beam_decode, oracle_decode,
+                     replace_view)
 from strategies import acyclic_fst
 from test_cache import NO_CLASS, build_machine, scenario, sealed_cache
 from lazyfst import decoder
@@ -19,7 +20,7 @@ from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
-from lazyfst.replace import ReplaceView, empty_binding
+from lazyfst.replace import empty_binding
 from lazyfst.semiring import ZERO
 
 
@@ -80,8 +81,8 @@ class TestScoreMatrix:
             ScoreMatrix(costs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"frames_per_label": 0}, {"frames_per_label": 1.0},
-        {"frames_per_label": True}, {"margin": "4"}, {"margin": math.inf},
+        {"frames_per_phone": 0}, {"frames_per_phone": 1.0},
+        {"frames_per_phone": True}, {"margin": "4"}, {"margin": math.inf},
         {"margin": math.nan}, {"noise": -0.5}, {"noise": math.nan},
         {"noise": None}, {"frame_seconds": 0}, {"frame_seconds": math.inf},
         {"frame_seconds": "0.01"}])
@@ -95,7 +96,7 @@ class TestScoreMatrix:
 
     def test_simulate_zero_noise_argmin_is_reference(self):
         ref = [2, 1, 1, 3]
-        m = simulate_scores(ref, num_labels=4, frames_per_label=3,
+        m = simulate_scores(ref, num_labels=4, frames_per_phone=3,
                             margin=4.0, noise=0.0)
         assert m.num_frames == 12
         for t in range(m.num_frames):
@@ -137,7 +138,7 @@ class TestDecodeConfig:
 class TestHandGraph:
     def test_exact_cost_and_labels(self):
         session = session_over(hmm_t1(), two_word_root())
-        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_label=1)
+        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_phone=1)
         hyp = decode(scores, session)
         assert hyp is not None
         assert hyp.labels == (7, 8)
@@ -147,7 +148,7 @@ class TestHandGraph:
 
     def test_self_loops_absorb_repeated_frames(self):
         session = session_over(hmm_t1(), two_word_root())
-        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_label=4)
+        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_phone=4)
         hyp = decode(scores, session)
         assert hyp.labels == (7, 8)
         assert hyp.cost == 0.125 + 0.5 + 0.5  # same graph cost, free loops
@@ -155,7 +156,7 @@ class TestHandGraph:
     def test_no_surviving_final_returns_none(self):
         session = session_over(hmm_t1(), two_word_root())
         # one frame cannot finish "7 8", and there is no shorter sentence
-        scores = simulate_scores([1], num_labels=3, frames_per_label=1)
+        scores = simulate_scores([1], num_labels=3, frames_per_phone=1)
         assert decode(scores, session) is None
 
     def test_unmatchable_frame_kills_all_tokens(self):
@@ -210,7 +211,7 @@ class TestPruning:
 
     def test_narrow_beam_keeps_the_greedy_path(self):
         t1, root = self.setup_graph()
-        scores = simulate_scores([1], 2, frames_per_label=1)
+        scores = simulate_scores([1], 2, frames_per_phone=1)
         wide = decode(scores, session_over(t1, root), DecodeConfig(beam=20.0))
         narrow = decode(scores, session_over(t1, root), DecodeConfig(beam=2.0))
         assert wide.cost == 6.0
@@ -220,7 +221,7 @@ class TestPruning:
         # the expensive parse costs exactly the beam over the cheap one,
         # as an emitted token and again after its epsilon arc
         t1, root = self.setup_graph()
-        scores = simulate_scores([1], 2, frames_per_label=1)
+        scores = simulate_scores([1], 2, frames_per_phone=1)
         edge = decode(scores, session_over(t1, root), DecodeConfig(beam=6.0))
         inside = decode(scores, session_over(t1, root),
                         DecodeConfig(beam=5.75))
@@ -259,7 +260,7 @@ class TestPruning:
 
     def test_max_active_keeps_cheapest_tokens(self):
         t1, root = self.setup_graph()
-        scores = simulate_scores([1], 2, frames_per_label=1)
+        scores = simulate_scores([1], 2, frames_per_phone=1)
         wide = decode(scores, session_over(t1, root),
                       DecodeConfig(beam=100.0, max_active=100))
         tight = decode(scores, session_over(t1, root),
@@ -435,7 +436,7 @@ class TestClosureContract:
 
 class TestDeterminism:
     def test_same_inputs_same_hypothesis(self):
-        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_label=3,
+        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_phone=3,
                                  noise=0.5, seed=41)
         runs = []
         for _ in range(2):
@@ -444,7 +445,7 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
     def test_cache_depth_never_changes_the_answer(self):
-        scores = simulate_scores([1, 2], num_labels=3, frames_per_label=2,
+        scores = simulate_scores([1, 2], num_labels=3, frames_per_phone=2,
                                  noise=0.25, seed=3)
         answers = set()
         for depth in (0, 2, 64):
@@ -466,7 +467,7 @@ class TestAgainstOracle:
         cache = sealed_cache(t1, root)
         hyp = decode(m, Session(cache, binding),
                      DecodeConfig(beam=1e9, max_active=1_000_000))
-        want = oracle_decode(compose_static(t1, ReplaceView(root, binding)), m)
+        want = oracle_decode(compose_static(t1, replace_view(root, binding)), m)
         if want is None:
             assert hyp is None
         else:
@@ -498,7 +499,7 @@ class TestAgainstOracle:
             hyp = decode(m, Session(cache, binding),
                          DecodeConfig(beam=beam, max_active=1_000_000))
         want, want_survivors = oracle_beam_decode(
-            compose_static(t1, ReplaceView(root, binding)), m, beam)
+            compose_static(t1, replace_view(root, binding)), m, beam)
         assert survivors == want_survivors
         if want is None:
             assert hyp is None
@@ -556,7 +557,7 @@ class TestTiming:
 
     def test_decode_reports_frames_and_wall_time(self):
         session = session_over(hmm_t1(), two_word_root())
-        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_label=2)
+        scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_phone=2)
         hyp = decode(scores, session)
         assert hyp.frames == 6
         assert hyp.wall_seconds >= 0.0

@@ -8,7 +8,7 @@ from oracles import (acceptor_language, compose_static, minimize_acyclic,
                      prefix_tree, remove_disambig, shortest_path,
                      staged_contact_fst)
 from strategies import dyadic_weights
-from lazyfst.errors import BuildError, ParseError
+from lazyfst.errors import BuildError, ConfigurationError, ParseError
 from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.lmbuild import (ContactEntry, Lexicon, build_contact_fst,
                              build_lexicon_fst, build_symbol_tables,
@@ -286,6 +286,27 @@ def assert_input_deterministic(fst):
         labels = [a.ilabel for a in fst.arcs_of(state)]
         assert EPS not in labels
         assert len(labels) == len(set(labels))
+
+
+BAD_PENALTIES = [-0.5, math.inf, math.nan, "x", True]
+
+
+class TestPenalties:
+    """Each builder checks its own penalty: a finite number >= 0."""
+
+    @pytest.mark.parametrize("penalty", BAD_PENALTIES)
+    def test_bad_sil_penalty(self, tiny, penalty):
+        lexicon, phone_syms, word_syms = tiny
+        with pytest.raises(ConfigurationError, match="sil_penalty"):
+            build_lexicon_fst(lexicon, phone_syms, word_syms,
+                              sil_penalty=penalty)
+
+    @pytest.mark.parametrize("penalty", BAD_PENALTIES)
+    def test_bad_backoff_penalty(self, tiny, penalty):
+        lexicon, _, word_syms = tiny
+        with pytest.raises(ConfigurationError, match="backoff_penalty"):
+            train_bigram_root([["ab", "to"]], lexicon, "@contact", word_syms,
+                              backoff_penalty=penalty)
 
 
 class TestDeterminizeMinimize:

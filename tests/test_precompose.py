@@ -36,6 +36,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             pre_cfg(3, budget=-1)
 
+    def test_negative_warmup_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="warmup_count"):
+            PrecomposeConfig(warmup_count=-1)
+
 
 class TestBfs:
     def test_depth_zero_registers_start_only(self):

@@ -3,14 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (acceptor_language, compose_static_full, composed_arc_key,
-                     enumerate_language, inside_id, substitute_language,
-                     view_arc_key, view_state_key)
+                     enumerate_language, inside_id, replace_view,
+                     substitute_language, view_arc_key, view_state_key)
 from strategies import acyclic_fst
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError
 from lazyfst.fst import EPS, FstBuilder
 from lazyfst.harness import binding_for
-from lazyfst.replace import (ClassBinding, ReplaceView, empty_binding,
+from lazyfst.replace import (ClassBinding, empty_binding,
                              insert_epsilon_before_class)
 
 CLS = 9
@@ -52,14 +52,14 @@ class TestBindingValidation:
         b.set_final(1)
         bad_root = b.freeze()
         with pytest.raises(BuildError):
-            ReplaceView(bad_root,
-                        ClassBinding(CLS, simple_class))
+            replace_view(bad_root,
+                         ClassBinding(CLS, simple_class))
 
 
 class TestViewStructure:
     def test_class_arc_becomes_epsilon_entry(self, simple_root, simple_class):
-        view = ReplaceView(simple_root,
-                           ClassBinding(CLS, simple_class))
+        view = replace_view(simple_root,
+                            ClassBinding(CLS, simple_class))
         arcs = view.arcs_of(1)
         assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
         entries = [a for a in arcs if a.nextstate >= view.num_root]
@@ -69,21 +69,21 @@ class TestViewStructure:
         assert entry.nextstate == inside_id(view, simple_class.start, 2)
 
     def test_exit_carries_final_weight(self, simple_root, simple_class):
-        view = ReplaceView(simple_root,
-                           ClassBinding(CLS, simple_class))
+        view = replace_view(simple_root,
+                            ClassBinding(CLS, simple_class))
         arcs = view.arcs_of(inside_id(view, 2, ret=2))
         exits = [a for a in arcs if a.nextstate < view.num_root]
         assert exits == [type(exits[0])(EPS, EPS, 1.0, 2)]
 
     def test_inside_states_are_never_final(self, simple_root, simple_class):
-        view = ReplaceView(simple_root,
-                           ClassBinding(CLS, simple_class))
+        view = replace_view(simple_root,
+                            ClassBinding(CLS, simple_class))
         assert view.final_weight(inside_id(view, 1, 2)) == float("inf")
         assert view.final_weight(3) == 0.75
 
     def test_language_hand_computed(self, simple_root, simple_class):
-        view = ReplaceView(simple_root,
-                           ClassBinding(CLS, simple_class))
+        view = replace_view(simple_root,
+                            ClassBinding(CLS, simple_class))
         lang = acceptor_language(view)
         assert lang == {
             (1, 1): 0.5 + 1.0 + 0.75,
@@ -94,8 +94,8 @@ class TestViewStructure:
 
 class TestArcOrder:
     def test_root_arcs_pass_through_uncopied(self, simple_root, simple_class):
-        view = ReplaceView(simple_root,
-                           ClassBinding(CLS, simple_class))
+        view = replace_view(simple_root,
+                            ClassBinding(CLS, simple_class))
         assert view.bridges == {1}
         for state in (0, 2, 3):
             assert view.arcs_of(state) is simple_root.arcs_of(state)
@@ -106,7 +106,7 @@ class TestArcOrder:
         inner = acceptor([(0, EPS, 1.0, 1), (0, EPS, 0.5, 1), (0, 3, 0.25, 1)],
                          {0: 1.0, 1: 0.0}, 2)
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
-        view = ReplaceView(root, ClassBinding(CLS, inner))
+        view = replace_view(root, ClassBinding(CLS, inner))
         deeper = inside_id(view, 1, 1)
         assert [tuple(a) for a in view.arcs_of(inside_id(view, 0, 1))] == [
             (EPS, EPS, 0.5, deeper),
@@ -133,7 +133,7 @@ class TestArcOrder:
                 if arc.olabel == desk_build.class_id}
         checked = 0
         for user in sorted(desk_build.bindings):
-            view = ReplaceView(desk_build.root, binding_for(desk_build, user))
+            view = replace_view(desk_build.root, binding_for(desk_build, user))
             for qp in view.fst.states():
                 for ret in sorted(rets):
                     arcs = list(view.arcs_of(inside_id(view, qp, ret)))
@@ -148,7 +148,7 @@ class TestArcOrder:
         # random final states with out-arcs, epsilon arcs and dyadic
         # weights put the exit arc among ties, which desk contacts do not
         root = acceptor([(0, CLS, 0.0, 1)], {1: 0.0}, 2)
-        view = ReplaceView(root, ClassBinding(CLS, inner))
+        view = replace_view(root, ClassBinding(CLS, inner))
         for qp in inner.states():
             arcs = list(view.arcs_of(inside_id(view, qp, 1)))
             assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
@@ -157,7 +157,7 @@ class TestArcOrder:
         # every composed state reachable from the start, for every user
         inside = 0
         for user in sorted(desk_build.bindings):
-            view = ReplaceView(desk_build.root, binding_for(desk_build, user))
+            view = replace_view(desk_build.root, binding_for(desk_build, user))
             reachable = compose_static_full(desk_build.t1, view).state_of
             for key in reachable:
                 exp = expand_pair_state(key, desk_build.t1, view)
@@ -173,8 +173,8 @@ def view_and_states(draw):
     of random size, then random root states and (qp, ret) pairs."""
     num_root = draw(st.integers(min_value=1, max_value=12))
     size = draw(st.integers(min_value=1, max_value=6))
-    view = ReplaceView(acceptor([], {}, num_root),
-                       ClassBinding(CLS, acceptor([], {}, size)))
+    view = replace_view(acceptor([], {}, num_root),
+                        ClassBinding(CLS, acceptor([], {}, size)))
     pair = st.tuples(st.integers(min_value=0, max_value=size - 1),
                      st.integers(min_value=0, max_value=num_root - 1))
     roots = draw(st.lists(st.integers(min_value=0, max_value=num_root - 1),
@@ -205,7 +205,7 @@ class TestAgainstSubstitutionOracle:
     def test_view_language_equals_substitution(self, root, class_fst):
         # root draws labels from {8, 9, 10}; 9 is the class label.
         binding = ClassBinding(CLS, class_fst)
-        view = ReplaceView(root, binding)
+        view = replace_view(root, binding)
         got = acceptor_language(view)
         want = substitute_language(
             acceptor_language(root), {CLS: acceptor_language(class_fst)})
@@ -215,7 +215,7 @@ class TestAgainstSubstitutionOracle:
                        label_base=CLS - 1))
     @settings(max_examples=40, deadline=None)
     def test_empty_binding_prunes_class_strings(self, root):
-        view = ReplaceView(root, empty_binding(CLS))
+        view = replace_view(root, empty_binding(CLS))
         got = acceptor_language(view)
         want = {s: w for s, w in acceptor_language(root).items()
                 if CLS not in s}
