@@ -3,8 +3,9 @@
 pre-composition method at several session lengths and print a compact
 comparison table plus per-turn expansion profiles.
 
-Writes one full report per (method, session length) into the build
-directory when --reports is set.
+Writes one full report per (method, session length) into the config's
+out_dir when --reports is set.  A data or configuration error is one
+line on stderr and exit 2, as in the lazyfst CLI.
 """
 
 import argparse
@@ -12,10 +13,11 @@ import json
 import sys
 from pathlib import Path
 
+from lazyfst.errors import LazyFstError
 from lazyfst.harness import build_graphs, load_config, run_bench
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default="desk.json")
     parser.add_argument("--methods", nargs="+",
@@ -25,8 +27,17 @@ def main() -> int:
     parser.add_argument("--bfs-depth", type=int, default=None)
     parser.add_argument("--reports", action="store_true",
                         help="write full reports next to the build artifacts")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except LazyFstError as err:
+        print(f"run_full_bench: error: {err}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
+    """Benchmark every method at every session length of `args` and print
+    the comparison table."""
     cfg = load_config(args.config)
     if args.bfs_depth is not None:
         cfg["bfs_depth"] = args.bfs_depth
@@ -37,7 +48,7 @@ def main() -> int:
             report = run_bench(cfg, method=method, session_length=length,
                                build=build)
             if args.reports:
-                out_dir = Path(cfg.get("out_dir", "build"))
+                out_dir = Path(cfg["out_dir"])
                 out_dir.mkdir(parents=True, exist_ok=True)
                 path = out_dir / f"report_{method}_len{length}.json"
                 path.write_text(json.dumps(report, indent=2) + "\n")

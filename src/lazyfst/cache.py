@@ -27,20 +27,22 @@ closure (decoder._eps_closure), which counts the hits; expand is the
 build half it calls for a state neither layer holds, the only writer of
 the private layer, and counts an otf_expansion.
 
-PublicCache.fill is the one writer of the public layer: it expands a
-shareable state against the root and nothing else, so pre-composition
-and loading a dump store the same expansion for the same key.  Sealing
-shares equal parts of the public layer: one float object per distinct
-weight (ZERO itself for every non-final state), one tuple per distinct
-arc and per distinct arc sequence, and one CachedExpansion per distinct
-(arcs, final), which every state with that expansion points at.  A
-weight's key is its value and its sign: 0.0 and -0.0 are equal floats
-but not the same weight, so they are never merged.  In both layers
-every state with no arcs that is not final, a dead end, gets the one
-DEAD_END expansion (StateTable.build).  Sealing also drops each public
-epsilon arc into a public dead end, unless its state has nothing else
-(_share_equal_parts).  A dump names the expanded states, and loading
-fills them again.
+PublicCache.fill is the one way a key enters the public layer: it
+interns a shareable key and expands it against the root and nothing
+else, so pre-composition and loading a dump store the same expansion
+for the same key.  Sealing shares equal parts of the public layer: one
+float object per distinct weight (ZERO itself for every non-final
+state), one tuple per distinct arc and per distinct arc sequence, and
+one CachedExpansion per distinct (arcs, final), which every state with
+that expansion points at.  A weight's key is its value and its sign:
+0.0 and -0.0 are equal floats but not the same weight, so they are
+never merged.  In both layers every state with no arcs that is not
+final, a dead end, gets the one DEAD_END expansion (StateTable.build).
+Sealing also drops each public epsilon arc into a public dead end,
+unless its state has nothing else (_share_equal_parts).  A dump is the
+fill log, the key of each filled state in fill order, and loading fills
+the same keys in the same order, which interns every key, frontier
+destinations included, under the id it had.
 """
 
 from __future__ import annotations
@@ -175,7 +177,6 @@ class PublicCache(StateTable):
         self.t1 = t1
         self.root = root
         self.label = label
-        self.sealed = False
         self._fingerprint: Optional[str] = None
 
     @property
@@ -204,17 +205,19 @@ class PublicCache(StateTable):
         against any view."""
         return key[1] < self.root.num_states and key[1] not in self.bridges
 
-    def fill(self, state_id: int) -> CachedExpansion:
-        """Expand the state `state_id` against the root, store and return
-        it: the one writer of the public layer.  Refuses a sealed cache,
-        and a key whose expansion could depend on a binding."""
+    def fill(self, key: tuple[int, int, int]) -> CachedExpansion:
+        """Intern `key`, expand it against the root, store and return the
+        expansion: the one way a key enters the public layer.  Refuses a
+        sealed cache, then a key whose expansion could depend on a
+        binding (leaving the table as it was), then a key already filled."""
         if self.sealed:
             raise ConfigurationError("public cache is sealed")
-        key = self.keys[state_id]
         if not self.shareable(key):
             raise InvariantError(f"public cache refuses non-shareable "
-                                 f"state {key} (id {state_id})")
-        return self.build(state_id, self.t1, self.root)
+                                 f"state {key}")
+        if self.ids.get(key) in self.expanded:
+            raise InvariantError(f"duplicate fill of state {key}")
+        return self.build(self.intern(key), self.t1, self.root)
 
     def fingerprint(self) -> str:
         """Digest of the graphs this cache was computed against."""
@@ -323,23 +326,19 @@ def end_session(session: Session) -> Metrics:
     return final
 
 
-CACHE_FORMAT = "lazyfst-public-cache 2"
+CACHE_FORMAT = "lazyfst-public-cache 3"
 
 
 def dump_public_cache(cache: PublicCache) -> str:
-    """Versioned, checksummed text dump of a sealed public cache: its
-    state table, then the id of each expanded state.  It holds no arc or
-    weight; loading fills each named state from the graphs again."""
+    """Versioned, checksummed text dump of a sealed public cache: the key
+    of each filled state, in fill order.  It holds no id, arc or weight;
+    loading fills the same keys in the same order, which interns every
+    key under the id it had, and recomputes each expansion from the
+    graphs."""
     if not cache.sealed:
         raise ConfigurationError("dump requires a sealed cache")
-    lines = [f"table {len(cache.keys)}"]
-    for q1, q2, f in cache.keys:
-        if q2 >= cache.root.num_states:
-            raise InvariantError(
-                f"public table holds non-root key {(q1, q2, f)}")
-        lines.append(f"k {q1} {q2} {f}")
-    lines += [f"s {state_id}" for state_id in sorted(cache.expanded)]
-    body = "".join(line + "\n" for line in lines)
+    body = "".join(f"s {q1} {q2} {f}\n"
+                   for q1, q2, f in map(cache.key_of, cache.expanded))
     digest = hashlib.sha256(body.encode()).hexdigest()
     return (f"{CACHE_FORMAT}\n"
             f"graph {cache.fingerprint()}\n"
@@ -350,11 +349,11 @@ def dump_public_cache(cache: PublicCache) -> str:
 def load_public_cache(text: str, t1: Fst, root: Fst,
                       label: int) -> PublicCache:
     """Parse a dump back into a sealed cache, verifying version, graph
-    fingerprint and checksum, then every row: ids within their table or
-    graph, no repeated key or state.  Each named state is filled
-    (PublicCache.fill) under the table's own int object, and must be
-    shareable and reach only keys the table holds.  Anything malformed,
-    a dump of an earlier format included, is a BuildError."""
+    fingerprint and checksum, then every row: each field an int within
+    its graph or below FilterState.BLOCKED.  Each row's key is filled
+    (PublicCache.fill) in dump order, so a key that cannot be shared or
+    is filled twice is refused too.  Anything malformed, a dump of an
+    earlier format included, is a BuildError."""
     lines = text.splitlines(keepends=True)
     if len(lines) < 3 or lines[0].strip() != CACHE_FORMAT:
         raise BuildError(f"not a {CACHE_FORMAT!r} dump (bad or missing "
@@ -372,42 +371,18 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
     if hashlib.sha256(body.encode()).hexdigest() != sum_line[1]:
         raise BuildError("cache dump checksum mismatch")
 
-    rows = body.splitlines()
-    head = rows[0].split() if rows else []
-    if len(head) != 2 or head[0] != "table":
-        raise BuildError("cache dump missing state table")
-    num_keys = _dump_int(head[1], rows[0], len(rows))
-    for row in rows[1:num_keys + 1]:
-        q1, q2, f = _dump_fields(row, "k", 3)
-        key = (_dump_int(q1, row, t1.num_states),
-               _dump_int(q2, row, root.num_states),
-               _dump_int(f, row, FilterState.BLOCKED))
-        if key in cache.ids:
-            raise BuildError(f"duplicate table row: {row!r}")
-        cache.intern(key)
-    # Ids are dense in intern order: every state id and destination below
-    # is the table's own int object, not a fresh parse of the same value.
-    table_ids = list(cache.ids.values())
-    for row in rows[num_keys + 1:]:
-        (sid,) = _dump_fields(row, "s", 1)
-        state_id = table_ids[_dump_int(sid, row, num_keys)]
-        if state_id in cache.expanded:
-            raise BuildError(f"duplicate expansion row: {row!r}")
+    bounds = (t1.num_states, root.num_states, FilterState.BLOCKED)
+    for row in body.splitlines():
+        parts = row.split()
+        if len(parts) != 4 or parts[0] != "s":
+            raise BuildError(f"bad row in cache dump: {row!r}")
+        key = tuple(_dump_int(text, row, bound)
+                    for text, bound in zip(parts[1:], bounds))
         try:
-            cache.fill(state_id)
+            cache.fill(key)
         except InvariantError as err:
             raise BuildError(f"cache dump row {row!r}: {err}") from None
-        if len(cache.keys) > num_keys:
-            raise BuildError(f"cache dump row {row!r} reaches key "
-                             f"{cache.keys[num_keys]}, which its table lacks")
     return seal_public(cache)
-
-
-def _dump_fields(row: str, tag: str, count: int) -> list[str]:
-    parts = row.split()
-    if len(parts) != count + 1 or parts[0] != tag:
-        raise BuildError(f"bad {tag!r} row in cache dump: {row!r}")
-    return parts[1:]
 
 
 def _dump_int(text: str, row: str, bound: int) -> int:

@@ -89,16 +89,6 @@ def _check_output(path: str | None) -> None:
                            f"or its directory does not exist")
 
 
-def _dump_cache(cache, cfg, args) -> str:
-    out = args.out
-    if out is None:
-        out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = str(out_dir / f"cache_{args.method}.txt")
-    Path(out).write_text(dump_public_cache(cache))
-    return out
-
-
 def _cache_from_file(args, build):
     """The sealed cache of the --cache dump, or None without --cache.  A
     dump fixes how its cache was built, so --cache takes no --method or
@@ -118,18 +108,26 @@ def _cache_from_file(args, build):
 
 def cmd_build(args) -> int:
     cfg = _config(args)
+    out_dir = Path(args.out or cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     build = build_graphs(cfg)
-    write_build(build, args.out or cfg["out_dir"])
+    write_build(build, out_dir)
     print(json.dumps(graph_stats(build), indent=2))
     return 0
 
 
 def cmd_precompose(args) -> int:
     cfg = _config(args)
-    _check_output(args.out)
+    out = args.out
+    if out is None:
+        out_dir = Path(cfg["out_dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        out = str(out_dir / f"cache_{args.method}.txt")
+    _check_output(out)
     build = build_graphs(cfg)
     cache, stats = precompose_cache(build, cfg, args.method)
-    stats["dump"] = _dump_cache(cache, cfg, args)
+    Path(out).write_text(dump_public_cache(cache))
+    stats["dump"] = out
     print(json.dumps(stats, indent=2))
     return 0
 

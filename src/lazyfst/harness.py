@@ -296,6 +296,7 @@ def run_session(cache: PublicCache, build: Build, cfg: dict,
 def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
               build: Build | None = None,
               cache: PublicCache | None = None) -> dict:
+    require_int("session_length", session_length, 1)
     if build is None:
         build = build_graphs(cfg)
     if cache is None:

@@ -1,11 +1,12 @@
 """Offline filling of the public cache: breadth-first and data-driven warm-up.
 
-Both strategies choose which states of a PublicCache to fill and leave
-the expanding to PublicCache.fill, which takes only states whose arcs are
-provably independent of any session's class FST (PublicCache.shareable:
-a root state that is not a bridge) and expands them against the cache's
-root itself: such a root state has no class out-arc, so a replace view
-under any binding hands out the root's own arcs and final weight for it.
+Both strategies choose which keys of a PublicCache to fill and leave
+the interning and expanding to PublicCache.fill, which takes only keys
+whose arcs are provably independent of any session's class FST
+(PublicCache.shareable: a root state that is not a bridge) and expands
+them against the cache's root itself: such a root state has no class
+out-arc, so a replace view under any binding hands out the root's own
+arcs and final weight for it.
 Warm-up decoding does need a binding, and binds the class label to an
 accept-nothing FST; it decodes in one session over an empty sealed
 cache, and each state it promotes must also match what that session
@@ -42,39 +43,36 @@ class PrecomposeConfig:
 
 
 def bfs_precompose(cache: PublicCache, cfg: PrecomposeConfig) -> PublicCache:
-    """Expand shareable states of `cache` breadth-first from the composed
-    start; returns `cache`.
+    """Fill shareable states of `cache`, which holds none yet,
+    breadth-first from the composed start; returns `cache`.
 
-    A state is expanded iff it is shareable (PublicCache.shareable), its
+    A state is filled iff it is shareable (PublicCache.shareable), its
     distance from the start (in composed arcs, epsilon arcs included) is
     strictly below cfg.bfs_depth, and the budget is not exhausted.
-    Frontier destinations are interned in the state table either way.
-    Depth 0 therefore caches nothing but still registers the start key.
+    Filling interns the destinations of each filled state, so frontier
+    destinations are in the state table too.  A depth of 0, a budget of
+    0 or a start that cannot be shared leaves the table empty.
     Deterministic: FIFO queue, arcs in stored order.
     """
     if cache.sealed:
         raise ConfigurationError("cannot extend a sealed cache")
-    start = cache.intern(cache.start_key())
+    start = cache.start_key()
     dist = {start: 0}
     queue = deque([start])
     while queue:
-        state_id = queue.popleft()
-        d = dist[state_id]
-        if d >= cfg.bfs_depth:
+        key = queue.popleft()
+        d = dist[key]
+        if d >= cfg.bfs_depth or not cache.shareable(key):
             continue
-        if not cache.shareable(cache.keys[state_id]):
-            continue
-        exp = cache.expanded.get(state_id)
-        if exp is None:
-            if len(cache.expanded) >= cfg.state_budget:
-                logger.warning("bfs_precompose stopped at state budget %d; "
-                               "coverage is partial", cfg.state_budget)
-                break
-            exp = cache.fill(state_id)
-        for _, _, _, dst in exp.arcs:
-            if dst not in dist:
-                dist[dst] = d + 1
-                queue.append(dst)
+        if len(cache.expanded) >= cfg.state_budget:
+            logger.warning("bfs_precompose stopped at state budget %d; "
+                           "coverage is partial", cfg.state_budget)
+            break
+        for _, _, _, dst in cache.fill(key).arcs:
+            dst_key = cache.keys[dst]
+            if dst_key not in dist:
+                dist[dst_key] = d + 1
+                queue.append(dst_key)
     return cache
 
 
@@ -114,7 +112,7 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
             logger.warning("warmup_precompose stopped at state budget %d; "
                            "coverage is partial", cfg.state_budget)
             break
-        filled = cache.fill(cache.intern(key))
+        filled = cache.fill(key)
         if _by_key(private.expanded[state_id], private.key_of) != \
                 _by_key(filled, cache.key_of):
             raise InvariantError(

@@ -155,10 +155,9 @@ class TestSealPurity:
         t1, root, _ = fixed_scenario()
         cache = PublicCache(t1, root, CLS)
         # root state 1 has a class out-arc, so caching it publicly is wrong
-        bad = cache.intern((0, 1, FilterState.ANY))
         with pytest.raises(InvariantError):
-            cache.fill(bad)
-        assert cache.expanded == {}
+            cache.fill((0, 1, FilterState.ANY))
+        assert cache.expanded == {} and cache.keys == []
 
 
 class PublicFirstIds:
@@ -327,10 +326,11 @@ class TestDumpLoad:
     def test_load_rejects_bad_version(self):
         t1, root, _ = fixed_scenario()
         text = dump_public_cache(sealed_cache(t1, root, depth=2))
-        # a first-format dump holds arcs; it must be rebuilt, not read
-        wrong = text.replace("public-cache 2", "public-cache 1", 1)
-        with pytest.raises(BuildError, match="rebuild it"):
-            load_public_cache(wrong, t1, root, CLS)
+        # earlier formats hold arcs or ids; they must be rebuilt, not read
+        for version in ("1", "2"):
+            wrong = text.replace("public-cache 3", f"public-cache {version}")
+            with pytest.raises(BuildError, match="rebuild it"):
+                load_public_cache(wrong, t1, root, CLS)
 
     def test_load_rejects_different_graphs(self):
         t1, root, binding = fixed_scenario()
@@ -342,8 +342,8 @@ class TestDumpLoad:
         t1, root, _ = fixed_scenario()
         text = dump_public_cache(sealed_cache(t1, root, depth=2))
         lines = text.splitlines()
-        assert lines[3].startswith("table ")
-        lines[3] = "table 999999"
+        assert lines[3].startswith("s ")
+        lines[3] = "s 999999 0 0"
         with pytest.raises(BuildError):
             load_public_cache("\n".join(lines) + "\n", t1, root, CLS)
 
@@ -363,6 +363,32 @@ class TestDumpLoad:
             assert got.final == exp.final or (
                 math.isinf(got.final) and math.isinf(exp.final))
             assert got.arcs == exp.arcs
+
+
+class TestExactRoundTrip:
+    """A dump is the fill log: loading it fills the same keys in the same
+    order, so the loaded cache has the dumped one's table, fill order and
+    expansions, and dumps to the same bytes."""
+
+    @staticmethod
+    def check(cache, t1, root, label):
+        text = dump_public_cache(cache)
+        loaded = load_public_cache(text, t1, root, label)
+        assert loaded.keys == cache.keys
+        assert list(loaded.expanded) == list(cache.expanded)
+        assert expansions(loaded) == expansions(cache)
+        assert dump_public_cache(loaded) == text
+
+    @pytest.mark.parametrize("method", ["bfs", "warmup", "both"])
+    def test_desk_caches(self, desk_build, desk_cfg, method):
+        cache, _ = precompose_cache(desk_build, desk_cfg, method)
+        self.check(cache, desk_build.t1, desk_build.root, desk_build.class_id)
+
+    @given(scenario(), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_under_bfs(self, scn, depth):
+        t1, root, _ = scn
+        self.check(sealed_cache(t1, root, depth=depth), t1, root, CLS)
 
 
 def signed(w: float) -> tuple[float, float]:
@@ -413,11 +439,12 @@ class TestSharing:
         root = build_machine([(0, 8, 8, -0.0, 1), (1, 8, 8, -0.0, 1)],
                              {0: -0.0, 1: -0.0}, 2)
         cache = PublicCache(t1, root, CLS)
-        a, b, c = (cache.intern((q1, q2, FilterState.ANY))
-                   for q1, q2 in ((0, 0), (1, 1), (2, 1)))
+        keys = [(q1, q2, FilterState.ANY)
+                for q1, q2 in ((0, 0), (1, 1), (2, 1))]
         # equal as floats, apart by sign: arcs, finals and whole expansions
-        for state_id in (a, b, c):
-            cache.fill(state_id)
+        for key in keys:
+            cache.fill(key)
+        a, b, c = (cache.ids[key] for key in keys)
         assert cache.num_public == 3
         want = {a: (["0.0", "-0.0"], "0.0"), b: (["0.0", "-0.0"], "-0.0"),
                 c: (["-0.0"], "0.0")}
@@ -584,20 +611,20 @@ class TestLoadRejectsBadDumps:
         assert self.load(desk_dump, desk_build).sealed
 
     @pytest.mark.parametrize("tag, field, value", [
-        ("k", 1, "x"),          # non-integer field
-        ("k", 2, "ROOT"),       # root state beyond the root
-        ("k", 3, "7"),          # not a filter state
-    ], ids=["non-integer", "root-out-of-range", "filter-7"])
+        ("s", 1, "x"),          # non-integer field
+        ("s", 2, "ROOT"),       # root state beyond the root
+        ("s", 3, "7"),          # not a filter state
+        ("s", 1, "T1"),         # t1 state beyond t1
+        ("s", 3, "3"),          # FilterState.BLOCKED
+    ], ids=["non-integer", "root-out-of-range", "filter-7",
+            "t1-out-of-range", "filter-blocked"])
     def test_bad_field(self, desk_dump, desk_build, tag, field, value):
         if value == "ROOT":
             value = str(desk_build.root.num_states)
+        if value == "T1":
+            value = str(desk_build.t1.num_states)
         with pytest.raises(BuildError):
             self.load(self.edit(desk_dump, tag, field, value), desk_build)
-
-    def test_state_id_beyond_table(self, desk_dump, desk_build):
-        table_size = desk_dump[3].split()[1]
-        with pytest.raises(BuildError):
-            self.load(self.edit(desk_dump, "s", 1, table_size), desk_build)
 
     def test_duplicate_expansion_row(self, desk_dump, desk_build):
         first = next(row for row in desk_dump if row.startswith("s "))
@@ -606,24 +633,12 @@ class TestLoadRejectsBadDumps:
 
     def test_state_that_cannot_be_shared(self, desk_dump, desk_build):
         # the table holds bridge states as frontier destinations
-        keys = [tuple(map(int, row.split()[1:])) for row in desk_dump
-                if row.startswith("k ")]
-        bridge = next(i for i, key in enumerate(keys)
+        keys = self.load(desk_dump, desk_build).keys
+        bridge = next(key for key in keys
                       if not is_precomposable(key, desk_build.root,
                                               desk_build.class_id))
         with pytest.raises(BuildError, match="non-shareable"):
-            self.load(desk_dump + [f"s {bridge}"], desk_build)
-
-    def test_table_lacks_a_destination(self, desk_dump, desk_build):
-        # drop the table's last key, a frontier destination
-        size = int(desk_dump[3].split()[1])
-        last = 3 + size
-        assert desk_dump[last].startswith("k ")
-        assert f"s {size - 1}" not in desk_dump
-        lines = desk_dump[:3] + [f"table {size - 1}"] + desk_dump[4:last] \
-            + desk_dump[last + 1:]
-        with pytest.raises(BuildError, match="table lacks"):
-            self.load(lines, desk_build)
+            self.load(desk_dump + ["s %d %d %d" % bridge], desk_build)
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from lazyfst.cache import load_public_cache
 from lazyfst.cli import main
+from lazyfst.errors import BuildError
+from lazyfst.replace import bridge_states
+from test_cache import rechecksum
 from lazyfst.deskdata import write_desk_data
 
 
@@ -222,7 +226,9 @@ class TestInputShapes:
         self.run(["build", "--config", str(path),
                   "--out", str(tmp_path / "out" / "a")], capsys,
                  "users.json", repr(user))
-        assert not (tmp_path / "out").exists()
+        # build makes its output directory first, and writes no file there
+        assert [p for p in (tmp_path / "out").rglob("*") if not p.is_dir()] \
+            == []
 
     def test_path_field_naming_a_directory(self, tmp_path, capsys):
         path, cfg = desk_copy(tmp_path, "lexicon", "")
@@ -328,6 +334,67 @@ class TestOutputPaths:
         out = str(tmp_path / target)
         self.run([command, "--config", str(mini_config), flag, out], capsys,
                  out)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("precompose", []), ("build", []), ("build", ["--out"])],
+        ids=["precompose-out-dir", "build-out-dir", "build-out"])
+    def test_output_directory_is_made_before_the_work(
+            self, command, flag, mini_config, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            pytest.fail("build_graphs ran before the output directory "
+                        "was made")
+        monkeypatch.setattr("lazyfst.cli.build_graphs", no_work)
+        (tmp_path / "afile").write_text("")
+        under_a_file = str(tmp_path / "afile" / "sub")
+        cfg = json.loads(mini_config.read_text())
+        if flag:
+            flag = [*flag, under_a_file]
+        else:
+            cfg["out_dir"] = under_a_file
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(cfg))
+        self.run([command, "--config", str(path), *flag], capsys, "afile")
+
+    def test_precompose_writes_no_dump_before_the_work(
+            self, mini_config, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise BuildError("no graphs")
+        monkeypatch.setattr("lazyfst.cli.build_graphs", fail)
+        cfg = json.loads(mini_config.read_text())
+        cfg["out_dir"] = str(tmp_path / "made")
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(cfg))
+        self.run(["precompose", "--config", str(path)], capsys, "no graphs")
+        assert (tmp_path / "made").is_dir()
+        assert list((tmp_path / "made").iterdir()) == []
+
+
+class TestFullBenchScript:
+    """scripts/run_full_bench.py exits like the CLI: a data or config
+    error is one line on stderr and exit 2."""
+
+    @pytest.fixture(scope="class")
+    def script_main(self):
+        path = Path(__file__).resolve().parent.parent / "scripts" / \
+            "run_full_bench.py"
+        spec = importlib.util.spec_from_file_location("run_full_bench", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.main
+
+    def test_missing_config_exits_2(self, script_main, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert script_main(["--config", missing]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and missing in err
+        assert len(err.splitlines()) == 1
+
+    def test_bad_session_length_exits_2(self, script_main, mini_config,
+                                        capsys):
+        assert script_main(["--config", str(mini_config), "--methods", "none",
+                            "--session-lengths", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "session_length" in err and len(err.splitlines()) == 1
 
 
 # JSON values of every type, for replacing a value with one of another
@@ -547,6 +614,40 @@ class TestCacheFile:
         assert main(["decode", "--config", str(changed),
                      "--cache", str(warm_dump)]) == 2
         assert "different graphs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", [
+        "non-integer", "t1-state", "root-state", "filter-state", "bridge",
+        "repeated-row", "checksum", "format-1", "format-2"])
+    def test_malformed_dump_exits_2(self, how, mini_config, warm_dump,
+                                    desk_build, tmp_path, capsys):
+        lines = warm_dump.read_text().splitlines()
+        header, rows = lines[:3], lines[3:]
+        first = rows[0].split()
+        t1, root = desk_build.t1, desk_build.root
+        bridge = min(bridge_states(root, desk_build.class_id))
+        edits = {"non-integer": (1, "x"), "t1-state": (1, t1.num_states),
+                 "root-state": (2, root.num_states), "filter-state": (3, 3)}
+        if how in edits:
+            field, value = edits[how]
+            first[field] = str(value)
+            rows[0] = " ".join(first)
+        elif how == "bridge":
+            rows.append(f"s {t1.start} {bridge} 0")
+        elif how == "repeated-row":
+            rows.append(rows[0])
+        text = rechecksum("\n".join(header + rows) + "\n")
+        if how == "checksum":
+            text = text.replace(header[2], "sha256 " + "0" * 64)
+        elif how.startswith("format-"):
+            text = text.replace("public-cache 3", "public-cache " + how[-1])
+        with pytest.raises(BuildError):
+            load_public_cache(text, t1, root, desk_build.class_id)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["decode", "--config", str(mini_config),
+                     "--cache", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "dump" in err
 
     def test_corrupt_or_missing_dump_exits_2(self, mini_config, warm_dump,
                                              tmp_path, capsys):

@@ -5,7 +5,7 @@ run and across refactors of the expansion path and the decoder.  The
 cache digests are sha256 of each method's sealed cache in the first dump
 format (oracles.dump_public_cache_v1, every arc and weight written out),
 for the cache as built and as loaded from its dump, and sha256 of the
-dump itself, which names states only.  The decode digests are sha256
+dump itself, which names the filled keys only.  The decode digests are sha256
 of every turn's (id, words, repr(cost), OTF expansions) in session
 order.  The hypothesis digest leaves out the
 expansions: the search result is the same for every method, and a change
@@ -32,12 +32,12 @@ GOLDEN = {
 
 # sha256 of dump_public_cache per method
 GOLDEN_DUMP = {
-    "bfs": ("213c7fbb5d338b54d10a991f10bd1b33"
-            "787f71fa3c230955c07dc19c23a621c3"),
-    "warmup": ("508b71740386e68ffc86aeed6d2d948c"
-               "ecb82b09136d849c846d6ceb958e76a2"),
-    "both": ("2734b2db0701a9c82f92a712e5ba18d2"
-             "ab4a186f5d9018f3bbb80320037628fe"),
+    "bfs": ("aaf7f7d72c3b8a8db9db4910119d2e11"
+            "61c9b2e250c492955d0552b39e239147"),
+    "warmup": ("219df2ad08848fc208f27009f7536fc7"
+               "7df111659d8bb6f2f3f52a3ee2c2b57b"),
+    "both": ("afb43946342e41d4c7b99d4a66859383"
+             "7b1ae91f632fbf09120bbbc5811d216a"),
 }
 
 

@@ -263,6 +263,14 @@ class TestBench:
         assert report["totals"]["sessions"] == 20
         assert set(report["per_turn"]) == {"1"}
 
+    @pytest.mark.parametrize("length", [0, -1, 2.5, True],
+                             ids=["zero", "negative", "float", "bool"])
+    def test_session_length_must_be_a_positive_int(self, desk_build,
+                                                   desk_cfg, length):
+        with pytest.raises(ConfigurationError, match="session_length"):
+            run_bench(desk_cfg, method="none", session_length=length,
+                      build=small_build(desk_build))
+
     def test_score_report_agrees_with_bench_totals(self, desk_build, report):
         rescored = score_report(report, desk_build)
         assert rescored["errors"] == report["totals"]["errors"]

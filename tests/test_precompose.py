@@ -42,11 +42,11 @@ class TestConfig:
 
 
 class TestBfs:
-    def test_depth_zero_registers_start_only(self):
+    def test_depth_zero_leaves_the_table_empty(self):
         t1, root, _ = fixed_scenario()
         cache = bfs(t1, root, 0)
         assert cache.num_expanded == 0
-        assert cache.keys == [cache.start_key()]
+        assert cache.keys == []
         seal_public(cache)  # an empty cache is a valid sealed cache
 
     @given(scenario(), st.integers(min_value=0, max_value=6))
@@ -196,7 +196,7 @@ class TestFilledFromTheRootAlone:
         cache = desk_cache(desk_build)
         key = (cache.t1.start, min(cache.bridges), int(FilterState.ANY))
         with pytest.raises(InvariantError, match="non-shareable"):
-            cache.fill(cache.intern(key))
+            cache.fill(key)
 
     def test_promotion_compares_with_the_warmup_session(self, desk_build,
                                                         warm, monkeypatch):
