@@ -8,7 +8,11 @@ The states are the heaviest pair on the desk graphs (the lexicon start,
 bridge state (a root state with a class out-arc) and one state inside a
 user's contact FST.  `test_cache_expand_otf` times one cold
 `cache.expand` (kernel, interning and the cached arcs) in a fresh session
-per round, at the lexicon loop state and at a chain state.
+per round, at the lexicon loop state and at a chain state, and
+`test_state_table_build_inside` one cold `StateTable.build` of the
+lexicon loop state against a state inside a contact FST; inside states
+are most of a desk session's on-the-fly expansions (6,488 of 7,288 per
+`both` s5 pass).
 `test_build_contact_fst_desk` compiles every desk user's contact list
 once per round, the part of `build_graphs` that grows with the users.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from lazyfst.cache import Session, expand
+from lazyfst.cache import Session, StateTable, expand
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.harness import binding_for, precompose_cache
 from lazyfst.lmbuild import build_contact_fst
@@ -76,6 +80,22 @@ def test_cache_expand_otf(benchmark, desk, t1_state):
 
     made = benchmark.pedantic(expand, setup=fresh_session, rounds=2000)
     assert len(made.arcs) == (52 if t1_state == "loop" else 2)
+
+
+def test_state_table_build_inside(benchmark, desk, view):
+    cfg, build = desk
+    cache, _ = precompose_cache(build, cfg, "none")
+    # the contact FST's start, resuming at the root start
+    inside = (view.fst.start + 1) * view.num_root + build.root.start
+    key = (build.t1.start, inside, int(FilterState.ANY))
+
+    def fresh_table():
+        session = Session(cache, binding_for(build, USER))
+        private = session.private
+        return (private, private.intern(key), build.t1, session.view), {}
+
+    made = benchmark.pedantic(StateTable.build, setup=fresh_table, rounds=2000)
+    assert len(made.arcs) == 27
 
 
 def test_build_contact_fst_desk(benchmark, desk):

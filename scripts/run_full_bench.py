@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from lazyfst.errors import LazyFstError
-from lazyfst.harness import build_graphs, load_config, run_bench
+from lazyfst.errors import ConfigurationError, LazyFstError, require_int
+from lazyfst.harness import METHODS, build_graphs, load_config, run_bench
 
 
 def main(argv=None) -> int:
@@ -37,10 +37,18 @@ def main(argv=None) -> int:
 
 def run(args) -> int:
     """Benchmark every method at every session length of `args` and print
-    the comparison table."""
+    the comparison table.  Every method and session length is checked
+    before the graphs are built, so a bad one late in a list costs no
+    sweep."""
     cfg = load_config(args.config)
     if args.bfs_depth is not None:
         cfg["bfs_depth"] = args.bfs_depth
+    for method in args.methods:
+        if method not in METHODS:
+            raise ConfigurationError(f"unknown method {method!r}; "
+                                     f"expected one of {METHODS}")
+    for length in args.session_lengths:
+        require_int("session_length", length, 1)
     build = build_graphs(cfg)
     rows = []
     for method in args.methods:

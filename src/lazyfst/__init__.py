@@ -10,7 +10,7 @@ from .cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
                     PublicCache, Session,
                     dump_public_cache, end_session, load_public_cache,
                     seal_public)
-from .compose import Expansion, FilterState, expand_pair_state
+from .compose import FilterState, expand_pair_state
 from .decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode, rtf,
                       simulate_scores)
 from .errors import (BuildError, CompositionSizeError, ConfigurationError,
@@ -33,7 +33,7 @@ __all__ = [
     "ARC_BYTES", "KEY_BYTES", "STATE_BYTES", "EPS", "ZERO",
     "Arc", "BuildError", "CachedExpansion", "ClassBinding",
     "CompositionSizeError", "ConfigurationError",
-    "ContactEntry", "DecodeConfig", "Expansion",
+    "ContactEntry", "DecodeConfig",
     "FilterState", "Fst", "FstBuilder", "Hypothesis",
     "InvariantError", "LazyFstError", "Lexicon", "Metrics",
     "ParseError", "PrecomposeConfig", "PublicCache", "ReplaceView",

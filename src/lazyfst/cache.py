@@ -10,17 +10,22 @@ pair keys (see compose) with dense state ids and the expansions it built:
   state that is not a bridge (has no class out-arc) may be cached here,
   so its arcs never mention the class FST: PublicCache.shareable.
 * Session.private: everything else, expanded on demand into a table
-  over the sealed public one that dies with the session.
+  over the sealed public one that dies with the session (PrivateTable).
 
 The sealed public table owns ids [0, N_pub), and a session's table
 numbers its own keys from N_pub on (StateTable.first), so private arcs
 may point at public states, and a public id interned but never expanded
 offline (a frontier destination) is expanded privately on first use.
-One rule interns for both layers (StateTable.intern_arcs), all
-destinations of one expansion in one pass that also builds the cached
-arcs, plain `(ilabel, olabel, weight, nextstate)` tuples; one step
-expands, interns and stores (StateTable.build), and one formula charges
-modeled bytes (StateTable.bytes_estimate).
+The public layer keeps its expansions in a dict by id, in fill order; a
+private layer keeps those of its own ids in a list aligned with its
+keys and those of frontier ids in a small dict.  One rule interns for
+both layers (StateTable.intern_arcs), all destinations of one expansion
+in one pass that also builds the cached arcs, plain `(ilabel, olabel,
+weight, nextstate)` tuples; one step expands, interns and stores
+(StateTable.build), and one formula charges modeled bytes
+(StateTable.bytes_estimate).  A CachedExpansion holds its arcs in two
+tuples, the epsilon-input arcs and the emitting ones, split once when it
+is built, so the decoder's closure and emit step each read their own.
 
 The rule for reading the two layers lives in the decoder's epsilon
 closure (decoder._eps_closure), which counts the hits; expand is the
@@ -32,9 +37,10 @@ interns a shareable key and expands it against the root and nothing
 else, so pre-composition and loading a dump store the same expansion
 for the same key.  Sealing shares equal parts of the public layer: one
 float object per distinct weight (ZERO itself for every non-final
-state), one tuple per distinct arc and per distinct arc sequence, and
-one CachedExpansion per distinct (arcs, final), which every state with
-that expansion points at.  A weight's key is its value and its sign:
+state), one tuple per distinct arc and per distinct arc sequence, the
+epsilon and emitting sequences each on its own, and one CachedExpansion
+per distinct (eps, emit, final), which every state with that expansion
+points at.  A weight's key is its value and its sign:
 0.0 and -0.0 are equal floats but not the same weight, so they are
 never merged.  In both layers every state with no arcs that is not
 final, a dead end, gets the one DEAD_END expansion (StateTable.build).
@@ -48,9 +54,10 @@ destinations included, under the id it had.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from functools import cached_property
 from math import copysign
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .compose import FilterState, expand_pair_state
 from .errors import BuildError, ConfigurationError, InvariantError
@@ -71,25 +78,46 @@ KEY_BYTES = 24
 RawArcs = Iterable[tuple[int, int, float, tuple[int, int, int]]]
 CachedArc = tuple[int, int, float, int]
 
+# Where the first emitting arc sorts among arcs sorted by ilabel first.
+_FIRST_EMITTING = (EPS + 1,)
+
 
 class CachedExpansion:
-    """Arcs with destinations already interned to shared state ids.
-
-    Composed arcs are sorted by ilabel first (compose.expand_pair_state) and
-    EPS is 0, so the epsilon-input arcs are the first `n_eps` arcs and the
-    emitting arcs are the rest; the decoder's closure and emit step each
-    walk only their own slice."""
-    __slots__ = ("arcs", "final", "n_eps")
+    """Arcs with destinations already interned to shared state ids, in
+    two tuples: `eps`, the epsilon-input arcs, and `emit`, the emitting
+    ones, each in stored order, so the decoder's closure and emit step
+    each read only their own arcs."""
+    __slots__ = ("eps", "emit", "final")
 
     def __init__(self, arcs: tuple[CachedArc, ...], final: float):
-        self.arcs = arcs
+        """Split `arcs`, sorted by ilabel first: EPS is 0 and labels are
+        not negative, so the epsilon-input arcs come first and the first
+        emitting arc is where (1,) would sort.  Most states have no
+        epsilon-input arc, and their arcs are `emit` as they are."""
+        if arcs and arcs[0][0] == EPS:
+            cut = bisect_left(arcs, _FIRST_EMITTING)
+            self.eps = arcs[:cut]
+            self.emit = arcs[cut:]
+        else:
+            self.eps = ()
+            self.emit = arcs
         self.final = final
-        n_eps = 0
-        for arc in arcs:
-            if arc[0] != EPS:
-                break
-            n_eps += 1
-        self.n_eps = n_eps
+
+    @classmethod
+    def of_parts(cls, eps: tuple[CachedArc, ...], emit: tuple[CachedArc, ...],
+                 final: float) -> CachedExpansion:
+        """The expansion with parts already split, kept as they are, so
+        sealing can share each part on its own."""
+        made = cls.__new__(cls)
+        made.eps = eps
+        made.emit = emit
+        made.final = final
+        return made
+
+    @property
+    def arcs(self) -> tuple[CachedArc, ...]:
+        """All arcs in stored order, epsilon-input ones first."""
+        return self.eps + self.emit
 
 
 # The expansion of every state with no arcs that is not final, in both
@@ -98,25 +126,22 @@ DEAD_END = CachedExpansion((), ZERO)
 
 
 class StateTable:
-    """One cache layer: `(q1, q2, f)` pair keys with dense state ids from
-    `first` on, and the expansions it built, by state id.  A table over a
-    sealed table `below` numbers its keys after it: a key keeps this
-    table's id, else the id the table below holds for it, else takes the
-    next id, and as the table below is sealed and lacks this table's keys,
-    the order of the two checks cannot change an id."""
+    """One cache layer's state table: `(q1, q2, f)` pair keys with dense
+    state ids from `first` on.  A table over a sealed table `below`
+    numbers its keys after it: a key keeps this table's id, else the id
+    the table below holds for it, else takes the next id, and as the
+    table below is sealed and lacks this table's keys, the order of the
+    two checks cannot change an id.  Each layer stores the expansions
+    it builds its own way (store, held)."""
 
     # Class-level defaults, so a public cache carries no field for them.
     first = 0
     below: Optional[StateTable] = None
     sealed = False
 
-    def __init__(self, below: Optional[StateTable] = None):
+    def __init__(self):
         self.keys: list[tuple[int, int, int]] = []
         self.ids: dict[tuple[int, int, int], int] = {}
-        self.expanded: dict[int, CachedExpansion] = {}
-        if below is not None:
-            self.below = below
-            self.first = len(below.keys)
 
     def key_of(self, state_id: int) -> tuple[int, int, int]:
         if state_id < self.first:
@@ -155,18 +180,67 @@ class StateTable:
         a replace view), intern its destinations, store and return it:
         DEAD_END when it has no arcs and is not final, so both layers
         hold every dead end as that one expansion."""
-        raw = expand_pair_state(self.key_of(state_id), t1, t2)
-        if not raw.arcs and raw.final == ZERO:
-            made = DEAD_END
+        arcs, final = expand_pair_state(self.key_of(state_id), t1, t2)
+        if arcs or final != ZERO:
+            made = CachedExpansion(self.intern_arcs(arcs), final)
         else:
-            made = CachedExpansion(self.intern_arcs(raw.arcs), raw.final)
-        self.expanded[state_id] = made
+            made = DEAD_END
+        self.store(state_id, made)
         return made
 
+    def store(self, state_id: int, made: CachedExpansion) -> None:
+        raise NotImplementedError
+
+    def held(self) -> Collection[CachedExpansion]:
+        """Every expansion this layer holds."""
+        raise NotImplementedError
+
     def bytes_estimate(self) -> int:
-        arcs = sum(len(e.arcs) for e in self.expanded.values())
-        return (arcs * ARC_BYTES + len(self.expanded) * STATE_BYTES
+        held = self.held()
+        arcs = sum([len(e.eps) + len(e.emit) for e in held])
+        return (arcs * ARC_BYTES + len(held) * STATE_BYTES
                 + len(self.keys) * KEY_BYTES)
+
+
+class PrivateTable(StateTable):
+    """A session's private layer, a table over the sealed public cache.
+    The expansions of its own ids go in a list aligned with its keys,
+    `expanded[state_id - first]`, None until built; those of frontier
+    ids, public ids the public layer holds no expansion for, go in the
+    small dict `frontier`."""
+
+    def __init__(self, below: PublicCache):
+        super().__init__()
+        self.below = below
+        self.first = len(below.keys)
+        self.expanded: list[Optional[CachedExpansion]] = []
+        self.frontier: dict[int, CachedExpansion] = {}
+
+    def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
+        """StateTable.intern_arcs, then a None slot for every new key, so
+        `expanded` stays aligned with `keys`."""
+        interned = super().intern_arcs(arcs)
+        expanded = self.expanded
+        if len(expanded) < len(self.keys):
+            expanded += [None] * (len(self.keys) - len(expanded))
+        return interned
+
+    def store(self, state_id: int, made: CachedExpansion) -> None:
+        if state_id < self.first:
+            self.frontier[state_id] = made
+        else:
+            self.expanded[state_id - self.first] = made
+
+    def held(self) -> list[CachedExpansion]:
+        return [e for e in self.expanded if e is not None] + \
+            list(self.frontier.values())
+
+    def items(self) -> list[tuple[int, CachedExpansion]]:
+        """(state id, expansion) for every state this layer holds, by id."""
+        first = self.first
+        return sorted(self.frontier.items()) + [
+            (first + i, e) for i, e in enumerate(self.expanded)
+            if e is not None]
 
 
 class PublicCache(StateTable):
@@ -174,10 +248,18 @@ class PublicCache(StateTable):
 
     def __init__(self, t1: Fst, root: Fst, label: int):
         super().__init__()
+        # by state id, in fill order, which a dump records
+        self.expanded: dict[int, CachedExpansion] = {}
         self.t1 = t1
         self.root = root
         self.label = label
         self._fingerprint: Optional[str] = None
+
+    def store(self, state_id: int, made: CachedExpansion) -> None:
+        self.expanded[state_id] = made
+
+    def held(self) -> Collection[CachedExpansion]:
+        return self.expanded.values()
 
     @property
     def num_public(self) -> int:
@@ -245,9 +327,9 @@ def seal_public(cache: PublicCache) -> PublicCache:
 
 def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
     """Point every state of `expanded` at one shared CachedExpansion per
-    distinct (arcs, final), built from one float per distinct weight and
-    one tuple per distinct arc and arc sequence, without the epsilon arcs
-    into a dead end.
+    distinct (eps, emit, final), built from one float per distinct
+    weight and one tuple per distinct arc and arc sequence, without the
+    epsilon arcs into a dead end.
 
     A weight is keyed by (value, sign), so 0.0 and -0.0 stay apart; once
     weights are shared, the id of a shared part stands for its value in
@@ -257,26 +339,30 @@ def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
     state keeps its arcs as built, so the dead ends of a sealed cache are
     those it was built with."""
     dead = {sid for sid, e in expanded.items()
-            if not e.arcs and e.final == ZERO}
+            if not e.eps and not e.emit and e.final == ZERO}
     weights = {(ZERO, 1.0): ZERO}
     arcs: dict[tuple, CachedArc] = {}
-    sequences = {(): DEAD_END.arcs}
-    expansions = {(id(DEAD_END.arcs), id(ZERO)): DEAD_END}
-    for state_id, expansion in expanded.items():
-        built, final = expansion.arcs, expansion.final
-        kept = [arc for arc in built[:expansion.n_eps] if arc[3] not in dead]
-        kept += built[expansion.n_eps:]
-        if not kept and final == ZERO:
-            kept = built
+    sequences: dict[tuple, tuple[CachedArc, ...]] = {(): ()}
+
+    def share(sequence: Iterable[CachedArc]) -> tuple[CachedArc, ...]:
         shared = []
-        for il, ol, w, dst in kept:
+        for il, ol, w, dst in sequence:
             w = weights.setdefault((w, copysign(1.0, w)), w)
             shared.append(arcs.setdefault((il, ol, id(w), dst),
                                           (il, ol, w, dst)))
-        sequence = sequences.setdefault(tuple(map(id, shared)), tuple(shared))
+        return sequences.setdefault(tuple(map(id, shared)), tuple(shared))
+
+    expansions = {(id(DEAD_END.eps), id(DEAD_END.emit), id(ZERO)): DEAD_END}
+    for state_id, expansion in expanded.items():
+        eps, emit, final = expansion.eps, expansion.emit, expansion.final
+        kept = [arc for arc in eps if arc[3] not in dead]
+        if kept or emit or final != ZERO:
+            eps = kept
+        eps, emit = share(eps), share(emit)
         final = weights.setdefault((final, copysign(1.0, final)), final)
         expanded[state_id] = expansions.setdefault(
-            (id(sequence), id(final)), CachedExpansion(sequence, final))
+            (id(eps), id(emit), id(final)),
+            CachedExpansion.of_parts(eps, emit, final))
 
 
 class Session:
@@ -291,7 +377,7 @@ class Session:
             raise ConfigurationError("binding is for a different class label")
         self.cache = cache
         self.view = ReplaceView(cache.root, binding, cache.bridges)
-        self.private = StateTable(cache)
+        self.private = PrivateTable(cache)
         self.metrics = Metrics()
         self.ended = False
 
@@ -321,7 +407,7 @@ def end_session(session: Session) -> Metrics:
         raise ConfigurationError("session already ended")
     session.metrics.bytes_private = session.bytes_private
     final = session.metrics.snapshot()
-    session.private = StateTable(session.cache)
+    session.private = PrivateTable(session.cache)
     session.ended = True
     return final
 

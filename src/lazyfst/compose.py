@@ -31,7 +31,6 @@ representative because one-sided moves commute.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import NamedTuple
 
 from .fst import EPS, Fst
 from .semiring import ZERO
@@ -53,17 +52,13 @@ EPS2_NEXT = (2, 2, 2, 2)
 BLOCKED = int(FilterState.BLOCKED)
 
 
-class Expansion(NamedTuple):
-    """Arcs out of one composed state plus its final weight (ZERO when not
-    final).  Each arc is a plain `(ilabel, olabel, weight, (q1, q2, f))`
-    tuple whose destination is a pair key: t1 state, t2 state, filter
-    state, all ints."""
-    arcs: list[tuple[int, int, float, tuple[int, int, int]]]
-    final: float
-
-
-def expand_pair_state(key: tuple[int, int, int], t1: Fst, t2) -> Expansion:
-    """Pure single-state expansion of the filtered lazy composition.
+def expand_pair_state(key: tuple[int, int, int], t1: Fst, t2) -> tuple[
+        list[tuple[int, int, float, tuple[int, int, int]]], float]:
+    """Pure single-state expansion of the filtered lazy composition: the
+    arcs out of one composed state and its final weight (ZERO when not
+    final), as a plain `(arcs, final)` pair.  Each arc is a plain
+    `(ilabel, olabel, weight, (q1, q2, f))` tuple whose destination is a
+    pair key: t1 state, t2 state, filter state, all ints.
 
     `t2` is anything with int states and arcs_of/final_weight/start (an
     Fst or a replace view) whose int order is the order its arcs sort in.
@@ -103,5 +98,5 @@ def expand_pair_state(key: tuple[int, int, int], t1: Fst, t2) -> Expansion:
     out.sort()
     final = t1.final_weight(q1) + t2.final_weight(q2)
     # A sum of ZEROs is a new inf object; every non-final state shares ZERO.
-    return Expansion(out, ZERO if final == ZERO else final)
+    return out, ZERO if final == ZERO else final
 

@@ -5,7 +5,8 @@ and cache.expand, so the same code serves fully dynamic, BFS-pre-composed
 and warmed-up graphs; which layer answered is visible purely in the
 counters.  Each frame is Kaldi's ProcessEmitting/ProcessNonemitting
 split: the emit step walks only emitting arcs, the epsilon closure only
-epsilon arcs.  The closure (_eps_closure) holds the rule for reading the
+epsilon arcs, each its own tuple of a cache.CachedExpansion (`emit` and
+`eps`).  The closure (_eps_closure) holds the rule for reading the
 two layers and resolves each state it returns once; each token it
 returns carries its expansion on to the next emit step.  It returns no
 dead end (cache.DEAD_END: no arcs, not final), which could neither emit,
@@ -167,24 +168,26 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     up or pushed.
 
     This is the one reader of the two cache layers.  Every state kept is
-    resolved once: a seed or a newly reached state from the public layer
-    (session.cache.expanded) when its id is below session.private.first,
-    where the private table's own ids start, and the public layer holds
-    it, else from the private layer (session.private.expanded), and a
-    state neither layer holds through cache.expand when it is settled.  Each state kept counts one public_hit, private_hit or
-    otf_expansion; the hits are added to session.metrics once, when the
-    closure ends.
+    resolved once, when it is a seed or first reached.  An id at or
+    above session.private.first, where the private table's own ids
+    start, is read from the private layer's list.  A lower id is read
+    from the public layer (session.cache.expanded) and, when that lacks
+    it, from the private layer's frontier dict.  A state neither layer
+    holds is built through cache.expand when it is settled.  Each state
+    kept counts one public_hit, private_hit or otf_expansion; the hits
+    are added to session.metrics once, when the closure ends.
 
     A dead end (DEAD_END: no arcs, not final) can neither emit, end a
     hypothesis nor relax anything, so dropping it changes no result: a
     seed or relaxation that resolves to one is dropped before it is
     counted or stored, and a state cache.expand builds as one is dropped
     after its otf_expansion is counted.  The floor is still the cheapest
-    seed, dead or not.  The closure walks a state's first n_eps arcs,
-    and a resolved state without epsilon arcs relaxes nothing, so it
-    never enters the heap.  A relaxation is pushed only when it strictly
-    lowers a state's cost, so a heap entry whose cost is not the state's
-    current cost is stale and every state is settled at most once.
+    seed, dead or not.  The closure walks only a state's epsilon-input
+    arcs (its expansion's `eps`), and a resolved state without any
+    relaxes nothing, so it never enters the heap.  A relaxation is
+    pushed only when it strictly lowers a state's cost, so a heap entry
+    whose cost is not the state's current cost is stale and every state
+    is settled at most once.
     Returns the tokens, each carrying its expansion.
     """
     if session.ended:
@@ -196,7 +199,8 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     limit = floor + cfg.beam
     public = session.cache.expanded
     private = session.private.expanded
-    num_public = session.private.first
+    frontier = session.private.frontier
+    first = session.private.first
     public_hits = private_hits = 0
     best: dict[int, _Token] = {}
     heap: list[tuple[float, int]] = []
@@ -204,19 +208,26 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
         cost = tok[0]
         if not cost <= limit:
             continue
-        exp = public.get(sid) if sid < num_public else None
-        if exp is not None:
-            if exp is DEAD_END:
-                continue
-            public_hits += 1
-        else:
-            exp = private.get(sid)
+        if sid >= first:
+            exp = private[sid - first]
             if exp is not None:
                 if exp is DEAD_END:
                     continue
                 private_hits += 1
+        else:
+            exp = public.get(sid)
+            if exp is not None:
+                if exp is DEAD_END:
+                    continue
+                public_hits += 1
+            else:
+                exp = frontier.get(sid)
+                if exp is not None:
+                    if exp is DEAD_END:
+                        continue
+                    private_hits += 1
         best[sid] = (cost, tok[1], exp)
-        if exp is None or exp.n_eps:
+        if exp is None or exp.eps:
             heap.append((cost, sid))
     heapify(heap)
     built_dead = []
@@ -239,23 +250,30 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
                 if exp is DEAD_END:
                     # settled, so no later relaxation lowers it
                     built_dead.append(sid)
-            for _, olabel, weight, dst in exp.arcs[:exp.n_eps]:
+            for _, olabel, weight, dst in exp.eps:
                 new_cost = cost + weight
                 if new_cost > limit:
                     continue
                 cur = best.get(dst)
                 if cur is None:
-                    dst_exp = public.get(dst) if dst < num_public else None
-                    if dst_exp is not None:
-                        if dst_exp is DEAD_END:
-                            continue
-                        public_hits += 1
-                    else:
-                        dst_exp = private.get(dst)
+                    if dst >= first:
+                        dst_exp = private[dst - first]
                         if dst_exp is not None:
                             if dst_exp is DEAD_END:
                                 continue
                             private_hits += 1
+                    else:
+                        dst_exp = public.get(dst)
+                        if dst_exp is not None:
+                            if dst_exp is DEAD_END:
+                                continue
+                            public_hits += 1
+                        else:
+                            dst_exp = frontier.get(dst)
+                            if dst_exp is not None:
+                                if dst_exp is DEAD_END:
+                                    continue
+                                private_hits += 1
                 elif new_cost < cur[0]:
                     dst_exp = cur[2]
                 else:
@@ -263,7 +281,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
                 best[dst] = (new_cost,
                              trace if olabel == EPS else (trace, olabel),
                              dst_exp)
-                if dst_exp is None or dst_exp.n_eps:
+                if dst_exp is None or dst_exp.eps:
                     heappush(heap, (new_cost, dst))
     finally:
         metrics = session.metrics
@@ -285,8 +303,9 @@ def _prune(tokens: dict[int, _Token], cfg: DecodeConfig) -> dict[int, _Token]:
 
 def _emit(active: dict[int, _Token], row: list[float],
           beam: float) -> dict[int, _Token]:
-    """Advance every active token over its emitting arcs, adding graph
-    and acoustic cost from one frame's `row` of costs.
+    """Advance every active token over its emitting arcs (its
+    expansion's `emit`), adding graph and acoustic cost from one frame's
+    `row` of costs.
 
     The cheapest active token's emitting arcs are scanned first, and the
     cheapest cost they produce plus `beam` is the cutoff: an arc above it
@@ -298,7 +317,7 @@ def _emit(active: dict[int, _Token], row: list[float],
     num_labels = len(row)
     cost, _, exp = min(active.values(), key=_cost)
     cutoff = ZERO
-    for ilabel, _, weight, _ in exp.arcs[exp.n_eps:]:
+    for ilabel, _, weight, _ in exp.emit:
         if ilabel < num_labels:
             new_cost = cost + weight + row[ilabel]
             if new_cost < cutoff:
@@ -307,7 +326,7 @@ def _emit(active: dict[int, _Token], row: list[float],
     emitted: dict[int, _Token] = {}
     for sid in sorted(active):
         cost, trace, exp = active[sid]
-        for ilabel, olabel, weight, dst in exp.arcs[exp.n_eps:]:
+        for ilabel, olabel, weight, dst in exp.emit:
             if ilabel >= num_labels:
                 continue
             acoustic = row[ilabel]

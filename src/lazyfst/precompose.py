@@ -102,7 +102,7 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
             logger.warning("warm-up utterance %d failed to decode: %s",
                            utt_index, err)
     private = session.private
-    for state_id in sorted(private.expanded):
+    for state_id, built in private.items():
         key = private.key_of(state_id)
         if not cache.shareable(key):
             continue
@@ -113,7 +113,7 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
                            "coverage is partial", cfg.state_budget)
             break
         filled = cache.fill(key)
-        if _by_key(private.expanded[state_id], private.key_of) != \
+        if _by_key(built, private.key_of) != \
                 _by_key(filled, cache.key_of):
             raise InvariantError(
                 f"warm-up expansion of {key} depends on the binding")

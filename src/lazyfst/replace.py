@@ -17,12 +17,13 @@ its state `qp`, resuming at root state `ret` when that FST accepts, is
 id, and inside ids sort by (qp, ret): arcs sort by their natural tuple
 order.  Bridge states (those with a class out-arc) build and sort an arc
 list of their own; an inside state maps the bound FST's sorted arcs in
-order and places only its exit arc.  The bridge set depends on the root
-and the class label only, so a public cache computes it once
-(bridge_states) and hands it to every session's view.  A root state
-that is not a bridge has the root's own arcs and final weight under
-every binding, so the public cache expands such states against the root
-alone (precompose).
+order and places only its exit arc.  The arcs a view builds are plain
+`(ilabel, olabel, weight, nextstate)` tuples, so read them by position.
+The bridge set depends on the root and the class label only, so a
+public cache computes it once (bridge_states) and hands it to every
+session's view.  A root state that is not a bridge has the root's own
+arcs and final weight under every binding, so the public cache expands
+such states against the root alone (precompose).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from bisect import insort
 from typing import Optional, Sequence
 
 from .errors import BuildError
-from .fst import EPS, Arc, Fst, FstBuilder, SymbolTable
+from .fst import EPS, Fst, FstBuilder, SymbolTable
 from .semiring import ZERO
 
 
@@ -76,15 +77,15 @@ class ReplaceView:
         self.bridges = bridges
         self.num_root = root.num_states
 
-    def arcs_of(self, state: int) -> Sequence[Arc]:
+    def arcs_of(self, state: int) -> Sequence[tuple[int, int, float, int]]:
         n = self.num_root
         if state < n:
             if state not in self.bridges:
                 return self.root.arcs_of(state)
             entry = (self.fst.start + 1) * n  # inside state (start, 0)
-            out = [Arc(EPS, EPS, arc.weight, entry + arc.nextstate)
-                   if arc.olabel == self.label else arc
-                   for arc in self.root.arcs_of(state)]
+            label = self.label
+            out = [(EPS, EPS, arc[2], entry + arc[3]) if arc[1] == label
+                   else arc for arc in self.root.arcs_of(state)]
             out.sort()
             return out
         # qp -> (qp + 1) * n + ret keeps the bound FST's sorted order, so
@@ -93,11 +94,11 @@ class ReplaceView:
         qp, ret = divmod(state, n)
         qp -= 1
         at_start = n + ret  # inside state (0, ret)
-        out = [Arc(il, ol, w, at_start + d * n)
+        out = [(il, ol, w, at_start + d * n)
                for il, ol, w, d in self.fst.arcs_of(qp)]
         exit_w = self.fst.final_weight(qp)
         if exit_w != ZERO:
-            insort(out, Arc(EPS, EPS, exit_w, ret))
+            insort(out, (EPS, EPS, exit_w, ret))
         return out
 
     def final_weight(self, state: int) -> float:

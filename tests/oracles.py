@@ -87,16 +87,16 @@ def enumerate_language(machine, start=None, max_arcs: int = 64) -> dict:
                 lang[key] = total
         if depth == max_arcs:
             return
-        for arc in machine.arcs_of(state):
-            if arc.ilabel != EPS:
-                ilabels.append(arc.ilabel)
-            if arc.olabel != EPS:
-                olabels.append(arc.olabel)
-            walk(arc.nextstate, ilabels, olabels, weight + arc.weight,
-                 depth + 1)
-            if arc.ilabel != EPS:
+        # a view's arcs are plain tuples: (ilabel, olabel, weight, nextstate)
+        for il, ol, w, dst in machine.arcs_of(state):
+            if il != EPS:
+                ilabels.append(il)
+            if ol != EPS:
+                olabels.append(ol)
+            walk(dst, ilabels, olabels, weight + w, depth + 1)
+            if il != EPS:
                 ilabels.pop()
-            if arc.olabel != EPS:
+            if ol != EPS:
                 olabels.pop()
 
     walk(start, [], [], 0.0, 0)
@@ -398,15 +398,15 @@ def compose_static_full(t1: Fst, t2, max_states: int = 1_000_000) -> StaticCompo
         # Inline re-derivation of the pairing rule; kept separate from
         # expand_pair_state on purpose so the two can check each other.
         generated: list[tuple] = []
+        # a view's arcs are plain tuples: (ilabel, olabel, weight, nextstate)
         t2_arcs = t2.arcs_of(q2)
-        for e2 in t2_arcs:
-            if e2.ilabel != EPS:
+        for il2, ol2, w2, d2 in t2_arcs:
+            if il2 != EPS:
                 continue
-            generated.append((EPS, e2.olabel, e2.weight,
-                              (q1, e2.nextstate, int(advance_eps2(f)))))
-        by_il: dict[int, list[Arc]] = {}
+            generated.append((EPS, ol2, w2, (q1, d2, int(advance_eps2(f)))))
+        by_il: dict[int, list[tuple]] = {}
         for e2 in t2_arcs:
-            by_il.setdefault(e2.ilabel, []).append(e2)
+            by_il.setdefault(e2[0], []).append(e2)
         for e1 in t1.arcs_of(q1):
             if e1.olabel == EPS:
                 nf = advance_eps1(f)
@@ -414,10 +414,9 @@ def compose_static_full(t1: Fst, t2, max_states: int = 1_000_000) -> StaticCompo
                     generated.append((e1.ilabel, EPS, e1.weight,
                                       (e1.nextstate, q2, int(nf))))
             else:
-                for e2 in by_il.get(e1.olabel, ()):
-                    generated.append((e1.ilabel, e2.olabel,
-                                      e1.weight + e2.weight,
-                                      (e1.nextstate, e2.nextstate,
+                for _, ol2, w2, d2 in by_il.get(e1.olabel, ()):
+                    generated.append((e1.ilabel, ol2, e1.weight + w2,
+                                      (e1.nextstate, d2,
                                        int(advance_match(f)))))
         generated.sort()
 
@@ -464,22 +463,25 @@ def inside_id(view, qp: int, ret: int) -> int:
     return (qp + 1) * view.num_root + ret
 
 
-def expansions(layer) -> dict[int, tuple]:
-    """`layer.expanded` (a PublicCache or a session's private table) as
-    {state id: (arcs, final weight)}, which compare by value."""
-    return {sid: (e.arcs, e.final) for sid, e in layer.expanded.items()}
+def expansions(cache: PublicCache) -> dict[int, tuple]:
+    """`cache.expanded` as {state id: (eps, emit, final weight)}, which
+    compare by value."""
+    return {sid: (e.eps, e.emit, e.final) for sid, e in cache.expanded.items()}
 
 
 def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:
     """The stored expansion of `state_id`, public layer first, counting
     the hit; None when neither layer holds it.  The public layer is read
     only below session.private.first: ids at or above it are private."""
-    if state_id < session.private.first:
+    private = session.private
+    if state_id < private.first:
         cached = session.cache.expanded.get(state_id)
         if cached is not None:
             session.metrics.public_hit += 1
             return cached
-    cached = session.private.expanded.get(state_id)
+        cached = private.frontier.get(state_id)
+    else:
+        cached = private.expanded[state_id - private.first]
     if cached is not None:
         session.metrics.private_hit += 1
     return cached

@@ -1,16 +1,18 @@
 import hashlib
 import math
 import random
+import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (compose_static, expansions, inside_id,
                      is_precomposable, materialize, replace_view)
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
-                           PublicCache, Session, dump_public_cache,
+                           CachedExpansion, PublicCache, Session,
+                           dump_public_cache,
                            end_session, expand, load_public_cache,
                            seal_public)
 from lazyfst.compose import FilterState, expand_pair_state
@@ -18,7 +20,7 @@ from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.decoder import DecodeConfig, _eps_closure, decode
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
-                             scores_for)
+                             run_bench, scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import ClassBinding, empty_binding
 from lazyfst.semiring import ZERO
@@ -235,9 +237,9 @@ class TestIdSpace:
         assert counts() == (0, 0, 0)
         made = expand(frontier, session)
         assert counts() == (0, 0, 1)          # built, never looked up
-        assert session.private.expanded[frontier] is made
+        assert dict(session.private.items())[frontier] is made
         # a beam below its one epsilon arc's weight keeps the closure to it
-        assert made.n_eps == 1 and made.arcs[0][2] == 0.5
+        assert len(made.eps) == 1 and made.eps[0][2] == 0.5
         kept = _eps_closure({frontier: (0.0, None)}, session,
                             DecodeConfig(beam=0.25))
         assert list(kept) == [frontier] and kept[frontier][2] is made
@@ -291,10 +293,10 @@ class TestBytesModel:
         session = Session(cache, binding)
         assert session.bytes_private == 0
         materialize(session)
-        arcs = sum(len(e.arcs) for e in session.private.expanded.values())
-        private = session.private
-        want = (arcs * ARC_BYTES + len(private.expanded) * STATE_BYTES
-                + len(private.keys) * KEY_BYTES)
+        private = dict(session.private.items())
+        arcs = sum(len(e.arcs) for e in private.values())
+        want = (arcs * ARC_BYTES + len(private) * STATE_BYTES
+                + len(session.private.keys) * KEY_BYTES)
         assert session.bytes_private == want
         assert end_session(session).bytes_private == want
 
@@ -456,7 +458,7 @@ class TestSharing:
         text = dump_public_cache(seal_public(cache))
         assert reprs(cache) == want
         assert census(cache)["expansions"] == (3, 3, 3)
-        assert cache.expanded[a].arcs is cache.expanded[b].arcs
+        assert cache.expanded[a].emit is cache.expanded[b].emit
         loaded = load_public_cache(text, t1, root, CLS)
         assert reprs(loaded) == want
         assert dump_public_cache(loaded) == text
@@ -489,16 +491,22 @@ class TestSharing:
         session = Session(cache, binding_for(desk_build, utt["user"]))
         decode(scores_for(desk_build, desk_cfg, utt), session,
                decode_config(desk_cfg))
-        dead = [e for e in session.private.expanded.values()
+        dead = [e for _, e in session.private.items()
                 if not e.arcs and e.final == ZERO]
         assert len(dead) >= 2 and all(e is DEAD_END for e in dead)
         # a state with no arcs that is final keeps its own final weight
         t1, root, binding = fixed_scenario()
         session = Session(sealed_cache(t1, root), binding)
         materialize(session)
-        final_end = session.private.expanded[
+        final_end = dict(session.private.items())[
             session.private.intern((3, 3, FilterState.ANY))]
         assert final_end.arcs == () and final_end.final == 0.25
+
+
+def assert_split(exp) -> None:
+    """Every epsilon-input arc of `exp` is in `eps`, every other in `emit`."""
+    assert all(arc[0] == EPS for arc in exp.eps)
+    assert all(arc[0] != EPS for arc in exp.emit)
 
 
 def composed_arcs(cache) -> dict[int, tuple]:
@@ -506,9 +514,9 @@ def composed_arcs(cache) -> dict[int, tuple]:
     with the cache's ids for destination keys."""
     out = {}
     for sid in cache.expanded:
-        raw = expand_pair_state(cache.keys[sid], cache.t1, cache.root)
+        arcs, _ = expand_pair_state(cache.keys[sid], cache.t1, cache.root)
         out[sid] = tuple((il, ol, w, cache.ids[key])
-                         for il, ol, w, key in raw.arcs)
+                         for il, ol, w, key in arcs)
     return out
 
 
@@ -529,6 +537,7 @@ class TestDeadEpsilonArcs:
                         if not arcs and cache.expanded[sid].final == ZERO}
         dropped = 0
         for sid, exp in cache.expanded.items():
+            assert_split(exp)
             built = composed[sid]
             kept = tuple(a for a in built if a[0] != EPS or a[3] not in dead)
             if not kept and exp.final == ZERO:
@@ -575,6 +584,61 @@ class TestDeadEpsilonArcs:
         assert self.check(loaded, composed_arcs(loaded)) == \
             self.check(cache, composed_arcs(cache))
         assert dump_public_cache(loaded) == text
+
+
+sorted_arcs = st.lists(st.tuples(
+    st.sampled_from([EPS, EPS, 1, 2, 300]), st.integers(0, 3),
+    dyadic_weights(), st.integers(0, 2000))).map(lambda a: tuple(sorted(a)))
+
+
+class TestArcLayout:
+    """An expansion holds its epsilon-input arcs in `eps` and its
+    emitting arcs in `emit`, split once, where it is built; sealing and
+    loading keep the split (TestDeadEpsilonArcs checks each public
+    layer's arcs against the composed ones)."""
+
+    @given(sorted_arcs)
+    @example(())
+    @example(((EPS, 1, 0.5, 3), (EPS, 2, 0.0, 1)))
+    @example(((1, 1, 0.0, 3), (2, 0, 0.25, 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_split_of_sorted_arcs(self, arcs):
+        made = CachedExpansion(arcs, ZERO)
+        assert_split(made)
+        assert made.eps + made.emit == made.arcs == arcs
+
+    def test_private_layer_after_desk_pass(self, desk_build, desk_cfg):
+        cache, _ = precompose_cache(desk_build, desk_cfg, "both")
+        user = desk_build.utterances[0]["user"]
+        session = Session(cache, binding_for(desk_build, user))
+        for utt in [u for u in desk_build.utterances if u["user"] == user]:
+            decode(scores_for(desk_build, desk_cfg, utt), session,
+                   decode_config(desk_cfg))
+        private = session.private
+        held = private.items()
+        # both parts in use, and frontier ids as well as the layer's own
+        assert any(e.eps and e.emit for _, e in held)
+        assert {sid < private.first for sid, _ in held} == {True, False}
+        for sid, exp in held:
+            assert_split(exp)
+            arcs, final = expand_pair_state(private.key_of(sid), cache.t1,
+                                            session.view)
+            assert exp.eps + exp.emit == tuple(
+                (il, ol, w, private.ids.get(key, cache.ids.get(key)))
+                for il, ol, w, key in arcs)
+            assert exp.final == final
+
+    def test_modeled_bytes_are_pinned(self, desk_build, desk_cfg):
+        # perfbench's figures at seed 7: its memory pass models every
+        # fourth session
+        cfg = dict(desk_cfg, seed=7)
+        for method, length, public, session in (("both", 5, 34_272, 12_080),
+                                                ("none", 1, 0, 22_652)):
+            report = run_bench(cfg, method=method, session_length=length,
+                               build=desk_build)
+            sessions = [s["bytes_private"] for s in report["sessions"]]
+            assert report["bytes_public"] == public
+            assert statistics.median(sessions[::4]) == session
 
 
 def rechecksum(text: str) -> str:

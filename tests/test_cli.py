@@ -396,6 +396,22 @@ class TestFullBenchScript:
         err = capsys.readouterr().err
         assert "session_length" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("sweep", [
+        ["--methods", "none", "bogus"],
+        ["--methods", "none", "--session-lengths", "1", "0"]])
+    def test_bad_value_late_in_a_list_runs_no_sweep(self, script_main,
+                                                    mini_config, capsys,
+                                                    monkeypatch, sweep):
+        called = []
+        for name in ("build_graphs", "run_bench"):
+            monkeypatch.setitem(script_main.__globals__, name,
+                                lambda *a, name=name, **k: called.append(name))
+        assert script_main(["--config", str(mini_config)] + sweep) == 2
+        assert called == []
+        err = capsys.readouterr().err
+        assert ("bogus" in err or "session_length" in err) \
+            and len(err.splitlines()) == 1
+
 
 # JSON values of every type, for replacing a value with one of another
 JSON_VALUES = (5, 1.5, True, None, "x", [], ["x"], {}, {"x": ["y"]})

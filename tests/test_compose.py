@@ -99,23 +99,23 @@ class TestDualRoutes:
         # order, so only the order within such a tie may differ.
         full = compose_static_full(t1, t2)
         for key, sid in full.state_of.items():
-            exp = expand_pair_state(key, t1, t2)
+            arcs, final = expand_pair_state(key, t1, t2)
             static_arcs = [
                 (a.ilabel, a.olabel, a.weight, a.nextstate)
                 for a in full.fst.arcs_of(sid)]
             lazy_arcs = [(il, ol, w, full.state_of[dst])
-                         for il, ol, w, dst in exp.arcs]
+                         for il, ol, w, dst in arcs]
             assert [a[:3] for a in lazy_arcs] == [a[:3] for a in static_arcs]
             assert sorted(lazy_arcs) == static_arcs
-            assert exp.final == full.fst.final_weight(sid)
+            assert final == full.fst.final_weight(sid)
 
     def test_expansion_arcs_sorted(self):
         t1 = _machine([(0, 1, 1, 0.0, 1), (0, 1, EPS, 0.0, 1),
                        (0, 2, 2, 0.5, 1)], {1: 0.0}, 2)
         t2 = _machine([(0, 1, 5, 0.0, 1), (0, 2, 4, 0.0, 1),
                        (0, EPS, 6, 0.0, 1)], {1: 0.0}, 2)
-        exp = expand_pair_state((0, 0, FilterState.ANY), t1, t2)
-        keys = [composed_arc_key(t2, a) for a in exp.arcs]
+        arcs, _ = expand_pair_state((0, 0, FilterState.ANY), t1, t2)
+        keys = [composed_arc_key(t2, a) for a in arcs]
         assert keys == sorted(keys)
 
     def test_non_final_expansion_shares_zero(self):
@@ -125,8 +125,8 @@ class TestDualRoutes:
         t2 = _machine([(0, 1, 1, 0.0, 1)], {1: 0.5}, 2)
         for key in [(0, 0, FilterState.ANY), (0, 1, FilterState.ANY),
                     (1, 0, FilterState.ANY)]:
-            assert expand_pair_state(key, t1, t2).final is ZERO
-        assert expand_pair_state((1, 1, FilterState.ANY), t1, t2).final == 0.5
+            assert expand_pair_state(key, t1, t2)[1] is ZERO
+        assert expand_pair_state((1, 1, FilterState.ANY), t1, t2)[1] == 0.5
 
 
 LIVE_FILTER_STATES = [FilterState.ANY, FilterState.EPS1_ONLY,
@@ -173,13 +173,13 @@ class TestIndexJoin:
     def test_wide_state_matches_pairwise_rule(self, f):
         t1, t2 = _wide_pair()
         key = (0, 0, int(f))
-        exp = expand_pair_state(key, t1, t2)
-        assert exp.arcs == pair_state_arcs(key, t1, t2)
+        arcs, final = expand_pair_state(key, t1, t2)
+        assert arcs == pair_state_arcs(key, t1, t2)
         # both t1 arcs writing 5 meet both t2 arcs reading 5
-        assert len([a for a in exp.arcs if a[1] in (51, 52)]) == 4
-        assert len([a for a in exp.arcs if a[0] == EPS]) == \
+        assert len([a for a in arcs if a[1] in (51, 52)]) == 4
+        assert len([a for a in arcs if a[0] == EPS]) == \
             (3 if f != FilterState.EPS2_ONLY else 2)
-        assert exp.final == t1.final_weight(0) + t2.final_weight(0)
+        assert final == t1.final_weight(0) + t2.final_weight(0)
 
     def test_wide_state_matches_static_route(self):
         t1, t2 = _wide_pair()
@@ -187,17 +187,17 @@ class TestIndexJoin:
         key_of = {sid: key for key, sid in full.state_of.items()}
         static = [(a.ilabel, a.olabel, a.weight, key_of[a.nextstate])
                   for a in full.fst.arcs_of(0)]
-        exp = expand_pair_state((0, 0, int(FilterState.ANY)), t1, t2)
-        assert sorted(exp.arcs) == sorted(static)
+        arcs, _ = expand_pair_state((0, 0, int(FilterState.ANY)), t1, t2)
+        assert sorted(arcs) == sorted(static)
 
     @given(wide_pair())
     @settings(max_examples=150, deadline=None)
     def test_random_wide_state_matches_pairwise_rule(self, case):
         t1, t2, f = case
         key = (0, 0, f)
-        exp = expand_pair_state(key, t1, t2)
-        assert exp.arcs == pair_state_arcs(key, t1, t2)
-        assert exp.final == t1.final_weight(0) + t2.final_weight(0)
+        arcs, final = expand_pair_state(key, t1, t2)
+        assert arcs == pair_state_arcs(key, t1, t2)
+        assert final == t1.final_weight(0) + t2.final_weight(0)
 
 
 class TestLimitsAndNumbering:

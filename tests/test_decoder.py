@@ -294,17 +294,16 @@ class TestClosureContract:
             assert decode(scores_for(desk_build, desk_cfg, utt), session,
                           decode_config(desk_cfg)) is not None
         m = session.metrics
-        built_dead = sum(e is DEAD_END for e in session.private.expanded.values())
+        private = dict(session.private.items())
+        built_dead = sum(e is DEAD_END for e in private.values())
         assert min(m.public_hit, m.private_hit, m.otf_expansion,
                    built_dead) > 0
         assert m.public_hit + m.private_hit + m.otf_expansion == \
             sum(handed) + built_dead
         # private expansions keep their epsilon arcs into a dead end,
         # which the closure drops uncounted
-        dead = {sid for sid, e in session.private.expanded.items()
-                if e is DEAD_END}
-        assert any(arc[0] == EPS and arc[3] in dead
-                   for e in session.private.expanded.values() for arc in e.arcs)
+        dead = {sid for sid, e in private.items() if e is DEAD_END}
+        assert any(arc[3] in dead for e in private.values() for arc in e.eps)
 
     @pytest.mark.parametrize("method", ["none", "both"])
     def test_no_dead_end_is_handed_to_pruning(self, desk_build, desk_cfg,
@@ -319,7 +318,7 @@ class TestClosureContract:
 
         def checking_prune(tokens, cfg):
             for tok in tokens.values():
-                assert tok[2].arcs or tok[2].final != ZERO
+                assert tok[2].eps or tok[2].emit or tok[2].final != ZERO
             handed.append(len(tokens))
             return prune(tokens, cfg)
 
@@ -328,7 +327,7 @@ class TestClosureContract:
             assert decode(scores_for(desk_build, desk_cfg, utt), session,
                           decode_config(desk_cfg)) is not None
         assert sum(handed) > 0
-        assert DEAD_END in session.private.expanded.values()
+        assert DEAD_END in session.private.expanded
 
     def eps_chain(self, n):
         """t1 is n epsilon arcs in a row, final at the end; root accepts

@@ -62,18 +62,18 @@ class TestViewStructure:
                             ClassBinding(CLS, simple_class))
         arcs = view.arcs_of(1)
         assert arcs == sorted(arcs, key=lambda a: view_arc_key(view, a))
-        entries = [a for a in arcs if a.nextstate >= view.num_root]
+        entries = [a for a in arcs if a[3] >= view.num_root]
         assert len(entries) == 1
         entry = entries[0]
-        assert (entry.ilabel, entry.olabel, entry.weight) == (EPS, EPS, 0.25)
-        assert entry.nextstate == inside_id(view, simple_class.start, 2)
+        assert entry[:3] == (EPS, EPS, 0.25)
+        assert entry[3] == inside_id(view, simple_class.start, 2)
 
     def test_exit_carries_final_weight(self, simple_root, simple_class):
         view = replace_view(simple_root,
                             ClassBinding(CLS, simple_class))
         arcs = view.arcs_of(inside_id(view, 2, ret=2))
-        exits = [a for a in arcs if a.nextstate < view.num_root]
-        assert exits == [type(exits[0])(EPS, EPS, 1.0, 2)]
+        exits = [a for a in arcs if a[3] < view.num_root]
+        assert exits == [(EPS, EPS, 1.0, 2)]
 
     def test_inside_states_are_never_final(self, simple_root, simple_class):
         view = replace_view(simple_root,
@@ -115,10 +115,10 @@ class TestArcOrder:
             (3, 3, 0.25, deeper),
         ]
         t1 = acceptor([(0, 3, 0.0, 1)], {1: 0.0}, 2)
-        exp = expand_pair_state(
+        arcs, _ = expand_pair_state(
             (0, inside_id(view, 0, 1), FilterState.ANY), t1, view)
         eps2 = FilterState.EPS2_ONLY
-        assert [tuple(a) for a in exp.arcs] == [
+        assert [tuple(a) for a in arcs] == [
             (EPS, EPS, 0.5, (0, deeper, eps2)),
             (EPS, EPS, 1.0, (0, 1, eps2)),
             (EPS, EPS, 1.0, (0, deeper, eps2)),
@@ -160,8 +160,8 @@ class TestArcOrder:
             view = replace_view(desk_build.root, binding_for(desk_build, user))
             reachable = compose_static_full(desk_build.t1, view).state_of
             for key in reachable:
-                exp = expand_pair_state(key, desk_build.t1, view)
-                order = [composed_arc_key(view, a) for a in exp.arcs]
+                arcs, _ = expand_pair_state(key, desk_build.t1, view)
+                order = [composed_arc_key(view, a) for a in arcs]
                 assert order == sorted(order)
                 inside += key[1] >= view.num_root
         assert inside > len(desk_build.bindings)
