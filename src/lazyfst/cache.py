@@ -14,14 +14,15 @@ pair keys (see compose) with dense state ids and the expansions it built:
 
 The sealed public table owns ids [0, N_pub), and a session's table
 numbers its own keys from N_pub on (StateTable.first), so private arcs
-may point at public states, and a public id interned but never expanded
-offline (a frontier destination) is expanded privately on first use.
-The public layer keeps its expansions in a dict by id, in fill order; a
-private layer keeps those of its own ids in a list aligned with its
-keys and those of frontier ids in a small dict.  One rule interns for
-both layers (StateTable.intern_arcs), all destinations of one expansion
-in one pass that also builds the cached arcs, plain `(ilabel, olabel,
-weight, nextstate)` tuples; one step expands, interns and stores
+may point at public states.  Sealing numbers the E = num_expanded
+filled states first, then the frontier destinations, interned but never
+expanded offline, which a session expands privately on first use: an id
+is public below E, else private.  The public layer keeps its expansions
+in a dict by id, in fill order; a private layer keeps its own in one
+list indexed from E, frontier ids first.  One rule interns for both layers
+(StateTable.intern_arcs), all destinations of one expansion in one pass
+that also builds the cached arcs, plain `(ilabel, olabel, weight,
+nextstate)` tuples; one step expands, interns and stores
 (StateTable.build), and one formula charges modeled bytes
 (StateTable.bytes_estimate).  A CachedExpansion holds its arcs in two
 tuples, the epsilon-input arcs and the emitting ones, split once when it
@@ -48,7 +49,7 @@ Sealing also drops each public epsilon arc into a public dead end,
 unless its state has nothing else (_share_equal_parts).  A dump is the
 fill log, the key of each filled state in fill order, and loading fills
 the same keys in the same order, which interns every key, frontier
-destinations included, under the id it had.
+destinations included, under the id it had before sealing.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import hashlib
 from bisect import bisect_left
 from functools import cached_property
 from math import copysign
-from typing import Collection, Iterable, Optional
+from typing import Iterable, Optional
 
 from .compose import FilterState, expand_pair_state
 from .errors import BuildError, ConfigurationError, InvariantError
@@ -191,56 +192,55 @@ class StateTable:
     def store(self, state_id: int, made: CachedExpansion) -> None:
         raise NotImplementedError
 
-    def held(self) -> Collection[CachedExpansion]:
+    def held(self) -> Iterable[CachedExpansion]:
         """Every expansion this layer holds."""
         raise NotImplementedError
 
     def bytes_estimate(self) -> int:
-        held = self.held()
-        arcs = sum([len(e.eps) + len(e.emit) for e in held])
-        return (arcs * ARC_BYTES + len(held) * STATE_BYTES
+        states = arcs = 0
+        for e in self.held():
+            states += 1
+            arcs += len(e.eps) + len(e.emit)
+        return (arcs * ARC_BYTES + states * STATE_BYTES
                 + len(self.keys) * KEY_BYTES)
 
 
 class PrivateTable(StateTable):
     """A session's private layer, a table over the sealed public cache.
-    The expansions of its own ids go in a list aligned with its keys,
-    `expanded[state_id - first]`, None until built; those of frontier
-    ids, public ids the public layer holds no expansion for, go in the
-    small dict `frontier`."""
+    Every id from `filled`, the public layer's num_expanded, on is
+    private, its expansion at `expanded[state_id - filled]`, None until
+    built: the public frontier ids, then this table's keys."""
 
     def __init__(self, below: PublicCache):
         super().__init__()
         self.below = below
         self.first = len(below.keys)
-        self.expanded: list[Optional[CachedExpansion]] = []
-        self.frontier: dict[int, CachedExpansion] = {}
+        self.filled = below.num_expanded
+        self.expanded: list[Optional[CachedExpansion]] = \
+            [None] * (self.first - self.filled)
 
     def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
         """StateTable.intern_arcs, then a None slot for every new key, so
         `expanded` stays aligned with `keys`."""
         interned = super().intern_arcs(arcs)
         expanded = self.expanded
-        if len(expanded) < len(self.keys):
-            expanded += [None] * (len(self.keys) - len(expanded))
+        missing = self.first - self.filled + len(self.keys) - len(expanded)
+        if missing:
+            expanded += [None] * missing
         return interned
 
     def store(self, state_id: int, made: CachedExpansion) -> None:
-        if state_id < self.first:
-            self.frontier[state_id] = made
-        else:
-            self.expanded[state_id - self.first] = made
+        self.expanded[state_id - self.filled] = made
 
-    def held(self) -> list[CachedExpansion]:
-        return [e for e in self.expanded if e is not None] + \
-            list(self.frontier.values())
+    def held(self) -> Iterable[CachedExpansion]:
+        # a CachedExpansion is always true, a slot not yet built None
+        return filter(None, self.expanded)
 
     def items(self) -> list[tuple[int, CachedExpansion]]:
         """(state id, expansion) for every state this layer holds, by id."""
-        first = self.first
-        return sorted(self.frontier.items()) + [
-            (first + i, e) for i, e in enumerate(self.expanded)
-            if e is not None]
+        filled = self.filled
+        return [(filled + i, e) for i, e in enumerate(self.expanded)
+                if e is not None]
 
 
 class PublicCache(StateTable):
@@ -258,7 +258,7 @@ class PublicCache(StateTable):
     def store(self, state_id: int, made: CachedExpansion) -> None:
         self.expanded[state_id] = made
 
-    def held(self) -> Collection[CachedExpansion]:
+    def held(self) -> Iterable[CachedExpansion]:
         return self.expanded.values()
 
     @property
@@ -315,29 +315,39 @@ class PublicCache(StateTable):
 
 
 def seal_public(cache: PublicCache) -> PublicCache:
-    """Freeze the public layer and share its equal parts, dropping its
-    epsilon arcs into a dead end (_share_equal_parts).  PublicCache.fill
-    stores only shareable states, expanded against the root, so there is
-    nothing left to check.  Sealing twice is a no-op."""
+    """Freeze the public layer, renumber it and share its equal parts
+    (_share_equal_parts).  PublicCache.fill stores only shareable states,
+    expanded against the root, so there is nothing left to check.
+    Sealing twice is a no-op."""
     if not cache.sealed:
-        _share_equal_parts(cache.expanded)
+        _share_equal_parts(cache)
         cache.sealed = True
     return cache
 
 
-def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
-    """Point every state of `expanded` at one shared CachedExpansion per
-    distinct (eps, emit, final), built from one float per distinct
-    weight and one tuple per distinct arc and arc sequence, without the
-    epsilon arcs into a dead end.
+def _share_equal_parts(cache: PublicCache) -> None:
+    """Renumber `cache`, its filled states first, then its frontier
+    states, each group in id order; point every filled state at one
+    shared CachedExpansion per distinct (eps, emit, final), built from
+    one float per distinct weight and one tuple per distinct arc (its
+    destination renumbered) and arc sequence, without the epsilon arcs
+    into a dead end.
 
     A weight is keyed by (value, sign), so 0.0 and -0.0 stay apart; once
     weights are shared, the id of a shared part stands for its value in
     the keys of the parts built from it.  An epsilon arc whose
-    destination `expanded` holds as a dead end (no arcs, not final) is
+    destination the cache holds as a dead end (no arcs, not final) is
     dropped, unless that would leave its state a dead end too: such a
     state keeps its arcs as built, so the dead ends of a sealed cache are
     those it was built with."""
+    expanded, keys = cache.expanded, cache.keys
+    order = sorted(range(len(keys)), key=lambda sid: sid not in expanded)
+    renumbered = [0] * len(keys)
+    for new_id, old_id in enumerate(order):
+        renumbered[old_id] = new_id
+    cache.keys = [keys[old_id] for old_id in order]
+    cache.ids = {keys[old_id]: renumbered[old_id] for old_id in order}
+
     dead = {sid for sid, e in expanded.items()
             if not e.eps and not e.emit and e.final == ZERO}
     weights = {(ZERO, 1.0): ZERO}
@@ -348,11 +358,13 @@ def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
         shared = []
         for il, ol, w, dst in sequence:
             w = weights.setdefault((w, copysign(1.0, w)), w)
+            dst = renumbered[dst]
             shared.append(arcs.setdefault((il, ol, id(w), dst),
                                           (il, ol, w, dst)))
         return sequences.setdefault(tuple(map(id, shared)), tuple(shared))
 
     expansions = {(id(DEAD_END.eps), id(DEAD_END.emit), id(ZERO)): DEAD_END}
+    cache.expanded = {}
     for state_id, expansion in expanded.items():
         eps, emit, final = expansion.eps, expansion.emit, expansion.final
         kept = [arc for arc in eps if arc[3] not in dead]
@@ -360,7 +372,7 @@ def _share_equal_parts(expanded: dict[int, CachedExpansion]) -> None:
             eps = kept
         eps, emit = share(eps), share(emit)
         final = weights.setdefault((final, copysign(1.0, final)), final)
-        expanded[state_id] = expansions.setdefault(
+        cache.expanded[renumbered[state_id]] = expansions.setdefault(
             (id(eps), id(emit), id(final)),
             CachedExpansion.of_parts(eps, emit, final))
 
@@ -418,9 +430,8 @@ CACHE_FORMAT = "lazyfst-public-cache 3"
 def dump_public_cache(cache: PublicCache) -> str:
     """Versioned, checksummed text dump of a sealed public cache: the key
     of each filled state, in fill order.  It holds no id, arc or weight;
-    loading fills the same keys in the same order, which interns every
-    key under the id it had, and recomputes each expansion from the
-    graphs."""
+    loading fills the same keys in the same order and seals, which gives
+    every key the id it had and recomputes each expansion."""
     if not cache.sealed:
         raise ConfigurationError("dump requires a sealed cache")
     body = "".join(f"s {q1} {q2} {f}\n"

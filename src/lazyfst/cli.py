@@ -72,12 +72,23 @@ def _build_parser() -> _Parser:
 
 
 def _config(args) -> dict:
-    """The config file, with --seed and --bfs-depth in place of its own."""
+    """The config file, with --seed and --bfs-depth in place of its own.
+    A dump fixes how its cache was built, so --cache takes no --method or
+    --bfs-depth, and --bfs-depth needs a method that runs a BFS."""
+    method = getattr(args, "method", None)
+    depth = getattr(args, "bfs_depth", None)
+    if getattr(args, "cache", None) is not None:
+        if method is not None or depth is not None:
+            raise ConfigurationError("--cache loads a finished cache; it "
+                                     "takes no --method or --bfs-depth")
+    elif depth is not None and method not in ("bfs", "both"):
+        raise ConfigurationError(f"--bfs-depth needs --method bfs or both, "
+                                 f"not {method or 'none'}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "bfs_depth", None) is not None:
-        cfg["bfs_depth"] = args.bfs_depth
+    if depth is not None:
+        cfg["bfs_depth"] = depth
     return cfg
 
 
@@ -90,14 +101,9 @@ def _check_output(path: str | None) -> None:
 
 
 def _cache_from_file(args, build):
-    """The sealed cache of the --cache dump, or None without --cache.  A
-    dump fixes how its cache was built, so --cache takes no --method or
-    --bfs-depth."""
+    """The sealed cache of the --cache dump, or None without --cache."""
     if args.cache is None:
         return None
-    if args.method is not None or args.bfs_depth is not None:
-        raise ConfigurationError("--cache loads a finished cache; it cannot "
-                                 "be combined with --method or --bfs-depth")
     try:
         text = Path(args.cache).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:

@@ -51,7 +51,6 @@ from .cache import DEAD_END, Session, expand
 from .errors import (CompositionSizeError, ConfigurationError, is_real,
                      require_int, require_real)
 from .fst import EPS
-from .metrics import Metrics
 from .semiring import ZERO
 
 FRAME_SECONDS = 0.01  # default frame length of ScoreMatrix and simulate_scores
@@ -139,7 +138,6 @@ class Hypothesis:
     frames: int
     wall_seconds: float
     frame_seconds: float
-    metrics: Metrics
 
 
 def rtf(h: Hypothesis) -> float:
@@ -168,14 +166,14 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     up or pushed.
 
     This is the one reader of the two cache layers.  Every state kept is
-    resolved once, when it is a seed or first reached.  An id at or
-    above session.private.first, where the private table's own ids
-    start, is read from the private layer's list.  A lower id is read
-    from the public layer (session.cache.expanded) and, when that lacks
-    it, from the private layer's frontier dict.  A state neither layer
-    holds is built through cache.expand when it is settled.  Each state
-    kept counts one public_hit, private_hit or otf_expansion; the hits
-    are added to session.metrics once, when the closure ends.
+    resolved once, when it is a seed or first reached.  Sealing numbers
+    the states the public layer holds first, so an id below
+    session.private.filled is read from the public layer
+    (session.cache.expanded), which holds it, and any other from the
+    private layer's list, which may not hold it yet.  A state neither
+    layer holds is built through cache.expand when it is settled.  Each
+    state kept counts one public_hit, private_hit or otf_expansion; the
+    hits are added to session.metrics once, when the closure ends.
 
     A dead end (DEAD_END: no arcs, not final) can neither emit, end a
     hypothesis nor relax anything, so dropping it changes no result: a
@@ -199,8 +197,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     limit = floor + cfg.beam
     public = session.cache.expanded
     private = session.private.expanded
-    frontier = session.private.frontier
-    first = session.private.first
+    filled = session.private.filled
     public_hits = private_hits = 0
     best: dict[int, _Token] = {}
     heap: list[tuple[float, int]] = []
@@ -208,24 +205,17 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
         cost = tok[0]
         if not cost <= limit:
             continue
-        if sid >= first:
-            exp = private[sid - first]
+        if sid < filled:
+            exp = public[sid]
+            if exp is DEAD_END:
+                continue
+            public_hits += 1
+        else:
+            exp = private[sid - filled]
             if exp is not None:
                 if exp is DEAD_END:
                     continue
                 private_hits += 1
-        else:
-            exp = public.get(sid)
-            if exp is not None:
-                if exp is DEAD_END:
-                    continue
-                public_hits += 1
-            else:
-                exp = frontier.get(sid)
-                if exp is not None:
-                    if exp is DEAD_END:
-                        continue
-                    private_hits += 1
         best[sid] = (cost, tok[1], exp)
         if exp is None or exp.eps:
             heap.append((cost, sid))
@@ -256,24 +246,17 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
                     continue
                 cur = best.get(dst)
                 if cur is None:
-                    if dst >= first:
-                        dst_exp = private[dst - first]
+                    if dst < filled:
+                        dst_exp = public[dst]
+                        if dst_exp is DEAD_END:
+                            continue
+                        public_hits += 1
+                    else:
+                        dst_exp = private[dst - filled]
                         if dst_exp is not None:
                             if dst_exp is DEAD_END:
                                 continue
                             private_hits += 1
-                    else:
-                        dst_exp = public.get(dst)
-                        if dst_exp is not None:
-                            if dst_exp is DEAD_END:
-                                continue
-                            public_hits += 1
-                        else:
-                            dst_exp = frontier.get(dst)
-                            if dst_exp is not None:
-                                if dst_exp is DEAD_END:
-                                    continue
-                                private_hits += 1
                 elif new_cost < cur[0]:
                     dst_exp = cur[2]
                 else:
@@ -362,11 +345,10 @@ def decode(scores: ScoreMatrix, session: Session,
     final token becomes the Hypothesis.  Returns None when no hypothesis
     survives -- a result, not an error -- as when a frame emits nothing
     or a closure keeps no token because every one it reached is a dead
-    end.
+    end.  Either way its work is counted in session.metrics.
     """
     if cfg is None:
         cfg = DecodeConfig()
-    before = session.metrics.snapshot()
     t0 = time.perf_counter()
 
     active = _prune(_eps_closure({session.start_id(): (0.0, None)},
@@ -400,5 +382,4 @@ def decode(scores: ScoreMatrix, session: Session,
     words = tuple(osyms.sym_of(l) if osyms is not None else str(l) for l in labels)
     return Hypothesis(cost=best_cost, labels=labels, words=words,
                       frames=scores.num_frames, wall_seconds=wall,
-                      frame_seconds=scores.frame_seconds,
-                      metrics=session.metrics.delta(before))
+                      frame_seconds=scores.frame_seconds)

@@ -266,27 +266,26 @@ class SessionResult:
 def run_session(cache: PublicCache, build: Build, cfg: dict,
                 user: str, utts: list[dict],
                 dec_cfg: DecodeConfig) -> SessionResult:
+    """Decode `utts` in one session.  Each turn's counters are what the
+    session's Metrics gained over its decode, so a turn that fails
+    reports the work it did too."""
     session = Session(cache, binding_for(build, user))
     turns = []
     for turn_index, utt in enumerate(utts, start=1):
         scores = scores_for(build, cfg, utt)
+        before = session.metrics.snapshot()
         hyp = decode(scores, session, dec_cfg)
-        ref = utt["words"]
-        if hyp is None:
-            turns.append({"id": utt["id"], "turn": turn_index, "failed": True,
-                          "otf": 0, "public": 0, "private": 0,
-                          "frames": scores.num_frames, "cost": None,
-                          "rtf": 0.0, "errors": len(ref), "ref_len": len(ref),
-                          "hyp_words": []})
-            continue
-        m = hyp.metrics
+        m = session.metrics.delta(before)
+        failed = hyp is None
+        words = [] if failed else hyp.words
         turns.append({
-            "id": utt["id"], "turn": turn_index, "failed": False,
+            "id": utt["id"], "turn": turn_index, "failed": failed,
             "otf": m.otf_expansion, "public": m.public_hit,
-            "private": m.private_hit, "frames": hyp.frames,
-            "cost": hyp.cost, "rtf": rtf(hyp),
-            "errors": levenshtein(ref, hyp.words), "ref_len": len(ref),
-            "hyp_words": hyp.words,
+            "private": m.private_hit, "frames": scores.num_frames,
+            "cost": None if failed else hyp.cost,
+            "rtf": 0.0 if failed else rtf(hyp),
+            "errors": levenshtein(utt["words"], words),
+            "ref_len": len(utt["words"]), "hyp_words": words,
         })
     final = end_session(session)
     return SessionResult(user=user, turns=turns,

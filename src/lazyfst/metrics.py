@@ -5,7 +5,8 @@ byte sizes; wall-clock time lives on the Hypothesis, never here.
 
 public_hit and private_hit count one per state a decoder closure returns,
 per frame, that the public layer (the session's PublicCache) or the
-private layer (its state table, Session.private) already held; the
+private layer (its state table, Session.private) already held: an id
+below PublicCache.num_expanded is public, any other private.  The
 closure (decoder._eps_closure, the one reader of the two layers) adds
 its hits here once when it ends.  A dead end (cache.DEAD_END) is never
 returned, so it is never a hit.  otf_expansion counts the states

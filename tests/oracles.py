@@ -470,18 +470,15 @@ def expansions(cache: PublicCache) -> dict[int, tuple]:
 
 
 def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:
-    """The stored expansion of `state_id`, public layer first, counting
-    the hit; None when neither layer holds it.  The public layer is read
-    only below session.private.first: ids at or above it are private."""
-    private = session.private
-    if state_id < private.first:
-        cached = session.cache.expanded.get(state_id)
-        if cached is not None:
-            session.metrics.public_hit += 1
-            return cached
-        cached = private.frontier.get(state_id)
-    else:
-        cached = private.expanded[state_id - private.first]
+    """The stored expansion of `state_id`, counting the hit; None when
+    neither layer holds it.  Sealing numbers the filled public states
+    first, so an id below the public cache's num_expanded is public and
+    any other is private."""
+    filled = session.cache.num_expanded
+    if state_id < filled:
+        session.metrics.public_hit += 1
+        return session.cache.expanded[state_id]
+    cached = session.private.expanded[state_id - filled]
     if cached is not None:
         session.metrics.private_hit += 1
     return cached

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (compose_static, expansions, inside_id,
-                     is_precomposable, materialize, replace_view)
+                     is_precomposable, lookup, materialize, replace_view)
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
                            CachedExpansion, PublicCache, Session,
@@ -257,6 +257,78 @@ class TestIdSpace:
         assert [session.private.intern(k) for k in keys] == \
             [oracle.intern(k) for k in keys]
 
+
+def fill_log(cache):
+    """A new, unsealed cache filled with the keys `cache` filled, in fill
+    order: the table as it stood before sealing."""
+    again = PublicCache(cache.t1, cache.root, cache.label)
+    for state_id in cache.expanded:
+        again.fill(cache.key_of(state_id))
+    return again
+
+
+class TestIdLayout:
+    """Sealing numbers the filled public states [0, E) and the frontier
+    states [E, N), each group in its order before sealing, so an id below
+    E = num_expanded is public and any other is private."""
+
+    def check(self, cache, binding):
+        n, e = cache.num_public, cache.num_expanded
+        assert sorted(cache.expanded) == list(range(e))
+        assert len(cache.ids) == n
+        assert all(cache.ids[key] == sid for sid, key in enumerate(cache.keys))
+        assert all(dst < n for exp in cache.expanded.values()
+                   for *_, dst in exp.arcs)
+        before = fill_log(cache)
+        filled = {before.key_of(sid) for sid in before.expanded}
+        assert cache.keys == [k for k in before.keys if k in filled] + \
+            [k for k in before.keys if k not in filled]
+        assert list(map(cache.key_of, cache.expanded)) == \
+            list(map(before.key_of, before.expanded))
+        # every frontier expansion goes to the private list at sid - E
+        # and is read back from it as a private hit
+        session = Session(cache, binding)
+        m = session.metrics
+        for sid in range(e, n):
+            made = expand(sid, session)
+            assert session.private.expanded[sid - e] is made
+            hits = (m.public_hit, m.private_hit)
+            assert lookup(session, sid) is made
+            assert (m.public_hit, m.private_hit) == (hits[0], hits[1] + 1)
+        for sid in range(e, n):
+            made = session.private.expanded[sid - e]
+            if made is DEAD_END:
+                continue
+            # the first closure builds what it reaches, the second only
+            # reads: each state it keeps is a public hit below E and a
+            # private hit at or above it
+            _eps_closure({sid: (0.0, None)}, session, DecodeConfig())
+            start = m.snapshot()
+            kept = _eps_closure({sid: (0.0, None)}, session, DecodeConfig())
+            assert kept[sid][2] is made
+            counted = m.delta(start)
+            assert (counted.public_hit, counted.private_hit,
+                    counted.otf_expansion) == (
+                sum(k < e for k in kept), sum(k >= e for k in kept), 0)
+
+    @pytest.mark.parametrize("method", ["bfs", "warmup", "both"])
+    def test_desk_caches(self, desk_build, desk_cfg, method):
+        cache, _ = precompose_cache(desk_build, desk_cfg, method)
+        loaded = load_public_cache(dump_public_cache(cache), desk_build.t1,
+                                   desk_build.root, desk_build.class_id)
+        binding = binding_for(desk_build, desk_build.utterances[0]["user"])
+        for sealed in (cache, loaded):
+            assert 0 < sealed.num_expanded < sealed.num_public
+            self.check(sealed, binding)
+
+    @given(scenario(), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, graphs, depth):
+        t1, root, binding = graphs
+        cache = sealed_cache(t1, root, depth=depth)
+        self.check(cache, binding)
+        loaded = load_public_cache(dump_public_cache(cache), t1, root, CLS)
+        self.check(loaded, binding)
 
 
 class TestMaterializeMatchesStatic:

@@ -65,6 +65,20 @@ class TestUsageErrors:
 
 
 class TestDataErrors:
+    @pytest.mark.parametrize("command, method", [
+        ("precompose", ["--method", "none"]),
+        ("precompose", ["--method", "warmup"]),
+        ("decode", []), ("decode", ["--method", "warmup"]),
+        ("bench", []), ("bench", ["--method", "none"])])
+    def test_bfs_depth_without_bfs_exits_2(self, mini_config, tmp_path,
+                                           command, method, capsys):
+        out = {"precompose": ["--out", str(tmp_path / "out")],
+               "bench": ["--report", str(tmp_path / "out")]}.get(command, [])
+        assert main([command, "--config", str(mini_config), *method,
+                     "--bfs-depth", "3", *out]) == 2
+        assert "--bfs-depth" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["stats", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -545,10 +545,8 @@ class TestSealedAgainstUnsealed:
 
 class TestTiming:
     def test_rtf_arithmetic(self):
-        metrics = Metrics()
-
         def hyp(frames, wall):
-            return Hypothesis(0.0, (), (), frames, wall, 0.01, metrics)
+            return Hypothesis(0.0, (), (), frames, wall, 0.01)
 
         assert rtf(hyp(2, 0.004)) == 0.004 / 0.02
         assert rtf(hyp(0, 0.0)) == 0.0

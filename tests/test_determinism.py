@@ -21,12 +21,12 @@ from lazyfst.cache import dump_public_cache, load_public_cache
 from lazyfst.harness import precompose_cache, run_bench
 
 GOLDEN = {
-    "bfs": (434, 342, "7965a6435edbd820195fd9b45928b315"
-                      "cc13b1061aca77f38b1ed5ea5d9e4b3c"),
-    "warmup": (538, 501, "7796582fb8d233d1735563dc95321abe"
-                         "b33cea0e3c947addf19ef56b0a646783"),
-    "both": (538, 502, "10c161373d0ba2b33cc498abe09bb581"
-                       "271e23b06479dd1c2aaf2fae96842c0c"),
+    "bfs": (434, 342, "230304f059fe00658d681fe264e6e74e"
+                      "df553c2a91a25a5fc7aa3d5905924d06"),
+    "warmup": (538, 501, "13c59bdd200d92b57939f9b677d2a4ce"
+                         "6ea18ae1b07e44ef2d29d04cd4e73f6b"),
+    "both": (538, 502, "1baa7f77d2fc217484f2543bec6412dd"
+                       "a09a64b924b359c1edbd02f5990539a2"),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import edit_distance, read_symbols, read_text_fst
+from lazyfst import harness
 from lazyfst.cache import Session, end_session
 from lazyfst.decoder import decode, simulate_scores
 from lazyfst.errors import BuildError, ConfigurationError
@@ -219,6 +220,26 @@ class TestBench:
         assert {k: v["otf"] for k, v in report["per_turn"].items()} == \
             from_sessions
 
+    def test_totals_count_the_work_of_failed_turns(self, desk_build, desk_cfg,
+                                                   monkeypatch):
+        # heavy noise under a narrow beam makes some desk turns fail
+        ended = []
+
+        def end(session):
+            ended.append(end_session(session))
+            return ended[-1]
+
+        monkeypatch.setattr(harness, "end_session", end)
+        cfg = dict(desk_cfg, noise=6.0, beam=1.0, seed=7)
+        totals = run_bench(cfg, method="none", session_length=5,
+                           build=desk_build)["totals"]
+        assert totals["failed"] > 0
+        assert (totals["otf_expansions"], totals["public_hits"],
+                totals["private_hits"], totals["frames"]) == (
+            sum(m.otf_expansion for m in ended),
+            sum(m.public_hit for m in ended),
+            sum(m.private_hit for m in ended), sum(m.frames for m in ended))
+
     def test_deterministic_modulo_timing(self, desk_build, desk_cfg, report):
         again = run_bench(desk_cfg, method="none", session_length=5,
                           build=small_build(desk_build))
@@ -235,9 +256,10 @@ class TestBench:
                        if u["user"] == user][:5] for user in users}
 
         def turn(session, utt):
+            before = session.metrics.snapshot()
             hyp = decode(scores_for(desk_build, desk_cfg, utt), session,
                          dec_cfg)
-            m = hyp.metrics
+            m = session.metrics.delta(before)
             return (utt["id"], hyp.words, hyp.cost, m.otf_expansion,
                     m.public_hit, m.private_hit)
 
