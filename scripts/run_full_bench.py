@@ -39,14 +39,17 @@ def run(args) -> int:
     """Benchmark every method at every session length of `args` and print
     the comparison table.  Every method and session length is checked
     before the graphs are built, so a bad one late in a list costs no
-    sweep."""
+    sweep, and so is --bfs-depth, which needs a method that runs a BFS."""
     cfg = load_config(args.config)
-    if args.bfs_depth is not None:
-        cfg["bfs_depth"] = args.bfs_depth
     for method in args.methods:
         if method not in METHODS:
             raise ConfigurationError(f"unknown method {method!r}; "
                                      f"expected one of {METHODS}")
+    if args.bfs_depth is not None:
+        if not {"bfs", "both"} & set(args.methods):
+            raise ConfigurationError(f"--bfs-depth needs --methods bfs or "
+                                     f"both, not {' '.join(args.methods)}")
+        cfg["bfs_depth"] = args.bfs_depth
     for length in args.session_lengths:
         require_int("session_length", length, 1)
     build = build_graphs(cfg)

@@ -10,19 +10,21 @@ pair keys (see compose) with dense state ids and the expansions it built:
   state that is not a bridge (has no class out-arc) may be cached here,
   so its arcs never mention the class FST: PublicCache.shareable.
 * Session.private: everything else, expanded on demand into a table
-  over the sealed public one that dies with the session (PrivateTable).
+  over the sealed public one, StateTable(below=cache), that dies with
+  the session.
 
 The sealed public table owns ids [0, N_pub), and a session's table
 numbers its own keys from N_pub on (StateTable.first), so private arcs
 may point at public states.  Sealing numbers the E = num_expanded
 filled states first, then the frontier destinations, interned but never
 expanded offline, which a session expands privately on first use: an id
-is public below E, else private.  The public layer keeps its expansions
-in a dict by id, in fill order; a private layer keeps its own in one
-list indexed from E, frontier ids first.  One rule interns for both layers
+is public below E, else private.  Both layers keep their expansions in
+one dict by state id (StateTable.expanded), in the order built: the
+public one in fill order, ids 0 to E-1, a private one at ids from E on,
+frontier ids and its own keys alike.  One rule interns for both layers
 (StateTable.intern_arcs), all destinations of one expansion in one pass
 that also builds the cached arcs, plain `(ilabel, olabel, weight,
-nextstate)` tuples; one step expands, interns and stores
+nextstate)` tuples; one step expands, interns, splits and stores
 (StateTable.build), and one formula charges modeled bytes
 (StateTable.bytes_estimate).  A CachedExpansion holds its arcs in two
 tuples, the epsilon-input arcs and the emitting ones, split once when it
@@ -87,33 +89,14 @@ class CachedExpansion:
     """Arcs with destinations already interned to shared state ids, in
     two tuples: `eps`, the epsilon-input arcs, and `emit`, the emitting
     ones, each in stored order, so the decoder's closure and emit step
-    each read only their own arcs."""
+    each read only their own arcs.  StateTable.build splits them."""
     __slots__ = ("eps", "emit", "final")
 
-    def __init__(self, arcs: tuple[CachedArc, ...], final: float):
-        """Split `arcs`, sorted by ilabel first: EPS is 0 and labels are
-        not negative, so the epsilon-input arcs come first and the first
-        emitting arc is where (1,) would sort.  Most states have no
-        epsilon-input arc, and their arcs are `emit` as they are."""
-        if arcs and arcs[0][0] == EPS:
-            cut = bisect_left(arcs, _FIRST_EMITTING)
-            self.eps = arcs[:cut]
-            self.emit = arcs[cut:]
-        else:
-            self.eps = ()
-            self.emit = arcs
+    def __init__(self, eps: tuple[CachedArc, ...], emit: tuple[CachedArc, ...],
+                 final: float):
+        self.eps = eps
+        self.emit = emit
         self.final = final
-
-    @classmethod
-    def of_parts(cls, eps: tuple[CachedArc, ...], emit: tuple[CachedArc, ...],
-                 final: float) -> CachedExpansion:
-        """The expansion with parts already split, kept as they are, so
-        sealing can share each part on its own."""
-        made = cls.__new__(cls)
-        made.eps = eps
-        made.emit = emit
-        made.final = final
-        return made
 
     @property
     def arcs(self) -> tuple[CachedArc, ...]:
@@ -123,26 +106,30 @@ class CachedExpansion:
 
 # The expansion of every state with no arcs that is not final, in both
 # layers: a third of the desk public layer is such dead ends.
-DEAD_END = CachedExpansion((), ZERO)
+DEAD_END = CachedExpansion((), (), ZERO)
 
 
 class StateTable:
     """One cache layer's state table: `(q1, q2, f)` pair keys with dense
-    state ids from `first` on.  A table over a sealed table `below`
-    numbers its keys after it: a key keeps this table's id, else the id
-    the table below holds for it, else takes the next id, and as the
-    table below is sealed and lacks this table's keys, the order of the
-    two checks cannot change an id.  Each layer stores the expansions
-    it builds its own way (store, held)."""
+    state ids from `first` on, and `expanded`, the expansions the layer
+    built, by state id in the order built.  A table over a sealed table
+    `below` numbers its keys after it: a key keeps this table's id, else
+    the id the table below holds for it, else takes the next id, and as
+    the table below is sealed and lacks this table's keys, the order of
+    the two checks cannot change an id."""
 
     # Class-level defaults, so a public cache carries no field for them.
     first = 0
     below: Optional[StateTable] = None
     sealed = False
 
-    def __init__(self):
+    def __init__(self, below: Optional[StateTable] = None):
         self.keys: list[tuple[int, int, int]] = []
         self.ids: dict[tuple[int, int, int], int] = {}
+        self.expanded: dict[int, CachedExpansion] = {}
+        if below is not None:
+            self.below = below
+            self.first = len(below.keys)
 
     def key_of(self, state_id: int) -> tuple[int, int, int]:
         if state_id < self.first:
@@ -178,69 +165,34 @@ class StateTable:
 
     def build(self, state_id: int, t1: Fst, t2) -> CachedExpansion:
         """Expand the state `state_id` against `t1` and `t2` (the root or
-        a replace view), intern its destinations, store and return it:
-        DEAD_END when it has no arcs and is not final, so both layers
-        hold every dead end as that one expansion."""
+        a replace view), intern its destinations, split its arcs, store
+        and return it: DEAD_END when it has no arcs and is not final, so
+        both layers hold every dead end as that one expansion.
+
+        The arcs come sorted by ilabel first: EPS is 0 and labels are
+        not negative, so the epsilon-input arcs come first and the first
+        emitting arc is where (1,) would sort.  Most states have no
+        epsilon-input arc, and their arcs are `emit` as they are."""
         arcs, final = expand_pair_state(self.key_of(state_id), t1, t2)
         if arcs or final != ZERO:
-            made = CachedExpansion(self.intern_arcs(arcs), final)
+            arcs = self.intern_arcs(arcs)
+            if arcs and arcs[0][0] == EPS:
+                cut = bisect_left(arcs, _FIRST_EMITTING)
+                made = CachedExpansion(arcs[:cut], arcs[cut:], final)
+            else:
+                made = CachedExpansion((), arcs, final)
         else:
             made = DEAD_END
-        self.store(state_id, made)
+        self.expanded[state_id] = made
         return made
-
-    def store(self, state_id: int, made: CachedExpansion) -> None:
-        raise NotImplementedError
-
-    def held(self) -> Iterable[CachedExpansion]:
-        """Every expansion this layer holds."""
-        raise NotImplementedError
 
     def bytes_estimate(self) -> int:
         states = arcs = 0
-        for e in self.held():
+        for e in self.expanded.values():
             states += 1
             arcs += len(e.eps) + len(e.emit)
         return (arcs * ARC_BYTES + states * STATE_BYTES
                 + len(self.keys) * KEY_BYTES)
-
-
-class PrivateTable(StateTable):
-    """A session's private layer, a table over the sealed public cache.
-    Every id from `filled`, the public layer's num_expanded, on is
-    private, its expansion at `expanded[state_id - filled]`, None until
-    built: the public frontier ids, then this table's keys."""
-
-    def __init__(self, below: PublicCache):
-        super().__init__()
-        self.below = below
-        self.first = len(below.keys)
-        self.filled = below.num_expanded
-        self.expanded: list[Optional[CachedExpansion]] = \
-            [None] * (self.first - self.filled)
-
-    def intern_arcs(self, arcs: RawArcs) -> tuple[CachedArc, ...]:
-        """StateTable.intern_arcs, then a None slot for every new key, so
-        `expanded` stays aligned with `keys`."""
-        interned = super().intern_arcs(arcs)
-        expanded = self.expanded
-        missing = self.first - self.filled + len(self.keys) - len(expanded)
-        if missing:
-            expanded += [None] * missing
-        return interned
-
-    def store(self, state_id: int, made: CachedExpansion) -> None:
-        self.expanded[state_id - self.filled] = made
-
-    def held(self) -> Iterable[CachedExpansion]:
-        # a CachedExpansion is always true, a slot not yet built None
-        return filter(None, self.expanded)
-
-    def items(self) -> list[tuple[int, CachedExpansion]]:
-        """(state id, expansion) for every state this layer holds, by id."""
-        filled = self.filled
-        return [(filled + i, e) for i, e in enumerate(self.expanded)
-                if e is not None]
 
 
 class PublicCache(StateTable):
@@ -248,18 +200,10 @@ class PublicCache(StateTable):
 
     def __init__(self, t1: Fst, root: Fst, label: int):
         super().__init__()
-        # by state id, in fill order, which a dump records
-        self.expanded: dict[int, CachedExpansion] = {}
         self.t1 = t1
         self.root = root
         self.label = label
         self._fingerprint: Optional[str] = None
-
-    def store(self, state_id: int, made: CachedExpansion) -> None:
-        self.expanded[state_id] = made
-
-    def held(self) -> Iterable[CachedExpansion]:
-        return self.expanded.values()
 
     @property
     def num_public(self) -> int:
@@ -374,13 +318,13 @@ def _share_equal_parts(cache: PublicCache) -> None:
         final = weights.setdefault((final, copysign(1.0, final)), final)
         cache.expanded[renumbered[state_id]] = expansions.setdefault(
             (id(eps), id(emit), id(final)),
-            CachedExpansion.of_parts(eps, emit, final))
+            CachedExpansion(eps, emit, final))
 
 
 class Session:
     """One decoding session: a view of the root under a binding, and the
     private layer of the graph, a state table over the sealed public
-    cache."""
+    cache, until end_session releases it."""
 
     def __init__(self, cache: PublicCache, binding: ClassBinding):
         if not cache.sealed:
@@ -389,7 +333,7 @@ class Session:
             raise ConfigurationError("binding is for a different class label")
         self.cache = cache
         self.view = ReplaceView(cache.root, binding, cache.bridges)
-        self.private = PrivateTable(cache)
+        self.private: Optional[StateTable] = StateTable(below=cache)
         self.metrics = Metrics()
         self.ended = False
 
@@ -414,12 +358,13 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
 
 
 def end_session(session: Session) -> Metrics:
-    """Free the private layer; returns the session's final metrics."""
+    """Release the private layer, which the ended session holds as None;
+    returns the session's final metrics, its private bytes included."""
     if session.ended:
         raise ConfigurationError("session already ended")
     session.metrics.bytes_private = session.bytes_private
     final = session.metrics.snapshot()
-    session.private = PrivateTable(session.cache)
+    session.private = None
     session.ended = True
     return final
 

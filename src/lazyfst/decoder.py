@@ -167,13 +167,14 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
 
     This is the one reader of the two cache layers.  Every state kept is
     resolved once, when it is a seed or first reached.  Sealing numbers
-    the states the public layer holds first, so an id below
-    session.private.filled is read from the public layer
-    (session.cache.expanded), which holds it, and any other from the
-    private layer's list, which may not hold it yet.  A state neither
-    layer holds is built through cache.expand when it is settled.  Each
-    state kept counts one public_hit, private_hit or otf_expansion; the
-    hits are added to session.metrics once, when the closure ends.
+    the states the public layer holds first, so an id below E, the size
+    of the public layer's dict (session.cache.expanded), is read from
+    it, which holds it, and any other from the private layer's dict
+    (session.private.expanded), which may not hold it yet.  A state
+    neither layer holds is built through cache.expand when it is
+    settled.  Each state kept counts one public_hit, private_hit or
+    otf_expansion; the hits are added to session.metrics once, when the
+    closure ends.
 
     A dead end (DEAD_END: no arcs, not final) can neither emit, end a
     hypothesis nor relax anything, so dropping it changes no result: a
@@ -188,8 +189,6 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     is settled at most once.
     Returns the tokens, each carrying its expansion.
     """
-    if session.ended:
-        raise ConfigurationError("session already ended")
     floor = ZERO
     for tok in tokens.values():
         if tok[0] < floor:
@@ -197,7 +196,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     limit = floor + cfg.beam
     public = session.cache.expanded
     private = session.private.expanded
-    filled = session.private.filled
+    filled = len(public)
     public_hits = private_hits = 0
     best: dict[int, _Token] = {}
     heap: list[tuple[float, int]] = []
@@ -211,7 +210,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
                 continue
             public_hits += 1
         else:
-            exp = private[sid - filled]
+            exp = private.get(sid)
             if exp is not None:
                 if exp is DEAD_END:
                     continue
@@ -252,7 +251,7 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
                             continue
                         public_hits += 1
                     else:
-                        dst_exp = private[dst - filled]
+                        dst_exp = private.get(dst)
                         if dst_exp is not None:
                             if dst_exp is DEAD_END:
                                 continue
@@ -345,8 +344,11 @@ def decode(scores: ScoreMatrix, session: Session,
     final token becomes the Hypothesis.  Returns None when no hypothesis
     survives -- a result, not an error -- as when a frame emits nothing
     or a closure keeps no token because every one it reached is a dead
-    end.  Either way its work is counted in session.metrics.
+    end.  Either way its work is counted in session.metrics.  A session
+    that has ended has no private layer and is a ConfigurationError.
     """
+    if session.ended:
+        raise ConfigurationError("session already ended")
     if cfg is None:
         cfg = DecodeConfig()
     t0 = time.perf_counter()

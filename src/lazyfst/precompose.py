@@ -102,7 +102,7 @@ def warmup_precompose(cache: PublicCache, cfg: PrecomposeConfig,
             logger.warning("warm-up utterance %d failed to decode: %s",
                            utt_index, err)
     private = session.private
-    for state_id, built in private.items():
+    for state_id, built in sorted(private.expanded.items()):
         key = private.key_of(state_id)
         if not cache.shareable(key):
             continue

@@ -472,13 +472,13 @@ def expansions(cache: PublicCache) -> dict[int, tuple]:
 def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:
     """The stored expansion of `state_id`, counting the hit; None when
     neither layer holds it.  Sealing numbers the filled public states
-    first, so an id below the public cache's num_expanded is public and
-    any other is private."""
-    filled = session.cache.num_expanded
-    if state_id < filled:
+    first, so an id below the size of the public layer's dict is public
+    and any other is private."""
+    public = session.cache.expanded
+    if state_id < len(public):
         session.metrics.public_hit += 1
-        return session.cache.expanded[state_id]
-    cached = session.private.expanded[state_id - filled]
+        return public[state_id]
+    cached = session.private.expanded.get(state_id)
     if cached is not None:
         session.metrics.private_hit += 1
     return cached

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import statistics
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from oracles import (compose_static, expansions, inside_id,
                      is_precomposable, lookup, materialize, replace_view)
 from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
-                           CachedExpansion, PublicCache, Session,
+                           PublicCache, Session, StateTable,
                            dump_public_cache,
                            end_session, expand, load_public_cache,
                            seal_public)
@@ -19,6 +20,7 @@ from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, FstBuilder, write_text_fst
 from lazyfst.decoder import DecodeConfig, _eps_closure, decode
+from lazyfst import harness
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
                              run_bench, scores_for)
 from lazyfst.precompose import PrecomposeConfig, bfs_precompose
@@ -237,7 +239,7 @@ class TestIdSpace:
         assert counts() == (0, 0, 0)
         made = expand(frontier, session)
         assert counts() == (0, 0, 1)          # built, never looked up
-        assert dict(session.private.items())[frontier] is made
+        assert session.private.expanded[frontier] is made
         # a beam below its one epsilon arc's weight keeps the closure to it
         assert len(made.eps) == 1 and made.eps[0][2] == 0.5
         kept = _eps_closure({frontier: (0.0, None)}, session,
@@ -285,18 +287,18 @@ class TestIdLayout:
             [k for k in before.keys if k not in filled]
         assert list(map(cache.key_of, cache.expanded)) == \
             list(map(before.key_of, before.expanded))
-        # every frontier expansion goes to the private list at sid - E
-        # and is read back from it as a private hit
+        # every frontier expansion goes to the private dict at its own
+        # id and is read back from it as a private hit
         session = Session(cache, binding)
         m = session.metrics
         for sid in range(e, n):
             made = expand(sid, session)
-            assert session.private.expanded[sid - e] is made
+            assert session.private.expanded[sid] is made
             hits = (m.public_hit, m.private_hit)
             assert lookup(session, sid) is made
             assert (m.public_hit, m.private_hit) == (hits[0], hits[1] + 1)
         for sid in range(e, n):
-            made = session.private.expanded[sid - e]
+            made = session.private.expanded[sid]
             if made is DEAD_END:
                 continue
             # the first closure builds what it reaches, the second only
@@ -320,6 +322,31 @@ class TestIdLayout:
         for sealed in (cache, loaded):
             assert 0 < sealed.num_expanded < sealed.num_public
             self.check(sealed, binding)
+
+    @pytest.mark.parametrize("method, length", [("both", 5), ("none", 1)])
+    def test_private_dicts_after_desk_pass(self, desk_build, desk_cfg,
+                                           method, length, monkeypatch):
+        # every session's private dict holds the states it built, each
+        # once and each at an id from E on, and the public dict is left
+        # as sealed
+        cache, _ = precompose_cache(desk_build, desk_cfg, method)
+        e = len(cache.expanded)
+        held = []
+
+        def end(session):
+            held.append((list(session.private.expanded),
+                         session.metrics.otf_expansion))
+            return end_session(session)
+
+        monkeypatch.setattr(harness, "end_session", end)
+        totals = run_bench(desk_cfg, method=method, session_length=length,
+                           build=desk_build, cache=cache)["totals"]
+        assert len(held) == totals["sessions"] > 1
+        assert sum(otf for _, otf in held) == totals["otf_expansions"] > 0
+        for ids, otf in held:
+            assert min(ids) >= e
+            assert len(ids) == otf
+        assert len(cache.expanded) == e
 
     @given(scenario(), st.integers(min_value=0, max_value=4))
     @settings(max_examples=100, deadline=None)
@@ -365,7 +392,7 @@ class TestBytesModel:
         session = Session(cache, binding)
         assert session.bytes_private == 0
         materialize(session)
-        private = dict(session.private.items())
+        private = session.private.expanded
         arcs = sum(len(e.arcs) for e in private.values())
         want = (arcs * ARC_BYTES + len(private) * STATE_BYTES
                 + len(session.private.keys) * KEY_BYTES)
@@ -563,14 +590,14 @@ class TestSharing:
         session = Session(cache, binding_for(desk_build, utt["user"]))
         decode(scores_for(desk_build, desk_cfg, utt), session,
                decode_config(desk_cfg))
-        dead = [e for _, e in session.private.items()
+        dead = [e for e in session.private.expanded.values()
                 if not e.arcs and e.final == ZERO]
         assert len(dead) >= 2 and all(e is DEAD_END for e in dead)
         # a state with no arcs that is final keeps its own final weight
         t1, root, binding = fixed_scenario()
         session = Session(sealed_cache(t1, root), binding)
         materialize(session)
-        final_end = dict(session.private.items())[
+        final_end = session.private.expanded[
             session.private.intern((3, 3, FilterState.ANY))]
         assert final_end.arcs == () and final_end.final == 0.25
 
@@ -665,9 +692,10 @@ sorted_arcs = st.lists(st.tuples(
 
 class TestArcLayout:
     """An expansion holds its epsilon-input arcs in `eps` and its
-    emitting arcs in `emit`, split once, where it is built; sealing and
-    loading keep the split (TestDeadEpsilonArcs checks each public
-    layer's arcs against the composed ones)."""
+    emitting arcs in `emit`, split once, where it is built
+    (StateTable.build); sealing and loading keep the split
+    (TestDeadEpsilonArcs checks each public layer's arcs against the
+    composed ones)."""
 
     @given(sorted_arcs)
     @example(())
@@ -675,9 +703,18 @@ class TestArcLayout:
     @example(((1, 1, 0.0, 3), (2, 0, 0.25, 1)))
     @settings(max_examples=200, deadline=None)
     def test_split_of_sorted_arcs(self, arcs):
-        made = CachedExpansion(arcs, ZERO)
+        # the composed arcs of the state built are `arcs`, each
+        # destination id d standing for the key (d, 0, 0)
+        raw = tuple((il, ol, w, (dst, 0, 0)) for il, ol, w, dst in arcs)
+        table = StateTable()
+        sid = table.intern((0, 1, 0))
+        with mock.patch("lazyfst.cache.expand_pair_state",
+                        lambda key, t1, t2: (raw, 0.0)):
+            made = table.build(sid, None, None)
         assert_split(made)
-        assert made.eps + made.emit == made.arcs == arcs
+        assert made.eps + made.emit == made.arcs == tuple(
+            (il, ol, w, table.ids[key]) for il, ol, w, key in raw)
+        assert table.expanded == {sid: made}
 
     def test_private_layer_after_desk_pass(self, desk_build, desk_cfg):
         cache, _ = precompose_cache(desk_build, desk_cfg, "both")
@@ -687,7 +724,7 @@ class TestArcLayout:
             decode(scores_for(desk_build, desk_cfg, utt), session,
                    decode_config(desk_cfg))
         private = session.private
-        held = private.items()
+        held = private.expanded.items()
         # both parts in use, and frontier ids as well as the layer's own
         assert any(e.eps and e.emit for _, e in held)
         assert {sid < private.first for sid, _ in held} == {True, False}

@@ -412,7 +412,9 @@ class TestFullBenchScript:
 
     @pytest.mark.parametrize("sweep", [
         ["--methods", "none", "bogus"],
-        ["--methods", "none", "--session-lengths", "1", "0"]])
+        ["--methods", "none", "--session-lengths", "1", "0"],
+        # --bfs-depth with no method that runs a BFS
+        ["--methods", "none", "warmup", "--bfs-depth", "3"]])
     def test_bad_value_late_in_a_list_runs_no_sweep(self, script_main,
                                                     mini_config, capsys,
                                                     monkeypatch, sweep):
@@ -423,8 +425,9 @@ class TestFullBenchScript:
         assert script_main(["--config", str(mini_config)] + sweep) == 2
         assert called == []
         err = capsys.readouterr().err
-        assert ("bogus" in err or "session_length" in err) \
-            and len(err.splitlines()) == 1
+        assert ("bogus" in err or "session_length" in err
+                or "--bfs-depth needs --methods bfs or both, not none warmup"
+                in err) and len(err.splitlines()) == 1
 
 
 # JSON values of every type, for replacing a value with one of another

@@ -62,7 +62,7 @@ class TestScoreMatrix:
         m = ScoreMatrix(np.zeros((1, 3)))
         assert len(m.row(0)) == 3
         # the emit step charges a label past the row ZERO: never taken
-        exp = CachedExpansion((Arc(1, 7, 0.0, 1), Arc(99, 8, 0.0, 2)),
+        exp = CachedExpansion((), (Arc(1, 7, 0.0, 1), Arc(99, 8, 0.0, 2)),
                               math.inf)
         assert decoder._emit({0: (0.0, None, exp)}, m.row(0), 10.0) == \
             {1: (0.0, (None, 7))}
@@ -294,7 +294,7 @@ class TestClosureContract:
             assert decode(scores_for(desk_build, desk_cfg, utt), session,
                           decode_config(desk_cfg)) is not None
         m = session.metrics
-        private = dict(session.private.items())
+        private = session.private.expanded
         built_dead = sum(e is DEAD_END for e in private.values())
         assert min(m.public_hit, m.private_hit, m.otf_expansion,
                    built_dead) > 0
@@ -327,7 +327,7 @@ class TestClosureContract:
             assert decode(scores_for(desk_build, desk_cfg, utt), session,
                           decode_config(desk_cfg)) is not None
         assert sum(handed) > 0
-        assert DEAD_END in session.private.expanded
+        assert DEAD_END in session.private.expanded.values()
 
     def eps_chain(self, n):
         """t1 is n epsilon arcs in a row, final at the end; root accepts
