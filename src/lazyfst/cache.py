@@ -5,10 +5,12 @@ Its expansions live in two layers, each one StateTable of `(q1, q2, f)`
 pair keys (see compose) with dense state ids and the expansions it built:
 
 * PublicCache: binding-independent expansions, computed once offline
-  (breadth-first or by warm-up decoding), then sealed and shared
-  read-only by every session.  Only a state whose t2 side is a root
-  state that is not a bridge (has no class out-arc) may be cached here,
-  so its arcs never mention the class FST: PublicCache.shareable.
+  for keys chosen breadth-first or by warm-up decoding, and shared
+  read-only by every session: the constructor fills the keys and seals,
+  so no one outside it sees the cache unsealed.  Only a state whose t2
+  side is a root state that is not a bridge (has no class out-arc) may
+  be cached here, so its arcs never mention the class FST:
+  PublicCache.shareable.
 * Session.private: everything else, expanded on demand into a table
   over the sealed public one, StateTable(below=cache), that dies with
   the session.
@@ -35,30 +37,30 @@ closure (decoder._eps_closure), which counts the hits; expand is the
 build half it calls for a state neither layer holds, the only writer of
 the private layer, and counts an otf_expansion.
 
-PublicCache.fill is the one way a key enters the public layer: it
-interns a shareable key and expands it against the root and nothing
-else, so pre-composition and loading a dump store the same expansion
-for the same key.  Sealing shares equal parts of the public layer: one
-float object per distinct weight (ZERO itself for every non-final
-state), one tuple per distinct arc and per distinct arc sequence, the
-epsilon and emitting sequences each on its own, and one CachedExpansion
-per distinct (eps, emit, final), which every state with that expansion
-points at.  A weight's key is its value and its sign:
-0.0 and -0.0 are equal floats but not the same weight, so they are
-never merged.  In both layers every state with no arcs that is not
-final, a dead end, gets the one DEAD_END expansion (StateTable.build).
+The PublicCache constructor is the one way keys enter the public
+layer: it interns each shareable key it is given and expands it against
+the root and nothing else, so pre-composition and loading a dump store
+the same expansion for the same key, then seals (seal_public).  Sealing
+shares equal parts of the public layer: one float object per distinct
+weight (ZERO itself for every non-final state), one tuple per distinct
+arc and per distinct arc sequence, the epsilon and emitting sequences
+each on its own, and one CachedExpansion per distinct (eps, emit,
+final), which every state with that expansion points at.  A weight's
+key is its value and its sign: 0.0 and -0.0 are equal floats but not
+the same weight, so they are never merged.  In both layers every state
+with no arcs that is not final, a dead end, gets the one DEAD_END
+expansion (StateTable.build).
 Sealing also drops each public epsilon arc into a public dead end,
 unless its state has nothing else (_share_equal_parts).  A dump is the
-fill log, the key of each filled state in fill order, and loading fills
-the same keys in the same order, which interns every key, frontier
-destinations included, under the id it had before sealing.
+fill log, the key of each filled state in fill order, and loading makes
+a cache from the same keys in the same order, which interns every key,
+frontier destinations included, under the id it had before sealing.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from functools import cached_property
 from math import copysign
 from typing import Iterable, Optional
 
@@ -117,19 +119,15 @@ class StateTable:
     the id the table below holds for it, else takes the next id, and as
     the table below is sealed and lacks this table's keys, the order of
     the two checks cannot change an id."""
-
-    # Class-level defaults, so a public cache carries no field for them.
-    first = 0
-    below: Optional[StateTable] = None
-    sealed = False
+    __slots__ = ("keys", "ids", "expanded", "below", "first", "sealed")
 
     def __init__(self, below: Optional[StateTable] = None):
         self.keys: list[tuple[int, int, int]] = []
         self.ids: dict[tuple[int, int, int], int] = {}
         self.expanded: dict[int, CachedExpansion] = {}
-        if below is not None:
-            self.below = below
-            self.first = len(below.keys)
+        self.below = below
+        self.first = len(below.keys) if below is not None else 0
+        self.sealed = False
 
     def key_of(self, state_id: int) -> tuple[int, int, int]:
         if state_id < self.first:
@@ -196,14 +194,24 @@ class StateTable:
 
 
 class PublicCache(StateTable):
-    """Sealed, shared layer of the two-layer graph for one (t1, root) pair."""
+    """Sealed, shared layer of the two-layer graph for one (t1, root)
+    pair: `keys` filled in order, then sealed, all before the
+    constructor returns.  A key that could depend on a binding, or that
+    is filled twice, is an InvariantError."""
+    __slots__ = ("t1", "root", "label", "bridges")
 
-    def __init__(self, t1: Fst, root: Fst, label: int):
+    def __init__(self, t1: Fst, root: Fst, label: int,
+                 keys: Iterable[tuple[int, int, int]] = ()):
         super().__init__()
         self.t1 = t1
         self.root = root
         self.label = label
-        self._fingerprint: Optional[str] = None
+        # replace.bridge_states of the root: scanned, and the root's
+        # class arcs checked, once per cache rather than once per session
+        self.bridges = bridge_states(root, label)
+        for key in keys:
+            self._fill(key)
+        seal_public(self)
 
     @property
     def num_public(self) -> int:
@@ -216,12 +224,6 @@ class PublicCache(StateTable):
     def start_key(self) -> tuple[int, int, int]:
         return (self.t1.start, self.root.start, int(FilterState.ANY))
 
-    @cached_property
-    def bridges(self) -> frozenset[int]:
-        """replace.bridge_states of the root: scanned, and the root's class
-        arcs checked, once per cache rather than once per session."""
-        return bridge_states(self.root, self.label)
-
     def shareable(self, key: tuple[int, int, int]) -> bool:
         """True when `key`'s expansion cannot depend on any binding: its
         t2 side is a root state (a view id below the root's state count,
@@ -231,42 +233,31 @@ class PublicCache(StateTable):
         against any view."""
         return key[1] < self.root.num_states and key[1] not in self.bridges
 
-    def fill(self, key: tuple[int, int, int]) -> CachedExpansion:
-        """Intern `key`, expand it against the root, store and return the
-        expansion: the one way a key enters the public layer.  Refuses a
-        sealed cache, then a key whose expansion could depend on a
-        binding (leaving the table as it was), then a key already filled."""
-        if self.sealed:
-            raise ConfigurationError("public cache is sealed")
+    def _fill(self, key: tuple[int, int, int]) -> None:
+        """Intern `key` and expand it against the root.  Refuses a key
+        whose expansion could depend on a binding, then a key already
+        filled."""
         if not self.shareable(key):
             raise InvariantError(f"public cache refuses non-shareable "
                                  f"state {key}")
         if self.ids.get(key) in self.expanded:
             raise InvariantError(f"duplicate fill of state {key}")
-        return self.build(self.intern(key), self.t1, self.root)
-
-    def fingerprint(self) -> str:
-        """Digest of the graphs this cache was computed against."""
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(write_text_fst(self.t1).encode())
-            h.update(b"\x00")
-            h.update(write_text_fst(self.root).encode())
-            h.update(b"\x00")
-            h.update(str(self.label).encode())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
+        self.build(self.intern(key), self.t1, self.root)
 
 
-def seal_public(cache: PublicCache) -> PublicCache:
+def fingerprint(t1: Fst, root: Fst, label: int) -> str:
+    """Digest of the graphs a public cache is computed against."""
+    graphs = (write_text_fst(t1), write_text_fst(root), str(label))
+    return hashlib.sha256("\x00".join(graphs).encode()).hexdigest()
+
+
+def seal_public(cache: PublicCache) -> None:
     """Freeze the public layer, renumber it and share its equal parts
-    (_share_equal_parts).  PublicCache.fill stores only shareable states,
-    expanded against the root, so there is nothing left to check.
-    Sealing twice is a no-op."""
-    if not cache.sealed:
-        _share_equal_parts(cache)
-        cache.sealed = True
-    return cache
+    (_share_equal_parts); the PublicCache constructor calls it once its
+    keys are filled.  PublicCache._fill stores only shareable states,
+    expanded against the root, so there is nothing left to check."""
+    _share_equal_parts(cache)
+    cache.sealed = True
 
 
 def _share_equal_parts(cache: PublicCache) -> None:
@@ -327,22 +318,25 @@ class Session:
     cache, until end_session releases it."""
 
     def __init__(self, cache: PublicCache, binding: ClassBinding):
-        if not cache.sealed:
-            raise ConfigurationError("seal the public cache before opening sessions")
         if binding.label != cache.label:
             raise ConfigurationError("binding is for a different class label")
         self.cache = cache
         self.view = ReplaceView(cache.root, binding, cache.bridges)
         self.private: Optional[StateTable] = StateTable(below=cache)
         self.metrics = Metrics()
-        self.ended = False
+
+    def _live(self) -> StateTable:
+        """The private layer; a ConfigurationError once it is released."""
+        if self.private is None:
+            raise ConfigurationError("session already ended")
+        return self.private
 
     def start_id(self) -> int:
-        return self.private.intern(self.cache.start_key())
+        return self._live().intern(self.cache.start_key())
 
     @property
     def bytes_private(self) -> int:
-        return self.private.bytes_estimate()
+        return self._live().bytes_estimate()
 
 
 def expand(state_id: int, session: Session) -> CachedExpansion:
@@ -350,7 +344,7 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
     (DEAD_END when it has no arcs and is not final), counting an
     otf_expansion.  Reads neither layer: decoder._eps_closure calls it
     only for a state that neither holds."""
-    if session.ended:
+    if session.private is None:
         raise ConfigurationError("session already ended")
     made = session.private.build(state_id, session.cache.t1, session.view)
     session.metrics.otf_expansion += 1
@@ -360,12 +354,9 @@ def expand(state_id: int, session: Session) -> CachedExpansion:
 def end_session(session: Session) -> Metrics:
     """Release the private layer, which the ended session holds as None;
     returns the session's final metrics, its private bytes included."""
-    if session.ended:
-        raise ConfigurationError("session already ended")
     session.metrics.bytes_private = session.bytes_private
     final = session.metrics.snapshot()
     session.private = None
-    session.ended = True
     return final
 
 
@@ -373,17 +364,15 @@ CACHE_FORMAT = "lazyfst-public-cache 3"
 
 
 def dump_public_cache(cache: PublicCache) -> str:
-    """Versioned, checksummed text dump of a sealed public cache: the key
-    of each filled state, in fill order.  It holds no id, arc or weight;
-    loading fills the same keys in the same order and seals, which gives
-    every key the id it had and recomputes each expansion."""
-    if not cache.sealed:
-        raise ConfigurationError("dump requires a sealed cache")
+    """Versioned, checksummed text dump of a public cache: the key of
+    each filled state, in fill order.  It holds no id, arc or weight;
+    loading makes a cache from the same keys in the same order, which
+    gives every key the id it had and recomputes each expansion."""
     body = "".join(f"s {q1} {q2} {f}\n"
                    for q1, q2, f in map(cache.key_of, cache.expanded))
     digest = hashlib.sha256(body.encode()).hexdigest()
     return (f"{CACHE_FORMAT}\n"
-            f"graph {cache.fingerprint()}\n"
+            f"graph {fingerprint(cache.t1, cache.root, cache.label)}\n"
             f"sha256 {digest}\n"
             f"{body}")
 
@@ -392,19 +381,18 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
                       label: int) -> PublicCache:
     """Parse a dump back into a sealed cache, verifying version, graph
     fingerprint and checksum, then every row: each field an int within
-    its graph or below FilterState.BLOCKED.  Each row's key is filled
-    (PublicCache.fill) in dump order, so a key that cannot be shared or
-    is filled twice is refused too.  Anything malformed, a dump of an
+    its graph or below FilterState.BLOCKED.  The cache is made from the
+    rows' keys in dump order, so a key that cannot be shared or is
+    filled twice is refused too.  Anything malformed, a dump of an
     earlier format included, is a BuildError."""
     lines = text.splitlines(keepends=True)
     if len(lines) < 3 or lines[0].strip() != CACHE_FORMAT:
         raise BuildError(f"not a {CACHE_FORMAT!r} dump (bad or missing "
                          f"version line); rebuild it with lazyfst precompose")
-    cache = PublicCache(t1, root, label)
     graph_line = lines[1].split()
     if len(graph_line) != 2 or graph_line[0] != "graph":
         raise BuildError("cache dump missing graph fingerprint")
-    if graph_line[1] != cache.fingerprint():
+    if graph_line[1] != fingerprint(t1, root, label):
         raise BuildError("cache dump was built against different graphs")
     sum_line = lines[2].split()
     if len(sum_line) != 2 or sum_line[0] != "sha256":
@@ -414,17 +402,17 @@ def load_public_cache(text: str, t1: Fst, root: Fst,
         raise BuildError("cache dump checksum mismatch")
 
     bounds = (t1.num_states, root.num_states, FilterState.BLOCKED)
+    keys = []
     for row in body.splitlines():
         parts = row.split()
         if len(parts) != 4 or parts[0] != "s":
             raise BuildError(f"bad row in cache dump: {row!r}")
-        key = tuple(_dump_int(text, row, bound)
-                    for text, bound in zip(parts[1:], bounds))
-        try:
-            cache.fill(key)
-        except InvariantError as err:
-            raise BuildError(f"cache dump row {row!r}: {err}") from None
-    return seal_public(cache)
+        keys.append(tuple(_dump_int(text, row, bound)
+                          for text, bound in zip(parts[1:], bounds)))
+    try:
+        return PublicCache(t1, root, label, keys)
+    except InvariantError as err:
+        raise BuildError(f"cache dump: {err}") from None
 
 
 def _dump_int(text: str, row: str, bound: int) -> int:

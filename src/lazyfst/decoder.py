@@ -345,10 +345,9 @@ def decode(scores: ScoreMatrix, session: Session,
     survives -- a result, not an error -- as when a frame emits nothing
     or a closure keeps no token because every one it reached is a dead
     end.  Either way its work is counted in session.metrics.  A session
-    that has ended has no private layer and is a ConfigurationError.
+    that has ended has no private layer and is a ConfigurationError
+    (Session.start_id).
     """
-    if session.ended:
-        raise ConfigurationError("session already ended")
     if cfg is None:
         cfg = DecodeConfig()
     t0 = time.perf_counter()

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cache import PublicCache, Session, end_session, seal_public
+from .cache import PublicCache, Session, end_session
 from .decoder import DecodeConfig, decode, rtf, simulate_scores
 from .errors import BuildError, ConfigurationError, require_int
 from .fst import Fst, SymbolTable, write_symbols, write_text_fst
@@ -208,23 +208,25 @@ def decode_config(cfg: dict) -> DecodeConfig:
 
 def precompose_cache(build: Build, cfg: dict,
                      method: str) -> tuple[PublicCache, dict]:
-    """Produce a sealed shared cache via the requested method."""
+    """The shared cache made from the keys the requested method chooses."""
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; "
                                  f"expected one of {METHODS}")
     pre_cfg = PrecomposeConfig(**_settings(
         cfg, ("bfs_depth", "state_budget", "warmup_count")))
-    cache = PublicCache(build.t1, build.root, build.class_id)
+    empty = PublicCache(build.t1, build.root, build.class_id)
     stats = {"method": method, "bfs_depth": pre_cfg.bfs_depth}
+    keys: list = []
     if method in ("bfs", "both"):
-        bfs_precompose(cache, pre_cfg)
-        stats["after_bfs"] = cache.num_expanded
+        keys = bfs_precompose(empty, pre_cfg)
+        stats["after_bfs"] = len(keys)
     if method in ("warmup", "both"):
         score_list = [scores_for(build, cfg, utt)
                       for utt in build.utterances[:pre_cfg.warmup_count]]
-        warmup_precompose(cache, pre_cfg, score_list, decode_config(cfg))
-        stats["after_warmup"] = cache.num_expanded
-    seal_public(cache)
+        keys = warmup_precompose(empty, pre_cfg, score_list,
+                                 decode_config(cfg), keys)
+        stats["after_warmup"] = len(keys)
+    cache = PublicCache(build.t1, build.root, build.class_id, keys)
     stats["public_states"] = cache.num_public
     stats["public_expanded"] = cache.num_expanded
     stats["bytes_public"] = cache.bytes_estimate()

@@ -23,7 +23,7 @@ The bridge set depends on the root and the class label only, so a
 public cache computes it once (bridge_states) and hands it to every
 session's view.  A root state that is not a bridge has the root's own
 arcs and final weight under every binding, so the public cache expands
-such states against the root alone (precompose).
+such states against the root alone when it is made.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple, Optional
 
-from lazyfst.cache import CachedExpansion, PublicCache, Session, expand
+from lazyfst.cache import (CachedExpansion, PublicCache, Session, expand,
+                           fingerprint)
 from lazyfst.compose import FilterState
 from lazyfst.errors import BuildError, CompositionSizeError
 from lazyfst.fst import EPS, Arc, Fst, FstBuilder, SymbolTable
@@ -649,7 +650,7 @@ def dump_public_cache_v1(cache: PublicCache) -> str:
         lines += [f"a {il} {ol} {w!r} {dst}" for il, ol, w, dst in exp.arcs]
     body = "".join(line + "\n" for line in lines)
     return (f"lazyfst-public-cache 1\n"
-            f"graph {cache.fingerprint()}\n"
+            f"graph {fingerprint(cache.t1, cache.root, cache.label)}\n"
             f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
             f"{body}")
 

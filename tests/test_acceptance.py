@@ -17,7 +17,7 @@ from oracles import (acceptor_language, compose_static, is_precomposable,
                      materialize, oracle_decode, replace_view, shortest_path)
 from test_cache import build_machine
 
-from lazyfst.cache import PublicCache, Session, seal_public
+from lazyfst.cache import PublicCache, Session
 from lazyfst.decoder import DecodeConfig, decode
 from lazyfst.deskdata import SIL, stable_seed
 from lazyfst.fst import write_text_fst
@@ -55,7 +55,6 @@ def benches1(desk_build, desk_cfg, caches):
 
 def _dynamic_session(build, user):
     cache = PublicCache(build.t1, build.root, build.class_id)
-    seal_public(cache)
     return Session(cache, binding_for(build, user))
 
 
@@ -108,7 +107,7 @@ def test_lazy_composition_matches_static_composition():
         for _ in range(200):
             t1, root, binding = _random_triple(rng)
             static = compose_static(t1, replace_view(root, binding))
-            cache = seal_public(PublicCache(t1, root, binding.label))
+            cache = PublicCache(t1, root, binding.label)
             lazy = materialize(Session(cache, binding))
             assert write_text_fst(lazy) == write_text_fst(static)
             got = shortest_path(lazy)
@@ -154,12 +153,10 @@ def test_epsilon_insertion_unlocks_start_state(desk_build, desk_cfg):
         pre_cfg = PrecomposeConfig(bfs_depth=4)
 
         before = PublicCache(desk_build.t1, raw, class_id)
-        bfs_precompose(before, pre_cfg)
-        assert before.num_expanded == 0
+        assert bfs_precompose(before, pre_cfg) == []
 
         after = PublicCache(desk_build.t1, transformed, class_id)
-        bfs_precompose(after, pre_cfg)
-        assert after.num_expanded >= 1
+        assert len(bfs_precompose(after, pre_cfg)) >= 1
 
         binding = binding_for(desk_build, "u01")
         raw_best = shortest_path(

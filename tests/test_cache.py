@@ -14,8 +14,7 @@ from strategies import acyclic_fst, dyadic_weights
 from lazyfst.cache import (ARC_BYTES, DEAD_END, KEY_BYTES, STATE_BYTES,
                            PublicCache, Session, StateTable,
                            dump_public_cache,
-                           end_session, expand, load_public_cache,
-                           seal_public)
+                           end_session, expand, load_public_cache)
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import BuildError, ConfigurationError, InvariantError
 from lazyfst.fst import EPS, FstBuilder, write_text_fst
@@ -84,8 +83,10 @@ def fixed_scenario():
 
 
 def sealed_cache(t1, root, label=CLS, depth=0):
-    cfg = PrecomposeConfig(bfs_depth=depth)
-    return seal_public(bfs_precompose(PublicCache(t1, root, label), cfg))
+    """The public cache made from the keys bfs_precompose chooses."""
+    keys = bfs_precompose(PublicCache(t1, root, label),
+                          PrecomposeConfig(bfs_depth=depth))
+    return PublicCache(t1, root, label, keys)
 
 
 class TestIsPrecomposable:
@@ -117,14 +118,6 @@ class TestLifecycle:
         cache = sealed_cache(t1, root)
         with pytest.raises(ConfigurationError):
             cache.intern((1, 0, FilterState.ANY))
-        with pytest.raises(ConfigurationError):
-            cache.fill(0)
-
-    def test_session_requires_sealed_cache(self):
-        t1, root, binding = fixed_scenario()
-        cache = PublicCache(t1, root, CLS)
-        with pytest.raises(ConfigurationError):
-            Session(cache, binding)
 
     def test_binding_must_declare_same_classes(self):
         t1, root, _ = fixed_scenario()
@@ -140,28 +133,52 @@ class TestLifecycle:
         expand(sid, session)
         final = end_session(session)
         assert final.otf_expansion == 1
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="ended"):
             end_session(session)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="ended"):
             expand(sid, session)
-
-    def test_seal_twice_is_noop(self):
-        t1, root, _ = fixed_scenario()
-        cache = sealed_cache(t1, root)
-        assert seal_public(cache) is cache
+        with pytest.raises(ConfigurationError, match="ended"):
+            session.start_id()
+        with pytest.raises(ConfigurationError, match="ended"):
+            session.bytes_private
 
 
 class TestSealPurity:
-    """PublicCache.fill, the public layer's one writer, stores only
-    shareable states."""
+    """The PublicCache constructor, the public layer's one writer, stores
+    only shareable states."""
 
     def test_rejects_binding_dependent_key(self):
         t1, root, _ = fixed_scenario()
-        cache = PublicCache(t1, root, CLS)
         # root state 1 has a class out-arc, so caching it publicly is wrong
-        with pytest.raises(InvariantError):
-            cache.fill((0, 1, FilterState.ANY))
-        assert cache.expanded == {} and cache.keys == []
+        with pytest.raises(InvariantError, match="non-shareable"):
+            PublicCache(t1, root, CLS, [(0, 1, FilterState.ANY)])
+
+
+def cache_fields(cache) -> tuple[dict, tuple]:
+    """Every field of `cache`, and the sizes of its tables."""
+    slots = [name for cls in type(cache).__mro__
+             for name in getattr(cls, "__slots__", ())]
+    return ({name: getattr(cache, name) for name in slots},
+            (len(cache.keys), len(cache.ids), len(cache.expanded)))
+
+
+class TestMadeCacheIsReadOnly:
+    """Sessions share no mutable state: decoding and dumping leave every
+    field of a made cache as it was."""
+
+    @pytest.mark.parametrize("method", ["none", "bfs", "warmup", "both"])
+    def test_sessions_and_dump_write_nothing(self, desk_build, desk_cfg,
+                                             method):
+        cache, _ = precompose_cache(desk_build, desk_cfg, method)
+        fields, sizes = cache_fields(cache)
+        for length in (1, 5):
+            run_bench(desk_cfg, method=method, session_length=length,
+                      build=desk_build, cache=cache)
+        dump_public_cache(cache)
+        after, sizes_after = cache_fields(cache)
+        assert after.keys() == fields.keys()
+        assert all(after[name] is fields[name] for name in fields)
+        assert sizes_after == sizes
 
 
 class PublicFirstIds:
@@ -260,13 +277,17 @@ class TestIdSpace:
             [oracle.intern(k) for k in keys]
 
 
-def fill_log(cache):
-    """A new, unsealed cache filled with the keys `cache` filled, in fill
-    order: the table as it stood before sealing."""
-    again = PublicCache(cache.t1, cache.root, cache.label)
-    for state_id in cache.expanded:
-        again.fill(cache.key_of(state_id))
-    return again
+def table_before_sealing(cache) -> list:
+    """The keys of `cache`'s table as it stood before sealing: each key
+    it filled, in fill order, then the destinations of its expansion
+    against the root, each key where it first appears."""
+    table = {}
+    for key in map(cache.key_of, cache.expanded):
+        table.setdefault(key)
+        arcs, _ = expand_pair_state(key, cache.t1, cache.root)
+        for *_, dst in arcs:
+            table.setdefault(dst)
+    return list(table)
 
 
 class TestIdLayout:
@@ -281,12 +302,10 @@ class TestIdLayout:
         assert all(cache.ids[key] == sid for sid, key in enumerate(cache.keys))
         assert all(dst < n for exp in cache.expanded.values()
                    for *_, dst in exp.arcs)
-        before = fill_log(cache)
-        filled = {before.key_of(sid) for sid in before.expanded}
-        assert cache.keys == [k for k in before.keys if k in filled] + \
-            [k for k in before.keys if k not in filled]
-        assert list(map(cache.key_of, cache.expanded)) == \
-            list(map(before.key_of, before.expanded))
+        before = table_before_sealing(cache)
+        filled = set(map(cache.key_of, cache.expanded))
+        assert cache.keys == [k for k in before if k in filled] + \
+            [k for k in before if k not in filled]
         # every frontier expansion goes to the private dict at its own
         # id and is read back from it as a private hit
         session = Session(cache, binding)
@@ -418,12 +437,6 @@ class TestDumpLoad:
         self.roundtrip(2)
         self.roundtrip(64)
 
-    def test_dump_requires_sealed(self):
-        t1, root, _ = fixed_scenario()
-        cache = PublicCache(t1, root, CLS)
-        with pytest.raises(ConfigurationError):
-            dump_public_cache(cache)
-
     def test_load_rejects_bad_version(self):
         t1, root, _ = fixed_scenario()
         text = dump_public_cache(sealed_cache(t1, root, depth=2))
@@ -539,12 +552,10 @@ class TestSharing:
                            {0: 0.0, 1: -0.0, 2: 0.0}, 3)
         root = build_machine([(0, 8, 8, -0.0, 1), (1, 8, 8, -0.0, 1)],
                              {0: -0.0, 1: -0.0}, 2)
-        cache = PublicCache(t1, root, CLS)
         keys = [(q1, q2, FilterState.ANY)
                 for q1, q2 in ((0, 0), (1, 1), (2, 1))]
         # equal as floats, apart by sign: arcs, finals and whole expansions
-        for key in keys:
-            cache.fill(key)
+        cache = PublicCache(t1, root, CLS, keys)
         a, b, c = (cache.ids[key] for key in keys)
         assert cache.num_public == 3
         want = {a: (["0.0", "-0.0"], "0.0"), b: (["0.0", "-0.0"], "-0.0"),
@@ -554,7 +565,7 @@ class TestSharing:
             return {sid: ([repr(w) for _, _, w, _ in e.arcs], repr(e.final))
                     for sid, e in cache.expanded.items()}
 
-        text = dump_public_cache(seal_public(cache))
+        text = dump_public_cache(cache)
         assert reprs(cache) == want
         assert census(cache)["expansions"] == (3, 3, 3)
         assert cache.expanded[a].emit is cache.expanded[b].emit
@@ -649,8 +660,7 @@ class TestDeadEpsilonArcs:
     @given(acyclic_fst(), acyclic_fst(acceptor=True))
     @settings(max_examples=100, deadline=None)
     def test_random_graphs(self, t1, root):
-        cache = seal_public(bfs_precompose(PublicCache(t1, root, NO_CLASS),
-                                           PrecomposeConfig(bfs_depth=64)))
+        cache = sealed_cache(t1, root, NO_CLASS, depth=64)
         composed = composed_arcs(cache)
         self.check(cache, composed)
         text = dump_public_cache(cache)

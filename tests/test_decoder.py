@@ -11,15 +11,13 @@ from oracles import (compose_static, lookup, oracle_beam_decode, oracle_decode,
 from strategies import acyclic_fst
 from test_cache import NO_CLASS, build_machine, scenario, sealed_cache
 from lazyfst import decoder
-from lazyfst.cache import (DEAD_END, CachedExpansion, PublicCache, Session,
-                           end_session, seal_public)
+from lazyfst.cache import DEAD_END, CachedExpansion, Session, end_session
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
 from lazyfst.errors import CompositionSizeError, ConfigurationError
 from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
-from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import empty_binding
 from lazyfst.semiring import ZERO
 
@@ -378,7 +376,8 @@ class TestClosureContract:
             decode(no_frames, session, DecodeConfig(max_eps_pops=2))
 
     def test_ended_session_cannot_decode(self):
-        # the start state is public: the closure itself must refuse
+        # the start state is public, so nothing is expanded: interning
+        # it (Session.start_id) must refuse
         session = session_over(hmm_t1(), two_word_root(), depth=64)
         end_session(session)
         with pytest.raises(ConfigurationError, match="ended"):
@@ -516,8 +515,8 @@ class TestSealedAgainstUnsealed:
     @settings(max_examples=100, deadline=None)
     def test_two_turns_decode_alike(self, t1, root, depth, seed, quarters):
         # sealing drops the public epsilon arcs into a dead end; the same
-        # cache marked sealed without sharing its parts keeps them, and
-        # must decode the same
+        # cache sealed without sharing its parts keeps them, and must
+        # decode the same
         rng = np.random.default_rng(seed)
         turns = [ScoreMatrix(rng.integers(0, 24, size=(frames, 4)) * 0.25)
                  for frames in rng.integers(1, 6, size=2)]
@@ -534,13 +533,11 @@ class TestSealedAgainstUnsealed:
                             m.public_hit, m.private_hit, m.otf_expansion))
             return out
 
-        def cache():
-            return bfs_precompose(PublicCache(t1, root, NO_CLASS),
-                                  PrecomposeConfig(bfs_depth=depth))
-
-        as_built = cache()
-        as_built.sealed = True
-        assert decoded(seal_public(cache())) == decoded(as_built)
+        with mock.patch("lazyfst.cache._share_equal_parts",
+                        lambda cache: None):
+            as_built = sealed_cache(t1, root, NO_CLASS, depth)
+        assert decoded(sealed_cache(t1, root, NO_CLASS, depth)) == \
+            decoded(as_built)
 
 
 class TestTiming:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import expansions, is_precomposable
 from test_cache import fixed_scenario, scenario
 from lazyfst import decoder
-from lazyfst.cache import PublicCache, Session, seal_public
+from lazyfst.cache import PublicCache, Session
 from lazyfst.compose import FilterState, expand_pair_state
 from lazyfst.errors import ConfigurationError, InvariantError
 from lazyfst.harness import (binding_for, decode_config, precompose_cache,
@@ -22,9 +22,10 @@ def pre_cfg(depth, budget=1_000_000):
 
 
 def bfs(t1, root, depth, budget=1_000_000):
-    """bfs_precompose into a fresh cache over (t1, root)."""
-    return bfs_precompose(PublicCache(t1, root, CLS),
-                          pre_cfg(depth, budget))
+    """The cache over (t1, root) made from the keys bfs_precompose
+    chooses."""
+    keys = bfs_precompose(PublicCache(t1, root, CLS), pre_cfg(depth, budget))
+    return PublicCache(t1, root, CLS, keys)
 
 
 class TestConfig:
@@ -47,7 +48,6 @@ class TestBfs:
         cache = bfs(t1, root, 0)
         assert cache.num_expanded == 0
         assert cache.keys == []
-        seal_public(cache)  # an empty cache is a valid sealed cache
 
     @given(scenario(), st.integers(min_value=0, max_value=6))
     @settings(max_examples=40, deadline=None)
@@ -90,15 +90,6 @@ class TestBfs:
         assert full.num_expanded > 2
         cut = bfs(t1, root, 64, budget=2)
         assert cut.num_expanded == 2
-        seal_public(cut)
-
-    def test_cannot_extend_sealed(self):
-        t1, root, _ = fixed_scenario()
-        cache = seal_public(bfs(t1, root, 2))
-        with pytest.raises(ConfigurationError):
-            bfs_precompose(cache, pre_cfg(4))
-        with pytest.raises(ConfigurationError):
-            warmup_precompose(cache, pre_cfg(4), [], None)
 
     def test_deterministic(self):
         t1, root, _ = fixed_scenario()
@@ -106,9 +97,17 @@ class TestBfs:
         b = bfs(t1, root, 5)
         assert a.keys == b.keys and expansions(a) == expansions(b)
 
+    def test_keys_come_in_fill_order_and_write_no_cache(self):
+        t1, root, _ = fixed_scenario()
+        empty = PublicCache(t1, root, CLS)
+        keys = bfs_precompose(empty, pre_cfg(5))
+        assert empty.keys == [] and empty.expanded == {}
+        cache = PublicCache(t1, root, CLS, keys)
+        assert list(map(cache.key_of, cache.expanded)) == keys
 
-def desk_cache(build):
-    return PublicCache(build.t1, build.root, build.class_id)
+
+def desk_cache(build, keys=()):
+    return PublicCache(build.t1, build.root, build.class_id, keys)
 
 
 @pytest.fixture(scope="module")
@@ -116,25 +115,19 @@ def warm(desk_build, desk_cfg):
     cfg = PrecomposeConfig(bfs_depth=desk_cfg["bfs_depth"])
     scores = [scores_for(desk_build, desk_cfg, utt)
               for utt in desk_build.utterances[:10]]
-    cache = warmup_precompose(desk_cache(desk_build), cfg, scores,
-                              decode_config(desk_cfg))
-    return cfg, scores, cache
+    keys = warmup_precompose(desk_cache(desk_build), cfg, scores,
+                             decode_config(desk_cfg))
+    return cfg, scores, desk_cache(desk_build, keys)
 
 
 class TestWarmupOnDeskData:
-    def test_promotes_only_shareable_root_states(self, desk_build, desk_cfg,
-                                                 warm):
-        # seals a cache of its own: sealing changes the shared fixture's
-        # expansions, which later tests compare with
-        cfg, scores, _ = warm
-        cache = warmup_precompose(desk_cache(desk_build), cfg, scores,
-                                  decode_config(desk_cfg))
+    def test_promotes_only_shareable_root_states(self, desk_build, warm):
+        _, _, cache = warm
         assert cache.num_expanded > 0
         for state_id in cache.expanded:
             key = cache.keys[state_id]
             assert key[1] < desk_build.root.num_states
             assert is_precomposable(key, desk_build.root, desk_build.class_id)
-        seal_public(cache)
 
     def test_extends_bfs_cache_to_a_superset(self, desk_build, desk_cfg):
         def expanded_keys(method):
@@ -144,6 +137,17 @@ class TestWarmupOnDeskData:
         both = expanded_keys("both")
         assert both == expanded_keys("bfs") | expanded_keys("warmup")
         assert len(both) == 502
+
+    def test_extends_the_keys_it_is_given(self, desk_build, desk_cfg, warm):
+        cfg, scores, cache = warm
+        empty = desk_cache(desk_build)
+        bfs_keys = bfs_precompose(empty, cfg)
+        keys = warmup_precompose(empty, cfg, scores, decode_config(desk_cfg),
+                                 bfs_keys)
+        assert keys[:len(bfs_keys)] == bfs_keys
+        assert set(keys) == set(bfs_keys) | set(map(cache.key_of,
+                                                    cache.expanded))
+        assert empty.keys == [] and empty.expanded == {}
 
     def test_expands_each_state_once(self, desk_build, desk_cfg,
                                      monkeypatch):
@@ -162,19 +166,19 @@ class TestWarmupOnDeskData:
 
     def test_warmup_is_deterministic(self, desk_build, warm):
         cfg, scores, cache = warm
-        again = warmup_precompose(desk_cache(desk_build), cfg, scores,
-                                  decode_config({"beam": 10.0,
-                                                 "max_active": 2000}))
+        again = desk_cache(desk_build, warmup_precompose(
+            desk_cache(desk_build), cfg, scores,
+            decode_config({"beam": 10.0, "max_active": 2000})))
         assert again.keys == cache.keys
         assert expansions(again) == expansions(cache)
 
     def test_budget_limits_promotion(self, desk_build, warm):
         cfg, scores, full = warm
         small = PrecomposeConfig(bfs_depth=cfg.bfs_depth, state_budget=5)
-        cache = warmup_precompose(desk_cache(desk_build), small, scores,
-                                  decode_config({"beam": 10.0,
-                                                 "max_active": 2000}))
-        assert cache.num_expanded == 5
+        keys = warmup_precompose(desk_cache(desk_build), small, scores,
+                                 decode_config({"beam": 10.0,
+                                                "max_active": 2000}))
+        assert len(keys) == 5
         assert full.num_expanded > 5
 
 
@@ -196,7 +200,7 @@ class TestFilledFromTheRootAlone:
         cache = desk_cache(desk_build)
         key = (cache.t1.start, min(cache.bridges), int(FilterState.ANY))
         with pytest.raises(InvariantError, match="non-shareable"):
-            cache.fill(key)
+            desk_cache(desk_build, [key])
 
     def test_promotion_compares_with_the_warmup_session(self, desk_build,
                                                         warm, monkeypatch):
