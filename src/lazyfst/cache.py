@@ -271,7 +271,8 @@ def _share_equal_parts(cache: PublicCache) -> None:
     A weight is keyed by (value, sign), so 0.0 and -0.0 stay apart; once
     weights are shared, the id of a shared part stands for its value in
     the keys of the parts built from it.  An epsilon arc whose
-    destination the cache holds as a dead end (no arcs, not final) is
+    destination the cache holds as DEAD_END, the one expansion
+    StateTable.build gives every dead end (no arcs, not final), is
     dropped, unless that would leave its state a dead end too: such a
     state keeps its arcs as built, so the dead ends of a sealed cache are
     those it was built with."""
@@ -283,8 +284,7 @@ def _share_equal_parts(cache: PublicCache) -> None:
     cache.keys = [keys[old_id] for old_id in order]
     cache.ids = {keys[old_id]: renumbered[old_id] for old_id in order}
 
-    dead = {sid for sid, e in expanded.items()
-            if not e.eps and not e.emit and e.final == ZERO}
+    dead = {sid for sid, e in expanded.items() if e is DEAD_END}
     weights = {(ZERO, 1.0): ZERO}
     arcs: dict[tuple, CachedArc] = {}
     sequences: dict[tuple, tuple[CachedArc, ...]] = {(): ()}

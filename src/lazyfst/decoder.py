@@ -46,6 +46,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .cache import DEAD_END, Session, expand
 from .errors import (CompositionSizeError, ConfigurationError, is_real,
@@ -120,7 +121,7 @@ def simulate_scores(ref_labels: Sequence[int], num_labels: int, *,
     require_int("frames_per_phone", frames_per_phone, 1)
     require_real("margin", margin)
     require_real("noise", noise, 0)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     frames = len(ref_labels) * frames_per_phone
     u = rng.random((frames, num_labels))
     m = margin + noise * u
@@ -180,10 +181,11 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     hypothesis nor relax anything, so dropping it changes no result: a
     seed or relaxation that resolves to one is dropped before it is
     counted or stored, and a state cache.expand builds as one is dropped
-    after its otf_expansion is counted.  The floor is still the cheapest
-    seed, dead or not.  The closure walks only a state's epsilon-input
-    arcs (its expansion's `eps`), and a resolved state without any
-    relaxes nothing, so it never enters the heap.  A relaxation is
+    as soon as its otf_expansion is counted; a heap entry left for it is
+    skipped.  The floor is still the cheapest seed, dead or not.  The
+    closure walks only a state's epsilon-input arcs (its expansion's
+    `eps`), and a resolved state without any relaxes nothing, so it
+    never enters the heap.  A relaxation is
     pushed only when it strictly lowers a state's cost, so a heap entry
     whose cost is not the state's current cost is stale and every state
     is settled at most once.
@@ -219,13 +221,15 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
         if exp is None or exp.eps:
             heap.append((cost, sid))
     heapify(heap)
-    built_dead = []
     pops = 0
     max_pops = cfg.max_eps_pops
     try:
         while heap:
             cost, sid = heappop(heap)
-            tok = best[sid]
+            try:
+                tok = best[sid]
+            except KeyError:    # built as a dead end, and dropped
+                continue
             if cost != tok[0]:
                 continue
             pops += 1
@@ -235,10 +239,12 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
             trace, exp = tok[1], tok[2]
             if exp is None:
                 exp = expand(sid, session)
-                best[sid] = (cost, trace, exp)
                 if exp is DEAD_END:
-                    # settled, so no later relaxation lowers it
-                    built_dead.append(sid)
+                    # the private layer now holds it, so a relaxation
+                    # that reaches it again drops it on the same read
+                    del best[sid]
+                    continue
+                best[sid] = (cost, trace, exp)
             for _, olabel, weight, dst in exp.eps:
                 new_cost = cost + weight
                 if new_cost > limit:
@@ -269,8 +275,6 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
         metrics = session.metrics
         metrics.public_hit += public_hits
         metrics.private_hit += private_hits
-    for sid in built_dead:
-        del best[sid]
     return best
 
 

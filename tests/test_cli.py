@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import json
 import re
@@ -12,8 +11,11 @@ from hypothesis import strategies as st
 from lazyfst.cache import load_public_cache
 from lazyfst.cli import main
 from lazyfst.errors import BuildError
+from lazyfst.harness import (build_graphs, decode_config, load_config,
+                             precompose_cache, run_bench, scores_for)
 from lazyfst.replace import bridge_states
 from test_cache import rechecksum
+from test_opcount import load_paper_table
 from lazyfst.deskdata import write_desk_data
 
 
@@ -384,50 +386,62 @@ class TestOutputPaths:
 
 
 class TestFullBenchScript:
-    """scripts/run_full_bench.py exits like the CLI: a data or config
-    error is one line on stderr and exit 2."""
+    """scripts/paper_table.py, the full desk sweep, exits like the CLI: a
+    data or config error is one line on stderr and exit 2, and a bad
+    config value is caught before any graph is built.  Its cells count
+    what run_bench counts."""
 
     @pytest.fixture(scope="class")
-    def script_main(self):
-        path = Path(__file__).resolve().parent.parent / "scripts" / \
-            "run_full_bench.py"
-        spec = importlib.util.spec_from_file_location("run_full_bench", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.main
+    def paper_table(self):
+        return load_paper_table()
 
-    def test_missing_config_exits_2(self, script_main, tmp_path, capsys):
+    def test_missing_config_exits_2(self, paper_table, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        assert script_main(["--config", missing]) == 2
+        assert paper_table.main(["--config", missing]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and missing in err
         assert len(err.splitlines()) == 1
 
-    def test_bad_session_length_exits_2(self, script_main, mini_config,
-                                        capsys):
-        assert script_main(["--config", str(mini_config), "--methods", "none",
-                            "--session-lengths", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "session_length" in err and len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize("sweep", [
-        ["--methods", "none", "bogus"],
-        ["--methods", "none", "--session-lengths", "1", "0"],
-        # --bfs-depth with no method that runs a BFS
-        ["--methods", "none", "warmup", "--bfs-depth", "3"]])
-    def test_bad_value_late_in_a_list_runs_no_sweep(self, script_main,
-                                                    mini_config, capsys,
-                                                    monkeypatch, sweep):
+    @pytest.mark.parametrize("field, value", [
+        ("beam", 0), ("max_active", 0.5), ("class", ["@contact"])],
+        ids=["beam", "max_active", "class"])
+    def test_bad_config_builds_no_graph(self, paper_table, mini_config,
+                                        tmp_path, capsys, monkeypatch,
+                                        field, value):
         called = []
-        for name in ("build_graphs", "run_bench"):
-            monkeypatch.setitem(script_main.__globals__, name,
-                                lambda *a, name=name, **k: called.append(name))
-        assert script_main(["--config", str(mini_config)] + sweep) == 2
+        monkeypatch.setitem(paper_table.run.__globals__, "build_graphs",
+                            lambda *a, **k: called.append(a))
+        cfg = json.loads(mini_config.read_text())
+        cfg[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert paper_table.main(["--config", str(path)]) == 2
         assert called == []
         err = capsys.readouterr().err
-        assert ("bogus" in err or "session_length" in err
-                or "--bfs-depth needs --methods bfs or both, not none warmup"
-                in err) and len(err.splitlines()) == 1
+        assert field in err and len(err.splitlines()) == 1
+
+    def test_cells_count_what_run_bench_counts(self, paper_table, mini_config):
+        cfg = load_config(mini_config)
+        build = build_graphs(cfg)
+        dec_cfg = decode_config(cfg)
+        scores = {u["id"]: scores_for(build, cfg, u) for u in build.utterances}
+        for method, session, length, passes in paper_table.CELLS:
+            cache, _ = precompose_cache(build, cfg, method)
+            hyps, counts = paper_table.decode_pass(
+                cache, paper_table.sessions_of(build, scores, length),
+                dec_cfg, paper_table.Clock(), passes)
+            report = run_bench(cfg, method, length or len(build.utterances),
+                               build)
+            assert [h.words for h in hyps] == list(
+                report["hypotheses"].values())
+            totals = report["totals"]
+            if passes == 1:
+                assert counts == (totals["otf_expansions"],
+                                  totals["public_hits"], totals["private_hits"])
+            else:
+                # a rerun expands nothing, and its closures return the
+                # states of the first pass, the public ones among them
+                assert counts[:2] == (0, totals["public_hits"])
 
 
 # JSON values of every type, for replacing a value with one of another

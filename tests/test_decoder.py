@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -334,6 +338,19 @@ class TestClosureContract:
                            {n: 0.0}, n + 1)
         return session_over(t1, build_machine([], {0: 0.0}, 1))
 
+    def test_dead_end_reached_twice_is_dropped_once_built(self):
+        # t1 reaches state 1 from the start at cost 1, then through state 2
+        # at cost 0.25, so the closure pushes it twice; it is built as a
+        # dead end at 0.25 and leaves the tokens, and the stale entry at
+        # cost 1 is skipped when popped
+        t1 = build_machine([(0, EPS, EPS, 1.0, 1), (0, EPS, EPS, 0.125, 2),
+                            (2, EPS, EPS, 0.125, 1)], {0: 0.0}, 3)
+        session = session_over(t1, build_machine([], {0: 0.0}, 1))
+        hyp = decode(ScoreMatrix(np.zeros((0, 2))), session)
+        assert hyp.cost == 0.0
+        assert session.metrics.otf_expansion == 3
+        assert DEAD_END in session.private.expanded.values()
+
     def test_max_eps_pops_counts_heap_settlements(self):
         n = 50
         no_frames = ScoreMatrix(np.zeros((0, 2)))
@@ -433,6 +450,18 @@ class TestClosureContract:
 
 
 class TestDeterminism:
+    def test_simulating_scores_imports_no_module(self):
+        # numpy 2 imports numpy.random only when first used, which would
+        # make the first simulation in a process run more code than later
+        # ones; a fresh interpreter shows what the import left undone
+        code = ("import sys, lazyfst.decoder as d; before = set(sys.modules);"
+                " d.simulate_scores([1], 3); print(set(sys.modules) - before)")
+        src = str(Path(decoder.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "set()"
+
     def test_same_inputs_same_hypothesis(self):
         scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_phone=3,
                                  noise=0.5, seed=41)
