@@ -6,23 +6,23 @@ pair keys (see compose) with dense state ids and the expansions it built:
 
 * PublicCache: binding-independent expansions, computed once offline
   for keys chosen breadth-first or by warm-up decoding, and shared
-  read-only by every session: the constructor fills the keys and seals,
-  so no one outside it sees the cache unsealed.  Only a state whose t2
-  side is a root state that is not a bridge (has no class out-arc) may
-  be cached here, so its arcs never mention the class FST:
-  PublicCache.shareable.
+  read-only by every session.  Only a state whose t2 side is a root
+  state that is not a bridge (has no class out-arc) may be cached
+  here, so its arcs never mention the class FST: PublicCache.shareable.
 * Session.private: everything else, expanded on demand into a table
   over the sealed public one, StateTable(below=cache), that dies with
   the session.
 
 The sealed public table owns ids [0, N_pub), and a session's table
 numbers its own keys from N_pub on (StateTable.first), so private arcs
-may point at public states.  Sealing numbers the E = num_expanded
-filled states first, then the frontier destinations, interned but never
-expanded offline, which a session expands privately on first use: an id
-is public below E, else private.  Both layers keep their expansions in
-one dict by state id (StateTable.expanded), in the order built: the
-public one in fill order, ids 0 to E-1, a private one at ids from E on,
+may point at public states.  An id is given once and never changed: the
+PublicCache constructor interns the E = num_expanded keys it fills
+before it expands any, so they hold [0, E) in fill order, and the
+frontier destinations, interned but never expanded offline, which a
+session expands privately on first use, take [E, N_pub) as first
+reached.  So an id is public below E, else private.  Both layers keep
+their expansions in one dict by state id (StateTable.expanded), in the
+order built: the public one in id order, a private one at ids from E on,
 frontier ids and its own keys alike.  One rule interns for both layers
 (StateTable.intern_arcs), all destinations of one expansion in one pass
 that also builds the cached arcs, plain `(ilabel, olabel, weight,
@@ -37,24 +37,21 @@ closure (decoder._eps_closure), which counts the hits; expand is the
 build half it calls for a state neither layer holds, the only writer of
 the private layer, and counts an otf_expansion.
 
-The PublicCache constructor is the one way keys enter the public
-layer: it interns each shareable key it is given and expands it against
-the root and nothing else, so pre-composition and loading a dump store
-the same expansion for the same key, then seals (seal_public).  Sealing
-shares equal parts of the public layer: one float object per distinct
-weight (ZERO itself for every non-final state), one tuple per distinct
-arc and per distinct arc sequence, the epsilon and emitting sequences
-each on its own, and one CachedExpansion per distinct (eps, emit,
-final), which every state with that expansion points at.  A weight's
-key is its value and its sign: 0.0 and -0.0 are equal floats but not
-the same weight, so they are never merged.  In both layers every state
-with no arcs that is not final, a dead end, gets the one DEAD_END
-expansion (StateTable.build).
-Sealing also drops each public epsilon arc into a public dead end,
-unless its state has nothing else (_share_equal_parts).  A dump is the
-fill log, the key of each filled state in fill order, and loading makes
-a cache from the same keys in the same order, which interns every key,
-frontier destinations included, under the id it had before sealing.
+The PublicCache constructor is the one way keys enter the public layer:
+it expands each key it is given, which must be shareable, against the
+root and nothing else, so pre-composition and loading a dump store the
+same expansion for the same key, then seals (seal_public), so no one
+outside it sees the cache unsealed.  Sealing shares equal parts of the
+public layer (_share_equal_parts): one float per distinct weight (ZERO
+itself for every non-final state), keyed by value and sign, so 0.0 and
+-0.0 are never merged, and one object per distinct arc, arc sequence and
+(eps, emit, final) expansion, which every state with that expansion
+points at; and it drops each public epsilon arc into a public dead end,
+unless its state has nothing else.  In both layers every state with no
+arcs that is not final, a dead end, gets the one DEAD_END expansion
+(StateTable.build).  A dump is the fill log, keys[:E], and loading makes
+a cache from the same keys in the same order, which gives every key,
+frontier destinations included, the id it had.
 """
 
 from __future__ import annotations
@@ -195,9 +192,9 @@ class StateTable:
 
 class PublicCache(StateTable):
     """Sealed, shared layer of the two-layer graph for one (t1, root)
-    pair: `keys` filled in order, then sealed, all before the
-    constructor returns.  A key that could depend on a binding, or that
-    is filled twice, is an InvariantError."""
+    pair: the i-th of `keys` interned as id i, each then expanded against
+    the root, and sealed, all in the constructor.  A key that could
+    depend on a binding, or that is given twice, is an InvariantError."""
     __slots__ = ("t1", "root", "label", "bridges")
 
     def __init__(self, t1: Fst, root: Fst, label: int,
@@ -209,8 +206,16 @@ class PublicCache(StateTable):
         # replace.bridge_states of the root: scanned, and the root's
         # class arcs checked, once per cache rather than once per session
         self.bridges = bridge_states(root, label)
+        filled = []
         for key in keys:
-            self._fill(key)
+            if not self.shareable(key):
+                raise InvariantError(f"public cache refuses non-shareable "
+                                     f"state {key}")
+            if key in self.ids:
+                raise InvariantError(f"duplicate fill of state {key}")
+            filled.append(self.intern(key))
+        for state_id in filled:
+            self.build(state_id, t1, root)
         seal_public(self)
 
     @property
@@ -233,17 +238,6 @@ class PublicCache(StateTable):
         against any view."""
         return key[1] < self.root.num_states and key[1] not in self.bridges
 
-    def _fill(self, key: tuple[int, int, int]) -> None:
-        """Intern `key` and expand it against the root.  Refuses a key
-        whose expansion could depend on a binding, then a key already
-        filled."""
-        if not self.shareable(key):
-            raise InvariantError(f"public cache refuses non-shareable "
-                                 f"state {key}")
-        if self.ids.get(key) in self.expanded:
-            raise InvariantError(f"duplicate fill of state {key}")
-        self.build(self.intern(key), self.t1, self.root)
-
 
 def fingerprint(t1: Fst, root: Fst, label: int) -> str:
     """Digest of the graphs a public cache is computed against."""
@@ -252,21 +246,18 @@ def fingerprint(t1: Fst, root: Fst, label: int) -> str:
 
 
 def seal_public(cache: PublicCache) -> None:
-    """Freeze the public layer, renumber it and share its equal parts
-    (_share_equal_parts); the PublicCache constructor calls it once its
-    keys are filled.  PublicCache._fill stores only shareable states,
-    expanded against the root, so there is nothing left to check."""
+    """Share the equal parts of the public layer (_share_equal_parts),
+    ids unchanged, and freeze it; the PublicCache constructor calls it
+    once its keys, all shareable, are expanded against the root."""
     _share_equal_parts(cache)
     cache.sealed = True
 
 
 def _share_equal_parts(cache: PublicCache) -> None:
-    """Renumber `cache`, its filled states first, then its frontier
-    states, each group in id order; point every filled state at one
+    """Point every filled state of `cache`, under its own id, at one
     shared CachedExpansion per distinct (eps, emit, final), built from
-    one float per distinct weight and one tuple per distinct arc (its
-    destination renumbered) and arc sequence, without the epsilon arcs
-    into a dead end.
+    one float per distinct weight and one tuple per distinct arc and arc
+    sequence, without the epsilon arcs into a dead end.
 
     A weight is keyed by (value, sign), so 0.0 and -0.0 stay apart; once
     weights are shared, the id of a shared part stands for its value in
@@ -276,15 +267,7 @@ def _share_equal_parts(cache: PublicCache) -> None:
     dropped, unless that would leave its state a dead end too: such a
     state keeps its arcs as built, so the dead ends of a sealed cache are
     those it was built with."""
-    expanded, keys = cache.expanded, cache.keys
-    order = sorted(range(len(keys)), key=lambda sid: sid not in expanded)
-    renumbered = [0] * len(keys)
-    for new_id, old_id in enumerate(order):
-        renumbered[old_id] = new_id
-    cache.keys = [keys[old_id] for old_id in order]
-    cache.ids = {keys[old_id]: renumbered[old_id] for old_id in order}
-
-    dead = {sid for sid, e in expanded.items() if e is DEAD_END}
+    dead = {sid for sid, e in cache.expanded.items() if e is DEAD_END}
     weights = {(ZERO, 1.0): ZERO}
     arcs: dict[tuple, CachedArc] = {}
     sequences: dict[tuple, tuple[CachedArc, ...]] = {(): ()}
@@ -293,23 +276,20 @@ def _share_equal_parts(cache: PublicCache) -> None:
         shared = []
         for il, ol, w, dst in sequence:
             w = weights.setdefault((w, copysign(1.0, w)), w)
-            dst = renumbered[dst]
             shared.append(arcs.setdefault((il, ol, id(w), dst),
                                           (il, ol, w, dst)))
         return sequences.setdefault(tuple(map(id, shared)), tuple(shared))
 
     expansions = {(id(DEAD_END.eps), id(DEAD_END.emit), id(ZERO)): DEAD_END}
-    cache.expanded = {}
-    for state_id, expansion in expanded.items():
+    for state_id, expansion in cache.expanded.items():
         eps, emit, final = expansion.eps, expansion.emit, expansion.final
         kept = [arc for arc in eps if arc[3] not in dead]
         if kept or emit or final != ZERO:
             eps = kept
         eps, emit = share(eps), share(emit)
         final = weights.setdefault((final, copysign(1.0, final)), final)
-        cache.expanded[renumbered[state_id]] = expansions.setdefault(
-            (id(eps), id(emit), id(final)),
-            CachedExpansion(eps, emit, final))
+        cache.expanded[state_id] = expansions.setdefault(
+            (id(eps), id(emit), id(final)), CachedExpansion(eps, emit, final))
 
 
 class Session:
@@ -369,7 +349,7 @@ def dump_public_cache(cache: PublicCache) -> str:
     loading makes a cache from the same keys in the same order, which
     gives every key the id it had and recomputes each expansion."""
     body = "".join(f"s {q1} {q2} {f}\n"
-                   for q1, q2, f in map(cache.key_of, cache.expanded))
+                   for q1, q2, f in cache.keys[:cache.num_expanded])
     digest = hashlib.sha256(body.encode()).hexdigest()
     return (f"{CACHE_FORMAT}\n"
             f"graph {fingerprint(cache.t1, cache.root, cache.label)}\n"

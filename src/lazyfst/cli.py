@@ -100,6 +100,17 @@ def _check_output(path: str | None) -> None:
                            f"or its directory does not exist")
 
 
+def _check_output_dir(path: Path) -> None:
+    """LazyFstError unless `path` is a directory or can be made one: the
+    nearest of it and its parents that exists is a directory.  Checked
+    before the work; the directory is made only when the output is
+    written, so a run that fails leaves none behind."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise LazyFstError(f"cannot write output to {path}: {existing} is "
+                           f"not a directory")
+
+
 def _cache_from_file(args, build):
     """The sealed cache of the --cache dump, or None without --cache."""
     if args.cache is None:
@@ -115,7 +126,7 @@ def _cache_from_file(args, build):
 def cmd_build(args) -> int:
     cfg = _config(args)
     out_dir = Path(args.out or cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_output_dir(out_dir)
     build = build_graphs(cfg)
     write_build(build, out_dir)
     print(json.dumps(graph_stats(build), indent=2))
@@ -127,11 +138,13 @@ def cmd_precompose(args) -> int:
     out = args.out
     if out is None:
         out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _check_output_dir(out_dir)
         out = str(out_dir / f"cache_{args.method}.txt")
-    _check_output(out)
+    else:
+        _check_output(out)
     build = build_graphs(cfg)
     cache, stats = precompose_cache(build, cfg, args.method)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     Path(out).write_text(dump_public_cache(cache))
     stats["dump"] = out
     print(json.dumps(stats, indent=2))

@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from numbers import Integral
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -114,10 +115,18 @@ def simulate_scores(ref_labels: Sequence[int], num_labels: int, *,
     On its frames the correct label costs noise*u and every other label
     costs margin + noise*u with u ~ U[0,1) from a seeded generator, so at
     zero noise the per-frame argmin is exactly the reference.  A
+    num_labels that is not an integer >= 1, a reference label that is not
+    an integer in [1, num_labels) (0 is epsilon, which no frame emits), a
     frames_per_phone that is not an integer >= 1, a margin that is not a
     finite number or a noise that is not a finite number >= 0 is a
     ConfigurationError.
     """
+    require_int("num_labels", num_labels, 1)
+    for label in ref_labels:
+        if isinstance(label, bool) or not isinstance(label, Integral) \
+                or not 0 < label < num_labels:
+            raise ConfigurationError(f"reference label {label!r} is not an "
+                                     f"integer in [1, {num_labels})")
     require_int("frames_per_phone", frames_per_phone, 1)
     require_real("margin", margin)
     require_real("noise", noise, 0)
@@ -167,10 +176,10 @@ def _eps_closure(tokens: dict[int, _Token], session: Session,
     up or pushed.
 
     This is the one reader of the two cache layers.  Every state kept is
-    resolved once, when it is a seed or first reached.  Sealing numbers
-    the states the public layer holds first, so an id below E, the size
-    of the public layer's dict (session.cache.expanded), is read from
-    it, which holds it, and any other from the private layer's dict
+    resolved once, when it is a seed or first reached.  The public
+    cache gives the states it fills the first ids, so an id below E, the
+    size of the public layer's dict (session.cache.expanded), is read
+    from it, which holds it, and any other from the private layer's dict
     (session.private.expanded), which may not hold it yet.  A state
     neither layer holds is built through cache.expand when it is
     settled.  Each state kept counts one public_hit, private_hit or

@@ -134,8 +134,9 @@ def parse_utterances(text: str, path: str,
                      users: dict[str, list[str]]) -> list[dict]:
     """One JSON object per non-blank line, each with every field in
     UTTERANCE_FIELDS (word and phone lists of strings, a seed that is an
-    int and not a bool) and a known user."""
+    int and not a bool), a known user and an id no earlier row has."""
     rows = []
+    seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -155,6 +156,9 @@ def parse_utterances(text: str, path: str,
         if row["user"] not in users:
             raise BuildError(f"{where}: utterance {row['id']!r} names unknown "
                              f"user {row['user']!r}")
+        if row["id"] in seen:
+            raise BuildError(f"{where}: utterance {row['id']!r} is repeated")
+        seen.add(row["id"])
         rows.append(row)
     return rows
 

@@ -6,8 +6,9 @@ byte sizes; wall-clock time lives on the Hypothesis, never here.
 public_hit and private_hit count one per state a decoder closure returns,
 per frame, that the public layer (the session's PublicCache) or the
 private layer (its state table, Session.private) already held, each in
-its `expanded` dict: an id below PublicCache.num_expanded is public, any
-other private.  The closure (decoder._eps_closure, the one reader of the
+its `expanded` dict.  The public cache gives the states it fills the
+first ids, once and for good, so an id below PublicCache.num_expanded is
+public and any other private.  The closure (decoder._eps_closure, the one reader of the
 two layers) adds its hits here once when it ends.  A dead end
 (cache.DEAD_END) is never returned, so it is never a hit.  otf_expansion
 counts the states cache.expand builds on the fly into the private layer,

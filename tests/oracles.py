@@ -472,9 +472,9 @@ def expansions(cache: PublicCache) -> dict[int, tuple]:
 
 def lookup(session: Session, state_id: int) -> Optional[CachedExpansion]:
     """The stored expansion of `state_id`, counting the hit; None when
-    neither layer holds it.  Sealing numbers the filled public states
-    first, so an id below the size of the public layer's dict is public
-    and any other is private."""
+    neither layer holds it.  The public cache gives the states it fills
+    the first ids, so an id below the size of the public layer's dict is
+    public and any other is private."""
     public = session.cache.expanded
     if state_id < len(public):
         session.metrics.public_hit += 1

@@ -277,35 +277,27 @@ class TestIdSpace:
             [oracle.intern(k) for k in keys]
 
 
-def table_before_sealing(cache) -> list:
-    """The keys of `cache`'s table as it stood before sealing: each key
-    it filled, in fill order, then the destinations of its expansion
-    against the root, each key where it first appears."""
-    table = {}
-    for key in map(cache.key_of, cache.expanded):
-        table.setdefault(key)
-        arcs, _ = expand_pair_state(key, cache.t1, cache.root)
-        for *_, dst in arcs:
-            table.setdefault(dst)
-    return list(table)
-
-
 class TestIdLayout:
-    """Sealing numbers the filled public states [0, E) and the frontier
-    states [E, N), each group in its order before sealing, so an id below
-    E = num_expanded is public and any other is private."""
+    """The filled public states hold ids [0, E) in the order their keys
+    were given, and the frontier states [E, N) in the order the filled
+    states' expansions first reach them, so an id below E = num_expanded
+    is public and any other is private."""
 
-    def check(self, cache, binding):
+    def check(self, cache, keys, binding):
         n, e = cache.num_public, cache.num_expanded
-        assert sorted(cache.expanded) == list(range(e))
+        assert list(cache.expanded) == list(range(e))
         assert len(cache.ids) == n
         assert all(cache.ids[key] == sid for sid, key in enumerate(cache.keys))
         assert all(dst < n for exp in cache.expanded.values()
                    for *_, dst in exp.arcs)
-        before = table_before_sealing(cache)
-        filled = set(map(cache.key_of, cache.expanded))
-        assert cache.keys == [k for k in before if k in filled] + \
-            [k for k in before if k not in filled]
+        assert cache.keys[:e] == keys
+        reached = {}
+        for key in keys:
+            arcs, _ = expand_pair_state(key, cache.t1, cache.root)
+            for *_, dst in arcs:
+                reached.setdefault(dst)
+        filled = set(keys)
+        assert cache.keys[e:] == [k for k in reached if k not in filled]
         # every frontier expansion goes to the private dict at its own
         # id and is read back from it as a private hit
         session = Session(cache, binding)
@@ -333,14 +325,21 @@ class TestIdLayout:
                 sum(k < e for k in kept), sum(k >= e for k in kept), 0)
 
     @pytest.mark.parametrize("method", ["bfs", "warmup", "both"])
-    def test_desk_caches(self, desk_build, desk_cfg, method):
+    def test_desk_caches(self, desk_build, desk_cfg, method, monkeypatch):
+        given = []
+
+        def made(t1, root, label, keys=()):
+            given.append(list(keys))
+            return PublicCache(t1, root, label, given[-1])
+
+        monkeypatch.setattr(harness, "PublicCache", made)
         cache, _ = precompose_cache(desk_build, desk_cfg, method)
         loaded = load_public_cache(dump_public_cache(cache), desk_build.t1,
                                    desk_build.root, desk_build.class_id)
         binding = binding_for(desk_build, desk_build.utterances[0]["user"])
         for sealed in (cache, loaded):
             assert 0 < sealed.num_expanded < sealed.num_public
-            self.check(sealed, binding)
+            self.check(sealed, given[-1], binding)
 
     @pytest.mark.parametrize("method, length", [("both", 5), ("none", 1)])
     def test_private_dicts_after_desk_pass(self, desk_build, desk_cfg,
@@ -371,10 +370,12 @@ class TestIdLayout:
     @settings(max_examples=100, deadline=None)
     def test_random_graphs(self, graphs, depth):
         t1, root, binding = graphs
-        cache = sealed_cache(t1, root, depth=depth)
-        self.check(cache, binding)
+        keys = bfs_precompose(PublicCache(t1, root, CLS),
+                              PrecomposeConfig(bfs_depth=depth))
+        cache = PublicCache(t1, root, CLS, keys)
+        self.check(cache, keys, binding)
         loaded = load_public_cache(dump_public_cache(cache), t1, root, CLS)
-        self.check(loaded, binding)
+        self.check(loaded, keys, binding)
 
 
 class TestMaterializeMatchesStatic:

@@ -165,8 +165,10 @@ class TestDataErrors:
         "not json {",
         {"id": "bad-4", "user": "u05", "words": ["hello"], "phones": ["hh"],
          "seed": True},
+        {"id": "u01-s1-t1", "user": "u01", "words": ["call", "mom"],
+         "phones": ["k", "aa", "l"], "seed": 1},
     ], ids=["no-phones", "words-not-list", "unknown-user", "bad-json",
-            "bool-seed"])
+            "bool-seed", "repeated-id"])
     def test_malformed_utterance_row_exits_2(self, row, tmp_path, capsys):
         cfg = write_desk_data(tmp_path)
         path = tmp_path / "data" / "desk" / cfg["utterances"]
@@ -358,7 +360,7 @@ class TestOutputPaths:
             self, command, flag, mini_config, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):
             pytest.fail("build_graphs ran before the output directory "
-                        "was made")
+                        "was checked")
         monkeypatch.setattr("lazyfst.cli.build_graphs", no_work)
         (tmp_path / "afile").write_text("")
         under_a_file = str(tmp_path / "afile" / "sub")
@@ -381,8 +383,26 @@ class TestOutputPaths:
         path = tmp_path / "mini.json"
         path.write_text(json.dumps(cfg))
         self.run(["precompose", "--config", str(path)], capsys, "no graphs")
-        assert (tmp_path / "made").is_dir()
-        assert list((tmp_path / "made").iterdir()) == []
+        assert not (tmp_path / "made").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("build", ["--out"]), ("build", []), ("precompose", [])],
+        ids=["build-out", "build-out-dir", "precompose-out-dir"])
+    def test_failed_build_leaves_no_output_directory(self, command, flag,
+                                                     tmp_path, capsys):
+        path, cfg = desk_copy(tmp_path)
+        lexicon = Path(cfg["data_dir"]) / cfg["lexicon"]
+        rows = lexicon.read_text().splitlines() + ["notab"]
+        lexicon.write_text("\n".join(rows) + "\n")
+        made = tmp_path / "out" / "x"
+        if flag:
+            flag = [*flag, str(made)]
+        else:
+            cfg["out_dir"] = str(made)
+            path.write_text(json.dumps(cfg))
+        self.run([command, "--config", str(path), *flag], capsys,
+                 f"{lexicon}:{len(rows)}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestFullBenchScript:

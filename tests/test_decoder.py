@@ -15,13 +15,15 @@ from oracles import (compose_static, lookup, oracle_beam_decode, oracle_decode,
 from strategies import acyclic_fst
 from test_cache import NO_CLASS, build_machine, scenario, sealed_cache
 from lazyfst import decoder
-from lazyfst.cache import DEAD_END, CachedExpansion, Session, end_session
+from lazyfst.cache import (DEAD_END, CachedExpansion, PublicCache, Session,
+                           end_session)
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                              rtf, simulate_scores)
 from lazyfst.errors import CompositionSizeError, ConfigurationError
 from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
 from lazyfst.metrics import Metrics
+from lazyfst.precompose import PrecomposeConfig, bfs_precompose
 from lazyfst.replace import empty_binding
 from lazyfst.semiring import ZERO
 
@@ -91,6 +93,13 @@ class TestScoreMatrix:
     def test_simulate_rejects_bad_settings(self, kwargs):
         with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             simulate_scores([1, 2], 3, **kwargs)
+
+    @pytest.mark.parametrize("labels, num_labels", [
+        ([5], 3), ([-1], 3), ([0], 3), ([1, 3], 3), ([1.0], 3), ([True], 3),
+        (["1"], 3), ([1], 0), ([1], -2), ([], -2), ([1], 2.5)])
+    def test_simulate_rejects_bad_labels(self, labels, num_labels):
+        with pytest.raises(ConfigurationError, match="label"):
+            simulate_scores(labels, num_labels)
 
     def test_requires_two_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -540,12 +549,15 @@ class TestSealedAgainstUnsealed:
     @given(acyclic_fst(), acyclic_fst(acceptor=True),
            st.sampled_from([1, 2, 64]),
            st.integers(min_value=0, max_value=2 ** 31 - 1),
-           st.integers(min_value=2, max_value=16))
+           st.integers(min_value=2, max_value=16),
+           st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
-    def test_two_turns_decode_alike(self, t1, root, depth, seed, quarters):
+    def test_two_turns_decode_alike(self, t1, root, depth, seed, quarters,
+                                    shuffler):
         # sealing drops the public epsilon arcs into a dead end; the same
         # cache sealed without sharing its parts keeps them, and must
-        # decode the same
+        # decode the same, whatever order its keys are given in: the
+        # i-th key holds id i in both
         rng = np.random.default_rng(seed)
         turns = [ScoreMatrix(rng.integers(0, 24, size=(frames, 4)) * 0.25)
                  for frames in rng.integers(1, 6, size=2)]
@@ -562,11 +574,16 @@ class TestSealedAgainstUnsealed:
                             m.public_hit, m.private_hit, m.otf_expansion))
             return out
 
-        with mock.patch("lazyfst.cache._share_equal_parts",
-                        lambda cache: None):
-            as_built = sealed_cache(t1, root, NO_CLASS, depth)
-        assert decoded(sealed_cache(t1, root, NO_CLASS, depth)) == \
-            decoded(as_built)
+        keys = bfs_precompose(PublicCache(t1, root, NO_CLASS),
+                              PrecomposeConfig(bfs_depth=depth))
+        for given_keys in (keys, shuffler.sample(keys, len(keys))):
+            with mock.patch("lazyfst.cache._share_equal_parts",
+                            lambda cache: None):
+                as_built = PublicCache(t1, root, NO_CLASS, given_keys)
+            sealed = PublicCache(t1, root, NO_CLASS, given_keys)
+            assert as_built.keys[:len(keys)] == given_keys
+            assert sealed.keys[:len(keys)] == given_keys
+            assert decoded(sealed) == decoded(as_built)
 
 
 class TestTiming:

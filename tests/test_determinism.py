@@ -23,10 +23,10 @@ from lazyfst.harness import precompose_cache, run_bench
 GOLDEN = {
     "bfs": (434, 342, "230304f059fe00658d681fe264e6e74e"
                       "df553c2a91a25a5fc7aa3d5905924d06"),
-    "warmup": (538, 501, "13c59bdd200d92b57939f9b677d2a4ce"
-                         "6ea18ae1b07e44ef2d29d04cd4e73f6b"),
-    "both": (538, 502, "1baa7f77d2fc217484f2543bec6412dd"
-                       "a09a64b924b359c1edbd02f5990539a2"),
+    "warmup": (538, 501, "fdff7a5d0a645359d730d5bc70744720"
+                         "6d3c443274928c76e1ab37e93dc9e433"),
+    "both": (538, 502, "8acb98153bcfc08b44f6a74336514d00"
+                       "1baf33a57f25eca1443c2b589400c72a"),
 }
 
 
