@@ -17,7 +17,8 @@ from lazyfst.cache import Session, end_session
 from lazyfst.decoder import decode
 from lazyfst.errors import LazyFstError
 from lazyfst.harness import (METHODS, binding_for, build_graphs, decode_config,
-                             load_config, precompose_cache, scores_for)
+                             load_config, precompose_cache, scores_for,
+                             sessions)
 
 # (method, session, length, passes): length None is all of a user's turns;
 # passes but the last warm the session unmeasured, so the ceiling is a rerun
@@ -64,14 +65,11 @@ class Opcodes:
 
 
 def sessions_of(build, scores: dict, length, count=None) -> list:
-    """(binding, turn scores) per session: each user's utterances among
-    the first `count`, in order, users sorted, cut into `length` turns."""
-    by_user: dict[str, list] = {}
-    for utt in build.utterances[:count]:
-        by_user.setdefault(utt["user"], []).append(scores[utt["id"]])
-    return [(binding_for(build, user), turns[i:i + (length or len(turns))])
-            for user, turns in sorted(by_user.items())
-            for i in range(0, len(turns), length or len(turns))]
+    """(binding, turn scores) per harness.sessions session of the first
+    `count` utterances."""
+    return [(binding_for(build, utts[0]["user"]),
+             [scores[utt["id"]] for utt in utts])
+            for utts in sessions(build.utterances[:count], length)]
 
 
 def decode_pass(cache, sessions, dec_cfg, meter, passes: int = 1):

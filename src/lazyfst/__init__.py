@@ -10,7 +10,7 @@ from .cache import (ARC_BYTES, KEY_BYTES, STATE_BYTES, CachedExpansion,
                     PublicCache, Session,
                     dump_public_cache, end_session, load_public_cache)
 from .compose import FilterState, expand_pair_state
-from .decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode, rtf,
+from .decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
                       simulate_scores)
 from .errors import (BuildError, CompositionSizeError, ConfigurationError,
                      InvariantError, LazyFstError, ParseError)
@@ -44,7 +44,6 @@ __all__ = [
     "expand_pair_state", "insert_epsilon_before_class",
     "load_public_cache",
     "parse_contacts_jsonl", "parse_corpus", "parse_lexicon",
-    "rtf",
     "simulate_scores", "train_bigram_root", "warmup_precompose",
     "write_symbols", "write_text_fst",
 ]

@@ -74,9 +74,17 @@ def _build_parser() -> _Parser:
 def _config(args) -> dict:
     """The config file, with --seed and --bfs-depth in place of its own.
     A dump fixes how its cache was built, so --cache takes no --method or
-    --bfs-depth, and --bfs-depth needs a method that runs a BFS."""
+    --bfs-depth, --bfs-depth needs a method that runs a BFS, and --seed
+    needs a command that simulates scores: decode, bench, or precompose
+    with a method that warms up."""
     method = getattr(args, "method", None)
     depth = getattr(args, "bfs_depth", None)
+    if args.seed is not None and not (
+            args.command in ("decode", "bench")
+            or method in ("warmup", "both")):
+        what = args.command + (f" --method {method}" if method else "")
+        raise ConfigurationError(f"--seed is read only where scores are "
+                                 f"simulated, not by {what}")
     if getattr(args, "cache", None) is not None:
         if method is not None or depth is not None:
             raise ConfigurationError("--cache loads a finished cache; it "
@@ -171,9 +179,8 @@ def cmd_decode(args) -> int:
     cache = _cache_from_file(args, build)
     if cache is None:
         cache, _ = precompose_cache(build, cfg, args.method or "none")
-    result = run_session(cache, build, cfg, utt["user"], [utt],
-                         decode_config(cfg))
-    turn = result.turns[0]
+    turn = run_session(cache, build, cfg, [utt],
+                       decode_config(cfg))["turns"][0]
     print(json.dumps({"id": utt["id"], "user": utt["user"],
                       "ref_words": utt["words"], "hyp_words": turn["hyp_words"],
                       "cost": turn["cost"], "errors": turn["errors"],

@@ -39,7 +39,6 @@ of (scores, graph, binding, config).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from numbers import Integral
@@ -145,17 +144,6 @@ class Hypothesis:
     cost: float
     labels: tuple[int, ...]
     words: tuple[str, ...]
-    frames: int
-    wall_seconds: float
-    frame_seconds: float
-
-
-def rtf(h: Hypothesis) -> float:
-    """Decode wall time over audio duration (frames x frame length)."""
-    audio = h.frames * h.frame_seconds
-    if audio == 0.0:
-        return 0.0 if h.wall_seconds == 0.0 else float("inf")
-    return h.wall_seconds / audio
 
 
 # A closure's token: (cost, trace, expansion); trace is None or
@@ -363,7 +351,6 @@ def decode(scores: ScoreMatrix, session: Session,
     """
     if cfg is None:
         cfg = DecodeConfig()
-    t0 = time.perf_counter()
 
     active = _prune(_eps_closure({session.start_id(): (0.0, None)},
                                  session, cfg), cfg)
@@ -387,13 +374,10 @@ def decode(scores: ScoreMatrix, session: Session,
             best_cost = total
             best_trace = trace
 
-    wall = time.perf_counter() - t0
     session.metrics.frames += scores.num_frames
     if best_cost == ZERO:
         return None
     labels = _unwind(best_trace)
     osyms = session.cache.root.osyms
     words = tuple(osyms.sym_of(l) if osyms is not None else str(l) for l in labels)
-    return Hypothesis(cost=best_cost, labels=labels, words=words,
-                      frames=scores.num_frames, wall_seconds=wall,
-                      frame_seconds=scores.frame_seconds)
+    return Hypothesis(cost=best_cost, labels=labels, words=words)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import PublicCache, Session, end_session
-from .decoder import DecodeConfig, decode, rtf, simulate_scores
+from .decoder import DecodeConfig, decode, simulate_scores
 from .errors import BuildError, ConfigurationError, require_int
 from .fst import Fst, SymbolTable, write_symbols, write_text_fst
 from .lmbuild import (ContactEntry, Lexicon, build_contact_fst,
@@ -114,10 +115,13 @@ def build_graphs(cfg: dict) -> Build:
         if user in ("", ".", "..") or "/" in user or "\0" in user:
             raise BuildError(f"{users_path}: user id {user!r} cannot be "
                              f"a file name")
+        if not names:
+            raise BuildError(f"{users_path}: user {user} has an empty "
+                             f"contact list")
         missing = [n for n in names if n not in by_name]
         if missing:
-            raise BuildError(f"user {user} references unknown contacts "
-                             f"{missing}")
+            raise BuildError(f"{users_path}: user {user} references unknown "
+                             f"contacts {missing}")
         bindings[user] = ClassBinding(class_id, build_contact_fst(
             [by_name[n] for n in names], phones, word_syms))
     utterances = parse_utterances(read("utterances"),
@@ -133,8 +137,9 @@ UTTERANCE_FIELDS = (("id", str), ("user", str), ("words", list),
 def parse_utterances(text: str, path: str,
                      users: dict[str, list[str]]) -> list[dict]:
     """One JSON object per non-blank line, each with every field in
-    UTTERANCE_FIELDS (word and phone lists of strings, a seed that is an
-    int and not a bool), a known user and an id no earlier row has."""
+    UTTERANCE_FIELDS (word and phone lists of strings, at least one
+    phone, a seed that is an int and not a bool), a known user and an id
+    no earlier row has."""
     rows = []
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -153,6 +158,8 @@ def parse_utterances(text: str, path: str,
                     kind is list and not all(isinstance(v, str) for v in value)):
                 raise BuildError(f"{where}: utterance {row.get('id')!r} lacks "
                                  f"a valid {name!r} field")
+        if not row["phones"]:
+            raise BuildError(f"{where}: utterance {row['id']!r} has no phones")
         if row["user"] not in users:
             raise BuildError(f"{where}: utterance {row['id']!r} names unknown "
                              f"user {row['user']!r}")
@@ -219,10 +226,11 @@ def precompose_cache(build: Build, cfg: dict,
     pre_cfg = PrecomposeConfig(**_settings(
         cfg, ("bfs_depth", "state_budget", "warmup_count")))
     empty = PublicCache(build.t1, build.root, build.class_id)
-    stats = {"method": method, "bfs_depth": pre_cfg.bfs_depth}
+    stats = {"method": method}
     keys: list = []
     if method in ("bfs", "both"):
         keys = bfs_precompose(empty, pre_cfg)
+        stats["bfs_depth"] = pre_cfg.bfs_depth
         stats["after_bfs"] = len(keys)
     if method in ("warmup", "both"):
         score_list = [scores_for(build, cfg, utt)
@@ -258,29 +266,33 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def _chunk(seq: list, size: int) -> list[list]:
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
-
-
-@dataclass
-class SessionResult:
-    user: str
-    turns: list[dict]
-    bytes_private: int
+def sessions(utterances: list[dict], length: int | None) -> list[list[dict]]:
+    """The utterances cut into sessions: users sorted, each user's
+    utterances in input order, cut into runs of `length` turns; `length`
+    None keeps all of a user's turns in one session."""
+    by_user: dict[str, list[dict]] = {}
+    for utt in utterances:
+        by_user.setdefault(utt["user"], []).append(utt)
+    return [turns[i:i + (length or len(turns))]
+            for turns in map(by_user.get, sorted(by_user))
+            for i in range(0, len(turns), length or len(turns))]
 
 
 def run_session(cache: PublicCache, build: Build, cfg: dict,
-                user: str, utts: list[dict],
-                dec_cfg: DecodeConfig) -> SessionResult:
-    """Decode `utts` in one session.  Each turn's counters are what the
-    session's Metrics gained over its decode, so a turn that fails
-    reports the work it did too."""
+                utts: list[dict], dec_cfg: DecodeConfig) -> dict:
+    """Decode `utts`, one user's, in one session: its user, its private
+    bytes at the end and its turns.  A turn's counters are what the session's Metrics
+    gained over its decode, and its rtf is the decode's wall time over
+    the audio's duration, so a turn that fails reports its work too."""
+    user = utts[0]["user"]
     session = Session(cache, binding_for(build, user))
     turns = []
     for turn_index, utt in enumerate(utts, start=1):
         scores = scores_for(build, cfg, utt)
         before = session.metrics.snapshot()
+        t0 = time.perf_counter()
         hyp = decode(scores, session, dec_cfg)
+        wall = time.perf_counter() - t0
         m = session.metrics.delta(before)
         failed = hyp is None
         words = [] if failed else hyp.words
@@ -289,21 +301,18 @@ def run_session(cache: PublicCache, build: Build, cfg: dict,
             "otf": m.otf_expansion, "public": m.public_hit,
             "private": m.private_hit, "frames": scores.num_frames,
             "cost": None if failed else hyp.cost,
-            "rtf": 0.0 if failed else rtf(hyp),
+            "rtf": wall / (scores.num_frames * scores.frame_seconds),
             "errors": levenshtein(utt["words"], words),
             "ref_len": len(utt["words"]), "hyp_words": words,
         })
     final = end_session(session)
-    return SessionResult(user=user, turns=turns,
-                         bytes_private=final.bytes_private)
+    return {"user": user, "bytes_private": final.bytes_private,
+            "turns": turns}
 
 
-def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
-              build: Build | None = None,
+def run_bench(cfg: dict, method: str, session_length: int, build: Build,
               cache: PublicCache | None = None) -> dict:
     require_int("session_length", session_length, 1)
-    if build is None:
-        build = build_graphs(cfg)
     if cache is None:
         cache, pre_stats = precompose_cache(build, cfg, method)
     else:
@@ -312,14 +321,10 @@ def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
                      "bytes_public": cache.bytes_estimate()}
     dec_cfg = decode_config(cfg)
 
-    by_user: dict[str, list[dict]] = {}
-    for utt in build.utterances:
-        by_user.setdefault(utt["user"], []).append(utt)
-    results = [run_session(cache, build, cfg, user, chunk, dec_cfg)
-               for user in sorted(by_user)
-               for chunk in _chunk(by_user[user], session_length)]
+    results = [run_session(cache, build, cfg, utts, dec_cfg)
+               for utts in sessions(build.utterances, session_length)]
 
-    all_turns = [t for r in results for t in r.turns]
+    all_turns = [t for r in results for t in r["turns"]]
     per_turn: dict[str, dict] = {}
     for t in all_turns:
         slot = per_turn.setdefault(str(t["turn"]),
@@ -337,8 +342,8 @@ def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
 
     total_errors = sum(t["errors"] for t in all_turns)
     total_ref = sum(t["ref_len"] for t in all_turns)
-    rtfs = [t["rtf"] for t in all_turns if not t["failed"]]
-    bytes_private_total = sum(r.bytes_private for r in results)
+    rtfs = [t["rtf"] for t in all_turns]
+    bytes_private_total = sum(r["bytes_private"] for r in results)
     report = {
         "method": method,
         "session_length": session_length,
@@ -362,8 +367,7 @@ def run_bench(cfg: dict, method: str = "none", session_length: int = 5,
         "marginal_bytes_per_session":
             bytes_private_total / len(results) if results else 0.0,
         "hypotheses": {t["id"]: t["hyp_words"] for t in all_turns},
-        "sessions": [{"user": r.user, "bytes_private": r.bytes_private,
-                      "turns": r.turns} for r in results],
+        "sessions": results,
     }
     return report
 

@@ -1,7 +1,8 @@
 """Counters that drive every comparison in the benchmark harness.
 
 The reproducible signals are the expansion/hit counters and the modeled
-byte sizes; wall-clock time lives on the Hypothesis, never here.
+byte sizes; wall-clock time is never here: the caller measures it around
+decode (harness.run_session, for each turn's rtf).
 
 public_hit and private_hit count one per state a decoder closure returns,
 per frame, that the public layer (the session's PublicCache) or the

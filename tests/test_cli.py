@@ -81,6 +81,31 @@ class TestDataErrors:
         assert "--bfs-depth" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("build", ["--out", "OUT"]), ("stats", []),
+        ("score", ["--report", "OUT"]),
+        ("precompose", ["--method", "none", "--out", "OUT"]),
+        ("precompose", ["--method", "bfs", "--out", "OUT"])],
+        ids=["build", "stats", "score", "precompose-none", "precompose-bfs"])
+    def test_seed_where_no_score_is_simulated_exits_2(
+            self, mini_config, tmp_path, command, flags, capsys):
+        flags = [str(tmp_path / "out") if f == "OUT" else f for f in flags]
+        assert main(["--seed", "5", command, "--config", str(mini_config),
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_where_warm_up_simulates_scores(self, mini_config, tmp_path,
+                                                 capsys):
+        dumps = []
+        for seed in ("5", "6"):
+            dumps.append(tmp_path / f"warm{seed}.txt")
+            assert main(["--seed", seed, "precompose", "--config",
+                         str(mini_config), "--method", "warmup",
+                         "--out", str(dumps[-1])]) == 0
+        assert dumps[0].read_text() != dumps[1].read_text()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["stats", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -167,8 +192,10 @@ class TestDataErrors:
          "seed": True},
         {"id": "u01-s1-t1", "user": "u01", "words": ["call", "mom"],
          "phones": ["k", "aa", "l"], "seed": 1},
+        {"id": "bad-5", "user": "u05", "words": ["hello"], "phones": [],
+         "seed": 1},
     ], ids=["no-phones", "words-not-list", "unknown-user", "bad-json",
-            "bool-seed", "repeated-id"])
+            "bool-seed", "repeated-id", "empty-phones"])
     def test_malformed_utterance_row_exits_2(self, row, tmp_path, capsys):
         cfg = write_desk_data(tmp_path)
         path = tmp_path / "data" / "desk" / cfg["utterances"]
@@ -211,6 +238,15 @@ class TestInputShapes:
         (Path(cfg["data_dir"]) / cfg["users"]).write_text(text)
         err = self.run(["stats", "--config", str(path)], capsys, "users.json")
         assert "unknown contacts" not in err
+
+    def test_user_with_empty_contact_list(self, tmp_path, capsys):
+        path, cfg = desk_copy(tmp_path)
+        users_path = Path(cfg["data_dir"]) / cfg["users"]
+        users = json.loads(users_path.read_text())
+        users["u03"] = []
+        users_path.write_text(json.dumps(users))
+        self.run(["stats", "--config", str(path)], capsys,
+                 "users.json", "u03", "empty contact list")
 
     @pytest.mark.parametrize("field", ["data_dir", "lexicon", "users"])
     @pytest.mark.parametrize("value", [5, None, ["lexicon.txt"], "a\0b"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from lazyfst import decoder
 from lazyfst.cache import (DEAD_END, CachedExpansion, PublicCache, Session,
                            end_session)
 from lazyfst.decoder import (DecodeConfig, Hypothesis, ScoreMatrix, decode,
-                             rtf, simulate_scores)
+                             simulate_scores)
 from lazyfst.errors import CompositionSizeError, ConfigurationError
 from lazyfst.fst import EPS, Arc, FstBuilder
 from lazyfst.harness import binding_for, decode_config, precompose_cache, scores_for
@@ -154,7 +155,7 @@ class TestHandGraph:
         assert hyp is not None
         assert hyp.labels == (7, 8)
         assert hyp.cost == (0.0 + 0.125) + (0.25 + 0.25) + 0.5
-        assert hyp.frames == 3
+        assert session.metrics.frames == 3
         assert hyp.words == ("7", "8")  # no symbol table attached
 
     def test_self_loops_absorb_repeated_frames(self):
@@ -476,8 +477,10 @@ class TestDeterminism:
                                  noise=0.5, seed=41)
         runs = []
         for _ in range(2):
-            hyp = decode(scores, session_over(hmm_t1(), two_word_root()))
-            runs.append((hyp.cost, hyp.labels, hyp.words, hyp.frames))
+            session = session_over(hmm_t1(), two_word_root())
+            hyp = decode(scores, session)
+            runs.append((hyp.cost, hyp.labels, hyp.words,
+                         session.metrics.frames))
         assert runs[0] == runs[1]
 
     def test_cache_depth_never_changes_the_answer(self):
@@ -586,19 +589,13 @@ class TestSealedAgainstUnsealed:
             assert decoded(sealed) == decoded(as_built)
 
 
-class TestTiming:
-    def test_rtf_arithmetic(self):
-        def hyp(frames, wall):
-            return Hypothesis(0.0, (), (), frames, wall, 0.01)
-
-        assert rtf(hyp(2, 0.004)) == 0.004 / 0.02
-        assert rtf(hyp(0, 0.0)) == 0.0
-        assert rtf(hyp(0, 1.0)) == math.inf
-
-    def test_decode_reports_frames_and_wall_time(self):
+class TestFrames:
+    def test_decode_counts_frames_in_metrics(self):
         session = session_over(hmm_t1(), two_word_root())
         scores = simulate_scores([1, 2, 2], num_labels=3, frames_per_phone=2)
-        hyp = decode(scores, session)
-        assert hyp.frames == 6
-        assert hyp.wall_seconds >= 0.0
+        assert decode(scores, session) is not None
+        assert [f.name for f in dataclasses.fields(Hypothesis)] == [
+            "cost", "labels", "words"]
         assert session.metrics.frames == 6
+        decode(scores, session)
+        assert session.metrics.frames == 12

@@ -13,10 +13,10 @@ from lazyfst.cache import Session, end_session
 from lazyfst.decoder import decode, simulate_scores
 from lazyfst.errors import BuildError, ConfigurationError
 from lazyfst.fst import write_text_fst
-from lazyfst.harness import (_chunk, _percentile, binding_for, build_graphs,
+from lazyfst.harness import (_percentile, binding_for, build_graphs,
                              decode_config, graph_stats, levenshtein,
                              load_config, precompose_cache, run_bench,
-                             score_report, scores_for, write_build)
+                             score_report, scores_for, sessions, write_build)
 from lazyfst.lmbuild import build_contact_fst
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
@@ -168,9 +168,18 @@ class TestScoringHelpers:
         assert _percentile([3.0, 1.0, 2.0, 4.0], 50) == 2.0
         assert _percentile([3.0, 1.0, 2.0, 4.0], 95) == 4.0
 
-    def test_chunk(self):
-        assert _chunk([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-        assert _chunk([], 3) == []
+    def test_sessions(self):
+        utts = [{"user": user, "id": i} for i, user in enumerate("bababb")]
+
+        def ids(cut):
+            return [[u["id"] for u in session] for session in cut]
+
+        # users sorted, each user's turns in input order, then cut
+        assert ids(sessions(utts, 2)) == [[1, 3], [0, 2], [4, 5]]
+        assert ids(sessions(utts, 1)) == [[1], [3], [0], [2], [4], [5]]
+        assert ids(sessions(utts, 10)) == [[1, 3], [0, 2, 4, 5]]
+        assert ids(sessions(utts, None)) == [[1, 3], [0, 2, 4, 5]]
+        assert sessions([], 3) == sessions([], None) == []
 
 
 class TestPrecomposeCache:
@@ -183,6 +192,16 @@ class TestPrecomposeCache:
         assert cache.sealed
         assert cache.num_expanded == 0
         assert stats["bytes_public"] == 0
+
+    @pytest.mark.parametrize("method, runs_bfs", [
+        ("none", False), ("bfs", True), ("warmup", False), ("both", True)])
+    def test_bfs_depth_only_where_a_bfs_ran(self, desk_build, desk_cfg,
+                                           method, runs_bfs):
+        cfg = dict(desk_cfg, warmup_count=2)
+        _, stats = precompose_cache(desk_build, cfg, method)
+        assert ("bfs_depth" in stats) == ("after_bfs" in stats) == runs_bfs
+        if runs_bfs:
+            assert stats["bfs_depth"] == desk_cfg["bfs_depth"]
 
     def test_bfs_snapshot(self, desk_build, desk_cfg):
         cache, stats = precompose_cache(desk_build, desk_cfg, "bfs")
@@ -231,9 +250,16 @@ class TestBench:
 
         monkeypatch.setattr(harness, "end_session", end)
         cfg = dict(desk_cfg, noise=6.0, beam=1.0, seed=7)
-        totals = run_bench(cfg, method="none", session_length=5,
-                           build=desk_build)["totals"]
+        report = run_bench(cfg, method="none", session_length=5,
+                           build=desk_build)
+        totals = report["totals"]
         assert totals["failed"] > 0
+        # a failed turn's decode is timed like any other
+        failed = [t for s in report["sessions"] for t in s["turns"]
+                  if t["failed"]]
+        assert len(failed) == totals["failed"]
+        assert all(t["rtf"] > 0 for t in failed)
+        json.dumps(report, allow_nan=False)
         assert (totals["otf_expansions"], totals["public_hits"],
                 totals["private_hits"], totals["frames"]) == (
             sum(m.otf_expansion for m in ended),
